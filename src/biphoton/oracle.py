@@ -14,12 +14,29 @@ rate modules:
 
 * :func:`mc_rate` samples the same generative chain (pair number,
   pattern, per-arm clicks) with a seeded PCG64 generator and reports a
-  mean with its standard error.  For a fixed seed, trial count and
-  configuration the result is reproducible bit for bit: trials are
-  consumed in fixed-size blocks, block b uses the b-th child of
-  numpy's SeedSequence(seed), draws happen in a fixed order within a
-  block, and the per-block success counts are integers, so the final
-  reduction is exact in any order.
+  mean with its standard error.  It never touches the pair-number pmf:
+  pair numbers come from numpy's own Poisson, binomial, geometric and
+  hypergeometric samplers.  Only the trials that carry a pair are drawn
+  one by one; the clicks of all trials with the same photon numbers are
+  decided together by one binomial draw.  Three sampling identities
+  make this exact in distribution (Devroye, *Non-Uniform Random Variate
+  Generation*, 1986, ch. X):
+
+  - Poisson splitting: N ~ Poisson(n mu) pairs thrown uniformly into n
+    trials leave independent Poisson(mu) counts in the trials;
+  - geometric memorylessness: a geometric count conditioned on being
+    positive is one plus the same geometric count, so the positive
+    counts are numpy's ``geometric`` draws on {1, 2, ...};
+  - binomial thinning: c trials that each succeed with probability q
+    succeed Binomial(c, q) times in total.
+
+  For a fixed seed, trial count and configuration the result is
+  reproducible bit for bit: trials are consumed in blocks of
+  ``_BLOCK`` = 1,000,000 (the last block takes the remainder), block b
+  uses the b-th child of numpy's SeedSequence(seed), draws happen in a
+  fixed order within a block (see :func:`mc_rate`), and the per-block
+  success counts are integers, so the final reduction is exact in any
+  order.
 """
 
 from __future__ import annotations
@@ -48,10 +65,16 @@ __all__ = [
 
 # 2^x patterns are visited one by one; 14 keeps that below ~16k states.
 X_MAX_LIMIT = 14
+# largest pair number the coherent H+ Monte-Carlo splits with the
+# operator ladder; equals TruncationPolicy's default hard_cap
+HPLUS_X_CAP = 200
+# Monte-Carlo trials per seeded block; part of the determinism contract
+_BLOCK = 1_000_000
 
 
 class XMaxTooLarge(ValueError):
-    """Requested enumeration depth would exceed the exhaustive-pattern budget."""
+    """A pair number exceeds what an oracle handles: the enumeration depth
+    budget, or the coherent H+ ladder cap of the Monte-Carlo."""
 
 
 class OracleSetting(Enum):
@@ -72,6 +95,7 @@ _TIMEBIN_MAP = {
     OracleSetting.TIMEBIN_AB: OracleSetting.HV,
     OracleSetting.TIMEBIN_APLUS: OracleSetting.HPLUS,
 }
+_CAR = (OracleSetting.CAR_MATCHED, OracleSetting.CAR_UNMATCHED)
 
 
 @dataclass(frozen=True)
@@ -93,6 +117,26 @@ class McEstimate:
     seed: int
 
 
+def _resolve(
+    kind: SourceKind, setting: OracleSetting, det_s: DetectorModel, det_i: DetectorModel
+) -> tuple[OracleSetting, DetectorModel, DetectorModel]:
+    """Reject settings the kind does not define; map a time-bin setting
+    onto its polarization twin seen through half-efficiency detectors."""
+    if setting in _TIMEBIN_MAP:
+        if not kind.entangled:
+            raise UnsupportedSetting(f"{setting.value} requires an entangled kind")
+        det_s = DetectorModel(det_s.alpha / 2.0, det_s.dark, det_s.mode)
+        det_i = DetectorModel(det_i.alpha / 2.0, det_i.dark, det_i.mode)
+        setting = _TIMEBIN_MAP[setting]
+    if kind.entangled and setting in _CAR:
+        raise UnsupportedSetting(f"{setting.value} requires a correlated kind")
+    if kind.correlated and setting is OracleSetting.HPLUS:
+        raise UnsupportedSetting(
+            f"{setting.value} is undefined for correlated kind {kind.value}"
+        )
+    return setting, det_s, det_i
+
+
 def _coin_weights(x: int) -> list[float]:
     """Binomial(x, 1/2) pmf by convolving x fair coins."""
     w = [1.0]
@@ -105,32 +149,56 @@ def _coin_weights(x: int) -> list[float]:
     return w
 
 
-@lru_cache(maxsize=None)
+def _ladder_step(rows: np.ndarray) -> np.ndarray:
+    """Ladder amplitudes at t photons from those at t - 1.
+
+    Row k holds the amplitudes, over the + count p = 0..t, of the Fock
+    state with t-k H and k V photons written in the +/- basis.  Each row
+    is built from both of its predecessors,
+
+        |t-k, k> = (sqrt(t-k) aH+ |t-k-1, k> + sqrt(k) aV+ |t-k, k-1>) / t,
+
+    with aH+ = (a++ + a-+)/sqrt(2) and aV+ = (a++ - a-+)/sqrt(2) acting
+    through the usual sqrt(n+1) ladder factors.  Every row stays
+    normalised, so nothing overflows, and averaging the two routes keeps
+    rounding errors from growing; a single chain of creation operators
+    followed by 1/sqrt((t-k)! k!) loses digits from t ~ 40 on.
+    """
+    t = rows.shape[0]
+    root = np.sqrt(np.arange(t + 1.0))
+    plus = np.zeros((t, t + 1))
+    plus[:, 1:] = rows * root[1:]  # a + photon joins the p there are
+    minus = np.zeros((t, t + 1))
+    minus[:, :-1] = rows * root[:0:-1]  # a - photon joins the t-1-p there are
+    out = np.zeros((t + 1, t + 1))
+    out[:t] += root[:0:-1, None] * (plus + minus)
+    out[1:] += root[1:, None] * (plus - minus)
+    return out / (t * math.sqrt(2.0))
+
+
+@lru_cache(maxsize=HPLUS_X_CAP + 1)
+def _ladder_table(x: int) -> np.ndarray:
+    """Ladder amplitude rows k = 0..x at x photons (read-only)."""
+    table = _ladder_step(_ladder_table(x - 1)) if x else np.ones((1, 1))
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=1024)
 def ladder_plus_distribution(x: int, k: int) -> tuple[float, ...]:
     """+/- basis photon-number law of the x-k H, k V idler Fock state.
 
-    Built operationally: starting from vacuum, apply the H-mode creation
-    operator (a+ + a-)/sqrt(2) x-k times and the V-mode operator
-    (a+ - a-)/sqrt(2) k times, tracking amplitudes over the +-photon
-    count with the usual sqrt(n+1) ladder factors, then normalize by
-    sqrt((x-k)! k!) and square.
+    Built operationally from vacuum by creation operators (see
+    :func:`_ladder_step`); finite for any x, in O(x^3) time and O(x^2)
+    memory.  Tables up to x = ``HPLUS_X_CAP`` are kept, and the 1024
+    most recent (x, k) results.
     """
     if not (0 <= k <= x):
         raise ValueError(f"need 0 <= k <= x, got k={k}, x={x}")
-    amps = [1.0]
-    total = 0
-    for sign, count in ((1.0, x - k), (-1.0, k)):
-        for _ in range(count):
-            nxt = [0.0] * (total + 2)
-            for p, a in enumerate(amps):
-                if a == 0.0:
-                    continue
-                nxt[p + 1] += a * math.sqrt(p + 1) / math.sqrt(2.0)
-                nxt[p] += sign * a * math.sqrt(total + 1 - p) / math.sqrt(2.0)
-            amps = nxt
-            total += 1
-    norm = math.factorial(x - k) * math.factorial(k)
-    return tuple(a * a / norm for a in amps)
+    rows = _ladder_table(min(x, HPLUS_X_CAP))
+    while rows.shape[0] <= x:
+        rows = _ladder_step(rows)
+    return tuple((rows[k] * rows[k]).tolist())
 
 
 def _per_x_probability(
@@ -145,20 +213,13 @@ def _per_x_probability(
     qi = [click_prob(det_i, n) for n in range(x + 1)]
 
     if kind.correlated:
-        if setting in (OracleSetting.HH, OracleSetting.CAR_MATCHED):
-            return qs[x] * qi[x]
         if setting is OracleSetting.HV:
             return qs[x] * qi[0]
         if setting is OracleSetting.SINGLE_S:
             return qs[x]
         if setting is OracleSetting.SINGLE_I:
             return qi[x]
-        raise UnsupportedSetting(
-            f"{setting.value} is undefined for correlated kind {kind.value}"
-        )
-
-    if setting in (OracleSetting.CAR_MATCHED, OracleSetting.CAR_UNMATCHED):
-        raise UnsupportedSetting(f"{setting.value} requires a correlated kind")
+        return qs[x] * qi[x]  # HH, CAR_MATCHED
 
     if kind is SourceKind.DIS_ENTANGLED:
         # visit all 2^x pair-polarization patterns; y = number of VV pairs
@@ -218,19 +279,12 @@ def enumerate_rate(
         raise ValueError(f"x_max must be >= 0, got {x_max}")
     if x_max > X_MAX_LIMIT:
         raise XMaxTooLarge(f"x_max={x_max} exceeds the enumeration budget of {X_MAX_LIMIT}")
-    if setting in _TIMEBIN_MAP:
-        if not source.kind.entangled:
-            raise UnsupportedSetting(f"{setting.value} requires an entangled kind")
-        det_s = DetectorModel(det_s.alpha / 2.0, det_s.dark, det_s.mode)
-        det_i = DetectorModel(det_i.alpha / 2.0, det_i.dark, det_i.mode)
-        setting = _TIMEBIN_MAP[setting]
+    setting, det_s, det_i = _resolve(source.kind, setting, det_s, det_i)
 
     weights = pmf_values(source, x_max)
     tail = max(0.0, 1.0 - math.fsum(weights))
 
     if setting is OracleSetting.CAR_UNMATCHED:
-        if not source.kind.correlated:
-            raise UnsupportedSetting(f"{setting.value} requires a correlated kind")
         a = math.fsum(weights[x] * click_prob(det_s, x) for x in range(x_max + 1))
         b = math.fsum(weights[x] * click_prob(det_i, x) for x in range(x_max + 1))
         # |A'B' - AB| <= tail*(A + B + tail) when each factor gains <= tail
@@ -245,12 +299,33 @@ def enumerate_rate(
 
 
 def _draw_pairs(rng: np.random.Generator, source: PairSource, n: int) -> np.ndarray:
+    """Pair numbers of those of ``n`` independent pulses that carry any.
+
+    Returns one positive count per such pulse, in no particular order;
+    the other pulses carry none.  Exact in distribution for every kind,
+    and O(n) in memory for any mu.
+    """
     mu = source.mu
+    if source.kind.poissonian:
+        if mu > 1.0:
+            x = rng.poisson(mu, n)
+            return x[x > 0]
+        # Poisson splitting: run lengths of the sorted slots that were hit
+        slots = np.sort(rng.integers(0, n, rng.poisson(n * mu)))
+        starts = np.flatnonzero(np.diff(slots, prepend=-1))
+        return np.diff(starts, append=slots.size)
     if source.kind is SourceKind.THERMAL_CORRELATED:
-        return rng.geometric(1.0 / (1.0 + mu), n) - 1
-    if source.kind is SourceKind.INDIS_ENTANGLED:
-        return rng.negative_binomial(2, 1.0 / (1.0 + mu / 2.0), n)
-    return rng.poisson(mu, n)
+        # geometric on {0, 1, ...}: positive with probability mu/(1+mu)
+        return rng.geometric(1.0 / (1.0 + mu), rng.binomial(n, mu / (1.0 + mu)))
+    # NB(2): the sum of two such geometrics, each with mean mu/2; a pulses
+    # have the first positive, b the second, and `both` of them both
+    half = mu / 2.0
+    a = rng.binomial(n, half / (1.0 + half))
+    b = rng.binomial(n, half / (1.0 + half))
+    both = rng.hypergeometric(a, n - a, b)
+    g = rng.geometric(1.0 / (1.0 + half), a + b)
+    g[:both] += g[a : a + both]
+    return np.concatenate((g[:a], g[a + both :]))
 
 
 def sample_patterns(kind: SourceKind, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -265,20 +340,62 @@ def sample_patterns(kind: SourceKind, x: np.ndarray, rng: np.random.Generator) -
     return np.zeros_like(x)
 
 
-def _click_probs(det: DetectorModel, photons: np.ndarray) -> np.ndarray:
-    return 1.0 - (1.0 - det.dark) * np.power(1.0 - det.alpha, photons)
+def _classes(*photons: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Occupied photon-number classes of the pulses that carry pairs.
+
+    ``photons`` holds one array per detector arm, aligned over those
+    pulses.  Returns the photon numbers of each occupied class, per arm,
+    and its pulse count, in increasing (signal, idler) order.  Classes
+    are found by sorting keys taken relative to each arm's minimum, so
+    memory stays O(pulses) for any mu.
+    """
+    if not photons[0].size:
+        return photons, photons[0]
+    lo = [int(p.min()) for p in photons]
+    shape = tuple(int(p.max()) - m + 1 for p, m in zip(photons, lo))
+    if math.prod(shape) > np.iinfo(np.intp).max:  # photon spreads beyond ~3e9, mu ~ 1e16
+        keys, counts = np.unique(np.stack(photons), axis=1, return_counts=True)
+        return tuple(keys), counts
+    flat = np.ravel_multi_index(tuple(p - m for p, m in zip(photons, lo)), shape)
+    keys, counts = np.unique(flat, return_counts=True)
+    return tuple(v + m for v, m in zip(np.unravel_index(keys, shape), lo)), counts
 
 
-@lru_cache(maxsize=8)
-def _ladder_cum_tables(x_cap: int) -> np.ndarray:
-    """Padded cumulative +/- distributions for vectorized inverse sampling."""
-    cum = np.ones((x_cap + 1, x_cap + 1, x_cap + 1))
-    for x in range(x_cap + 1):
-        for k in range(x + 1):
-            w = ladder_plus_distribution(x, k)
-            cum[x, k, : x + 1] = np.cumsum(w)
-            cum[x, k, x:] = 1.0
-    return cum
+def _ladder_classes(
+    rng: np.random.Generator, x: np.ndarray, k: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(signal H photons, idler + photons) classes for coherent H+.
+
+    Pulses are binned by (x, k); each bin is split over the + count by
+    one multinomial draw with the ladder law, in increasing x.
+    """
+    top = int(x.max()) if x.size else 0
+    xk = np.bincount(x * (top + 1) + k, minlength=(top + 1) ** 2).reshape(top + 1, top + 1)
+    counts = np.zeros((top + 1, top + 1), dtype=np.int64)
+    for xv in np.flatnonzero(xk.any(axis=1)).tolist():
+        split = rng.multinomial(xk[xv, : xv + 1], _ladder_table(xv) ** 2)
+        counts[xv - np.arange(xv + 1), : xv + 1] += split
+    occupied = np.nonzero(counts)
+    return occupied, counts[occupied]
+
+
+def _hits(
+    rng: np.random.Generator,
+    empty: int,
+    dets: tuple[DetectorModel, ...],
+    photons: tuple[np.ndarray, ...],
+    counts: np.ndarray,
+) -> int:
+    """Pulses on which every arm clicks: one binomial draw per occupied
+    class, in the order given, then one for the ``empty`` pulses, which
+    carry no photons and click on dark counts alone."""
+    p = np.ones(counts.shape)
+    dark = 1.0
+    for det, n in zip(dets, photons):
+        # arranged as in click_prob
+        p *= det.dark + (1.0 - det.dark) * (1.0 - (1.0 - det.alpha) ** n)
+        dark *= det.dark
+    return int(rng.binomial(counts, p).sum()) + int(rng.binomial(empty, dark))
 
 
 def _mc_block(
@@ -292,53 +409,35 @@ def _mc_block(
 ) -> int:
     kind = source.kind
     x = _draw_pairs(rng, source, n)
+    empty = n - x.size
 
     if setting is OracleSetting.CAR_UNMATCHED:
-        x2 = _draw_pairs(rng, source, n)
-        ps, pi = _click_probs(det_s, x), _click_probs(det_i, x2)
-    elif kind.correlated:
-        if setting in (OracleSetting.HH, OracleSetting.CAR_MATCHED):
-            ps, pi = _click_probs(det_s, x), _click_probs(det_i, x)
-        elif setting is OracleSetting.HV:
-            ps = _click_probs(det_s, x)
-            pi = np.full(n, det_i.dark)
-        elif setting is OracleSetting.SINGLE_S:
-            ps, pi = _click_probs(det_s, x), None
-        elif setting is OracleSetting.SINGLE_I:
-            ps, pi = _click_probs(det_i, x), None
-        else:
-            raise UnsupportedSetting(
-                f"{setting.value} is undefined for correlated kind {kind.value}"
-            )
-    else:
-        if setting in (OracleSetting.CAR_MATCHED, OracleSetting.CAR_UNMATCHED):
-            raise UnsupportedSetting(f"{setting.value} requires a correlated kind")
-        pat = sample_patterns(kind, x, rng)
-        h = x - pat
-        if setting is OracleSetting.HH:
-            ps, pi = _click_probs(det_s, h), _click_probs(det_i, h)
-        elif setting is OracleSetting.HV:
-            ps, pi = _click_probs(det_s, h), _click_probs(det_i, pat)
-        elif setting is OracleSetting.SINGLE_S:
-            ps, pi = _click_probs(det_s, h), None
-        elif setting is OracleSetting.SINGLE_I:
-            ps, pi = _click_probs(det_i, h), None
-        else:  # HPLUS
-            ps = _click_probs(det_s, h)
-            if kind is SourceKind.DIS_ENTANGLED:
-                plus = rng.binomial(x, 0.5)
-            elif hplus_model is HplusModel.INDEPENDENT:
-                plus = rng.binomial(x, 0.5)
-            else:
-                cum = _ladder_cum_tables(int(x.max()) if n else 0)
-                rows = cum[x, pat]
-                plus = (rows < rng.random(n)[:, None]).sum(axis=1)
-            pi = _click_probs(det_i, plus)
+        # the idler comes from another pulse: draw it only where the signal clicked
+        signal = _hits(rng, empty, (det_s,), *_classes(x))
+        x = _draw_pairs(rng, source, signal)
+        return _hits(rng, signal - x.size, (det_i,), *_classes(x))
 
-    hit = rng.random(n) < ps
-    if pi is not None:
-        hit &= rng.random(n) < pi
-    return int(hit.sum())
+    v = sample_patterns(kind, x, rng)
+    h = x - v
+    if setting is OracleSetting.SINGLE_S:
+        return _hits(rng, empty, (det_s,), *_classes(h))
+    if setting is OracleSetting.SINGLE_I:
+        return _hits(rng, empty, (det_i,), *_classes(h))
+    if setting in (OracleSetting.HH, OracleSetting.CAR_MATCHED):
+        classes = _classes(h, h)
+    elif setting is OracleSetting.HV:
+        classes = _classes(h, v)
+    elif kind is SourceKind.INDIS_ENTANGLED and hplus_model is HplusModel.COHERENT:
+        if x.size and x.max() > HPLUS_X_CAP:
+            raise XMaxTooLarge(
+                f"coherent H+ Monte-Carlo drew a pulse with {x.max()} pairs at "
+                f"mu={source.mu:g}, above its ladder cap of {HPLUS_X_CAP}; use a "
+                f"smaller mu or HplusModel.INDEPENDENT"
+            )
+        classes = _ladder_classes(rng, x, v)
+    else:  # HPLUS with independent +/- splitting
+        classes = _classes(h, rng.binomial(x, 0.5))
+    return _hits(rng, empty, (det_s, det_i), *classes)
 
 
 def mc_rate(
@@ -349,34 +448,46 @@ def mc_rate(
     trials: int,
     seed: int,
     hplus_model: HplusModel = HplusModel.COHERENT,
-    block_size: int = 1_000_000,
 ) -> McEstimate:
     """Monte-Carlo estimate of a rate by simulating the generative chain.
 
-    Within each block the draw order is fixed: pair numbers first (twice
-    for the unmatched setting), then the pattern variable, then any
-    extra splitting variable, then the signal and idler click uniforms.
+    Trials run in blocks of ``_BLOCK`` = 1,000,000, block b seeded by
+    the b-th child of SeedSequence(seed).  Within a block the draw
+    order is fixed:
+
+    1. pair numbers of the pulses that carry any: for Poissonian kinds
+       with mu <= 1, N ~ Poisson(n mu) and N slot indices; with mu > 1,
+       one Poisson per pulse; for the thermal kind, a Binomial count of
+       positive pulses and one geometric each; for the indistinguishable
+       kind, two such Binomial counts, their hypergeometric overlap and
+       one geometric per positive factor;
+    2. the pattern variable of each of those pulses (entangled kinds);
+    3. for H+, the + port: Binomial(x, 1/2) per pulse, or for coherent
+       indistinguishable pairs one multinomial per pair number x over
+       its (x, k) bins, in increasing x;
+    4. one binomial per occupied (signal photons, idler photons) class,
+       in increasing order, then one for the pulses without pairs.
+
+    For CAR_UNMATCHED, step 4 draws the signal clicks only; then the
+    idler's pair numbers are drawn (as in step 1) for the S pulses whose
+    signal clicked, followed by the idler's step 4.
+
+    Coherent H+ on the indistinguishable kind raises
+    :class:`XMaxTooLarge` if a pulse draws more than ``HPLUS_X_CAP`` =
+    200 pairs; ``HplusModel.INDEPENDENT`` has no such cap.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if det_s.mode is not ClickMode.EXACT or det_i.mode is not ClickMode.EXACT:
         raise ValueError("Monte-Carlo sampling requires EXACT click mode")
-    if setting in _TIMEBIN_MAP:
-        if not source.kind.entangled:
-            raise UnsupportedSetting(f"{setting.value} requires an entangled kind")
-        det_s = DetectorModel(det_s.alpha / 2.0, det_s.dark, det_s.mode)
-        det_i = DetectorModel(det_i.alpha / 2.0, det_i.dark, det_i.mode)
-        setting = _TIMEBIN_MAP[setting]
+    setting, det_s, det_i = _resolve(source.kind, setting, det_s, det_i)
 
-    n_blocks = (trials + block_size - 1) // block_size
-    children = np.random.SeedSequence(seed).spawn(n_blocks)
+    n_blocks = (trials + _BLOCK - 1) // _BLOCK
     successes = 0
-    left = trials
-    for child in children:
-        n = min(block_size, left)
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
         rng = np.random.Generator(np.random.PCG64(child))
+        n = min(_BLOCK, trials - b * _BLOCK)
         successes += _mc_block(rng, source, setting, det_s, det_i, n, hplus_model)
-        left -= n
     p = successes / trials
     se = math.sqrt(p * (1.0 - p) / (trials - 1)) if trials > 1 else 0.0
     return McEstimate(p, se, trials, seed)

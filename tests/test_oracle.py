@@ -1,9 +1,13 @@
 """Enumeration and Monte-Carlo oracles versus the analytic series."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from biphoton import (
@@ -25,10 +29,12 @@ from biphoton import (
     ladder_plus_distribution,
     mc_rate,
     plus_port_distribution,
+    pmf_values,
     sample_patterns,
     single_rate,
     timebin_rate,
 )
+from biphoton.oracle import _draw_pairs
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
 CORRELATED = (SourceKind.DIS_CORRELATED, SourceKind.THERMAL_CORRELATED)
@@ -67,6 +73,55 @@ def test_ladder_matches_generating_function_table():
         for k in range(x + 1):
             got = ladder_plus_distribution(x, k)
             assert got == pytest.approx(table[k], abs=1e-12), (x, k)
+
+
+def _single_chain_ladder(x, k):
+    """The +/- law as first written: one chain of creation operators,
+    normalised by (x-k)! k! at the end; accurate to ~1e-13 up to x = 30."""
+    amps = [1.0]
+    total = 0
+    for sign, count in ((1.0, x - k), (-1.0, k)):
+        for _ in range(count):
+            nxt = [0.0] * (total + 2)
+            for p, a in enumerate(amps):
+                nxt[p + 1] += a * math.sqrt(p + 1) / math.sqrt(2.0)
+                nxt[p] += sign * a * math.sqrt(total + 1 - p) / math.sqrt(2.0)
+            amps = nxt
+            total += 1
+    norm = math.factorial(x - k) * math.factorial(k)
+    return [a * a / norm for a in amps]
+
+
+def _exact_ladder(x, k):
+    """|<p+, (x-p)- | (x-k)H, kV>|^2 from the Krawtchouk sum, in rationals."""
+    out = []
+    for p in range(x + 1):
+        s = sum((-1) ** j * math.comb(k, j) * math.comb(x - k, p - j)
+                for j in range(max(0, p - x + k), min(k, p) + 1))
+        out.append(float(Fraction(s * s * math.factorial(p) * math.factorial(x - p),
+                                  math.factorial(x - k) * math.factorial(k) << x)))
+    return out
+
+
+def test_ladder_matches_single_chain_and_exact_laws():
+    for x in range(31):
+        for k in range(x + 1):
+            got = ladder_plus_distribution(x, k)
+            assert got == pytest.approx(_single_chain_ladder(x, k), abs=1e-12), (x, k)
+    for x in range(31, 41):
+        for k in range(x + 1):
+            assert ladder_plus_distribution(x, k) == pytest.approx(
+                _exact_ladder(x, k), abs=1e-12), (x, k)
+
+
+def test_ladder_is_finite_and_exact_at_large_x():
+    # the single chain overflows a float from x = 171 on
+    for x, k in ((171, 85), (300, 150), (300, 7)):
+        w = ladder_plus_distribution(x, k)
+        assert all(math.isfinite(v) and v >= 0.0 for v in w)
+        assert abs(math.fsum(w) - 1.0) <= 1e-12
+        assert w == pytest.approx(_exact_ladder(x, k), abs=1e-12), (x, k)
+    assert ladder_plus_distribution.cache_info().maxsize is not None
 
 
 def test_enumeration_matches_series_hard_corner():
@@ -224,11 +279,93 @@ def test_mc_validation():
         mc_rate(src, OracleSetting.HH, lin, det, 100, seed=1)
     with pytest.raises(UnsupportedSetting):
         mc_rate(src, OracleSetting.CAR_MATCHED, det, det, 100, seed=1)
+    with pytest.raises(UnsupportedSetting):
+        mc_rate(src, OracleSetting.CAR_UNMATCHED, det, det, 100, seed=1)
     thermal = PairSource(SourceKind.THERMAL_CORRELATED, 0.1)
     with pytest.raises(UnsupportedSetting):
         mc_rate(thermal, OracleSetting.HPLUS, det, det, 100, seed=1)
     with pytest.raises(UnsupportedSetting):
         mc_rate(thermal, OracleSetting.TIMEBIN_AA, det, det, 100, seed=1)
+
+
+def test_mc_coherent_hplus_caps_the_pair_number():
+    det = DetectorModel(0.1)
+    src = PairSource(SourceKind.INDIS_ENTANGLED, 200.0)
+    with pytest.raises(XMaxTooLarge, match=r"mu=200\b.*HplusModel\.INDEPENDENT"):
+        mc_rate(src, OracleSetting.HPLUS, det, det, 1000, seed=1)
+    est = mc_rate(src, OracleSetting.HPLUS, det, det, 1000, seed=1, hplus_model=HplusModel.INDEPENDENT)
+    assert 0.0 < est.mean < 1.0
+
+
+@pytest.mark.parametrize("kind", list(SourceKind))
+@pytest.mark.parametrize("mu", [0.05, 0.7, 3.0])
+def test_pair_sampler_matches_pmf(kind, mu):
+    n = 200_000
+    src = PairSource(kind, mu)
+    x = _draw_pairs(np.random.Generator(np.random.PCG64(2024)), src, n)
+    assert x.size == 0 or x.min() >= 1
+    observed = np.bincount(x, minlength=2)
+    observed[0] = n - x.size
+    expected = n * np.array(pmf_values(src, observed.size + 60))
+    top = int(np.flatnonzero(expected >= 5.0).max())  # pool the sparse tail
+    obs = np.append(observed[: top + 1], observed[top + 1 :].sum())
+    exp = np.append(expected[: top + 1], n - expected[: top + 1].sum())
+    assert stats.chisquare(obs, exp).pvalue > 1e-3
+
+
+CAR = (OracleSetting.CAR_MATCHED, OracleSetting.CAR_UNMATCHED)
+SUPPORTED = [(kind, s) for kind in ENTANGLED for s in OracleSetting if s not in CAR] + [
+    (kind, s)
+    for kind in CORRELATED
+    for s in (OracleSetting.HH, OracleSetting.HV, OracleSetting.SINGLE_S,
+              OracleSetting.SINGLE_I, *CAR)
+]
+
+
+@pytest.mark.parametrize("kind, setting", SUPPORTED)
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(
+    mu=st.floats(0.01, 0.3),
+    alphas=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)),
+    darks=st.tuples(st.floats(0.0, 1e-2), st.floats(0.0, 1e-2)),
+    model=st.sampled_from(HplusModel),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mc_agrees_with_enumeration(kind, setting, mu, alphas, darks, model, seed):
+    src = PairSource(kind, mu)
+    det_s = DetectorModel(alphas[0], darks[0])
+    det_i = DetectorModel(alphas[1], darks[1])
+    ref = enumerate_rate(src, setting, det_s, det_i, 14, model)
+    assume(ref.tail_bound <= 1e-9)
+    est = mc_rate(src, setting, det_s, det_i, 300_000, seed, model)
+    se = max(est.std_error, math.sqrt(ref.value * (1.0 - ref.value) / est.trials))
+    assert abs(est.mean - ref.value) <= 4.0 * se + ref.tail_bound
+
+
+@pytest.mark.parametrize("setting, mu", [(OracleSetting.HH, 50.0), (OracleSetting.HV, 1e6)])
+def test_mc_memory_is_bounded_by_the_block(setting, mu):
+    # 1e6 trials: at mu = 50 they carry 5e7 pairs, 400 MB at 8 bytes a
+    # pair; at mu = 1e6 a dense grid of (H, V) photon classes would take
+    # about 400 MB.  The block's own arrays take 50-80 bytes per trial.
+    src = PairSource(SourceKind.DIS_ENTANGLED, mu)
+    det = DetectorModel(0.001)
+    tracemalloc.start()
+    try:
+        est = mc_rate(src, setting, det, det, 1_000_000, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < est.mean <= 1.0
+    assert peak < 128 * 1_000_000
+
+
+@pytest.mark.parametrize("kind", ENTANGLED)
+def test_mc_handles_astronomical_mu(kind):
+    # (H, V) photon spreads of more than 3e9 each: too many classes for
+    # one flat index; every pulse clicks in both arms
+    det = DetectorModel(0.1)
+    est = mc_rate(PairSource(kind, 1e18), OracleSetting.HV, det, det, 1000, seed=4)
+    assert est.mean == 1.0
 
 
 def test_sample_patterns_match_their_laws():
