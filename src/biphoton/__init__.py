@@ -27,13 +27,13 @@ from .metrics import (
     VisibilityResult,
     car,
     optimize_mu,
+    series_rate,
     visibility_approx,
     visibility_exact,
 )
 from .oracle import (
     EnumeratedRate,
     McEstimate,
-    OracleSetting,
     XMaxTooLarge,
     enumerate_rate,
     ladder_plus_distribution,
@@ -54,7 +54,7 @@ from .polarization import (
     plus_port_distribution,
     single_rate,
 )
-from .timebin import TimebinPort, TimebinSetting, fringe_per_pair, timebin_rate
+from .timebin import TimebinPort, fringe_per_pair, timebin_rate
 from .tomography import (
     DensityMatrix,
     NotPhysical,
@@ -69,6 +69,9 @@ from .tomography import (
 
 __version__ = "0.1.0"
 
+# the oracles' earlier name for Setting, kept for existing callers
+OracleSetting = Setting
+
 __all__ = [
     "__version__",
     "CapExceeded",
@@ -82,7 +85,6 @@ __all__ = [
     "MuOptimum",
     "NotPhysical",
     "Objective",
-    "OracleSetting",
     "PairSource",
     "RateEntry",
     "RateMethod",
@@ -91,7 +93,6 @@ __all__ = [
     "SingularSystem",
     "SourceKind",
     "TimebinPort",
-    "TimebinSetting",
     "TomographyVector",
     "TruncationPolicy",
     "UnsupportedSetting",
@@ -119,6 +120,7 @@ __all__ = [
     "reconstruct",
     "sample_patterns",
     "second_moment",
+    "series_rate",
     "single_rate",
     "timebin_rate",
     "truncation_index",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -21,16 +22,9 @@ import sys
 from . import __version__
 from .detection import DetectorModel
 from .distributions import PairSource, SourceKind, TruncationPolicy
-from .metrics import Objective, car, optimize_mu, visibility_approx, visibility_exact
-from .oracle import OracleSetting, enumerate_rate, mc_rate
-from .polarization import (
-    HplusModel,
-    RateMethod,
-    Setting,
-    closed_form_rates,
-    coincidence_rate,
-    single_rate,
-)
+from .metrics import Objective, car, optimize_mu, series_rate, visibility_approx, visibility_exact
+from .oracle import enumerate_rate, mc_rate
+from .polarization import HplusModel, RateMethod, Setting
 from .timebin import TimebinPort, timebin_rate
 from .tomography import assemble_r, closed_form_rho, concurrence, reconstruct
 
@@ -161,20 +155,12 @@ def _emit_table(
     lines.extend(f"# {k}={_fmt(v)}" for k, v in config.items())
     if summary is not None:
         lines.extend(f"# {k}={_fmt(v)}" for k, v in summary.items())
-    buf = []
-    writer = csv.writer(_ListWriter(buf), lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
         writer.writerow([_fmt(v) for v in row])
-    _write_text(args.out, "\n".join(lines) + "\n" + "".join(buf))
-
-
-class _ListWriter:
-    def __init__(self, sink: list[str]) -> None:
-        self.sink = sink
-
-    def write(self, text: str) -> None:
-        self.sink.append(text)
+    _write_text(args.out, "\n".join(lines) + "\n" + buf.getvalue())
 
 
 def _write_text(out: str, text: str) -> None:
@@ -360,73 +346,31 @@ def cmd_optimize_mu(args) -> int:
 
 
 # kind -> oracle settings exercised by `validate`
-_VALIDATE_SETTINGS: dict[SourceKind, tuple[OracleSetting, ...]] = {
+_VALIDATE_SETTINGS: dict[SourceKind, tuple[Setting, ...]] = {
     SourceKind.DIS_ENTANGLED: (
-        OracleSetting.HH,
-        OracleSetting.HV,
-        OracleSetting.HPLUS,
-        OracleSetting.SINGLE_S,
-        OracleSetting.TIMEBIN_AA,
-        OracleSetting.TIMEBIN_AB,
+        Setting.HH,
+        Setting.HV,
+        Setting.HPLUS,
+        Setting.SINGLE_S,
+        Setting.TIMEBIN_AA,
+        Setting.TIMEBIN_AB,
     ),
     SourceKind.INDIS_ENTANGLED: (
-        OracleSetting.HH,
-        OracleSetting.HV,
-        OracleSetting.HPLUS,
-        OracleSetting.SINGLE_S,
-        OracleSetting.TIMEBIN_AA,
-        OracleSetting.TIMEBIN_AB,
+        Setting.HH,
+        Setting.HV,
+        Setting.HPLUS,
+        Setting.SINGLE_S,
+        Setting.TIMEBIN_AA,
+        Setting.TIMEBIN_AB,
     ),
-    SourceKind.DIS_CORRELATED: (OracleSetting.CAR_MATCHED, OracleSetting.CAR_UNMATCHED),
-    SourceKind.THERMAL_CORRELATED: (OracleSetting.CAR_MATCHED, OracleSetting.CAR_UNMATCHED),
+    SourceKind.DIS_CORRELATED: (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED),
+    SourceKind.THERMAL_CORRELATED: (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED),
 }
 
 _VALIDATE_MUS = (0.05, 0.2)
 _VALIDATE_ALPHAS = (0.05, 0.5)
 _VALIDATE_DARKS = (0.0, 1e-3)
 _VALIDATE_TOL = 1e-9
-
-
-def series_rate(
-    source: PairSource,
-    setting: OracleSetting,
-    det_s: DetectorModel,
-    det_i: DetectorModel,
-    policy: TruncationPolicy,
-    hplus_model: HplusModel = HplusModel.COHERENT,
-) -> float:
-    """The exact-series counterpart of an oracle setting."""
-    pol = {
-        OracleSetting.HH: Setting.HH,
-        OracleSetting.HV: Setting.HV,
-        OracleSetting.HPLUS: Setting.HPLUS,
-    }
-    if setting in pol:
-        return coincidence_rate(source, pol[setting], det_s, det_i, policy, hplus_model).value
-    if setting is OracleSetting.SINGLE_S:
-        return single_rate(source, det_s, policy)
-    if setting is OracleSetting.SINGLE_I:
-        return single_rate(source, det_i, policy)
-    if setting in (OracleSetting.CAR_MATCHED, OracleSetting.CAR_UNMATCHED):
-        res = car(source, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark, policy)
-        return res.matched_rate if setting is OracleSetting.CAR_MATCHED else res.unmatched_rate
-    port = {
-        OracleSetting.TIMEBIN_AA: TimebinPort.AA,
-        OracleSetting.TIMEBIN_AB: TimebinPort.AB,
-        OracleSetting.TIMEBIN_APLUS: TimebinPort.APLUS,
-    }[setting]
-    return timebin_rate(
-        source.kind,
-        port,
-        source.mu,
-        det_s.alpha,
-        det_i.alpha,
-        det_s.dark,
-        det_i.dark,
-        RateMethod.EXACT_SERIES,
-        policy,
-        hplus_model,
-    ).value
 
 
 def cmd_validate(args) -> int:

@@ -1,5 +1,6 @@
 """Quality metrics derived from the rates: visibility, contrast, CAR,
-and closed-form optimization of the mean pair number."""
+closed-form optimization of the mean pair number, and the exact-series
+rate of any :class:`Setting`."""
 
 from __future__ import annotations
 
@@ -9,7 +10,14 @@ from enum import Enum
 
 from .detection import DetectorModel, click_prob
 from .distributions import PairSource, SourceKind, TruncationPolicy, pmf_values, truncation_index
-from .polarization import RateMethod, Setting, closed_form_rates, coincidence_rate
+from .polarization import (
+    HplusModel,
+    RateMethod,
+    Setting,
+    closed_form_rates,
+    coincidence_rate,
+    single_rate,
+)
 
 __all__ = [
     "VisibilityResult",
@@ -20,6 +28,7 @@ __all__ = [
     "visibility_approx",
     "car",
     "optimize_mu",
+    "series_rate",
 ]
 
 
@@ -125,14 +134,14 @@ def car(
     if not source.kind.correlated:
         raise ValueError(f"CAR requires a correlated kind, got {source.kind.value}")
     mu = source.mu
+    det_s = DetectorModel(alpha_s, dark_s)
+    det_i = DetectorModel(alpha_i, dark_i)
     if method is RateMethod.CLOSED_FORM:
         matched = mu * alpha_s * alpha_i + (mu * alpha_s + dark_s) * (mu * alpha_i + dark_i)
         if source.kind is SourceKind.THERMAL_CORRELATED:
             matched += mu * mu * alpha_s * alpha_i
         unmatched = (mu * alpha_s + dark_s) * (mu * alpha_i + dark_i)
     elif method is RateMethod.EXACT_SERIES:
-        det_s = DetectorModel(alpha_s, dark_s)
-        det_i = DetectorModel(alpha_i, dark_i)
         x_max = truncation_index(source, policy)
         weights = pmf_values(source, x_max)
         qs = [click_prob(det_s, x) for x in range(x_max + 1)]
@@ -145,6 +154,31 @@ def car(
         raise ValueError(f"unsupported CAR method {method}")
     ratio = matched / unmatched if unmatched > 0 else math.inf
     return CarResult(matched, unmatched, ratio, method)
+
+
+def series_rate(
+    source: PairSource,
+    setting: Setting,
+    det_s: DetectorModel,
+    det_i: DetectorModel,
+    policy: TruncationPolicy = TruncationPolicy(),
+    hplus_model: HplusModel = HplusModel.COHERENT,
+) -> float:
+    """The exact-series rate of any setting; the reference the oracles check.
+
+    A time-bin setting is its polarization twin through half-efficiency
+    detectors (see :meth:`Setting.resolve`), so its value equals that of
+    ``timebin_rate`` bit for bit.
+    """
+    setting, det_s, det_i = setting.resolve(source.kind, det_s, det_i)
+    if setting is Setting.SINGLE_S:
+        return single_rate(source, det_s, policy)
+    if setting is Setting.SINGLE_I:
+        return single_rate(source, det_i, policy)
+    if setting in (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED):
+        res = car(source, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark, policy)
+        return res.matched_rate if setting is Setting.CAR_MATCHED else res.unmatched_rate
+    return coincidence_rate(source, setting, det_s, det_i, policy, hplus_model).value
 
 
 def _objective_fn(

@@ -37,24 +37,26 @@ rate modules:
   fixed order within a block (see :func:`mc_rate`), and the per-block
   success counts are integers, so the final reduction is exact in any
   order.
+
+Both oracles take a :class:`Setting` and let :meth:`Setting.resolve`
+turn a time-bin setting into its polarization twin at half efficiency,
+so neither knows about time bins.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from .detection import ClickMode, DetectorModel, click_prob
 from .distributions import PairSource, SourceKind, pmf_values
-from .polarization import HplusModel, UnsupportedSetting
+from .polarization import HplusModel, Setting
 
 __all__ = [
     "XMaxTooLarge",
-    "OracleSetting",
     "EnumeratedRate",
     "McEstimate",
     "ladder_plus_distribution",
@@ -70,32 +72,16 @@ X_MAX_LIMIT = 14
 HPLUS_X_CAP = 200
 # Monte-Carlo trials per seeded block; part of the determinism contract
 _BLOCK = 1_000_000
+# largest mean pair number the Monte-Carlo draws: int64 pair counts end
+# at 2^63 - 1, and numpy's Poisson sampler at about 9.2e18
+MU_MAX = 2.0**62
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class XMaxTooLarge(ValueError):
     """A pair number exceeds what an oracle handles: the enumeration depth
-    budget, or the coherent H+ ladder cap of the Monte-Carlo."""
-
-
-class OracleSetting(Enum):
-    HH = "hh"
-    HV = "hv"
-    HPLUS = "hplus"
-    SINGLE_S = "single-s"
-    SINGLE_I = "single-i"
-    CAR_MATCHED = "car-matched"
-    CAR_UNMATCHED = "car-unmatched"
-    TIMEBIN_AA = "timebin-aa"
-    TIMEBIN_AB = "timebin-ab"
-    TIMEBIN_APLUS = "timebin-aplus"
-
-
-_TIMEBIN_MAP = {
-    OracleSetting.TIMEBIN_AA: OracleSetting.HH,
-    OracleSetting.TIMEBIN_AB: OracleSetting.HV,
-    OracleSetting.TIMEBIN_APLUS: OracleSetting.HPLUS,
-}
-_CAR = (OracleSetting.CAR_MATCHED, OracleSetting.CAR_UNMATCHED)
+    budget, the coherent H+ ladder cap of the Monte-Carlo, or the int64
+    pair counts of the Monte-Carlo sampler."""
 
 
 @dataclass(frozen=True)
@@ -115,26 +101,6 @@ class McEstimate:
     std_error: float
     trials: int
     seed: int
-
-
-def _resolve(
-    kind: SourceKind, setting: OracleSetting, det_s: DetectorModel, det_i: DetectorModel
-) -> tuple[OracleSetting, DetectorModel, DetectorModel]:
-    """Reject settings the kind does not define; map a time-bin setting
-    onto its polarization twin seen through half-efficiency detectors."""
-    if setting in _TIMEBIN_MAP:
-        if not kind.entangled:
-            raise UnsupportedSetting(f"{setting.value} requires an entangled kind")
-        det_s = DetectorModel(det_s.alpha / 2.0, det_s.dark, det_s.mode)
-        det_i = DetectorModel(det_i.alpha / 2.0, det_i.dark, det_i.mode)
-        setting = _TIMEBIN_MAP[setting]
-    if kind.entangled and setting in _CAR:
-        raise UnsupportedSetting(f"{setting.value} requires a correlated kind")
-    if kind.correlated and setting is OracleSetting.HPLUS:
-        raise UnsupportedSetting(
-            f"{setting.value} is undefined for correlated kind {kind.value}"
-        )
-    return setting, det_s, det_i
 
 
 def _coin_weights(x: int) -> list[float]:
@@ -203,7 +169,7 @@ def ladder_plus_distribution(x: int, k: int) -> tuple[float, ...]:
 
 def _per_x_probability(
     kind: SourceKind,
-    setting: OracleSetting,
+    setting: Setting,
     x: int,
     det_s: DetectorModel,
     det_i: DetectorModel,
@@ -213,29 +179,29 @@ def _per_x_probability(
     qi = [click_prob(det_i, n) for n in range(x + 1)]
 
     if kind.correlated:
-        if setting is OracleSetting.HV:
+        if setting is Setting.HV:
             return qs[x] * qi[0]
-        if setting is OracleSetting.SINGLE_S:
+        if setting is Setting.SINGLE_S:
             return qs[x]
-        if setting is OracleSetting.SINGLE_I:
+        if setting is Setting.SINGLE_I:
             return qi[x]
         return qs[x] * qi[x]  # HH, CAR_MATCHED
 
     if kind is SourceKind.DIS_ENTANGLED:
         # visit all 2^x pair-polarization patterns; y = number of VV pairs
         terms = []
-        if setting is OracleSetting.HPLUS:
+        if setting is Setting.HPLUS:
             coin = _coin_weights(x)
             idler = math.fsum(coin[j] * qi[j] for j in range(x + 1))
         for pattern in range(1 << x):
             y = pattern.bit_count()
-            if setting is OracleSetting.HH:
+            if setting is Setting.HH:
                 terms.append(qs[x - y] * qi[x - y])
-            elif setting is OracleSetting.HV:
+            elif setting is Setting.HV:
                 terms.append(qs[x - y] * qi[y])
-            elif setting is OracleSetting.HPLUS:
+            elif setting is Setting.HPLUS:
                 terms.append(qs[x - y] * idler)
-            elif setting is OracleSetting.SINGLE_S:
+            elif setting is Setting.SINGLE_S:
                 terms.append(qs[x - y])
             else:
                 terms.append(qi[x - y])
@@ -244,17 +210,17 @@ def _per_x_probability(
     # indistinguishable: collapsed pattern index k is uniform on 0..x
     terms = []
     for k in range(x + 1):
-        if setting is OracleSetting.HH:
+        if setting is Setting.HH:
             terms.append(qs[x - k] * qi[x - k])
-        elif setting is OracleSetting.HV:
+        elif setting is Setting.HV:
             terms.append(qs[x - k] * qi[k])
-        elif setting is OracleSetting.HPLUS:
+        elif setting is Setting.HPLUS:
             if hplus_model is HplusModel.COHERENT:
                 w = ladder_plus_distribution(x, k)
             else:
                 w = _coin_weights(x)
             terms.append(qs[x - k] * math.fsum(w[p] * qi[p] for p in range(x + 1)))
-        elif setting is OracleSetting.SINGLE_S:
+        elif setting is Setting.SINGLE_S:
             terms.append(qs[x - k])
         else:
             terms.append(qi[x - k])
@@ -263,7 +229,7 @@ def _per_x_probability(
 
 def enumerate_rate(
     source: PairSource,
-    setting: OracleSetting,
+    setting: Setting,
     det_s: DetectorModel,
     det_i: DetectorModel,
     x_max: int,
@@ -279,12 +245,12 @@ def enumerate_rate(
         raise ValueError(f"x_max must be >= 0, got {x_max}")
     if x_max > X_MAX_LIMIT:
         raise XMaxTooLarge(f"x_max={x_max} exceeds the enumeration budget of {X_MAX_LIMIT}")
-    setting, det_s, det_i = _resolve(source.kind, setting, det_s, det_i)
+    setting, det_s, det_i = setting.resolve(source.kind, det_s, det_i)
 
     weights = pmf_values(source, x_max)
     tail = max(0.0, 1.0 - math.fsum(weights))
 
-    if setting is OracleSetting.CAR_UNMATCHED:
+    if setting is Setting.CAR_UNMATCHED:
         a = math.fsum(weights[x] * click_prob(det_s, x) for x in range(x_max + 1))
         b = math.fsum(weights[x] * click_prob(det_i, x) for x in range(x_max + 1))
         # |A'B' - AB| <= tail*(A + B + tail) when each factor gains <= tail
@@ -303,7 +269,7 @@ def _draw_pairs(rng: np.random.Generator, source: PairSource, n: int) -> np.ndar
 
     Returns one positive count per such pulse, in no particular order;
     the other pulses carry none.  Exact in distribution for every kind,
-    and O(n) in memory for any mu.
+    and O(n) in memory for any mu up to ``MU_MAX``.
     """
     mu = source.mu
     if source.kind.poissonian:
@@ -316,16 +282,22 @@ def _draw_pairs(rng: np.random.Generator, source: PairSource, n: int) -> np.ndar
         return np.diff(starts, append=slots.size)
     if source.kind is SourceKind.THERMAL_CORRELATED:
         # geometric on {0, 1, ...}: positive with probability mu/(1+mu)
-        return rng.geometric(1.0 / (1.0 + mu), rng.binomial(n, mu / (1.0 + mu)))
-    # NB(2): the sum of two such geometrics, each with mean mu/2; a pulses
-    # have the first positive, b the second, and `both` of them both
-    half = mu / 2.0
-    a = rng.binomial(n, half / (1.0 + half))
-    b = rng.binomial(n, half / (1.0 + half))
-    both = rng.hypergeometric(a, n - a, b)
-    g = rng.geometric(1.0 / (1.0 + half), a + b)
-    g[:both] += g[a : a + both]
-    return np.concatenate((g[:a], g[a + both :]))
+        x = rng.geometric(1.0 / (1.0 + mu), rng.binomial(n, mu / (1.0 + mu)))
+    else:
+        # NB(2): the sum of two such geometrics, each with mean mu/2; a
+        # pulses have the first positive, b the second, and `both` of them both
+        half = mu / 2.0
+        a = rng.binomial(n, half / (1.0 + half))
+        b = rng.binomial(n, half / (1.0 + half))
+        both = rng.hypergeometric(a, n - a, b)
+        g = rng.geometric(1.0 / (1.0 + half), a + b)
+        g[:both] += g[a : a + both]
+        x = np.concatenate((g[:a], g[a + both :]))
+    # numpy's geometric saturates at the int64 maximum, and a sum of two
+    # geometrics beyond it wraps to a negative count
+    if x.size and (x.min() < 1 or x.max() == _INT64_MAX):
+        raise XMaxTooLarge(f"a pulse drew more pairs than int64 holds at mu={mu:g}; lower mu")
+    return x
 
 
 def sample_patterns(kind: SourceKind, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -401,7 +373,7 @@ def _hits(
 def _mc_block(
     rng: np.random.Generator,
     source: PairSource,
-    setting: OracleSetting,
+    setting: Setting,
     det_s: DetectorModel,
     det_i: DetectorModel,
     n: int,
@@ -411,7 +383,7 @@ def _mc_block(
     x = _draw_pairs(rng, source, n)
     empty = n - x.size
 
-    if setting is OracleSetting.CAR_UNMATCHED:
+    if setting is Setting.CAR_UNMATCHED:
         # the idler comes from another pulse: draw it only where the signal clicked
         signal = _hits(rng, empty, (det_s,), *_classes(x))
         x = _draw_pairs(rng, source, signal)
@@ -419,13 +391,13 @@ def _mc_block(
 
     v = sample_patterns(kind, x, rng)
     h = x - v
-    if setting is OracleSetting.SINGLE_S:
+    if setting is Setting.SINGLE_S:
         return _hits(rng, empty, (det_s,), *_classes(h))
-    if setting is OracleSetting.SINGLE_I:
+    if setting is Setting.SINGLE_I:
         return _hits(rng, empty, (det_i,), *_classes(h))
-    if setting in (OracleSetting.HH, OracleSetting.CAR_MATCHED):
+    if setting in (Setting.HH, Setting.CAR_MATCHED):
         classes = _classes(h, h)
-    elif setting is OracleSetting.HV:
+    elif setting is Setting.HV:
         classes = _classes(h, v)
     elif kind is SourceKind.INDIS_ENTANGLED and hplus_model is HplusModel.COHERENT:
         if x.size and x.max() > HPLUS_X_CAP:
@@ -442,7 +414,7 @@ def _mc_block(
 
 def mc_rate(
     source: PairSource,
-    setting: OracleSetting,
+    setting: Setting,
     det_s: DetectorModel,
     det_i: DetectorModel,
     trials: int,
@@ -474,13 +446,21 @@ def mc_rate(
 
     Coherent H+ on the indistinguishable kind raises
     :class:`XMaxTooLarge` if a pulse draws more than ``HPLUS_X_CAP`` =
-    200 pairs; ``HplusModel.INDEPENDENT`` has no such cap.
+    200 pairs; ``HplusModel.INDEPENDENT`` has no such cap.  Every kind
+    raises it for mu above ``MU_MAX`` = 2^62, and when a drawn pair
+    number does not fit in int64 (thermal and indistinguishable kinds
+    from mu ~ 1e18).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if det_s.mode is not ClickMode.EXACT or det_i.mode is not ClickMode.EXACT:
         raise ValueError("Monte-Carlo sampling requires EXACT click mode")
-    setting, det_s, det_i = _resolve(source.kind, setting, det_s, det_i)
+    if source.mu > MU_MAX:
+        raise XMaxTooLarge(
+            f"mu={source.mu:g} is above the Monte-Carlo's MU_MAX = 2^62, where int64 "
+            f"pair counts run out; use a smaller mu"
+        )
+    setting, det_s, det_i = setting.resolve(source.kind, det_s, det_i)
 
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
     successes = 0

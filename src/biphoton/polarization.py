@@ -58,9 +58,51 @@ class UnsupportedSetting(ValueError):
 
 
 class Setting(Enum):
+    """A measurement: a polarizer pair, one arm alone, a CAR coincidence,
+    or a time-bin analyzer port pair.  Only HH, HV and HPLUS have a per-x
+    coincidence kernel; a time-bin setting is one of them seen through
+    half-efficiency detectors (see :meth:`resolve`)."""
+
     HH = "hh"
     HV = "hv"
     HPLUS = "hplus"
+    SINGLE_S = "single-s"
+    SINGLE_I = "single-i"
+    CAR_MATCHED = "car-matched"
+    CAR_UNMATCHED = "car-unmatched"
+    TIMEBIN_AA = "timebin-aa"
+    TIMEBIN_AB = "timebin-ab"
+    TIMEBIN_APLUS = "timebin-aplus"
+
+    def resolve(
+        self, kind: SourceKind, det_s: DetectorModel, det_i: DetectorModel
+    ) -> tuple[Setting, DetectorModel, DetectorModel]:
+        """Reject a setting the kind does not define; map a time-bin setting
+        onto its polarization twin seen through DetectorModel(alpha/2, dark)."""
+        setting = self
+        if self in _TIMEBIN_TWIN:
+            if not kind.entangled:
+                raise UnsupportedSetting(
+                    f"{self.value} requires an entangled kind, got {kind.value}"
+                )
+            # the matching interferometer arm passes a slot with amplitude 1/2
+            det_s = DetectorModel(det_s.alpha / 2, det_s.dark, det_s.mode)
+            det_i = DetectorModel(det_i.alpha / 2, det_i.dark, det_i.mode)
+            setting = _TIMEBIN_TWIN[self]
+        if kind.entangled and setting in (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED):
+            raise UnsupportedSetting(f"{setting.value} requires a correlated kind")
+        if kind.correlated and setting is Setting.HPLUS:
+            raise UnsupportedSetting(
+                f"{setting.value} is undefined for correlated kind {kind.value}"
+            )
+        return setting, det_s, det_i
+
+
+_TIMEBIN_TWIN = {
+    Setting.TIMEBIN_AA: Setting.HH,
+    Setting.TIMEBIN_AB: Setting.HV,
+    Setting.TIMEBIN_APLUS: Setting.HPLUS,
+}
 
 
 class HplusModel(Enum):
@@ -71,7 +113,6 @@ class HplusModel(Enum):
 class RateMethod(Enum):
     EXACT_SERIES = "exact-series"
     CLOSED_FORM = "closed-form"
-    ORACLE = "oracle"
 
 
 @dataclass(frozen=True)
@@ -159,7 +200,8 @@ def per_x_coincidence(
     contributes the accidental floor d_s*d_i.  For correlated
     (non-entangled) kinds every pair is taken to be H-polarized: HH
     passes all photons, HV blocks the idler photons entirely, and HPLUS
-    is rejected because no diagonal-basis structure is modelled.
+    is rejected because no diagonal-basis structure is modelled.  Every
+    other setting raises :class:`UnsupportedSetting`.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
@@ -185,6 +227,8 @@ def per_x_coincidence(
         if setting is Setting.HV:
             terms = [math.comb(x, y) * (qs(x - y) * qi(y)) for y in range(x + 1)]
             return _sum(terms) / two_x
+        if setting is not Setting.HPLUS:
+            raise UnsupportedSetting(f"{setting.value} has no per-x kernel; use series_rate")
         # Signal H/V and idler +/- outcomes are uncorrelated per pair, so
         # the kernel factorizes into the two marginal click probabilities.
         return _binomial_click_sum(det_s, x) * _binomial_click_sum(det_i, x)
@@ -196,6 +240,8 @@ def per_x_coincidence(
     if setting is Setting.HV:
         terms = [qs(x - k) * qi(k) for k in range(x + 1)]
         return _sum(terms) / (x + 1)
+    if setting is not Setting.HPLUS:
+        raise UnsupportedSetting(f"{setting.value} has no per-x kernel; use series_rate")
     if hplus_model is HplusModel.INDEPENDENT:
         idler = _binomial_click_sum(det_i, x)
         return _sum([qs(x - k) for k in range(x + 1)]) * idler / (x + 1)
@@ -292,12 +338,20 @@ def closed_form_rates(
 
     Valid for small efficiency-times-pair-number products; multi-pair
     contributions enter through the mu^2 terms and accidentals through
-    the products of the two arms' single rates.
+    the products of the two arms' single rates.  Efficiencies and dark
+    probabilities are range-checked as :class:`DetectorModel` does.
     """
     if not kind.entangled:
         raise UnsupportedSetting(
             f"closed-form polarization rates require an entangled kind, got {kind.value}"
         )
+    # plain comparisons rather than DetectorModel objects: optimize_mu
+    # calls this in its inner loop
+    for alpha, dark in ((alpha_s, dark_s), (alpha_i, dark_i)):
+        if not (0 <= alpha <= 1):
+            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        if not (0 <= dark < 1):
+            raise ValueError(f"dark must lie in [0, 1), got {dark}")
     acc = (mu * alpha_s / 2 + dark_s) * (mu * alpha_i / 2 + dark_i)
     if kind is SourceKind.DIS_ENTANGLED:
         r_hh = mu * alpha_s * alpha_i / 2 + acc

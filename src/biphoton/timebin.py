@@ -1,4 +1,5 @@
-"""Time-bin entangled pair rates via the polarization correspondence.
+"""Time-bin entangled pair rates: the polarization model seen through
+half-efficiency detectors.
 
 A time-bin qubit occupies one of two slots behind an unbalanced
 interferometer.  Each analyzer output collects a photon from a given
@@ -7,14 +8,15 @@ with amplitude 1/2; the net effect on the threshold detector is a
 halved efficiency, alpha -> alpha/2, while dark counts are untouched.
 ``mu`` counts the mean pair number over the two slots together.
 
-Slot-basis settings map onto polarization settings: same-slot (aa) to
-HH, opposite-slot (ab) to HV, and slot-vs-superposition (a+) to HPLUS.
+A port pair is the ``Setting.TIMEBIN_*`` member whose polarization twin
+is HH for same-slot (aa), HV for opposite-slot (ab) and HPLUS for
+slot-vs-superposition (a+); :meth:`Setting.resolve` applies the
+detector map, so every rate here is the twin's rate at alpha/2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .detection import DetectorModel
@@ -24,32 +26,17 @@ from .polarization import (
     RateEntry,
     RateMethod,
     Setting,
-    UnsupportedSetting,
+    closed_form_rates,
     coincidence_rate,
 )
 
-__all__ = ["TimebinPort", "TimebinSetting", "timebin_rate", "fringe_per_pair"]
+__all__ = ["TimebinPort", "timebin_rate", "fringe_per_pair"]
 
 
 class TimebinPort(Enum):
     AA = "aa"
     AB = "ab"
     APLUS = "aplus"
-
-
-_PORT_TO_SETTING = {
-    TimebinPort.AA: Setting.HH,
-    TimebinPort.AB: Setting.HV,
-    TimebinPort.APLUS: Setting.HPLUS,
-}
-
-
-@dataclass(frozen=True)
-class TimebinSetting:
-    """Analyzer port pairing plus the summed interferometer phase."""
-
-    port: TimebinPort
-    phase_sum: float = 0.0
 
 
 def timebin_rate(
@@ -64,37 +51,22 @@ def timebin_rate(
     policy: TruncationPolicy = TruncationPolicy(),
     hplus_model: HplusModel = HplusModel.COHERENT,
 ) -> RateEntry:
-    """Coincidence rate of a time-bin analyzer setting."""
-    if not kind.entangled:
-        raise UnsupportedSetting(f"time-bin rates require an entangled kind, got {kind.value}")
-    if isinstance(port, TimebinSetting):
-        port = port.port
-    setting = _PORT_TO_SETTING[port]
+    """Coincidence rate of a time-bin analyzer port pair.
 
+    The efficiencies are those of the detectors themselves and must lie
+    in [0, 1]; the returned entry's ``setting`` is the polarization
+    twin the rate was computed for.
+    """
+    setting, det_s, det_i = Setting(f"timebin-{port.value}").resolve(
+        kind, DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
+    )
     if method is RateMethod.EXACT_SERIES:
-        det_s = DetectorModel(alpha_s / 2.0, dark_s)
-        det_i = DetectorModel(alpha_i / 2.0, dark_i)
         return coincidence_rate(PairSource(kind, mu), setting, det_s, det_i, policy, hplus_model)
     if method is not RateMethod.CLOSED_FORM:
         raise ValueError(f"unsupported time-bin method {method}")
-
-    if kind is SourceKind.DIS_ENTANGLED:
-        acc = (mu * alpha_s / 4 + dark_s) * (mu * alpha_i / 4 + dark_i)
-        if port is TimebinPort.AA:
-            value = mu * alpha_s * alpha_i / 8 + acc
-        elif port is TimebinPort.AB:
-            value = acc
-        else:
-            value = mu * alpha_s * alpha_i / 16 + acc
-    else:
-        dark = mu * alpha_s * dark_i / 4 + mu * alpha_i * dark_s / 4 + dark_s * dark_i
-        if port is TimebinPort.AA:
-            value = alpha_s * alpha_i * (mu * mu / 8 + mu / 8) + dark
-        elif port is TimebinPort.AB:
-            value = mu * mu * alpha_s * alpha_i / 16 + dark
-        else:
-            value = alpha_s * alpha_i * (3 * mu * mu / 32 + mu / 16) + dark
-    model = hplus_model if port is TimebinPort.APLUS else None
+    rep = closed_form_rates(kind, mu, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark)
+    value = getattr(rep, f"r_{setting.value}")  # r_hh, r_hv or r_hplus
+    model = hplus_model if setting is Setting.HPLUS else None
     return RateEntry(value, setting, RateMethod.CLOSED_FORM, 0, model)
 
 

@@ -186,6 +186,13 @@ def test_car_command(capsys):
     assert float(rows[0][3]) == pytest.approx(12.0, rel=1e-9)
     code, _, err = _run(capsys, ["car", "--source", "dis-correlated", "--mu", "-0.1"])
     assert code == 2
+    code, _, err = _run(
+        capsys,
+        ["car", "--source", "dis-correlated", "--mu", "0.1", "--method", "closed",
+         "--alpha-i", "1.5"],
+    )
+    assert code == 2
+    assert "alpha must lie in [0, 1], got 1.5" in err
     with pytest.raises(SystemExit):
         main(["car", "--source", "dis-entangled", "--mu", "0.1"])
 
@@ -201,6 +208,16 @@ def test_timebin_command(capsys):
     assert header == ["mu", "rate"]
     want = 0.2 * 0.1 * 0.1 / 8 + (0.2 * 0.1 / 4) ** 2
     assert float(rows[0][1]) == pytest.approx(want, rel=1e-12)
+    # detector efficiencies are checked before the time-bin map halves them
+    for method in ("exact", "closed"):
+        code, out, err = _run(
+            capsys,
+            ["timebin", "--source", "dis-entangled", "--mu", "0.2", "--method", method,
+             "--alpha-s", "1.5"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "alpha must lie in [0, 1], got 1.5" in err
 
 
 def test_optimize_mu_command(capsys):

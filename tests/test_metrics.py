@@ -6,15 +6,22 @@ import pytest
 
 from biphoton import (
     CarResult,
+    DetectorModel,
+    HplusModel,
     MuOptimum,
     Objective,
     PairSource,
     RateMethod,
+    Setting,
     SourceKind,
     TruncationPolicy,
+    UnsupportedSetting,
     car,
     closed_form_rates,
+    coincidence_rate,
     optimize_mu,
+    series_rate,
+    single_rate,
     visibility_approx,
     visibility_exact,
 )
@@ -148,7 +155,38 @@ def test_car_floor_and_validation():
         car(PairSource(SourceKind.DIS_ENTANGLED, 0.1), 0.1, 0.1)
     with pytest.raises(ValueError):
         car(PairSource(SourceKind.DIS_CORRELATED, 0.1), 0.1, 0.1, 0, 0,
-            policy, RateMethod.ORACLE)
+            policy, "oracle")
+
+
+def test_series_rate_dispatches_each_setting():
+    # unequal arms, so a swapped detector shows; time-bin is in test_timebin
+    policy = TruncationPolicy()
+    det_s, det_i = DetectorModel(0.3, 1e-3), DetectorModel(0.6, 2e-3)
+    for kind in SourceKind:
+        src = PairSource(kind, 0.2)
+        assert series_rate(src, Setting.SINGLE_S, det_s, det_i, policy) == single_rate(
+            src, det_s, policy
+        )
+        assert series_rate(src, Setting.SINGLE_I, det_s, det_i, policy) == single_rate(
+            src, det_i, policy
+        )
+        for setting in (Setting.HH, Setting.HV, Setting.HPLUS):
+            if kind.correlated and setting is Setting.HPLUS:
+                with pytest.raises(UnsupportedSetting):
+                    series_rate(src, setting, det_s, det_i, policy)
+                continue
+            for model in HplusModel:
+                want = coincidence_rate(src, setting, det_s, det_i, policy, model).value
+                assert series_rate(src, setting, det_s, det_i, policy, model) == want
+        cars = (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED)
+        if kind.entangled:
+            for setting in cars:
+                with pytest.raises(UnsupportedSetting):
+                    series_rate(src, setting, det_s, det_i, policy)
+            continue
+        res = car(src, 0.3, 0.6, 1e-3, 2e-3, policy)
+        assert series_rate(src, cars[0], det_s, det_i, policy) == res.matched_rate
+        assert series_rate(src, cars[1], det_s, det_i, policy) == res.unmatched_rate
 
 
 def test_optimize_returns_lower_endpoint_without_darks():

@@ -1,6 +1,7 @@
 """Enumeration and Monte-Carlo oracles versus the analytic series."""
 
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -10,11 +11,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import biphoton
 from biphoton import (
     ClickMode,
     DetectorModel,
     HplusModel,
-    OracleSetting,
     PairSource,
     RateMethod,
     Setting,
@@ -39,15 +40,11 @@ from biphoton.oracle import _draw_pairs
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
 CORRELATED = (SourceKind.DIS_CORRELATED, SourceKind.THERMAL_CORRELATED)
 
-COINCIDENCE = {
-    OracleSetting.HH: Setting.HH,
-    OracleSetting.HV: Setting.HV,
-    OracleSetting.HPLUS: Setting.HPLUS,
-}
+COINCIDENCE = (Setting.HH, Setting.HV, Setting.HPLUS)
 TIMEBIN = {
-    OracleSetting.TIMEBIN_AA: TimebinPort.AA,
-    OracleSetting.TIMEBIN_AB: TimebinPort.AB,
-    OracleSetting.TIMEBIN_APLUS: TimebinPort.APLUS,
+    Setting.TIMEBIN_AA: TimebinPort.AA,
+    Setting.TIMEBIN_AB: TimebinPort.AB,
+    Setting.TIMEBIN_APLUS: TimebinPort.APLUS,
 }
 
 
@@ -132,29 +129,29 @@ def test_enumeration_matches_series_hard_corner():
     policy = TruncationPolicy()
     for kind in ENTANGLED:
         src = PairSource(kind, mu)
-        for osetting, setting in COINCIDENCE.items():
+        for setting in COINCIDENCE:
             for model in HplusModel:
-                got = enumerate_rate(src, osetting, det_s, det_i, 14, model)
+                got = enumerate_rate(src, setting, det_s, det_i, 14, model)
                 want = coincidence_rate(src, setting, det_s, det_i, policy, model).value
-                assert abs(got.value - want) <= 1e-9 + got.tail_bound, (kind, osetting)
-        for osetting, det in (
-            (OracleSetting.SINGLE_S, det_s),
-            (OracleSetting.SINGLE_I, det_i),
+                assert abs(got.value - want) <= 1e-9 + got.tail_bound, (kind, setting)
+        for setting, det in (
+            (Setting.SINGLE_S, det_s),
+            (Setting.SINGLE_I, det_i),
         ):
-            got = enumerate_rate(src, osetting, det_s, det_i, 14)
+            got = enumerate_rate(src, setting, det_s, det_i, 14)
             assert abs(got.value - single_rate(src, det, policy)) <= 1e-9 + got.tail_bound
-        for osetting, port in TIMEBIN.items():
-            got = enumerate_rate(src, osetting, det_s, det_i, 14)
+        for setting, port in TIMEBIN.items():
+            got = enumerate_rate(src, setting, det_s, det_i, 14)
             want = timebin_rate(kind, port, mu, alpha, alpha, dark, dark, policy=policy)
-            assert abs(got.value - want.value) <= 1e-9 + got.tail_bound, (kind, osetting)
+            assert abs(got.value - want.value) <= 1e-9 + got.tail_bound, (kind, setting)
     for kind in CORRELATED:
         src = PairSource(kind, mu)
         res = car(src, alpha, alpha, dark, dark, policy)
-        got = enumerate_rate(src, OracleSetting.CAR_MATCHED, det_s, det_i, 14)
+        got = enumerate_rate(src, Setting.CAR_MATCHED, det_s, det_i, 14)
         assert abs(got.value - res.matched_rate) <= 1e-9 + got.tail_bound
-        got = enumerate_rate(src, OracleSetting.CAR_UNMATCHED, det_s, det_i, 14)
+        got = enumerate_rate(src, Setting.CAR_UNMATCHED, det_s, det_i, 14)
         assert abs(got.value - res.unmatched_rate) <= 1e-9 + got.tail_bound
-        got = enumerate_rate(src, OracleSetting.SINGLE_S, det_s, det_i, 14)
+        got = enumerate_rate(src, Setting.SINGLE_S, det_s, det_i, 14)
         assert abs(got.value - single_rate(src, det_s, policy)) <= 1e-9 + got.tail_bound
 
 
@@ -162,12 +159,12 @@ def test_enumeration_small_cutoffs():
     det = DetectorModel(0.3)
     # a crossed-basis coincidence needs at least two pairs
     got = enumerate_rate(PairSource(SourceKind.DIS_ENTANGLED, 0.1),
-                         OracleSetting.HV, det, det, 1)
+                         Setting.HV, det, det, 1)
     assert got.value == 0.0
     assert got.tail_bound > 0.0
     assert got.x_max == 1
     got = enumerate_rate(PairSource(SourceKind.DIS_ENTANGLED, 0.0),
-                         OracleSetting.HH, det, det, 0)
+                         Setting.HH, det, det, 0)
     assert got.value == 0.0
     assert got.tail_bound == 0.0
 
@@ -175,7 +172,7 @@ def test_enumeration_small_cutoffs():
 def test_enumeration_indis_tight_match():
     src = PairSource(SourceKind.INDIS_ENTANGLED, 0.1)
     det = DetectorModel(0.1)
-    got = enumerate_rate(src, OracleSetting.HH, det, det, 12)
+    got = enumerate_rate(src, Setting.HH, det, det, 12)
     want = coincidence_rate(src, Setting.HH, det, det, TruncationPolicy()).value
     assert abs(got.value - want) <= 1e-10 + got.tail_bound
 
@@ -186,40 +183,45 @@ def test_enumeration_tail_bound_is_honest():
     det = DetectorModel(0.3)
     res = car(src, 0.3, 0.3, 0, 0, tight)
     for x_max in (2, 4, 6):
-        got = enumerate_rate(src, OracleSetting.CAR_MATCHED, det, det, x_max)
+        got = enumerate_rate(src, Setting.CAR_MATCHED, det, det, x_max)
         assert abs(got.value - res.matched_rate) <= got.tail_bound
-        got = enumerate_rate(src, OracleSetting.CAR_UNMATCHED, det, det, x_max)
+        got = enumerate_rate(src, Setting.CAR_UNMATCHED, det, det, x_max)
         assert abs(got.value - res.unmatched_rate) <= got.tail_bound
     src = PairSource(SourceKind.DIS_ENTANGLED, 0.5)
     det = DetectorModel(0.5)
     want = coincidence_rate(src, Setting.HH, det, det, tight).value
-    got = enumerate_rate(src, OracleSetting.HH, det, det, 3)
+    got = enumerate_rate(src, Setting.HH, det, det, 3)
     assert abs(got.value - want) <= got.tail_bound
+
+
+def test_oracle_setting_is_the_one_setting_enum():
+    assert biphoton.OracleSetting is biphoton.Setting
+    assert "OracleSetting" not in biphoton.__all__
 
 
 def test_enumeration_validation():
     det = DetectorModel(0.1)
     src = PairSource(SourceKind.DIS_ENTANGLED, 0.1)
     with pytest.raises(XMaxTooLarge):
-        enumerate_rate(src, OracleSetting.HH, det, det, 15)
+        enumerate_rate(src, Setting.HH, det, det, 15)
     with pytest.raises(ValueError):
-        enumerate_rate(src, OracleSetting.HH, det, det, -1)
+        enumerate_rate(src, Setting.HH, det, det, -1)
     with pytest.raises(UnsupportedSetting):
-        enumerate_rate(src, OracleSetting.CAR_MATCHED, det, det, 5)
+        enumerate_rate(src, Setting.CAR_MATCHED, det, det, 5)
     thermal = PairSource(SourceKind.THERMAL_CORRELATED, 0.1)
     with pytest.raises(UnsupportedSetting):
-        enumerate_rate(thermal, OracleSetting.HPLUS, det, det, 5)
+        enumerate_rate(thermal, Setting.HPLUS, det, det, 5)
     with pytest.raises(UnsupportedSetting):
-        enumerate_rate(thermal, OracleSetting.TIMEBIN_AA, det, det, 5)
+        enumerate_rate(thermal, Setting.TIMEBIN_AA, det, det, 5)
 
 
 def test_timebin_enumeration_is_half_efficiency_remap():
     src = PairSource(SourceKind.INDIS_ENTANGLED, 0.3)
     got = enumerate_rate(
-        src, OracleSetting.TIMEBIN_APLUS, DetectorModel(0.3, 1e-4), DetectorModel(0.5), 10
+        src, Setting.TIMEBIN_APLUS, DetectorModel(0.3, 1e-4), DetectorModel(0.5), 10
     )
     want = enumerate_rate(
-        src, OracleSetting.HPLUS, DetectorModel(0.15, 1e-4), DetectorModel(0.25), 10
+        src, Setting.HPLUS, DetectorModel(0.15, 1e-4), DetectorModel(0.25), 10
     )
     assert got.value == want.value
     assert got.tail_bound == want.tail_bound
@@ -229,20 +231,20 @@ def test_mc_is_reproducible_bit_for_bit():
     src = PairSource(SourceKind.DIS_ENTANGLED, 0.1)
     det = DetectorModel(0.1, 1e-4)
     # 1.5e6 trials exercises the two-block path
-    a = mc_rate(src, OracleSetting.HH, det, det, 1_500_000, seed=42)
-    b = mc_rate(src, OracleSetting.HH, det, det, 1_500_000, seed=42)
+    a = mc_rate(src, Setting.HH, det, det, 1_500_000, seed=42)
+    b = mc_rate(src, Setting.HH, det, det, 1_500_000, seed=42)
     assert a.mean == b.mean
     assert a.std_error == b.std_error
     assert a.trials == 1_500_000
     assert a.seed == 42
-    c = mc_rate(src, OracleSetting.HH, det, det, 1_500_000, seed=43)
+    c = mc_rate(src, Setting.HH, det, det, 1_500_000, seed=43)
     assert c.mean != a.mean
 
 
 def test_mc_agrees_with_series():
     src = PairSource(SourceKind.DIS_ENTANGLED, 0.1)
     det = DetectorModel(0.1)
-    est = mc_rate(src, OracleSetting.HH, det, det, 200_000, seed=7)
+    est = mc_rate(src, Setting.HH, det, det, 200_000, seed=7)
     want = coincidence_rate(src, Setting.HH, det, det, TruncationPolicy()).value
     se = max(est.std_error, math.sqrt(want * (1.0 - want) / est.trials))
     assert abs(est.mean - want) / se <= 4.0
@@ -251,7 +253,7 @@ def test_mc_agrees_with_series():
 def test_mc_zero_pairs_click_nothing():
     src = PairSource(SourceKind.INDIS_ENTANGLED, 0.0)
     det = DetectorModel(0.5)
-    est = mc_rate(src, OracleSetting.HH, det, det, 1000, seed=1)
+    est = mc_rate(src, Setting.HH, det, det, 1000, seed=1)
     assert est.mean == 0.0
     assert est.std_error == 0.0
 
@@ -260,8 +262,8 @@ def test_mc_reproduces_thermal_car():
     src = PairSource(SourceKind.THERMAL_CORRELATED, 0.1)
     det = DetectorModel(0.1)
     trials = 4_000_000
-    m = mc_rate(src, OracleSetting.CAR_MATCHED, det, det, trials, seed=1)
-    u = mc_rate(src, OracleSetting.CAR_UNMATCHED, det, det, trials, seed=2)
+    m = mc_rate(src, Setting.CAR_MATCHED, det, det, trials, seed=1)
+    u = mc_rate(src, Setting.CAR_UNMATCHED, det, det, trials, seed=2)
     ratio = m.mean / u.mean
     sigma = ratio * math.hypot(m.std_error / m.mean, u.std_error / u.mean)
     want = car(src, 0.1, 0.1).car
@@ -273,27 +275,27 @@ def test_mc_validation():
     det = DetectorModel(0.1)
     src = PairSource(SourceKind.DIS_ENTANGLED, 0.1)
     with pytest.raises(ValueError):
-        mc_rate(src, OracleSetting.HH, det, det, 0, seed=1)
+        mc_rate(src, Setting.HH, det, det, 0, seed=1)
     lin = DetectorModel(0.1, 0.0, ClickMode.LINEARIZED)
     with pytest.raises(ValueError):
-        mc_rate(src, OracleSetting.HH, lin, det, 100, seed=1)
+        mc_rate(src, Setting.HH, lin, det, 100, seed=1)
     with pytest.raises(UnsupportedSetting):
-        mc_rate(src, OracleSetting.CAR_MATCHED, det, det, 100, seed=1)
+        mc_rate(src, Setting.CAR_MATCHED, det, det, 100, seed=1)
     with pytest.raises(UnsupportedSetting):
-        mc_rate(src, OracleSetting.CAR_UNMATCHED, det, det, 100, seed=1)
+        mc_rate(src, Setting.CAR_UNMATCHED, det, det, 100, seed=1)
     thermal = PairSource(SourceKind.THERMAL_CORRELATED, 0.1)
     with pytest.raises(UnsupportedSetting):
-        mc_rate(thermal, OracleSetting.HPLUS, det, det, 100, seed=1)
+        mc_rate(thermal, Setting.HPLUS, det, det, 100, seed=1)
     with pytest.raises(UnsupportedSetting):
-        mc_rate(thermal, OracleSetting.TIMEBIN_AA, det, det, 100, seed=1)
+        mc_rate(thermal, Setting.TIMEBIN_AA, det, det, 100, seed=1)
 
 
 def test_mc_coherent_hplus_caps_the_pair_number():
     det = DetectorModel(0.1)
     src = PairSource(SourceKind.INDIS_ENTANGLED, 200.0)
     with pytest.raises(XMaxTooLarge, match=r"mu=200\b.*HplusModel\.INDEPENDENT"):
-        mc_rate(src, OracleSetting.HPLUS, det, det, 1000, seed=1)
-    est = mc_rate(src, OracleSetting.HPLUS, det, det, 1000, seed=1, hplus_model=HplusModel.INDEPENDENT)
+        mc_rate(src, Setting.HPLUS, det, det, 1000, seed=1)
+    est = mc_rate(src, Setting.HPLUS, det, det, 1000, seed=1, hplus_model=HplusModel.INDEPENDENT)
     assert 0.0 < est.mean < 1.0
 
 
@@ -313,16 +315,20 @@ def test_pair_sampler_matches_pmf(kind, mu):
     assert stats.chisquare(obs, exp).pvalue > 1e-3
 
 
-CAR = (OracleSetting.CAR_MATCHED, OracleSetting.CAR_UNMATCHED)
-SUPPORTED = [(kind, s) for kind in ENTANGLED for s in OracleSetting if s not in CAR] + [
+CAR = (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED)
+SUPPORTED = [(kind, s) for kind in ENTANGLED for s in Setting if s not in CAR] + [
     (kind, s)
     for kind in CORRELATED
-    for s in (OracleSetting.HH, OracleSetting.HV, OracleSetting.SINGLE_S,
-              OracleSetting.SINGLE_I, *CAR)
+    for s in (Setting.HH, Setting.HV, Setting.SINGLE_S,
+              Setting.SINGLE_I, *CAR)
 ]
 
 
-@pytest.mark.parametrize("kind, setting", SUPPORTED)
+# test ids keep the settings' earlier class name, OracleSetting (now an
+# alias of Setting), so each case keeps its id across the merge
+@pytest.mark.parametrize(
+    "kind, setting", SUPPORTED, ids=[f"{k}-OracleSetting.{s.name}" for k, s in SUPPORTED]
+)
 @settings(max_examples=5, deadline=None, derandomize=True)
 @given(
     mu=st.floats(0.01, 0.3),
@@ -342,7 +348,11 @@ def test_mc_agrees_with_enumeration(kind, setting, mu, alphas, darks, model, see
     assert abs(est.mean - ref.value) <= 4.0 * se + ref.tail_bound
 
 
-@pytest.mark.parametrize("setting, mu", [(OracleSetting.HH, 50.0), (OracleSetting.HV, 1e6)])
+@pytest.mark.parametrize(
+    "setting, mu",
+    [pytest.param(Setting.HH, 50.0, id="OracleSetting.HH-50.0"),
+     pytest.param(Setting.HV, 1e6, id="OracleSetting.HV-1000000.0")],
+)
 def test_mc_memory_is_bounded_by_the_block(setting, mu):
     # 1e6 trials: at mu = 50 they carry 5e7 pairs, 400 MB at 8 bytes a
     # pair; at mu = 1e6 a dense grid of (H, V) photon classes would take
@@ -364,8 +374,21 @@ def test_mc_handles_astronomical_mu(kind):
     # (H, V) photon spreads of more than 3e9 each: too many classes for
     # one flat index; every pulse clicks in both arms
     det = DetectorModel(0.1)
-    est = mc_rate(PairSource(kind, 1e18), OracleSetting.HV, det, det, 1000, seed=4)
+    est = mc_rate(PairSource(kind, 1e18), Setting.HV, det, det, 1000, seed=4)
     assert est.mean == 1.0
+
+
+@pytest.mark.parametrize("kind", list(SourceKind))
+@pytest.mark.parametrize("mu", [1e19, 4e18, 1e300])
+def test_mc_rejects_pair_numbers_beyond_int64(kind, mu):
+    # above 2^62 for every kind (numpy's Poisson stops at ~9.2e18); at
+    # 4e18 the thermal and NB(2) geometrics saturate or their sums wrap
+    src, det = PairSource(kind, mu), DetectorModel(0.1)
+    if mu < 2.0**62 and kind.poissonian:
+        assert mc_rate(src, Setting.HH, det, det, 1000, seed=4).mean == 1.0
+        return
+    with pytest.raises(XMaxTooLarge, match=re.escape(f"mu={mu:g}")):
+        mc_rate(src, Setting.HH, det, det, 1000, seed=4)
 
 
 def test_sample_patterns_match_their_laws():

@@ -145,6 +145,19 @@ def test_correlated_kind_kernels():
             per_x_coincidence(kind, Setting.HPLUS, 2, det_s, det_i)
 
 
+@pytest.mark.parametrize("kind", list(SourceKind))
+@pytest.mark.parametrize(
+    "setting", [s for s in Setting if s not in (Setting.HH, Setting.HV, Setting.HPLUS)]
+)
+def test_kernels_reject_settings_without_one(kind, setting):
+    det = DetectorModel(0.3, 1e-3)
+    for x in (0, 1, 3):
+        with pytest.raises(UnsupportedSetting):
+            per_x_coincidence(kind, setting, x, det, det)
+    with pytest.raises(UnsupportedSetting):
+        coincidence_rate(PairSource(kind, 0.2), setting, det, det)
+
+
 def test_closed_forms_without_darks():
     mu, a = 0.1, 0.01
     rep = closed_form_rates(SourceKind.DIS_ENTANGLED, mu, a, a)
@@ -173,6 +186,18 @@ def test_closed_form_rejects_correlated_kinds():
     for kind in CORRELATED:
         with pytest.raises(UnsupportedSetting):
             closed_form_rates(kind, 0.1, 0.1, 0.1)
+
+
+def test_closed_form_rejects_unphysical_detectors():
+    # the checks and messages of DetectorModel
+    for kind in ENTANGLED:
+        for alphas in ((-3, 0.2), (0.2, 1.5), (math.nan, 0.2)):
+            with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+                closed_form_rates(kind, 0.1, *alphas)
+        for darks in ((-1e-3, 0.0), (0.0, 1.0)):
+            with pytest.raises(ValueError, match=r"dark must lie in \[0, 1\)"):
+                closed_form_rates(kind, 0.1, 0.1, 0.1, *darks)
+        assert closed_form_rates(kind, 0.1, 0.0, 1.0, 0.0, 0.5).r_hv >= 0.0
 
 
 def test_series_limits():

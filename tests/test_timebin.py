@@ -4,6 +4,8 @@ halved efficiency, closed forms, and the single-pair fringe."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     DetectorModel,
@@ -13,12 +15,12 @@ from biphoton import (
     Setting,
     SourceKind,
     TimebinPort,
-    TimebinSetting,
     TruncationPolicy,
     UnsupportedSetting,
     closed_form_rates,
     coincidence_rate,
     fringe_per_pair,
+    series_rate,
     timebin_rate,
 )
 
@@ -28,25 +30,60 @@ PORT_TO_SETTING = {
     TimebinPort.AB: Setting.HV,
     TimebinPort.APLUS: Setting.HPLUS,
 }
+PORT_TO_TIMEBIN = {
+    TimebinPort.AA: Setting.TIMEBIN_AA,
+    TimebinPort.AB: Setting.TIMEBIN_AB,
+    TimebinPort.APLUS: Setting.TIMEBIN_APLUS,
+}
+unit = st.floats(0.0, 1.0)
+darks = st.tuples(st.floats(0.0, 1e-2), st.floats(0.0, 1e-2))
 
 
-def test_closed_forms_equal_half_efficiency_polarization():
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(ENTANGLED),
+    port=st.sampled_from(TimebinPort),
+    mu=st.floats(0.0, 1e3),
+    alphas=st.tuples(unit, unit),
+    darks=darks,
+)
+def test_closed_forms_equal_half_efficiency_polarization(kind, port, mu, alphas, darks):
     # bit-for-bit: halving the efficiencies only rescales by powers of two
-    for kind in ENTANGLED:
-        for ds, di in ((0.0, 0.0), (1e-4, 3e-4)):
-            rep = closed_form_rates(kind, 0.23, 0.31 / 2, 0.17 / 2, ds, di)
-            want = {
-                TimebinPort.AA: rep.r_hh,
-                TimebinPort.AB: rep.r_hv,
-                TimebinPort.APLUS: rep.r_hplus,
-            }
-            for port, w in want.items():
-                got = timebin_rate(
-                    kind, port, 0.23, 0.31, 0.17, ds, di, RateMethod.CLOSED_FORM
-                )
-                assert got.value == w, (kind, port, ds)
-                assert got.setting is PORT_TO_SETTING[port]
-                assert got.method is RateMethod.CLOSED_FORM
+    rep = closed_form_rates(kind, mu, alphas[0] / 2, alphas[1] / 2, *darks)
+    want = {
+        TimebinPort.AA: rep.r_hh,
+        TimebinPort.AB: rep.r_hv,
+        TimebinPort.APLUS: rep.r_hplus,
+    }[port]
+    got = timebin_rate(kind, port, mu, *alphas, *darks, RateMethod.CLOSED_FORM)
+    assert got.value == want
+    assert got.setting is PORT_TO_SETTING[port]
+    assert got.method is RateMethod.CLOSED_FORM
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(ENTANGLED),
+    port=st.sampled_from(TimebinPort),
+    mu=st.floats(0.0, 2.0),
+    alphas=st.tuples(unit, unit),
+    darks=darks,
+    model=st.sampled_from(HplusModel),
+)
+def test_series_rate_of_a_timebin_setting_is_its_half_efficiency_twin(
+    kind, port, mu, alphas, darks, model
+):
+    src = PairSource(kind, mu)
+    policy = TruncationPolicy()
+    det_s, det_i = DetectorModel(alphas[0], darks[0]), DetectorModel(alphas[1], darks[1])
+    got = series_rate(src, PORT_TO_TIMEBIN[port], det_s, det_i, policy, model)
+    entry = timebin_rate(kind, port, mu, *alphas, *darks, policy=policy, hplus_model=model)
+    twin = coincidence_rate(
+        src, PORT_TO_SETTING[port], DetectorModel(alphas[0] / 2, darks[0]),
+        DetectorModel(alphas[1] / 2, darks[1]), policy, model,
+    )
+    assert got == entry.value == twin.value
+    assert entry.setting is PORT_TO_SETTING[port]
 
 
 def test_closed_form_spot_formulas():
@@ -118,17 +155,22 @@ def test_same_slot_rate_is_quarter_of_polarization():
 
 
 def test_timebin_setting_wrapper_and_validation():
-    setting = TimebinSetting(TimebinPort.AA, phase_sum=0.7)
-    got = timebin_rate(SourceKind.DIS_ENTANGLED, setting, 0.2, 0.1, 0.1)
-    want = timebin_rate(SourceKind.DIS_ENTANGLED, TimebinPort.AA, 0.2, 0.1, 0.1)
-    assert got.value == want.value
     with pytest.raises(UnsupportedSetting):
         timebin_rate(SourceKind.THERMAL_CORRELATED, TimebinPort.AA, 0.2, 0.1, 0.1)
     with pytest.raises(ValueError):
         timebin_rate(
             SourceKind.DIS_ENTANGLED, TimebinPort.AA, 0.2, 0.1, 0.1,
-            method=RateMethod.ORACLE,
+            method="oracle",
         )
+    # efficiencies are checked before they are halved, in both methods
+    for method in RateMethod:
+        for alphas in ((1.5, 0.1), (0.1, 1.5), (-0.1, 0.1), (0.1, math.nan)):
+            with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+                timebin_rate(SourceKind.DIS_ENTANGLED, TimebinPort.AA, 0.1, *alphas,
+                             method=method)
+        with pytest.raises(ValueError, match=r"dark must lie in \[0, 1\)"):
+            timebin_rate(SourceKind.INDIS_ENTANGLED, TimebinPort.AB, 0.1, 0.1, 0.1,
+                         dark_i=1.0, method=method)
 
 
 def test_fringe_shape():

@@ -83,7 +83,7 @@ def test_exact_series_vector_is_labeled():
     assert vec.method is RateMethod.EXACT_SERIES
     assert vec.hplus_model is HplusModel.INDEPENDENT
     with pytest.raises(ValueError):
-        assemble_r(SourceKind.DIS_ENTANGLED, 0.1, 0.1, 0.1, method=RateMethod.ORACLE)
+        assemble_r(SourceKind.DIS_ENTANGLED, 0.1, 0.1, 0.1, method="oracle")
     with pytest.raises(UnsupportedSetting):
         assemble_r(SourceKind.DIS_CORRELATED, 0.1, 0.1, 0.1)
 
