@@ -8,7 +8,7 @@ counterparts, with exact pair-number series, closed forms, and
 independent enumeration/Monte-Carlo oracles.
 """
 
-from .detection import ClickMode, DetectorModel, click_prob
+from .detection import DetectorModel, click_prob
 from .distributions import (
     CapExceeded,
     PairSource,
@@ -49,7 +49,6 @@ from .polarization import (
     UnsupportedSetting,
     closed_form_rates,
     coincidence_rate,
-    exact_rate_report,
     per_x_coincidence,
     plus_port_distribution,
     single_rate,
@@ -58,9 +57,9 @@ from .timebin import TimebinPort, fringe_per_pair, timebin_rate
 from .tomography import (
     DensityMatrix,
     NotPhysical,
-    SingularSystem,
     TomographyVector,
     assemble_r,
+    closed_form_concurrence,
     closed_form_rho,
     concurrence,
     projectors,
@@ -76,7 +75,6 @@ __all__ = [
     "__version__",
     "CapExceeded",
     "CarResult",
-    "ClickMode",
     "DensityMatrix",
     "DetectorModel",
     "EnumeratedRate",
@@ -90,7 +88,6 @@ __all__ = [
     "RateMethod",
     "RateReport",
     "Setting",
-    "SingularSystem",
     "SourceKind",
     "TimebinPort",
     "TomographyVector",
@@ -101,12 +98,12 @@ __all__ = [
     "assemble_r",
     "car",
     "click_prob",
+    "closed_form_concurrence",
     "closed_form_rates",
     "closed_form_rho",
     "coincidence_rate",
     "concurrence",
     "enumerate_rate",
-    "exact_rate_report",
     "fringe_per_pair",
     "ladder_plus_distribution",
     "mc_rate",

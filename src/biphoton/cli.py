@@ -4,7 +4,8 @@ Every output begins with the fully resolved configuration (library
 version, command, and every parameter after defaulting) so a result
 file is reproducible on its own: as ``# key=value`` comment lines
 before the CSV header, or under the ``config`` key in JSON output.
-Floats are written with 17 significant digits.
+A subcommand takes only the options it reads, so the header echoes
+exactly those.  Floats are written with 17 significant digits.
 
 Exit codes: 0 on success, 1 when ``validate`` finds a disagreement,
 2 on configuration or input errors.
@@ -26,7 +27,13 @@ from .metrics import Objective, car, optimize_mu, series_rate, visibility_approx
 from .oracle import enumerate_rate, mc_rate
 from .polarization import HplusModel, RateMethod, Setting
 from .timebin import TimebinPort, timebin_rate
-from .tomography import assemble_r, closed_form_rho, concurrence, reconstruct
+from .tomography import (
+    assemble_r,
+    closed_form_concurrence,
+    closed_form_rho,
+    concurrence,
+    reconstruct,
+)
 
 __all__ = ["main"]
 
@@ -220,8 +227,8 @@ def cmd_concurrence_curve(args) -> int:
                 continue
             r = assemble_r(kind, mu, args.alpha_s, args.alpha_i, args.dark_s, args.dark_i)
             row.append(concurrence(reconstruct(r)))
-        row.append(max(0.0, (2.0 - mu) / (2.0 * (1.0 + mu))))
-        row.append(2.0 / (2.0 + 3.0 * mu))
+        for kind in (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED):
+            row.append(closed_form_concurrence(kind, mu))
         rows.append(row)
     _emit_table(
         args,
@@ -430,7 +437,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"biphoton {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, *, dets=True, series=True, output=True) -> None:
+    # each subcommand declares only the options it reads
+    def add_common(p: argparse.ArgumentParser, *, dets=True, series=False, hplus=False) -> None:
         if dets:
             p.add_argument("--alpha-s", type=float, default=0.1, help="signal efficiency (default 0.1)")
             p.add_argument("--alpha-i", type=float, default=0.1, help="idler efficiency (default 0.1)")
@@ -439,15 +447,15 @@ def _build_parser() -> argparse.ArgumentParser:
         if series:
             p.add_argument("--tail-eps", type=float, default=1e-12, help="certified series tail (default 1e-12)")
             p.add_argument("--cap", type=int, default=100, help="series term cap (default 100)")
+        if hplus:
             p.add_argument(
                 "--hplus-model",
                 choices=[m.value for m in HplusModel],
                 default=HplusModel.COHERENT.value,
                 help="diagonal-basis interference model (default coherent)",
             )
-        if output:
-            p.add_argument("--format", choices=["csv", "json"], default="csv")
-            p.add_argument("--out", default="-", help="output path, '-' for stdout")
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
+        p.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     def add_mu(p: argparse.ArgumentParser) -> None:
         p.add_argument("--mu", type=float, default=None, help="single mean pair number")
@@ -457,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "visibility-curve", help="exact and approximate visibility vs mu, both entangled kinds"
     )
     add_mu(p)
-    add_common(p)
+    add_common(p, series=True)
     p.set_defaults(func=cmd_visibility_curve)
 
     p = sub.add_parser("concurrence-curve", help="pipeline and closed-form concurrence vs mu")
@@ -475,14 +483,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rate source for tomography, or the direct closed-form state",
     )
     p.add_argument("--from-r", default=None, help='JSON file {"r": [16 rates]} to reconstruct from')
-    add_common(p)
+    add_common(p, series=True, hplus=True)
     p.set_defaults(func=cmd_density_matrix, format="json")
 
     p = sub.add_parser("car", help="coincidence-to-accidental ratio vs mu")
     p.add_argument("--source", required=True, choices=[k for k, v in _KINDS.items() if v.correlated])
     add_mu(p)
     p.add_argument("--method", choices=["exact", "closed"], default="exact")
-    add_common(p)
+    add_common(p, series=True)
     p.set_defaults(func=cmd_car)
 
     p = sub.add_parser("timebin", help="time-bin analyzer coincidence rate vs mu")
@@ -490,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_mu(p)
     p.add_argument("--port", choices=[t.value for t in TimebinPort], default=TimebinPort.AA.value)
     p.add_argument("--method", choices=["exact", "closed"], default="exact")
-    add_common(p)
+    add_common(p, series=True, hplus=True)
     p.set_defaults(func=cmd_timebin)
 
     p = sub.add_parser("optimize-mu", help="maximize a closed-form objective over mu")
@@ -505,13 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="cross-check the series against the enumeration oracle")
     p.add_argument("--trials", type=int, default=0, help="Monte-Carlo trials per cell (0 disables)")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--hplus-model",
-        choices=[m.value for m in HplusModel],
-        default=HplusModel.COHERENT.value,
-    )
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--out", default="-")
+    add_common(p, dets=False, hplus=True)
     p.set_defaults(func=cmd_validate)
 
     return parser

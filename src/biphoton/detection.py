@@ -7,15 +7,9 @@ It cannot resolve photon number: it either clicks or it does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
-__all__ = ["ClickMode", "DetectorModel", "click_prob"]
-
-
-class ClickMode(Enum):
-    EXACT = "exact"
-    LINEARIZED = "linearized"
+__all__ = ["DetectorModel", "click_prob"]
 
 
 @dataclass(frozen=True)
@@ -24,32 +18,25 @@ class DetectorModel:
 
     alpha: float
     dark: float = 0.0
-    mode: ClickMode = field(default=ClickMode.EXACT)
 
     def __post_init__(self) -> None:
         if not (0 <= self.alpha <= 1):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not (0 <= self.dark < 1):
             raise ValueError(f"dark must lie in [0, 1), got {self.dark}")
-        if not isinstance(self.mode, ClickMode):
-            raise TypeError(f"mode must be a ClickMode, got {self.mode!r}")
 
 
 def click_prob(det: DetectorModel, x: int):
     """Probability that the detector clicks when ``x`` photons arrive.
 
-    EXACT mode: 1 - (1 - dark) * (1 - alpha)^x, the complement of "no
-    photon fires and no dark count fires".  LINEARIZED mode: x * alpha
-    + dark, the small-signal expansion; it can exceed 1 and is meant
-    for closed-form derivations, not as a probability.
+    1 - (1 - dark) * (1 - alpha)^x, the complement of "no photon fires
+    and no dark count fires".
 
     Arithmetic is plain Python, so exact types such as
-    :class:`fractions.Fraction` pass through unchanged in EXACT mode.
+    :class:`fractions.Fraction` pass through unchanged.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if det.mode is ClickMode.LINEARIZED:
-        return x * det.alpha + det.dark
     # algebraically 1 - (1-dark)(1-alpha)^x, arranged so a lone dark
     # count comes back as exactly `dark` instead of 1 - (1 - dark)
     return det.dark + (1 - det.dark) * (1 - (1 - det.alpha) ** x)

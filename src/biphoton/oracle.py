@@ -51,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detection import ClickMode, DetectorModel, click_prob
+from .detection import DetectorModel, click_prob
 from .distributions import PairSource, SourceKind, pmf_values
 from .polarization import HplusModel, Setting
 
@@ -453,8 +453,6 @@ def mc_rate(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if det_s.mode is not ClickMode.EXACT or det_i.mode is not ClickMode.EXACT:
-        raise ValueError("Monte-Carlo sampling requires EXACT click mode")
     if source.mu > MU_MAX:
         raise XMaxTooLarge(
             f"mu={source.mu:g} is above the Monte-Carlo's MU_MAX = 2^62, where int64 "

@@ -48,7 +48,6 @@ __all__ = [
     "per_x_coincidence",
     "coincidence_rate",
     "single_rate",
-    "exact_rate_report",
     "closed_form_rates",
 ]
 
@@ -86,8 +85,8 @@ class Setting(Enum):
                     f"{self.value} requires an entangled kind, got {kind.value}"
                 )
             # the matching interferometer arm passes a slot with amplitude 1/2
-            det_s = DetectorModel(det_s.alpha / 2, det_s.dark, det_s.mode)
-            det_i = DetectorModel(det_i.alpha / 2, det_i.dark, det_i.mode)
+            det_s = DetectorModel(det_s.alpha / 2, det_s.dark)
+            det_i = DetectorModel(det_i.alpha / 2, det_i.dark)
             setting = _TIMEBIN_TWIN[self]
         if kind.entangled and setting in (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED):
             raise UnsupportedSetting(f"{setting.value} requires a correlated kind")
@@ -136,8 +135,6 @@ class RateReport:
     single_s: float
     single_i: float
     method: RateMethod
-    truncation_used: int = 0
-    hplus_model: HplusModel | None = None
 
 
 def _sum(terms: list) -> float:
@@ -205,6 +202,8 @@ def per_x_coincidence(
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
+    if setting not in (Setting.HH, Setting.HV, Setting.HPLUS):
+        raise UnsupportedSetting(f"{setting.value} has no per-x kernel; use series_rate")
     qs = lambda n: click_prob(det_s, n)
     qi = lambda n: click_prob(det_i, n)
 
@@ -227,8 +226,6 @@ def per_x_coincidence(
         if setting is Setting.HV:
             terms = [math.comb(x, y) * (qs(x - y) * qi(y)) for y in range(x + 1)]
             return _sum(terms) / two_x
-        if setting is not Setting.HPLUS:
-            raise UnsupportedSetting(f"{setting.value} has no per-x kernel; use series_rate")
         # Signal H/V and idler +/- outcomes are uncorrelated per pair, so
         # the kernel factorizes into the two marginal click probabilities.
         return _binomial_click_sum(det_s, x) * _binomial_click_sum(det_i, x)
@@ -240,8 +237,6 @@ def per_x_coincidence(
     if setting is Setting.HV:
         terms = [qs(x - k) * qi(k) for k in range(x + 1)]
         return _sum(terms) / (x + 1)
-    if setting is not Setting.HPLUS:
-        raise UnsupportedSetting(f"{setting.value} has no per-x kernel; use series_rate")
     if hplus_model is HplusModel.INDEPENDENT:
         idler = _binomial_click_sum(det_i, x)
         return _sum([qs(x - k) for k in range(x + 1)]) * idler / (x + 1)
@@ -297,33 +292,6 @@ def single_rate(
             s = _sum([click_prob(det, k) for k in range(x + 1)]) / (x + 1)
         terms.append(weights[x] * s)
     return math.fsum(terms)
-
-
-def exact_rate_report(
-    source: PairSource,
-    det_s: DetectorModel,
-    det_i: DetectorModel,
-    policy: TruncationPolicy = TruncationPolicy(),
-    hplus_model: HplusModel = HplusModel.COHERENT,
-) -> RateReport:
-    """All polarization rates of an entangled source from the exact series."""
-    if not source.kind.entangled:
-        raise UnsupportedSetting(
-            f"polarization rate report requires an entangled kind, got {source.kind.value}"
-        )
-    hh = coincidence_rate(source, Setting.HH, det_s, det_i, policy)
-    hv = coincidence_rate(source, Setting.HV, det_s, det_i, policy)
-    hp = coincidence_rate(source, Setting.HPLUS, det_s, det_i, policy, hplus_model)
-    return RateReport(
-        r_hh=hh.value,
-        r_hv=hv.value,
-        r_hplus=hp.value,
-        single_s=single_rate(source, det_s, policy),
-        single_i=single_rate(source, det_i, policy),
-        method=RateMethod.EXACT_SERIES,
-        truncation_used=hh.truncation_used,
-        hplus_model=hplus_model,
-    )
 
 
 def closed_form_rates(

@@ -28,7 +28,6 @@ from .polarization import (
 )
 
 __all__ = [
-    "SingularSystem",
     "NotPhysical",
     "PROJECTION_STATES",
     "PARALLEL_INDICES",
@@ -39,12 +38,9 @@ __all__ = [
     "assemble_r",
     "reconstruct",
     "closed_form_rho",
+    "closed_form_concurrence",
     "concurrence",
 ]
-
-
-class SingularSystem(ValueError):
-    """The projector set does not determine the state (rank-deficient system)."""
 
 
 class NotPhysical(ValueError):
@@ -191,35 +187,38 @@ def _pauli_basis() -> list[np.ndarray]:
     return [np.kron(a, b) for a in (one, sx, sy, sz) for b in (one, sx, sy, sz)]
 
 
-def reconstruct(
-    r, projectors_override: list[np.ndarray] | None = None
-) -> DensityMatrix:
+def _design_matrix(basis: list[np.ndarray]) -> np.ndarray:
+    """A[nu, j] = tr(Pi_nu B_j): the table's rates as a map from basis coefficients."""
+    a = np.empty((16, 16))
+    for row, pi in enumerate(projectors()):
+        for col, b in enumerate(basis):
+            a[row, col] = np.trace(pi @ b).real
+    return a
+
+
+# the table is fixed, so the basis and the design matrix are built once;
+# the table is complete (rank 16), which a test checks
+PAULI_BASIS: tuple[np.ndarray, ...] = tuple(_pauli_basis())
+DESIGN_MATRIX: np.ndarray = _design_matrix(list(PAULI_BASIS))
+for _m in (*PAULI_BASIS, DESIGN_MATRIX):
+    _m.setflags(write=False)
+
+
+def reconstruct(r) -> DensityMatrix:
     """Linear-inversion tomography of the 16 projection rates.
 
     The state is expanded over the Hermitian Pauli product basis, which
     turns r_nu = tr(rho Pi_nu) into a real 16x16 system; hermiticity of
     the result is then automatic.  The overall scale of ``r`` is
-    irrelevant because the result is trace-normalized.  Raises
-    :class:`SingularSystem` when the supplied projectors do not span the
-    operator space.
+    irrelevant because the result is trace-normalized.
     """
     if isinstance(r, TomographyVector):
         r = r.r
     rv = np.asarray(r, dtype=float)
     if rv.shape != (16,):
         raise ValueError(f"expected 16 rates, got shape {rv.shape}")
-    pis = projectors() if projectors_override is None else projectors_override
-    if len(pis) != 16:
-        raise SingularSystem(f"need 16 projectors, got {len(pis)}")
-    basis = _pauli_basis()
-    a = np.empty((16, 16))
-    for row, pi in enumerate(pis):
-        for col, b in enumerate(basis):
-            a[row, col] = np.trace(pi @ b).real
-    if np.linalg.matrix_rank(a, tol=1e-10) < 16:
-        raise SingularSystem("projector set is rank-deficient; state undetermined")
-    coeff = np.linalg.solve(a, rv)
-    rho = sum(c * b for c, b in zip(coeff, basis))
+    coeff = np.linalg.solve(DESIGN_MATRIX, rv)
+    rho = sum(c * b for c, b in zip(coeff, PAULI_BASIS))
     tr = rho.trace().real
     if tr <= 0:
         raise NotPhysical(f"reconstructed trace {tr:.3e} is not positive")
@@ -250,6 +249,22 @@ def closed_form_rho(kind: SourceKind, mu: float) -> DensityMatrix:
     m[1, 1] = m[2, 2] = inner
     m[0, 3] = m[3, 0] = corner
     return DensityMatrix(m)
+
+
+def closed_form_concurrence(kind: SourceKind, mu: float) -> float:
+    """Concurrence of :func:`closed_form_rho`, in closed form.
+
+    max(0, (2 - mu) / (2 (1 + mu))) for distinguishable pairs, which
+    reaches zero at mu = 2, and 2 / (2 + 3 mu) for indistinguishable
+    pairs, which stays positive.
+    """
+    if not kind.entangled:
+        raise UnsupportedSetting(f"tomography requires an entangled kind, got {kind.value}")
+    if mu < 0:
+        raise ValueError(f"mu must be >= 0, got {mu}")
+    if kind is SourceKind.DIS_ENTANGLED:
+        return max(0.0, (2.0 - mu) / (2.0 * (1.0 + mu)))
+    return 2.0 / (2.0 + 3.0 * mu)
 
 
 _SYSY = np.array(

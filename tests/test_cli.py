@@ -1,5 +1,8 @@
 """Command-line interface: exit codes, output formats, and spot values."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 from biphoton import SourceKind, closed_form_rates, closed_form_rho
-from biphoton.cli import main
+from biphoton.cli import _build_parser, main
 
 
 def _rows(csv_text: str) -> tuple[list[str], list[list[str]]]:
@@ -272,3 +275,139 @@ def test_version_and_help():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+_MU = ["--mu", "0.3"]
+_DARKS = ["--dark-s", "1e-3", "--dark-i", "1e-3"]
+_OUT = "{tmp}/out.txt"
+
+
+def _detector_cases(base: list[str]) -> dict:
+    return {"--alpha-s": (base, "0.5"), "--alpha-i": (base, "0.5"),
+            "--dark-s": (base, "1e-3"), "--dark-i": (base, "1e-3")}
+
+
+def _output_cases(base: list[str], other_format: str = "json") -> dict:
+    return {"--format": (base, other_format), "--out": (base, _OUT)}
+
+
+# subcommand -> option -> (base argv, another valid value).  The base
+# leaves an optional option out, so it runs at the default; a required
+# option is in the base, and the other value replaces it.
+_TIMEBIN = ["--source", "indis-entangled", "--port", "aplus", "--method", "exact", *_MU]
+_DM_EXACT = ["--source", "indis-entangled", "--method", "exact", *_MU]
+_CAR = ["--source", "dis-correlated", *_MU]
+# without darks the visibility optimum sits at the bracket's low end
+_OPT_BRACKET = ["--source", "dis-entangled", "--mu-range", "1e-5:1:65:log"]
+_OPT = _OPT_BRACKET + ["--dark-s", "1e-5", "--dark-i", "1e-5"]
+_OPTION_CASES = {
+    "visibility-curve": {
+        "--mu": ([], "0.3"),
+        "--mu-range": ([], "0.1:0.3:3"),
+        **_detector_cases(_MU),
+        "--tail-eps": (_MU, "1e-3"),
+        "--cap": (_MU, "3"),
+        **_output_cases(_MU),
+    },
+    "concurrence-curve": {
+        "--mu": ([], "0.3"),
+        "--mu-range": ([], "0.1:0.3:3"),
+        # without darks alpha cancels from the closed-form rate ratios
+        **_detector_cases(_MU + _DARKS),
+        "--dark-s": (_MU, "1e-3"),
+        "--dark-i": (_MU, "1e-3"),
+        **_output_cases(_MU),
+    },
+    "density-matrix": {
+        "--source": (_MU, "dis-entangled"),
+        "--mu": (["--source", "dis-entangled"], "0.3"),
+        "--method": (["--source", "dis-entangled", *_MU], "exact"),
+        "--from-r": (["--source", "dis-entangled", *_MU], "{tmp}/rates.json"),
+        **_detector_cases(_DM_EXACT),
+        "--tail-eps": (_DM_EXACT, "1e-3"),
+        "--cap": (_DM_EXACT, "3"),
+        "--hplus-model": (_DM_EXACT, "independent"),
+        **_output_cases(_DM_EXACT, other_format="csv"),
+    },
+    "car": {
+        "--source": (_CAR, "thermal-correlated"),
+        "--mu": (["--source", "dis-correlated"], "0.3"),
+        "--mu-range": (["--source", "dis-correlated"], "0.1:0.3:3"),
+        "--method": (_CAR, "closed"),
+        **_detector_cases(_CAR),
+        "--tail-eps": (_CAR, "1e-3"),
+        "--cap": (_CAR, "3"),
+        **_output_cases(_CAR),
+    },
+    "timebin": {
+        "--source": (_TIMEBIN, "dis-entangled"),
+        "--mu": (["--source", "dis-entangled"], "0.3"),
+        "--mu-range": (["--source", "dis-entangled"], "0.1:0.3:3"),
+        "--port": (["--source", "dis-entangled", *_MU], "ab"),
+        "--method": (["--source", "dis-entangled", *_MU], "closed"),
+        **_detector_cases(_TIMEBIN),
+        "--tail-eps": (_TIMEBIN, "1e-3"),
+        "--cap": (_TIMEBIN, "3"),
+        "--hplus-model": (_TIMEBIN, "independent"),
+        **_output_cases(_TIMEBIN),
+    },
+    "optimize-mu": {
+        "--source": (_OPT, "indis-entangled"),
+        # a single mu gives no search bracket
+        "--mu": (_OPT, "0.3"),
+        "--mu-range": (["--source", "dis-entangled"], "1e-5:1:65:log"),
+        "--objective": (_OPT, "max-concurrence"),
+        **_detector_cases(_OPT),
+        "--dark-s": (_OPT_BRACKET, "1e-5"),
+        "--dark-i": (_OPT_BRACKET, "1e-5"),
+        **_output_cases(_OPT),
+    },
+    "validate": {
+        "--trials": ([], "50"),
+        "--seed": (["--trials", "50"], "2"),
+        "--hplus-model": ([], "independent"),
+        **_output_cases([]),
+    },
+}
+
+
+def _result(argv: list[str]):
+    """Exit code and stdout with the echoed configuration left out."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    if text.startswith("{"):
+        doc = json.loads(text)
+        del doc["config"]
+        return code, doc
+    return code, [ln for ln in text.splitlines() if not ln.startswith("#")]
+
+
+def test_every_cli_option_is_read(tmp_path):
+    # an option a subcommand declares and echoes must change what it
+    # prints or how it exits, or it is a silently ignored parameter
+    (tmp_path / "rates.json").write_text(json.dumps({"r": [0.5, 0.2] + [0.25] * 14}))
+    subparsers = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(subparsers.choices) == set(_OPTION_CASES)
+    results = {}
+
+    def run(argv):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if tuple(argv) not in results:
+            results[tuple(argv)] = _result(argv)
+        return results[tuple(argv)]
+
+    for name, sub in subparsers.choices.items():
+        options = {a.option_strings[-1]: a for a in sub._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        assert set(options) == set(_OPTION_CASES[name]), name
+        for flag, (base, other) in _OPTION_CASES[name].items():
+            assert (flag in base) == options[flag].required, (name, flag)
+            default = run([name, *base])
+            assert run([name, *base, flag, other]) != default, (name, flag)

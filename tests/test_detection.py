@@ -1,10 +1,10 @@
-"""Threshold click model: exact and linearized probabilities."""
+"""Threshold click model: exact probabilities and their small-signal limit."""
 
 from fractions import Fraction
 
 import pytest
 
-from biphoton import ClickMode, DetectorModel, click_prob
+from biphoton import DetectorModel, click_prob
 
 
 def test_exact_clicks_on_known_cases():
@@ -23,14 +23,6 @@ def test_exact_mode_is_fraction_transparent():
     got = click_prob(det, 2)
     assert isinstance(got, Fraction)
     assert got == 1 - Fraction(99, 100) * Fraction(2, 3) ** 2
-
-
-def test_linearized_mode():
-    det = DetectorModel(0.1, 0.001, ClickMode.LINEARIZED)
-    assert click_prob(det, 3) == 3 * 0.1 + 0.001
-    assert click_prob(det, 0) == 0.001
-    # not clamped; large x runs past 1 by design
-    assert click_prob(DetectorModel(0.3, 0.0, ClickMode.LINEARIZED), 5) == 1.5
 
 
 def test_exact_mode_monotone_and_bounded():
@@ -73,7 +65,5 @@ def test_model_validation():
         DetectorModel(0.5, 1.0)
     with pytest.raises(ValueError):
         DetectorModel(0.5, -0.1)
-    with pytest.raises(TypeError):
-        DetectorModel(0.5, 0.0, "exact")
     with pytest.raises(ValueError):
         click_prob(DetectorModel(0.5), -1)

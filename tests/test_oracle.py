@@ -13,7 +13,6 @@ from scipy import stats
 
 import biphoton
 from biphoton import (
-    ClickMode,
     DetectorModel,
     HplusModel,
     PairSource,
@@ -276,9 +275,6 @@ def test_mc_validation():
     src = PairSource(SourceKind.DIS_ENTANGLED, 0.1)
     with pytest.raises(ValueError):
         mc_rate(src, Setting.HH, det, det, 0, seed=1)
-    lin = DetectorModel(0.1, 0.0, ClickMode.LINEARIZED)
-    with pytest.raises(ValueError):
-        mc_rate(src, Setting.HH, lin, det, 100, seed=1)
     with pytest.raises(UnsupportedSetting):
         mc_rate(src, Setting.CAR_MATCHED, det, det, 100, seed=1)
     with pytest.raises(UnsupportedSetting):

@@ -18,10 +18,10 @@ from biphoton import (
     UnsupportedSetting,
     closed_form_rates,
     coincidence_rate,
-    exact_rate_report,
     per_x_coincidence,
     plus_port_distribution,
     single_rate,
+    truncation_index,
 )
 from biphoton.detection import click_prob
 
@@ -141,7 +141,7 @@ def test_correlated_kind_kernels():
             assert hv == pytest.approx(
                 click_prob(det_s, x) * click_prob(det_i, 0), rel=1e-14
             )
-        with pytest.raises(UnsupportedSetting):
+        with pytest.raises(UnsupportedSetting, match="undefined for correlated kind"):
             per_x_coincidence(kind, Setting.HPLUS, 2, det_s, det_i)
 
 
@@ -151,10 +151,11 @@ def test_correlated_kind_kernels():
 )
 def test_kernels_reject_settings_without_one(kind, setting):
     det = DetectorModel(0.3, 1e-3)
+    message = rf"^{setting.value} has no per-x kernel; use series_rate$"
     for x in (0, 1, 3):
-        with pytest.raises(UnsupportedSetting):
+        with pytest.raises(UnsupportedSetting, match=message):
             per_x_coincidence(kind, setting, x, det, det)
-    with pytest.raises(UnsupportedSetting):
+    with pytest.raises(UnsupportedSetting, match=message):
         coincidence_rate(PairSource(kind, 0.2), setting, det, det)
 
 
@@ -296,24 +297,6 @@ def test_single_rates():
     assert got == pytest.approx(1e-3, rel=0.01)
 
 
-def test_rate_report_structure():
-    src = PairSource(SourceKind.INDIS_ENTANGLED, 0.3)
-    det = DetectorModel(0.2, 1e-4)
-    rep = exact_rate_report(src, det, det)
-    assert rep.method is RateMethod.EXACT_SERIES
-    assert rep.hplus_model is HplusModel.COHERENT
-    assert rep.truncation_used > 0
-    for v in (rep.r_hh, rep.r_hv, rep.r_hplus, rep.single_s, rep.single_i):
-        assert 0.0 <= v <= 1.0
-    assert rep.r_hh >= rep.r_hv
-    entry = coincidence_rate(src, Setting.HH, det, det)
-    assert entry.truncation_used == rep.truncation_used
-    assert entry.hplus_model is None
-    for kind in CORRELATED:
-        with pytest.raises(UnsupportedSetting):
-            exact_rate_report(PairSource(kind, 0.3), det, det)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(ENTANGLED),
@@ -326,7 +309,10 @@ def test_rates_are_probabilities_with_parallel_dominance(kind, mu, alpha_s, alph
     src = PairSource(kind, mu)
     det_s = DetectorModel(alpha_s, dark)
     det_i = DetectorModel(alpha_i, dark)
-    hh = coincidence_rate(src, Setting.HH, det_s, det_i).value
+    entry = coincidence_rate(src, Setting.HH, det_s, det_i)
+    assert entry.truncation_used == truncation_index(src, TruncationPolicy())
+    assert entry.hplus_model is None
+    hh = entry.value
     hv = coincidence_rate(src, Setting.HV, det_s, det_i).value
     assert 0.0 <= hv <= 1.0 and 0.0 <= hh <= 1.0
     assert hh >= hv - 1e-15 * hh

@@ -11,11 +11,11 @@ from biphoton import (
     HplusModel,
     NotPhysical,
     RateMethod,
-    SingularSystem,
     SourceKind,
     TomographyVector,
     UnsupportedSetting,
     assemble_r,
+    closed_form_concurrence,
     closed_form_rates,
     closed_form_rho,
     concurrence,
@@ -25,6 +25,7 @@ from biphoton import (
 from biphoton.tomography import (
     BASIS_LABELS,
     CROSSED_INDICES,
+    DESIGN_MATRIX,
     PARALLEL_INDICES,
     PROJECTION_STATES,
 )
@@ -53,6 +54,8 @@ def test_projector_table_properties():
         else:
             want = 0.25
         assert overlap == pytest.approx(want, abs=1e-15), j
+    # the table is tomographically complete, so reconstruct can solve
+    assert np.linalg.matrix_rank(DESIGN_MATRIX, tol=1e-10) == 16
 
 
 def test_assemble_r_places_the_three_rates():
@@ -123,14 +126,11 @@ def test_reconstruct_pure_bell_vector():
     assert np.max(np.abs(rho2.matrix - rho.matrix)) <= 1e-12
 
 
-def test_reconstruct_rejects_degenerate_projectors():
-    r = tuple([0.25] * 16)
-    with pytest.raises(SingularSystem):
-        reconstruct(r, projectors_override=[projectors()[0]] * 16)
-    with pytest.raises(SingularSystem):
-        reconstruct(r, projectors_override=projectors()[:15])
+def test_reconstruct_rejects_a_wrong_number_of_rates():
     with pytest.raises(ValueError):
         reconstruct((0.1,) * 15)
+    with pytest.raises(ValueError):
+        reconstruct((0.1,) * 17)
 
 
 def test_exact_series_reconstructions_stay_physical():
@@ -194,6 +194,18 @@ def test_concurrence_closed_form_anchors():
         assert cd == pytest.approx((2.0 - mu) / (2.0 + 2.0 * mu), abs=1e-12)
     # both states hit zero concurrence at mu = 2
     assert concurrence(closed_form_rho(SourceKind.DIS_ENTANGLED, 2.0)) <= 1e-12
+
+
+def test_closed_form_concurrence_is_that_of_the_closed_form_state():
+    mus = [0.0, 1e-9, 1e-6, 1e-3, *np.linspace(0.0, 50.0, 1001)[1:]]
+    for kind in ENTANGLED:
+        for mu in mus:
+            want = concurrence(closed_form_rho(kind, float(mu)))
+            assert abs(closed_form_concurrence(kind, float(mu)) - want) <= 1e-9, (kind, mu)
+    with pytest.raises(UnsupportedSetting):
+        closed_form_concurrence(SourceKind.DIS_CORRELATED, 0.1)
+    with pytest.raises(ValueError):
+        closed_form_concurrence(SourceKind.INDIS_ENTANGLED, -0.5)
 
 
 def test_concurrence_matches_x_state_shortcut():
