@@ -248,9 +248,9 @@ def cmd_density_matrix(args) -> int:
         if not isinstance(payload, dict) or "r" not in payload:
             raise ConfigError(f'{args.from_r}: expected a JSON object with an "r" key')
         r = payload["r"]
-        if not isinstance(r, list) or len(r) != 16:
+        if not isinstance(r, list) or len(r) != 16 or any(type(v) not in (int, float) for v in r):
             raise ConfigError(f'{args.from_r}: "r" must hold 16 numbers')
-        rho = reconstruct([float(v) for v in r])
+        rho = reconstruct(r)
     else:
         kind = _require_kind(args, entangled=True)
         if args.mu is None:
@@ -352,26 +352,15 @@ def cmd_optimize_mu(args) -> int:
     return 0
 
 
-# kind -> oracle settings exercised by `validate`
+# kind -> oracle settings exercised by `validate`, in output order
+_ENTANGLED_CHECKS = (Setting.HH, Setting.HV, Setting.HPLUS, Setting.SINGLE_S,
+                     Setting.TIMEBIN_AA, Setting.TIMEBIN_AB)
+_CAR_CHECKS = (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED)
 _VALIDATE_SETTINGS: dict[SourceKind, tuple[Setting, ...]] = {
-    SourceKind.DIS_ENTANGLED: (
-        Setting.HH,
-        Setting.HV,
-        Setting.HPLUS,
-        Setting.SINGLE_S,
-        Setting.TIMEBIN_AA,
-        Setting.TIMEBIN_AB,
-    ),
-    SourceKind.INDIS_ENTANGLED: (
-        Setting.HH,
-        Setting.HV,
-        Setting.HPLUS,
-        Setting.SINGLE_S,
-        Setting.TIMEBIN_AA,
-        Setting.TIMEBIN_AB,
-    ),
-    SourceKind.DIS_CORRELATED: (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED),
-    SourceKind.THERMAL_CORRELATED: (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED),
+    SourceKind.DIS_ENTANGLED: _ENTANGLED_CHECKS,
+    SourceKind.INDIS_ENTANGLED: _ENTANGLED_CHECKS,
+    SourceKind.DIS_CORRELATED: _CAR_CHECKS,
+    SourceKind.THERMAL_CORRELATED: _CAR_CHECKS,
 }
 
 _VALIDATE_MUS = (0.05, 0.2)
@@ -526,7 +515,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"biphoton: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"biphoton: {exc}", file=sys.stderr)
         return 2
 

@@ -7,6 +7,7 @@ It cannot resolve photon number: it either clicks or it does not.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 __all__ = ["DetectorModel", "click_prob"]
@@ -20,6 +21,10 @@ class DetectorModel:
     dark: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in (("alpha", self.alpha), ("dark", self.dark)):
+            # float and int first: the numbers.Real ABC check is slow
+            if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         if not (0 <= self.alpha <= 1):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not (0 <= self.dark < 1):

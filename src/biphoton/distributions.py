@@ -21,6 +21,7 @@ caller-chosen epsilon.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,7 +63,9 @@ class SourceKind(Enum):
 
 @dataclass(frozen=True)
 class PairSource:
-    """A photon-pair source of a given kind with mean pair number ``mu``."""
+    """A photon-pair source of a given kind with mean pair number ``mu``.
+
+    ``mu`` may be any real number type but bool; it is stored as a float."""
 
     kind: SourceKind
     mu: float
@@ -70,10 +73,16 @@ class PairSource:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, SourceKind):
             raise TypeError(f"kind must be a SourceKind, got {self.kind!r}")
-        if not (isinstance(self.mu, (int, float)) and math.isfinite(self.mu)):
-            raise ValueError(f"mu must be finite, got {self.mu!r}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        # float and int first: the numbers.Real ABC check is slow
+        if isinstance(self.mu, bool) or not isinstance(self.mu, (float, int, numbers.Real)):
+            raise TypeError(f"mu must be a real number, got {self.mu!r}")
+        try:
+            mu = float(self.mu)
+        except OverflowError:  # an int or Fraction beyond the float range
+            mu = math.inf
+        if not 0 <= mu < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
+        object.__setattr__(self, "mu", mu)
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ def _objective_fn(
 
         def f(mu: float) -> float:
             r = assemble_r(kind, mu, alpha_s, alpha_i, dark_s, dark_i)
-            return concurrence(reconstruct(r.r))
+            return concurrence(reconstruct(r))
 
         return f
 

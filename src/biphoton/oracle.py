@@ -3,14 +3,15 @@
 Two cross-checks that deliberately avoid the analytic machinery of the
 rate modules:
 
-* :func:`enumerate_rate` sums the exact detection probability over every
-  generated pattern: all 2^x polarization assignments of distinguishable
-  pairs (visited individually as bitmasks), the x+1 collapsed pattern
-  indices of indistinguishable pairs, and, for the diagonal-basis
-  setting, a +/- photon-number distribution built by applying creation
-  operators step by step.  Binomial photon splittings are built by
-  repeated convolution of a fair coin rather than from binomial
-  coefficients.
+* :func:`enumerate_rate` sums the exact detection probability over the
+  law of the generation pattern that :func:`sample_patterns` draws
+  from: the number of VV pairs among distinguishable pairs, the x+1
+  collapsed pattern indices of indistinguishable pairs, and the all-H
+  pattern of correlated pairs; for the diagonal-basis setting it adds a
+  +/- photon-number distribution built by applying creation operators
+  step by step.  Binomial laws, of the VV count and of photon
+  splittings, are built by repeated convolution of a fair coin rather
+  than from binomial coefficients.
 
 * :func:`mc_rate` samples the same generative chain (pair number,
   pattern, per-arm clicks) with a seeded PCG64 generator and reports a
@@ -65,7 +66,8 @@ __all__ = [
     "sample_patterns",
 ]
 
-# 2^x patterns are visited one by one; 14 keeps that below ~16k states.
+# deepest pair number the enumeration takes: `biphoton validate` and the
+# benchmark enumerate to it, and tests pin it
 X_MAX_LIMIT = 14
 # largest pair number the coherent H+ Monte-Carlo splits with the
 # operator ladder; equals TruncationPolicy's default hard_cap
@@ -103,7 +105,8 @@ class McEstimate:
     seed: int
 
 
-def _coin_weights(x: int) -> list[float]:
+@lru_cache(maxsize=X_MAX_LIMIT + 1)
+def _coin_weights(x: int) -> tuple[float, ...]:
     """Binomial(x, 1/2) pmf by convolving x fair coins."""
     w = [1.0]
     for _ in range(x):
@@ -112,7 +115,7 @@ def _coin_weights(x: int) -> list[float]:
             nxt[j] += 0.5 * v
             nxt[j + 1] += 0.5 * v
         w = nxt
-    return w
+    return tuple(w)
 
 
 def _ladder_step(rows: np.ndarray) -> np.ndarray:
@@ -177,54 +180,32 @@ def _per_x_probability(
 ) -> float:
     qs = [click_prob(det_s, n) for n in range(x + 1)]
     qi = [click_prob(det_i, n) for n in range(x + 1)]
-
-    if kind.correlated:
-        if setting is Setting.HV:
-            return qs[x] * qi[0]
-        if setting is Setting.SINGLE_S:
-            return qs[x]
-        if setting is Setting.SINGLE_I:
-            return qi[x]
-        return qs[x] * qi[x]  # HH, CAR_MATCHED
-
+    coin = _coin_weights(x)
+    # the law of the pattern variable y that sample_patterns draws from
     if kind is SourceKind.DIS_ENTANGLED:
-        # visit all 2^x pair-polarization patterns; y = number of VV pairs
-        terms = []
-        if setting is Setting.HPLUS:
-            coin = _coin_weights(x)
-            idler = math.fsum(coin[j] * qi[j] for j in range(x + 1))
-        for pattern in range(1 << x):
-            y = pattern.bit_count()
-            if setting is Setting.HH:
-                terms.append(qs[x - y] * qi[x - y])
-            elif setting is Setting.HV:
-                terms.append(qs[x - y] * qi[y])
-            elif setting is Setting.HPLUS:
-                terms.append(qs[x - y] * idler)
-            elif setting is Setting.SINGLE_S:
-                terms.append(qs[x - y])
-            else:
-                terms.append(qi[x - y])
-        return math.fsum(terms) / (1 << x)
+        law = coin
+    elif kind is SourceKind.INDIS_ENTANGLED:
+        law = [1.0 / (x + 1)] * (x + 1)
+    else:
+        law = [1.0]  # correlated pairs are all H
+    coherent = kind is SourceKind.INDIS_ENTANGLED and hplus_model is HplusModel.COHERENT
 
-    # indistinguishable: collapsed pattern index k is uniform on 0..x
-    terms = []
-    for k in range(x + 1):
-        if setting is Setting.HH:
-            terms.append(qs[x - k] * qi[x - k])
-        elif setting is Setting.HV:
-            terms.append(qs[x - k] * qi[k])
-        elif setting is Setting.HPLUS:
-            if hplus_model is HplusModel.COHERENT:
-                w = ladder_plus_distribution(x, k)
-            else:
-                w = _coin_weights(x)
-            terms.append(qs[x - k] * math.fsum(w[p] * qi[p] for p in range(x + 1)))
-        elif setting is Setting.SINGLE_S:
-            terms.append(qs[x - k])
-        else:
-            terms.append(qi[x - k])
-    return math.fsum(terms) / (x + 1)
+    def plus_click(y: int) -> float:
+        # the idler's + count: the ladder law of the collapsed coherent
+        # state, otherwise x photons routed by fair coins
+        w = ladder_plus_distribution(x, y) if coherent else coin
+        return math.fsum(w[p] * qi[p] for p in range(x + 1))
+
+    # y pairs are V-polarized, so x - y photons pass each H polarizer
+    term = {
+        Setting.HH: lambda y: qs[x - y] * qi[x - y],
+        Setting.CAR_MATCHED: lambda y: qs[x - y] * qi[x - y],
+        Setting.HV: lambda y: qs[x - y] * qi[y],
+        Setting.HPLUS: lambda y: qs[x - y] * plus_click(y),
+        Setting.SINGLE_S: lambda y: qs[x - y],
+        Setting.SINGLE_I: lambda y: qi[x - y],
+    }[setting]
+    return math.fsum(p * term(y) for y, p in enumerate(law))
 
 
 def enumerate_rate(

@@ -134,7 +134,6 @@ class RateReport:
     r_hplus: float
     single_s: float
     single_i: float
-    method: RateMethod
 
 
 def _sum(terms: list) -> float:
@@ -177,10 +176,20 @@ def plus_port_distribution(x: int) -> tuple[tuple[float, ...], ...]:
     return tuple(rows)
 
 
-def _binomial_click_sum(det: DetectorModel, x: int):
-    """sum_j C(x,j) 2^-x q(j): click probability on a Binomial(x, 1/2) count."""
-    terms = [math.comb(x, j) * click_prob(det, j) for j in range(x + 1)]
-    return _sum(terms) / (1 << x)
+def _pattern_sum(kind: SourceKind, x: int, terms: list, factor=1):
+    """``factor`` times the mean of ``terms[y]`` over the pattern of x pairs.
+
+    y counts the V-polarized pairs: Binomial(x, 1/2) for distinguishable
+    pairs, the uniform collapsed index on 0..x for indistinguishable
+    pairs, and always 0 for correlated kinds, whose pairs are all H.
+    ``factor`` multiplies the weighted sum before the normalisation, so
+    a factorized kernel rounds as one product and one division.
+    """
+    if kind is SourceKind.DIS_ENTANGLED:
+        return _sum([math.comb(x, y) * t for y, t in enumerate(terms)]) * factor / (1 << x)
+    if kind is SourceKind.INDIS_ENTANGLED:
+        return _sum(terms) * factor / (x + 1)
+    return terms[0] * factor
 
 
 def per_x_coincidence(
@@ -204,49 +213,25 @@ def per_x_coincidence(
         raise ValueError(f"x must be >= 0, got {x}")
     if setting not in (Setting.HH, Setting.HV, Setting.HPLUS):
         raise UnsupportedSetting(f"{setting.value} has no per-x kernel; use series_rate")
-    qs = lambda n: click_prob(det_s, n)
-    qi = lambda n: click_prob(det_i, n)
-
-    if kind.correlated:
-        if setting is Setting.HH:
-            return qs(x) * qi(x)
-        if setting is Setting.HV:
-            return qs(x) * qi(0)
-        raise UnsupportedSetting(
-            f"{setting.value} is undefined for correlated kind {kind.value}"
-        )
-
+    if setting is Setting.HPLUS and kind.correlated:
+        raise UnsupportedSetting(f"{setting.value} is undefined for correlated kind {kind.value}")
+    qs = [click_prob(det_s, n) for n in range(x + 1)]
+    qi = [click_prob(det_i, n) for n in range(x + 1)]
+    # with y V-polarized pairs the signal H/V polarizer passes x-y photons;
     # grouping the two click factors first keeps the term multiset, and
     # with it the exactly rounded sum, invariant under a detector swap
-    if kind is SourceKind.DIS_ENTANGLED:
-        two_x = 1 << x
-        if setting is Setting.HH:
-            terms = [math.comb(x, y) * (qs(x - y) * qi(x - y)) for y in range(x + 1)]
-            return _sum(terms) / two_x
-        if setting is Setting.HV:
-            terms = [math.comb(x, y) * (qs(x - y) * qi(y)) for y in range(x + 1)]
-            return _sum(terms) / two_x
-        # Signal H/V and idler +/- outcomes are uncorrelated per pair, so
-        # the kernel factorizes into the two marginal click probabilities.
-        return _binomial_click_sum(det_s, x) * _binomial_click_sum(det_i, x)
-
-    # indistinguishable entangled
     if setting is Setting.HH:
-        terms = [qs(x - k) * qi(x - k) for k in range(x + 1)]
-        return _sum(terms) / (x + 1)
-    if setting is Setting.HV:
-        terms = [qs(x - k) * qi(k) for k in range(x + 1)]
-        return _sum(terms) / (x + 1)
-    if hplus_model is HplusModel.INDEPENDENT:
-        idler = _binomial_click_sum(det_i, x)
-        return _sum([qs(x - k) for k in range(x + 1)]) * idler / (x + 1)
-    w = plus_port_distribution(x)
-    qi_vals = [qi(p) for p in range(x + 1)]
-    terms = [
-        qs(x - k) * math.fsum(w[k][p] * qi_vals[p] for p in range(x + 1))
-        for k in range(x + 1)
-    ]
-    return math.fsum(terms) / (x + 1)
+        terms = [qs[x - y] * qi[x - y] for y in range(x + 1)]
+    elif setting is Setting.HV:
+        terms = [qs[x - y] * qi[y] for y in range(x + 1)]
+    elif kind is SourceKind.DIS_ENTANGLED or hplus_model is HplusModel.INDEPENDENT:
+        # the idler + count is Binomial(x, 1/2) whatever the pattern, so
+        # the kernel factorizes into the two marginal click probabilities
+        return _pattern_sum(kind, x, qs[::-1], _pattern_sum(SourceKind.DIS_ENTANGLED, x, qi))
+    else:
+        w = plus_port_distribution(x)
+        terms = [qs[x - y] * math.fsum(w[y][p] * qi[p] for p in range(x + 1)) for y in range(x + 1)]
+    return _pattern_sum(kind, x, terms)
 
 
 def coincidence_rate(
@@ -281,16 +266,11 @@ def single_rate(
     """
     x_max = truncation_index(source, policy)
     weights = pmf_values(source, x_max)
-    kind = source.kind
-    terms = []
-    for x in range(x_max + 1):
-        if kind.correlated:
-            s = click_prob(det, x)
-        elif kind is SourceKind.DIS_ENTANGLED:
-            s = _binomial_click_sum(det, x)
-        else:
-            s = _sum([click_prob(det, k) for k in range(x + 1)]) / (x + 1)
-        terms.append(weights[x] * s)
+    q = [click_prob(det, n) for n in range(x_max + 1)]
+    terms = [
+        weights[x] * _pattern_sum(source.kind, x, [q[x - y] for y in range(x + 1)])
+        for x in range(x_max + 1)
+    ]
     return math.fsum(terms)
 
 
@@ -336,5 +316,4 @@ def closed_form_rates(
         r_hplus=r_hplus,
         single_s=mu * alpha_s / 2 + dark_s,
         single_i=mu * alpha_i / 2 + dark_i,
-        method=RateMethod.CLOSED_FORM,
     )

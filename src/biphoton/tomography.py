@@ -82,17 +82,24 @@ def projectors() -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class TomographyVector:
-    """The 16 projection rates in table order, with provenance."""
+    """The 16 projection rates in table order, stored as floats, with provenance."""
 
     r: tuple[float, ...]
     method: RateMethod
     hplus_model: HplusModel | None = None
 
     def __post_init__(self) -> None:
-        if len(self.r) != 16:
-            raise ValueError(f"expected 16 rates, got {len(self.r)}")
-        if any(not math.isfinite(v) or v < 0 for v in self.r):
-            raise ValueError("rates must be finite and >= 0")
+        object.__setattr__(self, "r", tuple(_checked_rates(self.r).tolist()))
+
+
+def _checked_rates(r) -> np.ndarray:
+    """The 16 projection rates as a float array, each finite and >= 0."""
+    rv = np.asarray(r, dtype=float)
+    if rv.shape != (16,):
+        raise ValueError(f"expected 16 rates, got shape {rv.shape}")
+    if not 0 <= rv.min() <= rv.max() < math.inf:  # False for NaN too
+        raise ValueError("rates must be finite and >= 0")
+    return rv
 
 
 class DensityMatrix:
@@ -112,6 +119,8 @@ class DensityMatrix:
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise NotPhysical("matrix has non-finite entries")
         herm = np.max(np.abs(m - m.conj().T))
         if herm > self.HERM_TOL:
             raise NotPhysical(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
@@ -212,11 +221,8 @@ def reconstruct(r) -> DensityMatrix:
     the result is then automatic.  The overall scale of ``r`` is
     irrelevant because the result is trace-normalized.
     """
-    if isinstance(r, TomographyVector):
-        r = r.r
-    rv = np.asarray(r, dtype=float)
-    if rv.shape != (16,):
-        raise ValueError(f"expected 16 rates, got shape {rv.shape}")
+    # a TomographyVector checked its rates when it was built
+    rv = np.asarray(r.r, dtype=float) if isinstance(r, TomographyVector) else _checked_rates(r)
     coeff = np.linalg.solve(DESIGN_MATRIX, rv)
     rho = sum(c * b for c, b in zip(coeff, PAULI_BASIS))
     tr = rho.trace().real

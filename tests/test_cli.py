@@ -175,6 +175,11 @@ def test_density_matrix_errors(tmp_path, capsys):
     assert code == 2
     code, _, err = _run(capsys, ["density-matrix", "--from-r", str(tmp_path / "missing.json")])
     assert code == 2
+    for rates, message in (([math.nan] * 16, "finite"), ([-1.0] + [1.0] * 15, "finite"),
+                           ([None] * 16, "16 numbers"), ([10**400] + [1] * 15, "float")):
+        bad.write_text(json.dumps({"r": rates}))
+        code, _, err = _run(capsys, ["density-matrix", "--from-r", str(bad)])
+        assert code == 2 and message in err, err
 
 
 def test_car_command(capsys):

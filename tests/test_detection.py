@@ -67,3 +67,8 @@ def test_model_validation():
         DetectorModel(0.5, -0.1)
     with pytest.raises(ValueError):
         click_prob(DetectorModel(0.5), -1)
+    for alpha, dark, name in (("0.1", 0.0, "alpha"), (True, 0.0, "alpha"), (0.1, "0", "dark")):
+        with pytest.raises(TypeError, match=name):
+            DetectorModel(alpha, dark)
+    exact = DetectorModel(Fraction(1, 3), Fraction(1, 100))
+    assert click_prob(exact, 1) == Fraction(1, 100) + Fraction(99, 100) * Fraction(1, 3)

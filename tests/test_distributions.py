@@ -4,6 +4,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +158,15 @@ def test_input_validation():
         PairSource(SourceKind.DIS_ENTANGLED, math.inf)
     with pytest.raises(TypeError):
         PairSource("poisson", 0.1)
+    for mu in (True, "0.1", None):
+        with pytest.raises(TypeError, match="mu"):
+            PairSource(SourceKind.DIS_ENTANGLED, mu)
+    for mu in (math.nan, 10**400, Fraction(10**400)):
+        with pytest.raises(ValueError, match="finite"):
+            PairSource(SourceKind.DIS_ENTANGLED, mu)
+    for mu, want in ((np.float32(0.1), 0.10000000149011612), (np.int64(1), 1.0), (Fraction(1, 4), 0.25)):
+        got = PairSource(SourceKind.DIS_ENTANGLED, mu).mu
+        assert type(got) is float and got == want
     with pytest.raises(ValueError):
         TruncationPolicy(tail_epsilon=0.0)
     with pytest.raises(ValueError):

@@ -34,6 +34,7 @@ from biphoton import (
     single_rate,
     timebin_rate,
 )
+from biphoton.detection import click_prob
 from biphoton.oracle import _draw_pairs
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
@@ -152,6 +153,79 @@ def test_enumeration_matches_series_hard_corner():
         assert abs(got.value - res.unmatched_rate) <= 1e-9 + got.tail_bound
         got = enumerate_rate(src, Setting.SINGLE_S, det_s, det_i, 14)
         assert abs(got.value - single_rate(src, det_s, policy)) <= 1e-9 + got.tail_bound
+
+
+def _bitmask_per_x(kind, setting, x, det_s, det_i, model):
+    """Reference click probability of x pairs, one generation pattern at a time.
+
+    Distinguishable pairs walk all 2^x bitmasks of VV pairs, each with
+    weight 2^-x; indistinguishable pairs take the x+1 collapsed indices,
+    each with weight 1/(x+1); correlated pairs have the all-H mask.  The
+    idler's fair-coin +/- routing is walked over bitmasks too; coherent
+    indistinguishable pairs take the exact integer law of
+    plus_port_distribution instead.
+    """
+    qs = lambda n: click_prob(det_s, n)
+    qi = lambda n: click_prob(det_i, n)
+    if kind is SourceKind.DIS_ENTANGLED:
+        patterns = [(mask.bit_count(), 2.0**-x) for mask in range(1 << x)]
+    elif kind is SourceKind.INDIS_ENTANGLED:
+        patterns = [(k, 1.0 / (x + 1)) for k in range(x + 1)]
+    else:
+        patterns = [(0, 1.0)]
+    coin_plus = math.fsum(qi(mask.bit_count()) for mask in range(1 << x)) / 2**x
+    terms = []
+    for v, weight in patterns:
+        h = x - v
+        if setting in (Setting.HH, Setting.CAR_MATCHED):
+            t = qs(h) * qi(h)
+        elif setting is Setting.HV:
+            t = qs(h) * qi(v)
+        elif setting is Setting.SINGLE_S:
+            t = qs(h)
+        elif setting is Setting.SINGLE_I:
+            t = qi(h)
+        elif kind is SourceKind.INDIS_ENTANGLED and model is HplusModel.COHERENT:
+            w = plus_port_distribution(x)[v]
+            t = qs(h) * math.fsum(w[p] * qi(p) for p in range(x + 1))
+        else:
+            t = qs(h) * coin_plus
+        terms.append(weight * t)
+    return math.fsum(terms)
+
+
+def _supported_settings():
+    det = DetectorModel(0.5)
+    for kind in SourceKind:
+        for setting in Setting:
+            try:
+                setting.resolve(kind, det, det)
+            except UnsupportedSetting:
+                continue
+            yield kind, setting
+
+
+@pytest.mark.parametrize(("kind", "setting"), list(_supported_settings()))
+def test_enumeration_matches_a_bitmask_pattern_walk(kind, setting):
+    det_s = DetectorModel(0.6, 1e-3)
+    det_i = DetectorModel(0.3)
+    s, ds, di = setting.resolve(kind, det_s, det_i)
+    for mu in (0.2, 1.5):
+        source = PairSource(kind, mu)
+        for x_max in (0, 1, 4, 10):
+            weights = pmf_values(source, x_max)
+            for model in HplusModel:
+                if s is Setting.CAR_UNMATCHED:
+                    a = math.fsum(w * _bitmask_per_x(kind, Setting.SINGLE_S, x, ds, di, model)
+                                  for x, w in enumerate(weights))
+                    b = math.fsum(w * _bitmask_per_x(kind, Setting.SINGLE_I, x, ds, di, model)
+                                  for x, w in enumerate(weights))
+                    want = a * b
+                else:
+                    want = math.fsum(w * _bitmask_per_x(kind, s, x, ds, di, model)
+                                     for x, w in enumerate(weights))
+                got = enumerate_rate(source, setting, det_s, det_i, x_max, model).value
+                assert abs(got - want) <= 1e-15, (mu, x_max, model, got - want)
 
 
 def test_enumeration_small_cutoffs():

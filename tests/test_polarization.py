@@ -11,7 +11,6 @@ from biphoton import (
     DetectorModel,
     HplusModel,
     PairSource,
-    RateMethod,
     Setting,
     SourceKind,
     TruncationPolicy,
@@ -34,10 +33,13 @@ def _brute_force_per_x(kind, setting, x, det_s, det_i):
 
     Distinguishable pairs: walk all 2^x polarization assignments one by
     one.  Indistinguishable pairs: the collapsed pattern index is
-    uniform.  Exact when fed Fraction-valued detectors.
+    uniform.  Correlated pairs: the one all-H pattern.  Exact when fed
+    Fraction-valued detectors.
     """
     qs = lambda n: click_prob(det_s, n)
     qi = lambda n: click_prob(det_i, n)
+    if kind.correlated:
+        return qs(x) * (qi(x) if setting is Setting.HH else qi(0))
     if kind is SourceKind.DIS_ENTANGLED:
         total = 0
         for pattern in range(2**x):
@@ -76,7 +78,7 @@ def test_per_x_matches_pattern_enumeration_exactly():
     # rational detectors make both sides exact, so equality is bitwise
     det_s = DetectorModel(Fraction(2, 7), Fraction(1, 50))
     det_i = DetectorModel(Fraction(3, 5), Fraction(1, 200))
-    for kind in ENTANGLED:
+    for kind in SourceKind:
         for setting in (Setting.HH, Setting.HV):
             for x in range(13):
                 got = per_x_coincidence(kind, setting, x, det_s, det_i)
@@ -170,7 +172,6 @@ def test_closed_forms_without_darks():
     assert rep.r_hv == pytest.approx(a * a * mu * mu / 4, rel=1e-14)
     assert rep.r_hplus == pytest.approx(a * a * (3 * mu * mu / 8 + mu / 4), rel=1e-14)
     assert rep.single_s == pytest.approx(mu * a / 2, rel=1e-14)
-    assert rep.method is RateMethod.CLOSED_FORM
 
 
 def test_closed_form_with_darks_spot_value():

@@ -131,6 +131,11 @@ def test_reconstruct_rejects_a_wrong_number_of_rates():
         reconstruct((0.1,) * 15)
     with pytest.raises(ValueError):
         reconstruct((0.1,) * 17)
+    for bad_value in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValueError, match="rates must be finite and >= 0"):
+            reconstruct((bad_value,) + (0.1,) * 15)
+    with pytest.raises(ValueError, match="rates must be finite and >= 0"):
+        reconstruct([math.nan] * 16)
 
 
 def test_exact_series_reconstructions_stay_physical():
@@ -231,6 +236,11 @@ def test_density_matrix_validation():
         DensityMatrix(np.eye(4, dtype=complex) * 0.3)
     with pytest.raises(NotPhysical):
         DensityMatrix(np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex))
+    for bad_value in (math.nan, math.inf, complex(0.0, math.nan)):
+        bad = np.eye(4, dtype=complex) / 4.0
+        bad[1, 2] = bad_value
+        with pytest.raises(NotPhysical, match="non-finite"):
+            DensityMatrix(bad)
 
 
 def test_density_matrix_clips_eigenvalue_noise():
