@@ -15,7 +15,14 @@ __all__ = ["DetectorModel", "click_prob"]
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Threshold detector with efficiency ``alpha`` and dark probability ``dark``."""
+    """Threshold detector with efficiency ``alpha`` and dark probability ``dark``.
+
+    Each may be any real number type but bool.  Integers are stored as
+    int and exact rationals such as :class:`fractions.Fraction` are kept,
+    so exact arithmetic passes through; any other real (a numpy float32,
+    say) is stored as a float, so every rate is computed in double
+    precision.
+    """
 
     alpha: float
     dark: float = 0.0
@@ -23,8 +30,14 @@ class DetectorModel:
     def __post_init__(self) -> None:
         for name, value in (("alpha", self.alpha), ("dark", self.dark)):
             # float and int first: the numbers.Real ABC check is slow
-            if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+            if type(value) in (float, int):
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
+            if isinstance(value, numbers.Integral):
+                object.__setattr__(self, name, int(value))
+            elif not isinstance(value, numbers.Rational):
+                object.__setattr__(self, name, float(value))
         if not (0 <= self.alpha <= 1):
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if not (0 <= self.dark < 1):

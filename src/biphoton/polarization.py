@@ -7,7 +7,11 @@ polarizer is set either parallel (HH), crossed (HV), or to the diagonal
     R = sum_x P(x) * K(x)
 
 where P(x) is the source pmf and K(x) the per-x coincidence kernel for
-the chosen setting, truncated under a certified tail bound.
+the chosen setting, truncated under a certified tail bound.  K(x)
+depends on the detectors and the setting but not on mu, so
+:func:`coincidence_rate` keeps K(0..x_max) and the click tables behind
+it in a small LRU of tables, one per kind, setting, detector pair and
+H+ model, and a mu sweep computes each K(x) once.
 
 For distinguishable pairs the x-pair state is an incoherent mixture of
 the 2^x ways of assigning HH/VV to the pairs; for indistinguishable
@@ -30,6 +34,8 @@ therefore agree to first order in the detector efficiency.
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -150,29 +156,37 @@ def plus_port_distribution(x: int) -> tuple[tuple[float, ...], ...]:
 
     ``W[k][p]`` is the probability that an idler Fock state with x-k
     H photons and k V photons contains exactly p photons in the + mode.
-    The amplitude of the p-photon component is the coefficient of t^p in
-    (1+t)^(x-k) (t-1)^k, carrying the relative minus sign of the V mode
-    in the +/- decomposition; components with equal p are summed before
-    squaring.  All combinatorics are exact integers, so each probability
-    is correct to one rounding.
+    The amplitude of the p-photon component is the coefficient c_p of
+    t^p in f(t) = (1+t)^(x-k) (t-1)^k, carrying the relative minus sign
+    of the V mode in the +/- decomposition; components with equal p are
+    summed before squaring, so W[k][p] = c_p^2 p! (x-p)! / (2^x (x-k)! k!).
+
+    From (t^2 - 1) f' = (x t - (x - 2k)) f the c_p obey the three-term
+    Krawtchouk recurrence
+
+        (p+1) c_{p+1} = (x-2k) c_p + (p-1-x) c_{p-1},   c_0 = (-1)^k,
+
+    so a row takes O(x) exact integer steps.  t^x f(1/t) = (-1)^k f(t)
+    makes each row symmetric in p, and f(-t) swaps k with x-k up to a
+    sign, so rows k and x-k are one tuple.  All combinatorics are exact
+    integers, so each probability is correct to one rounding.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     fact = [math.factorial(n) for n in range(x + 1)]
-    two_x = 1 << x
-    rows = []
-    for k in range(x + 1):
-        # integer convolution of the binomial rows of (1+t)^(x-k) and (t-1)^k
-        a = [math.comb(x - k, m) for m in range(x - k + 1)]
-        b = [math.comb(k, n) * (-1) ** (k - n) for n in range(k + 1)]
-        coeff = [0] * (x + 1)
-        for m, am in enumerate(a):
-            for n, bn in enumerate(b):
-                coeff[m + n] += am * bn
-        den = two_x * fact[x - k] * fact[k]
-        rows.append(
-            tuple(coeff[p] * coeff[p] * fact[p] * fact[x - p] / den for p in range(x + 1))
-        )
+    half = x // 2 + 1  # p = 0..x//2; the rest mirror them
+    perms = [fact[p] * fact[x - p] for p in range(half)]
+    rows: list = [None] * (x + 1)
+    for k in range(half):
+        coeff = [(-1) ** k]
+        prev = 0
+        for p in range(half - 1):
+            c = coeff[p]
+            coeff.append(((x - 2 * k) * c + (p - 1 - x) * prev) // (p + 1))
+            prev = c
+        den = (1 << x) * fact[x - k] * fact[k]
+        row = [c * c * f / den for c, f in zip(coeff, perms)]
+        rows[k] = rows[x - k] = tuple(row + row[: (x + 1) // 2][::-1])
     return tuple(rows)
 
 
@@ -190,6 +204,36 @@ def _pattern_sum(kind: SourceKind, x: int, terms: list, factor=1):
     if kind is SourceKind.INDIS_ENTANGLED:
         return _sum(terms) * factor / (x + 1)
     return terms[0] * factor
+
+
+def _check_kernel(kind: SourceKind, setting: Setting) -> None:
+    if setting not in (Setting.HH, Setting.HV, Setting.HPLUS):
+        raise UnsupportedSetting(f"{setting.value} has no per-x kernel; use series_rate")
+    if setting is Setting.HPLUS and kind.correlated:
+        raise UnsupportedSetting(f"{setting.value} is undefined for correlated kind {kind.value}")
+
+
+def _kernel(kind: SourceKind, setting: Setting, x: int, qs: list, qi: list, hplus_model):
+    """K(x) from the click tables ``qs`` and ``qi``, each at least x+1 long."""
+    # with y V-polarized pairs the signal H/V polarizer passes x-y photons;
+    # grouping the two click factors first keeps the term multiset, and
+    # with it the exactly rounded sum, invariant under a detector swap
+    if setting is Setting.HH:
+        terms = [qs[x - y] * qi[x - y] for y in range(x + 1)]
+    elif setting is Setting.HV:
+        terms = [qs[x - y] * qi[y] for y in range(x + 1)]
+    elif kind is SourceKind.DIS_ENTANGLED or hplus_model is HplusModel.INDEPENDENT:
+        # the idler + count is Binomial(x, 1/2) whatever the pattern, so
+        # the kernel factorizes into the two marginal click probabilities
+        idler = _pattern_sum(SourceKind.DIS_ENTANGLED, x, qi[: x + 1])
+        return _pattern_sum(kind, x, qs[x::-1], idler)
+    else:
+        w = plus_port_distribution(x)
+        # rows y and x-y are one tuple, and so are their sums
+        sums = [math.fsum(map(operator.mul, w[y], qi)) for y in range(x // 2 + 1)]
+        sums += sums[: (x + 1) // 2][::-1]
+        terms = [qs[x - y] * sums[y] for y in range(x + 1)]
+    return _pattern_sum(kind, x, terms)
 
 
 def per_x_coincidence(
@@ -211,27 +255,38 @@ def per_x_coincidence(
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if setting not in (Setting.HH, Setting.HV, Setting.HPLUS):
-        raise UnsupportedSetting(f"{setting.value} has no per-x kernel; use series_rate")
-    if setting is Setting.HPLUS and kind.correlated:
-        raise UnsupportedSetting(f"{setting.value} is undefined for correlated kind {kind.value}")
+    _check_kernel(kind, setting)
     qs = [click_prob(det_s, n) for n in range(x + 1)]
     qi = [click_prob(det_i, n) for n in range(x + 1)]
-    # with y V-polarized pairs the signal H/V polarizer passes x-y photons;
-    # grouping the two click factors first keeps the term multiset, and
-    # with it the exactly rounded sum, invariant under a detector swap
-    if setting is Setting.HH:
-        terms = [qs[x - y] * qi[x - y] for y in range(x + 1)]
-    elif setting is Setting.HV:
-        terms = [qs[x - y] * qi[y] for y in range(x + 1)]
-    elif kind is SourceKind.DIS_ENTANGLED or hplus_model is HplusModel.INDEPENDENT:
-        # the idler + count is Binomial(x, 1/2) whatever the pattern, so
-        # the kernel factorizes into the two marginal click probabilities
-        return _pattern_sum(kind, x, qs[::-1], _pattern_sum(SourceKind.DIS_ENTANGLED, x, qi))
-    else:
-        w = plus_port_distribution(x)
-        terms = [qs[x - y] * math.fsum(w[y][p] * qi[p] for p in range(x + 1)) for y in range(x + 1)]
-    return _pattern_sum(kind, x, terms)
+    return _kernel(kind, setting, x, qs, qi, hplus_model)
+
+
+@lru_cache(maxsize=64)
+def _kernel_table(kind, setting, det_s, det_i, hplus_model, value_types) -> tuple:
+    """The click tables of both arms and K(0..) for one configuration,
+    empty until :func:`_kernels` grows them.  ``value_types`` is part of
+    the key because equal detectors of different number types (0.5 and
+    Fraction(1, 2)) compare and hash equal but do not compute alike."""
+    return [], [], []
+
+
+# growing a table is check-then-act on lists shared by every thread
+_TABLE_LOCK = threading.Lock()
+
+
+def _kernels(kind, setting, det_s, det_i, hplus_model, x_max: int) -> list:
+    """K(0..x_max) or more, from the shared table of this configuration."""
+    _check_kernel(kind, setting)
+    value_types = (type(det_s.alpha), type(det_s.dark), type(det_i.alpha), type(det_i.dark))
+    with _TABLE_LOCK:
+        qs, qi, ks = _kernel_table(kind, setting, det_s, det_i, hplus_model, value_types)
+        for n in range(len(qs), x_max + 1):
+            qs.append(click_prob(det_s, n))
+            qi.append(click_prob(det_i, n))
+        for x in range(len(ks), x_max + 1):
+            ks.append(_kernel(kind, setting, x, qs, qi, hplus_model))
+    # later growth only appends, so entries 0..x_max stay as they are
+    return ks
 
 
 def coincidence_rate(
@@ -242,15 +297,19 @@ def coincidence_rate(
     policy: TruncationPolicy = TruncationPolicy(),
     hplus_model: HplusModel = HplusModel.COHERENT,
 ) -> RateEntry:
-    """Pair-number series of the per-x kernel under certified truncation."""
+    """Pair-number series of the per-x kernel under certified truncation.
+
+    K(x) does not depend on mu, so it is read from a table shared by
+    every call with the same kind, setting, detector pair and H+ model,
+    and grown when a larger x_max needs more terms.
+    """
     x_max = truncation_index(source, policy)
     weights = pmf_values(source, x_max)
-    terms = [
-        weights[x] * per_x_coincidence(source.kind, setting, x, det_s, det_i, hplus_model)
-        for x in range(x_max + 1)
-    ]
     model = hplus_model if setting is Setting.HPLUS else None
-    return RateEntry(math.fsum(terms), setting, RateMethod.EXACT_SERIES, x_max, model)
+    kernels = _kernels(source.kind, setting, det_s, det_i, model, x_max)
+    # map stops at the x_max+1 weights when the table is longer
+    value = math.fsum(map(operator.mul, weights, kernels))
+    return RateEntry(value, setting, RateMethod.EXACT_SERIES, x_max, model)
 
 
 def single_rate(

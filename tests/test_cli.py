@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -9,7 +10,17 @@ import math
 import numpy as np
 import pytest
 
-from biphoton import SourceKind, closed_form_rates, closed_form_rho
+from biphoton import (
+    RateMethod,
+    SourceKind,
+    TruncationPolicy,
+    assemble_r,
+    closed_form_rates,
+    closed_form_rho,
+    concurrence,
+    reconstruct,
+)
+from biphoton import cli
 from biphoton.cli import _build_parser, main
 
 
@@ -280,6 +291,92 @@ def test_version_and_help():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+def _capture(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one main() call, SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_repeated_main_calls_match_a_fresh_parser(monkeypatch):
+    # main() keeps one parser per process; parsing must leave nothing in
+    # it that a later call sees, whatever came before
+    argvs = [
+        ["visibility-curve", "--mu", "0.3", "--dark-s", "1e-3"],
+        ["--version"],
+        ["car", "--source", "dis-correlated", "--mu-range", "0.1:0.3:3", "--format", "json"],
+        ["timebin", "--mu", "0.3"],  # argparse error: --source is required
+        ["visibility-curve", "--mu-range", "0.1:0.1:5"],  # ConfigError
+        ["timebin", "--source", "indis-entangled", "--port", "aplus", "--mu", "0.3"],
+        ["density-matrix", "--source", "dis-entangled", "--mu", "0.3", "--method", "exact"],
+        ["no-such-command"],
+        ["car", "--source", "thermal-correlated", "--mu", "0.2", "--method", "closed"],
+        ["visibility-curve", "--mu", "0.3", "--dark-s", "1e-3"],
+    ]
+    reused = [_capture(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_parser", _build_parser)
+    fresh = [_capture(argv) for argv in argvs]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0, 0, 2, 0, 0]
+    assert reused[0] == reused[-1]
+    assert reused[1][1] == f"biphoton {cli.__version__}\n"
+
+
+# stdout digests of sweeps up to mu = 5, recorded before the series kept
+# its kernel tables across mu; a faster series must print the same bytes
+_SWEEP_DETS = ["--alpha-s", "0.3", "--alpha-i", "0.2", "--dark-s", "1e-4", "--dark-i", "2e-4"]
+_FROZEN_SWEEPS = {
+    "visibility-curve": "aa95667f74531d21b18334a1eff9b94268b71834d4e46c83ad612cc0593a21a6",
+    "timebin": "5e22c566dab877a7c2437c550ab040409c1353c86d5daee103f4e4e8eb3176cf",
+    "car": "8082fb59d6f21d6815d53551f5f4b3a44f75a004538ac5987c63db6d70397759",
+    "density-matrix": "f0255aa158a0447d031051ab1d9a9b2f66bc11498ac80dccbc7b78c9f332d785",
+}
+
+
+def _stdout(argv: list[str]) -> str:
+    code, out, err = _capture(argv)
+    assert code == 0 and not err, (argv, err)
+    return out
+
+
+def _sweep_digests() -> dict:
+    sweeps = {
+        "visibility-curve": ["visibility-curve", "--mu-range", "0.01:5:12:log"],
+        "timebin": ["timebin", "--source", "indis-entangled", "--port", "aplus",
+                    "--mu-range", "0.01:5:12:log"],
+        # at mu = 5 the thermal series exceeds the default --cap 100
+        "car": ["car", "--source", "thermal-correlated", "--mu-range", "0.01:3:12:log"],
+    }
+    outputs = {name: _stdout([*argv, *_SWEEP_DETS]) for name, argv in sweeps.items()}
+    digests = {name: hashlib.sha256(out.encode()).hexdigest() for name, out in outputs.items()}
+    # density-matrix prints a state from LAPACK, whose last bits depend on
+    # the BLAS kernel picked for the CPU: pin the configuration it echoes
+    # and the exact-series rates it reconstructs from, and check that it
+    # prints the reconstruction of exactly those rates
+    mus = [float(row[0]) for row in _rows(outputs["visibility-curve"])[1]]
+    digest = hashlib.sha256()
+    for kind in (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED):
+        for mu in mus:
+            doc = json.loads(_stdout(["density-matrix", "--source", kind.value,
+                                      "--method", "exact", "--mu", repr(mu), *_SWEEP_DETS]))
+            vec = assemble_r(kind, mu, 0.3, 0.2, 1e-4, 2e-4, TruncationPolicy(1e-12, 100),
+                             RateMethod.EXACT_SERIES)
+            rho = reconstruct(vec)
+            assert doc["density_matrix"] == rho.to_json_dict(), (kind, mu)
+            assert doc["concurrence"] == concurrence(rho), (kind, mu)
+            digest.update((json.dumps(doc["config"]) + repr(vec.r)).encode())
+    digests["density-matrix"] = digest.hexdigest()
+    return digests
+
+
+def test_sweep_outputs_are_frozen():
+    assert _sweep_digests() == _FROZEN_SWEEPS
 
 
 _MU = ["--mu", "0.3"]

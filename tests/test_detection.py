@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from biphoton import DetectorModel, click_prob
+from biphoton import DetectorModel, PairSource, Setting, SourceKind, click_prob, coincidence_rate
 
 
 def test_exact_clicks_on_known_cases():
@@ -72,3 +73,21 @@ def test_model_validation():
             DetectorModel(alpha, dark)
     exact = DetectorModel(Fraction(1, 3), Fraction(1, 100))
     assert click_prob(exact, 1) == Fraction(1, 100) + Fraction(99, 100) * Fraction(1, 3)
+
+
+def test_numpy_reals_are_stored_as_float():
+    # a float32 efficiency must not put the series into single precision
+    det = DetectorModel(np.float32(0.1), np.float32(1e-4))
+    twin = DetectorModel(0.10000000149011612, float(np.float32(1e-4)))
+    assert type(det.alpha) is float and type(det.dark) is float
+    assert det == twin
+    assert type(click_prob(det, 3)) is float
+    assert click_prob(det, 3) == click_prob(twin, 3)
+    src = PairSource(SourceKind.DIS_ENTANGLED, 0.3)
+    plain = DetectorModel(0.10000000149011612)
+    got = coincidence_rate(src, Setting.HH, DetectorModel(np.float32(0.1)), plain).value
+    assert got == coincidence_rate(src, Setting.HH, plain, plain).value
+    assert type(DetectorModel(np.float64(0.5)).alpha) is float
+    # integers stay integers and rationals stay exact
+    assert type(DetectorModel(np.int64(1)).alpha) is int
+    assert type(DetectorModel(Fraction(1, 3)).alpha) is Fraction

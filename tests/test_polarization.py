@@ -1,8 +1,12 @@
 """Polarization rates: per-pair-number kernels, series, closed forms."""
 
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +23,7 @@ from biphoton import (
     coincidence_rate,
     per_x_coincidence,
     plus_port_distribution,
+    pmf_values,
     single_rate,
     truncation_index,
 )
@@ -95,6 +100,63 @@ def test_plus_port_distribution_small_cases():
     # exit the same port, the 1-1 split is forbidden
     assert w[1] == pytest.approx((0.5, 0.0, 0.5), abs=1e-15)
     assert w[2] == pytest.approx((0.25, 0.5, 0.25), abs=1e-15)
+
+
+def _convolution_plus_port_distribution(x):
+    """Reference table: the coefficients of (1+t)^(x-k) (t-1)^k by an
+    explicit O(x^2) integer convolution per row, every row built."""
+    fact = [math.factorial(n) for n in range(x + 1)]
+    rows = []
+    for k in range(x + 1):
+        a = [math.comb(x - k, m) for m in range(x - k + 1)]
+        b = [math.comb(k, n) * (-1) ** (k - n) for n in range(k + 1)]
+        coeff = [0] * (x + 1)
+        for m, am in enumerate(a):
+            for n, bn in enumerate(b):
+                coeff[m + n] += am * bn
+        den = (1 << x) * fact[x - k] * fact[k]
+        rows.append(
+            tuple(coeff[p] * coeff[p] * fact[p] * fact[x - p] / den for p in range(x + 1))
+        )
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("x", [*range(61), 91, 150, 200])
+def test_plus_port_recurrence_equals_the_convolution(x):
+    # the same integers and the same int / int division: equal tuples
+    assert plus_port_distribution(x) == _convolution_plus_port_distribution(x)
+
+
+def _generator_coherent_kernel(x, det_s, det_i):
+    """The coherent-H+ kernel of indistinguishable pairs as a generator
+    sum over every row of the reference table."""
+    qs = [click_prob(det_s, n) for n in range(x + 1)]
+    qi = [click_prob(det_i, n) for n in range(x + 1)]
+    w = _convolution_plus_port_distribution(x)
+    terms = [qs[x - y] * math.fsum(w[y][p] * qi[p] for p in range(x + 1)) for y in range(x + 1)]
+    return math.fsum(terms) / (x + 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    x=st.integers(min_value=0, max_value=40),
+    alpha_s=st.floats(min_value=0.0, max_value=1.0),
+    alpha_i=st.floats(min_value=0.0, max_value=1.0),
+    dark_s=st.floats(min_value=0.0, max_value=0.1),
+    dark_i=st.floats(min_value=0.0, max_value=0.1),
+)
+def test_coherent_kernel_equals_the_generator_form(x, alpha_s, alpha_i, dark_s, dark_i):
+    det_s, det_i = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
+    want = _generator_coherent_kernel(x, det_s, det_i)
+    got = per_x_coincidence(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, x, det_s, det_i)
+    assert got.hex() == want.hex()
+    # the shared kernel table of coincidence_rate holds the same value
+    src = PairSource(SourceKind.INDIS_ENTANGLED, 0.5)
+    weights = pmf_values(src, truncation_index(src, TruncationPolicy()))
+    ref = math.fsum(
+        w * _generator_coherent_kernel(n, det_s, det_i) for n, w in enumerate(weights)
+    )
+    assert coincidence_rate(src, Setting.HPLUS, det_s, det_i).value.hex() == ref.hex()
 
 
 def test_plus_port_distribution_normalized_with_half_mean():
@@ -317,3 +379,113 @@ def test_rates_are_probabilities_with_parallel_dominance(kind, mu, alpha_s, alph
     hv = coincidence_rate(src, Setting.HV, det_s, det_i).value
     assert 0.0 <= hv <= 1.0 and 0.0 <= hh <= 1.0
     assert hh >= hv - 1e-15 * hh
+
+
+def _series_reference(source, setting, det_s, det_i, policy, model):
+    """coincidence_rate's value recomposed from per_x_coincidence."""
+    weights = pmf_values(source, truncation_index(source, policy))
+    return math.fsum(
+        w * per_x_coincidence(source.kind, setting, x, det_s, det_i, model)
+        for x, w in enumerate(weights)
+    )
+
+
+_CONFIGS = [(kind, setting, model)
+            for kind in SourceKind
+            for setting in (Setting.HH, Setting.HV, Setting.HPLUS)
+            if not (kind.correlated and setting is Setting.HPLUS)
+            for model in (HplusModel if setting is Setting.HPLUS else (HplusModel.COHERENT,))]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_kernel_tables_match_the_per_x_series_in_any_mu_order(order):
+    # the tables grow, are reused and are evicted in whatever order the
+    # mu values come; every value must still be the per-x series
+    rng = random.Random(f"kernel-tables:{order}")
+    mus = sorted(math.exp(rng.uniform(math.log(1e-3), math.log(1.5))) for _ in range(5))
+    if order == "descending":
+        mus.reverse()
+    policy = TruncationPolicy()
+    pairs = [(DetectorModel(rng.uniform(0, 1), rng.choice((0.0, rng.uniform(0, 1e-2)))),
+              DetectorModel(rng.uniform(0, 1), rng.choice((0.0, rng.uniform(0, 1e-2)))))
+             for _ in range(3)]
+    cases = [(kind, setting, model, pair, mu)
+             for kind, setting, model in _CONFIGS for pair in pairs for mu in mus]
+    if order == "shuffled":
+        rng.shuffle(cases)
+    for kind, setting, model, (det_s, det_i), mu in cases:
+        src = PairSource(kind, mu)
+        got = coincidence_rate(src, setting, det_s, det_i, policy, model).value
+        want = _series_reference(src, setting, det_s, det_i, policy, model)
+        assert got.hex() == want.hex(), (kind, setting, model, det_s, det_i, mu)
+
+
+def test_kernel_tables_survive_more_pairs_than_they_hold():
+    # 100 detector pairs over two configurations overflow the table cache;
+    # the first pairs come back after eviction, at a larger mu
+    rng = random.Random("kernel-tables:eviction")
+    pairs = [(DetectorModel(rng.uniform(0, 1), rng.uniform(0, 1e-3)),
+              DetectorModel(rng.uniform(0, 1), rng.uniform(0, 1e-3))) for _ in range(100)]
+    for mu in (0.3, 0.05, 1.2):
+        for kind, setting in ((SourceKind.INDIS_ENTANGLED, Setting.HH),
+                              (SourceKind.DIS_ENTANGLED, Setting.HV)):
+            src = PairSource(kind, mu)
+            for det_s, det_i in pairs:
+                got = coincidence_rate(src, setting, det_s, det_i).value
+                want = _series_reference(src, setting, det_s, det_i, TruncationPolicy(),
+                                         HplusModel.COHERENT)
+                assert got.hex() == want.hex(), (kind, setting, mu, det_s, det_i)
+
+
+def test_equal_detectors_of_other_number_types_do_not_share_a_table():
+    # 0.1 == Fraction(0.1) and DetectorModel hashes them alike, but the
+    # Fraction detector computes its kernels exactly
+    policy = TruncationPolicy()
+    as_float = DetectorModel(0.1, 1e-3)
+    as_fraction = DetectorModel(Fraction(0.1), Fraction(1e-3))
+    assert as_float == as_fraction and hash(as_float) == hash(as_fraction)
+    differ = 0
+    for kind, setting, model in _CONFIGS:
+        src = PairSource(kind, 0.8)
+        for det in (as_float, as_fraction, as_float):
+            got = coincidence_rate(src, setting, det, det, policy, model).value
+            want = _series_reference(src, setting, det, det, policy, model)
+            assert got.hex() == want.hex(), (kind, setting, model, det)
+        exact = coincidence_rate(src, setting, as_fraction, as_fraction, policy, model).value
+        differ += exact != coincidence_rate(src, setting, as_float, as_float, policy, model).value
+    # the check has teeth: exact and float kernels round differently
+    assert differ > 0
+
+
+def test_kernel_tables_are_safe_to_share_between_threads():
+    # eight threads grow the same tables at once, at every mu order; a
+    # lost or doubled append would shift every later kernel
+    # a detector pair no other test uses, so its tables start empty
+    det_s, det_i = DetectorModel(0.37, 1.0001e-4), DetectorModel(0.61, 3.0001e-4)
+    policy = TruncationPolicy()
+    mus = [0.05 * 1.3**j for j in range(12)]
+    want = {(kind, mu): _series_reference(PairSource(kind, mu), Setting.HH, det_s, det_i,
+                                          policy, HplusModel.COHERENT)
+            for kind in (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED) for mu in mus}
+    errors = []
+
+    def worker(seed):
+        order = list(want)
+        random.Random(seed).shuffle(order)
+        for kind, mu in order:
+            got = coincidence_rate(PairSource(kind, mu), Setting.HH, det_s, det_i, policy).value
+            if got != want[kind, mu]:
+                errors.append((kind, mu, got, want[kind, mu]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
