@@ -4,8 +4,10 @@ Every output begins with the fully resolved configuration (library
 version, command, and every parameter after defaulting) so a result
 file is reproducible on its own: as ``# key=value`` comment lines
 before the CSV header, or under the ``config`` key in JSON output.
-A subcommand takes only the options it reads, so the header echoes
-exactly those.  Floats are written with 17 significant digits.
+One table, ``_COMMANDS``, names the options each mode of a subcommand
+reads: the header echoes exactly those, and any other option set to a
+value other than its default is a configuration error.  Floats are
+written with 17 significant digits.
 
 Exit codes: 0 on success, 1 when ``validate`` finds a disagreement,
 2 on configuration or input errors.
@@ -20,6 +22,7 @@ import io
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .detection import DetectorModel
@@ -46,6 +49,77 @@ class ConfigError(ValueError):
 _KINDS = {k.value: k for k in SourceKind}
 _OBJECTIVES = {o.value: o for o in Objective}
 _METHODS = {"exact": RateMethod.EXACT_SERIES, "closed": RateMethod.CLOSED_FORM}
+
+# every option's argparse keywords, default included, in the order the
+# output header echoes them; _COMMANDS overrides some per subcommand
+_OPTIONS = {
+    "source": {"required": True, "choices": [k for k, v in _KINDS.items() if v.entangled]},
+    "mu": {"type": float, "help": "single mean pair number"},
+    "mu_range": {"help": "sweep LO:HI:N or LO:HI:N:log"},
+    "alpha_s": {"type": float, "default": 0.1, "help": "signal efficiency (default 0.1)"},
+    "alpha_i": {"type": float, "default": 0.1, "help": "idler efficiency (default 0.1)"},
+    "dark_s": {"type": float, "default": 0.0, "help": "signal dark probability per gate"},
+    "dark_i": {"type": float, "default": 0.0, "help": "idler dark probability per gate"},
+    "tail_eps": {"type": float, "default": 1e-12, "help": "certified series tail (default 1e-12)"},
+    "cap": {"type": int, "default": 100, "help": "series term cap (default 100)"},
+    "hplus_model": {
+        "choices": [m.value for m in HplusModel],
+        "default": HplusModel.COHERENT.value,
+        "help": "diagonal-basis interference model (default coherent)",
+    },
+    "method": {"choices": list(_METHODS), "default": "exact"},
+    "objective": {"choices": list(_OBJECTIVES), "default": Objective.MAX_VISIBILITY.value},
+    "port": {"choices": [t.value for t in TimebinPort], "default": TimebinPort.AA.value},
+    "trials": {"type": int, "default": 0, "help": "Monte-Carlo trials per cell (0 disables)"},
+    "seed": {"type": int, "default": 1},
+    "from_r": {"help": 'JSON file {"r": [16 rates]} to reconstruct from'},
+    "format": {"choices": ["csv", "json"], "default": "csv"},
+    "out": {"default": "-", "help": "output path, '-' for stdout"},
+}
+_OUTPUT = ("format", "out")  # read by every mode
+_SWEEP = ("mu", "mu_range")
+_DETECTORS = ("alpha_s", "alpha_i", "dark_s", "dark_i")
+_SERIES = ("tail_eps", "cap")
+
+
+class _Command(NamedTuple):
+    func: Callable[[argparse.Namespace], int]
+    help: str
+    keywords: dict  # option -> the argparse keywords that differ from _OPTIONS
+    modes: dict  # mode -> the options the mode reads besides _OUTPUT
+
+
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
+
+
+def _keywords(command: str, option: str) -> dict:
+    return {**_OPTIONS[option], **_COMMANDS[command].keywords.get(option, {})}
+
+
+def _reads(command: str, mode: str) -> set[str]:
+    return {*_COMMANDS[command].modes[mode], *_OUTPUT}
+
+
+def _config(args, mode: str = "") -> dict:
+    """The options that ``mode`` of the subcommand reads, as the output
+    header echoes them; any other option set to a value other than its
+    default would be ignored, so it is a ConfigError."""
+    command = args.subcommand
+    reads = _reads(command, mode)
+    ignored = [
+        _flag(option) for option in _OPTIONS
+        if option not in reads and hasattr(args, option)
+        and getattr(args, option) != _keywords(command, option).get("default")
+    ]
+    if ignored:
+        raise ConfigError(f"{command} {mode} does not read {', '.join(ignored)}")
+    config = {"command": command, "version": __version__}
+    config.update(
+        (option, getattr(args, option)) for option in _OPTIONS
+        if option in reads and getattr(args, option) is not None
+    )
+    return config
 
 
 def _fmt(v) -> str:
@@ -105,59 +179,27 @@ def _policy(args) -> TruncationPolicy:
         raise ConfigError(str(exc)) from None
 
 
-def _detectors(args) -> tuple[DetectorModel, DetectorModel]:
-    try:
-        return (
-            DetectorModel(args.alpha_s, args.dark_s),
-            DetectorModel(args.alpha_i, args.dark_i),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+def _detector_args(args) -> tuple[float, float, float, float]:
+    return args.alpha_s, args.alpha_i, args.dark_s, args.dark_i
 
 
-def _base_config(args, command: str) -> dict:
-    cfg = {"command": command, "version": __version__}
-    for key in (
-        "source",
-        "mu",
-        "mu_range",
-        "alpha_s",
-        "alpha_i",
-        "dark_s",
-        "dark_i",
-        "tail_eps",
-        "cap",
-        "hplus_model",
-        "method",
-        "objective",
-        "port",
-        "trials",
-        "seed",
-        "from_r",
-        "format",
-        "out",
-    ):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            cfg[key] = getattr(args, key)
-    return cfg
+def _json_fields(fields: dict) -> dict:
+    return {k: _fmt(v) if isinstance(v, float) else v for k, v in fields.items()}
+
+
+def _emit_json(args, config: dict, body: dict) -> None:
+    doc = {"library": "biphoton", "version": __version__, "config": _json_fields(config), **body}
+    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
 
 
 def _emit_table(
     args, config: dict, columns: list[str], rows: list[list], summary: dict | None = None
 ) -> None:
     if args.format == "json":
-        obj = {
-            "library": "biphoton",
-            "version": __version__,
-            "config": {k: _fmt(v) if isinstance(v, float) else v for k, v in config.items()},
-            "columns": columns,
-            "rows": rows,
-        }
+        body = {"columns": columns, "rows": rows}
         if summary is not None:
-            obj["summary"] = {
-                k: _fmt(v) if isinstance(v, float) else v for k, v in summary.items()
-            }
-        _write_text(args.out, json.dumps(obj, indent=2) + "\n")
+            body["summary"] = _json_fields(summary)
+        _emit_json(args, config, body)
         return
     lines = [f"# biphoton {__version__}"]
     lines.extend(f"# {k}={_fmt(v)}" for k, v in config.items())
@@ -179,18 +221,8 @@ def _write_text(out: str, text: str) -> None:
             fh.write(text)
 
 
-def _require_kind(args, *, entangled: bool | None = None) -> SourceKind:
-    if args.source is None:
-        raise ConfigError("--source is required")
-    kind = _KINDS[args.source]
-    if entangled is True and not kind.entangled:
-        raise ConfigError(f"--source must be an entangled kind, got {args.source}")
-    if entangled is False and not kind.correlated:
-        raise ConfigError(f"--source must be a correlated kind, got {args.source}")
-    return kind
-
-
 def cmd_visibility_curve(args) -> int:
+    config = _config(args)
     mus = _parse_mu_values(args)
     policy = _policy(args)
     kinds = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
@@ -198,25 +230,19 @@ def cmd_visibility_curve(args) -> int:
     for mu in mus:
         row = [mu]
         for kind in kinds:
-            row.append(
-                visibility_exact(
-                    PairSource(kind, mu),
-                    args.alpha_s, args.alpha_i, args.dark_s, args.dark_i, policy,
-                ).visibility
-            )
+            res = visibility_exact(PairSource(kind, mu), *_detector_args(args), policy)
+            row.append(res.visibility)
         for kind in kinds:
             row.append(visibility_approx(kind, mu).visibility)
         rows.append(row)
     _emit_table(
-        args,
-        _base_config(args, "visibility-curve"),
-        ["mu", "v_exact_dis", "v_exact_indis", "v_approx_dis", "v_approx_indis"],
-        rows,
+        args, config, ["mu", "v_exact_dis", "v_exact_indis", "v_approx_dis", "v_approx_indis"], rows
     )
     return 0
 
 
 def cmd_concurrence_curve(args) -> int:
+    config = _config(args)
     mus = _parse_mu_values(args)
     rows = []
     for mu in mus:
@@ -226,21 +252,18 @@ def cmd_concurrence_curve(args) -> int:
                 # all rates vanish at mu=0; the limit state is the pure Bell state
                 row.append(concurrence(closed_form_rho(kind, 0.0)))
                 continue
-            r = assemble_r(kind, mu, args.alpha_s, args.alpha_i, args.dark_s, args.dark_i)
-            row.append(concurrence(reconstruct(r)))
+            row.append(concurrence(reconstruct(assemble_r(kind, mu, *_detector_args(args)))))
         for kind in (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED):
             row.append(closed_form_concurrence(kind, mu))
         rows.append(row)
     _emit_table(
-        args,
-        _base_config(args, "concurrence-curve"),
-        ["mu", "conc_dis", "conc_indis", "conc_closed_dis", "conc_closed_indis"],
-        rows,
+        args, config, ["mu", "conc_dis", "conc_indis", "conc_closed_dis", "conc_closed_indis"], rows
     )
     return 0
 
 
 def cmd_density_matrix(args) -> int:
+    config = _config(args, "--from-r" if args.from_r is not None else f"--method {args.method}")
     if args.format == "csv":
         raise ConfigError("density-matrix output is a JSON document; use --format json")
     if args.from_r is not None:
@@ -253,102 +276,63 @@ def cmd_density_matrix(args) -> int:
             raise ConfigError(f'{args.from_r}: "r" must hold 16 numbers')
         rho = reconstruct(r)
     else:
-        kind = _require_kind(args, entangled=True)
+        if args.source is None:
+            raise ConfigError("--source is required")
         if args.mu is None:
             raise ConfigError("--mu is required unless --from-r is given")
+        kind = _KINDS[args.source]
         if args.method == "closed-rho":
             rho = closed_form_rho(kind, args.mu)
+        elif args.method == "closed":
+            rho = reconstruct(assemble_r(kind, args.mu, *_detector_args(args)))
         else:
-            vec = assemble_r(
-                kind,
-                args.mu,
-                args.alpha_s,
-                args.alpha_i,
-                args.dark_s,
-                args.dark_i,
-                _policy(args),
-                _METHODS[args.method],
+            rho = reconstruct(assemble_r(
+                kind, args.mu, *_detector_args(args), _policy(args), RateMethod.EXACT_SERIES,
                 HplusModel(args.hplus_model),
-            )
-            rho = reconstruct(vec)
-    obj = {
-        "library": "biphoton",
-        "version": __version__,
-        "config": {k: _fmt(v) if isinstance(v, float) else v
-                   for k, v in _base_config(args, "density-matrix").items()},
-        "density_matrix": rho.to_json_dict(),
-        "concurrence": concurrence(rho),
-    }
-    _write_text(args.out, json.dumps(obj, indent=2) + "\n")
+            ))
+    _emit_json(
+        args, config, {"density_matrix": rho.to_json_dict(), "concurrence": concurrence(rho)}
+    )
     return 0
 
 
 def cmd_car(args) -> int:
-    kind = _require_kind(args, entangled=False)
+    config = _config(args, f"--method {args.method}")
     mus = _parse_mu_values(args)
     policy = _policy(args)
     rows = []
     for mu in mus:
-        res = car(
-            PairSource(kind, mu),
-            args.alpha_s,
-            args.alpha_i,
-            args.dark_s,
-            args.dark_i,
-            policy,
-            _METHODS[args.method],
-        )
+        source = PairSource(_KINDS[args.source], mu)
+        res = car(source, *_detector_args(args), policy, _METHODS[args.method])
         rows.append([mu, res.matched_rate, res.unmatched_rate, res.car])
-    _emit_table(
-        args, _base_config(args, "car"), ["mu", "matched", "unmatched", "car"], rows
-    )
+    _emit_table(args, config, ["mu", "matched", "unmatched", "car"], rows)
     return 0
 
 
 def cmd_timebin(args) -> int:
-    kind = _require_kind(args, entangled=True)
+    mode = f"--method {args.method}"
+    if args.method == "exact":
+        mode += f" --port {args.port}"
+    config = _config(args, mode)
     mus = _parse_mu_values(args)
     policy = _policy(args)
-    port = TimebinPort(args.port)
     rows = []
     for mu in mus:
-        entry = timebin_rate(
-            kind,
-            port,
-            mu,
-            args.alpha_s,
-            args.alpha_i,
-            args.dark_s,
-            args.dark_i,
-            _METHODS[args.method],
-            policy,
-            HplusModel(args.hplus_model),
-        )
+        entry = timebin_rate(_KINDS[args.source], TimebinPort(args.port), mu,
+                             *_detector_args(args), _METHODS[args.method], policy,
+                             HplusModel(args.hplus_model))
         rows.append([mu, entry.value])
-    _emit_table(args, _base_config(args, "timebin"), ["mu", "rate"], rows)
+    _emit_table(args, config, ["mu", "rate"], rows)
     return 0
 
 
 def cmd_optimize_mu(args) -> int:
-    kind = _require_kind(args, entangled=True)
-    mus = _parse_mu_values(args)
-    if len(mus) < 2:
-        raise ConfigError("optimize-mu needs --mu-range for the search bracket")
-    result = optimize_mu(
-        kind,
-        args.alpha_s,
-        args.alpha_i,
-        args.dark_s,
-        args.dark_i,
-        _OBJECTIVES[args.objective],
-        (mus[0], mus[-1]),
-        samples=max(3, len(mus)),
-    )
+    config = _config(args)
+    mus = _parse_sweep(args.mu_range)
+    result = optimize_mu(_KINDS[args.source], *_detector_args(args), _OBJECTIVES[args.objective],
+                         (mus[0], mus[-1]), samples=max(3, len(mus)))
     _emit_table(
-        args,
-        _base_config(args, "optimize-mu"),
-        ["mu_star", "value", "unimodal"],
-        [[result.mu, result.value, result.unimodal]],
+        args, config, ["mu_star", "value", "unimodal"], [[result.mu, result.value, result.unimodal]]
     )
     return 0
 
@@ -371,6 +355,9 @@ _VALIDATE_TOL = 1e-9
 
 
 def cmd_validate(args) -> int:
+    if args.trials < 0:
+        raise ConfigError(f"--trials must be >= 0, got {args.trials}")
+    config = _config(args, "with --trials" if args.trials > 0 else "without --trials")
     policy = TruncationPolicy(tail_epsilon=1e-13, hard_cap=200)
     hplus_model = HplusModel(args.hplus_model)
     columns = ["kind", "setting", "mu", "alpha", "dark", "series", "oracle", "abs_err", "tol", "status"]
@@ -415,97 +402,99 @@ def cmd_validate(args) -> int:
                "status": "FAIL" if failed else "pass"}
     if args.trials > 0:
         summary["max_mc_z"] = max_z
-    _emit_table(args, _base_config(args, "validate"), columns, rows, summary)
+    _emit_table(args, config, columns, rows, summary)
     return 1 if failed else 0
 
 
+_TIMEBIN = ("source", *_SWEEP, "port", "method", *_DETECTORS)
+
+# a subcommand declares every option one of its modes reads, and no other
+_COMMANDS = {
+    "visibility-curve": _Command(
+        cmd_visibility_curve,
+        "exact and approximate visibility vs mu, both entangled kinds",
+        {},
+        {"": (*_SWEEP, *_DETECTORS, *_SERIES)},
+    ),
+    "concurrence-curve": _Command(
+        cmd_concurrence_curve,
+        "pipeline and closed-form concurrence vs mu",
+        {},
+        {"": (*_SWEEP, *_DETECTORS)},
+    ),
+    "density-matrix": _Command(
+        cmd_density_matrix,
+        "reconstructed density matrix as JSON",
+        {
+            "source": {"required": False},
+            "method": {
+                "choices": ["closed", "exact", "closed-rho"],
+                "default": "closed",
+                "help": "rate source for tomography, or the direct closed-form state",
+            },
+            "format": {"default": "json"},
+        },
+        {
+            "--from-r": ("from_r",),
+            "--method closed-rho": ("source", "mu", "method"),
+            "--method closed": ("source", "mu", "method", *_DETECTORS),
+            "--method exact": ("source", "mu", "method", *_DETECTORS, *_SERIES, "hplus_model"),
+        },
+    ),
+    "car": _Command(
+        cmd_car,
+        "coincidence-to-accidental ratio vs mu",
+        {"source": {"choices": [k for k, v in _KINDS.items() if v.correlated]}},
+        {
+            "--method closed": ("source", *_SWEEP, "method", *_DETECTORS),
+            "--method exact": ("source", *_SWEEP, "method", *_DETECTORS, *_SERIES),
+        },
+    ),
+    "timebin": _Command(
+        cmd_timebin,
+        "time-bin analyzer coincidence rate vs mu",
+        {},
+        {
+            "--method closed": _TIMEBIN,
+            "--method exact --port aa": (*_TIMEBIN, *_SERIES),
+            "--method exact --port ab": (*_TIMEBIN, *_SERIES),
+            "--method exact --port aplus": (*_TIMEBIN, *_SERIES, "hplus_model"),
+        },
+    ),
+    "optimize-mu": _Command(
+        cmd_optimize_mu,
+        "maximize a closed-form objective over mu",
+        {"mu_range": {"required": True}},
+        {"": ("source", "mu_range", "objective", *_DETECTORS)},
+    ),
+    "validate": _Command(
+        cmd_validate,
+        "cross-check the series against the enumeration oracle",
+        {},
+        {
+            "without --trials": ("trials", "hplus_model"),
+            "with --trials": ("trials", "seed", "hplus_model"),
+        },
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # no prefix matching: an abbreviated or undeclared flag is an error
     parser = argparse.ArgumentParser(
         prog="biphoton",
         description="Multi-pair statistics of photon-pair sources: rates, visibility, CAR, tomography.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"biphoton {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    # each subcommand declares only the options it reads
-    def add_common(p: argparse.ArgumentParser, *, dets=True, series=False, hplus=False) -> None:
-        if dets:
-            p.add_argument("--alpha-s", type=float, default=0.1, help="signal efficiency (default 0.1)")
-            p.add_argument("--alpha-i", type=float, default=0.1, help="idler efficiency (default 0.1)")
-            p.add_argument("--dark-s", type=float, default=0.0, help="signal dark probability per gate")
-            p.add_argument("--dark-i", type=float, default=0.0, help="idler dark probability per gate")
-        if series:
-            p.add_argument("--tail-eps", type=float, default=1e-12, help="certified series tail (default 1e-12)")
-            p.add_argument("--cap", type=int, default=100, help="series term cap (default 100)")
-        if hplus:
-            p.add_argument(
-                "--hplus-model",
-                choices=[m.value for m in HplusModel],
-                default=HplusModel.COHERENT.value,
-                help="diagonal-basis interference model (default coherent)",
-            )
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-        p.add_argument("--out", default="-", help="output path, '-' for stdout")
-
-    def add_mu(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--mu", type=float, default=None, help="single mean pair number")
-        p.add_argument("--mu-range", default=None, help="sweep LO:HI:N or LO:HI:N:log")
-
-    p = sub.add_parser(
-        "visibility-curve", help="exact and approximate visibility vs mu, both entangled kinds"
-    )
-    add_mu(p)
-    add_common(p, series=True)
-    p.set_defaults(func=cmd_visibility_curve)
-
-    p = sub.add_parser("concurrence-curve", help="pipeline and closed-form concurrence vs mu")
-    add_mu(p)
-    add_common(p)
-    p.set_defaults(func=cmd_concurrence_curve)
-
-    p = sub.add_parser("density-matrix", help="reconstructed density matrix as JSON")
-    p.add_argument("--source", choices=[k for k, v in _KINDS.items() if v.entangled])
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument(
-        "--method",
-        choices=["closed", "exact", "closed-rho"],
-        default="closed",
-        help="rate source for tomography, or the direct closed-form state",
-    )
-    p.add_argument("--from-r", default=None, help='JSON file {"r": [16 rates]} to reconstruct from')
-    add_common(p, series=True, hplus=True)
-    p.set_defaults(func=cmd_density_matrix, format="json")
-
-    p = sub.add_parser("car", help="coincidence-to-accidental ratio vs mu")
-    p.add_argument("--source", required=True, choices=[k for k, v in _KINDS.items() if v.correlated])
-    add_mu(p)
-    p.add_argument("--method", choices=["exact", "closed"], default="exact")
-    add_common(p, series=True)
-    p.set_defaults(func=cmd_car)
-
-    p = sub.add_parser("timebin", help="time-bin analyzer coincidence rate vs mu")
-    p.add_argument("--source", required=True, choices=[k for k, v in _KINDS.items() if v.entangled])
-    add_mu(p)
-    p.add_argument("--port", choices=[t.value for t in TimebinPort], default=TimebinPort.AA.value)
-    p.add_argument("--method", choices=["exact", "closed"], default="exact")
-    add_common(p, series=True, hplus=True)
-    p.set_defaults(func=cmd_timebin)
-
-    p = sub.add_parser("optimize-mu", help="maximize a closed-form objective over mu")
-    p.add_argument("--source", required=True, choices=[k for k, v in _KINDS.items() if v.entangled])
-    add_mu(p)
-    p.add_argument(
-        "--objective", choices=[o.value for o in Objective], default=Objective.MAX_VISIBILITY.value
-    )
-    add_common(p)
-    p.set_defaults(func=cmd_optimize_mu)
-
-    p = sub.add_parser("validate", help="cross-check the series against the enumeration oracle")
-    p.add_argument("--trials", type=int, default=0, help="Monte-Carlo trials per cell (0 disables)")
-    p.add_argument("--seed", type=int, default=1)
-    add_common(p, dets=False, hplus=True)
-    p.set_defaults(func=cmd_validate)
-
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec.help, allow_abbrev=False)
+        declared = set().union(*(_reads(command, mode) for mode in spec.modes))
+        for option in _OPTIONS:
+            if option in declared:
+                p.add_argument(_flag(option), **_keywords(command, option))
+        p.set_defaults(func=spec.func)
     return parser
 
 
@@ -519,10 +508,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"biphoton: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, OverflowError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:  # ConfigError is a ValueError
         print(f"biphoton: {exc}", file=sys.stderr)
         return 2
 

@@ -130,17 +130,13 @@ def _ratio(source: PairSource, x: int) -> float:
 def pmf(source: PairSource, x: int) -> float:
     """Probability of generating exactly ``x`` pairs in one pulse.
 
-    Evaluated by multiplicative recurrence from P(0); no factorials or
-    large powers appear, so the result stays finite for any ``x``.
+    The last entry of :func:`pmf_values`: a multiplicative recurrence
+    from P(0) in which no factorials or large powers appear, so the
+    result stays finite for any ``x``.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if source.mu == 0.0:
-        return 1.0 if x == 0 else 0.0
-    p = _pmf0(source)
-    for n in range(x):
-        p *= _ratio(source, n)
-    return p
+    return pmf_values(source, x)[x]
 
 
 def pmf_values(source: PairSource, x_max: int) -> list[float]:

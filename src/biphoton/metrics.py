@@ -201,8 +201,7 @@ def _objective_fn(
 
     def f(mu: float) -> float:
         rep = closed_form_rates(kind, mu, alpha_s, alpha_i, dark_s, dark_i)
-        total = rep.r_hh + rep.r_hv
-        v = (rep.r_hh - rep.r_hv) / total if total > 0 else 1.0
+        v = _ratio_metrics(rep.r_hh, rep.r_hv, RateMethod.CLOSED_FORM).visibility
         if objective is Objective.MAX_VISIBILITY:
             return v
         return rep.r_hh * v

@@ -41,7 +41,8 @@ from enum import Enum
 from functools import lru_cache
 
 from .detection import DetectorModel, click_prob
-from .distributions import PairSource, SourceKind, TruncationPolicy, pmf_values, truncation_index
+from .distributions import (CapExceeded, PairSource, SourceKind, TruncationPolicy,
+                            pmf_values, truncation_index)
 
 __all__ = [
     "Setting",
@@ -150,6 +151,12 @@ def _sum(terms: list) -> float:
     return math.fsum(terms)
 
 
+# largest x that plus_port_distribution tabulates: TruncationPolicy's
+# default hard_cap and the oracle's HPLUS_X_CAP.  Its cache grows like x^3
+# and holds about 28 MB for x = 0..200.
+_PLUS_PORT_X_CAP = 200
+
+
 @lru_cache(maxsize=None)
 def plus_port_distribution(x: int) -> tuple[tuple[float, ...], ...]:
     """Photon-number distribution behind a +45 polarizer, per pattern index.
@@ -169,10 +176,16 @@ def plus_port_distribution(x: int) -> tuple[tuple[float, ...], ...]:
     so a row takes O(x) exact integer steps.  t^x f(1/t) = (-1)^k f(t)
     makes each row symmetric in p, and f(-t) swaps k with x-k up to a
     sign, so rows k and x-k are one tuple.  All combinatorics are exact
-    integers, so each probability is correct to one rounding.
+    integers, so each probability is correct to one rounding.  Above
+    x = 200 it raises :class:`CapExceeded`, which bounds the cache.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
+    if x > _PLUS_PORT_X_CAP:
+        raise CapExceeded(
+            f"the coherent H+ kernel is tabulated up to x={_PLUS_PORT_X_CAP} pairs, "
+            f"got x={x}; lower hard_cap or mu, or use HplusModel.INDEPENDENT"
+        )
     fact = [math.factorial(n) for n in range(x + 1)]
     half = x // 2 + 1  # p = 0..x//2; the rest mirror them
     perms = [fact[p] * fact[x - p] for p in range(half)]

@@ -240,11 +240,14 @@ def test_timebin_command(capsys):
 
 
 def test_optimize_mu_command(capsys):
-    code, _, err = _run(
-        capsys, ["optimize-mu", "--source", "dis-entangled", "--mu", "0.1"]
-    )
+    # the search bracket comes from --mu-range alone; --mu is not an option
+    code, _, err = _capture(["optimize-mu", "--source", "dis-entangled", "--mu", "0.1"])
     assert code == 2
     assert "--mu-range" in err
+    code, _, err = _capture(["optimize-mu", "--source", "dis-entangled", "--mu", "0.3",
+                             "--mu-range", "1e-5:1:65:log"])
+    assert code == 2
+    assert "--mu 0.3" in err
     code, out, _ = _run(
         capsys,
         ["optimize-mu", "--source", "dis-entangled", "--mu-range", "1e-5:1:65:log",
@@ -258,6 +261,9 @@ def test_optimize_mu_command(capsys):
 
 
 def test_validate_command(capsys):
+    code, _, err = _run(capsys, ["validate", "--trials", "-1"])
+    assert code == 2
+    assert "--trials must be >= 0" in err
     code, out, _ = _run(capsys, ["validate"])
     assert code == 0
     assert "# status=pass" in out
@@ -455,9 +461,7 @@ _OPTION_CASES = {
     },
     "optimize-mu": {
         "--source": (_OPT, "indis-entangled"),
-        # a single mu gives no search bracket
-        "--mu": (_OPT, "0.3"),
-        "--mu-range": (["--source", "dis-entangled"], "1e-5:1:65:log"),
+        "--mu-range": (_OPT, "1e-3:0.5:33:log"),
         "--objective": (_OPT, "max-concurrence"),
         **_detector_cases(_OPT),
         "--dark-s": (_OPT_BRACKET, "1e-5"),
@@ -470,6 +474,64 @@ _OPTION_CASES = {
         "--hplus-model": ([], "independent"),
         **_output_cases([]),
     },
+}
+
+
+def _sweep_mode(selector: list[str], other_source: str, more: dict) -> tuple:
+    """A mode of car or timebin: the argv that selects it, and its cases
+    of the options every such mode reads plus ``more`` (flag -> value)."""
+    base = [*selector, *_MU]
+    return base, {
+        "--source": (base, other_source),
+        "--mu": (selector, "0.3"),
+        "--mu-range": (selector, "0.1:0.3:3"),
+        **_detector_cases(base),
+        **_output_cases(base),
+        **{flag: (base, other) for flag, other in more.items()},
+    }
+
+
+# the modes _OPTION_CASES leaves out: subcommand -> [(argv that selects
+# the mode, option the mode reads -> (base argv, another valid value))].
+# A mode refuses each other option its subcommand declares: set to its
+# _OPTION_CASES value, it exits 2 and names the option.
+_FROM_R = ["--from-r", "{tmp}/rates.json"]
+_DM = ["--source", "dis-entangled", *_MU]
+_DM_RHO = [*_DM, "--method", "closed-rho"]
+_SERIES_CASES = {"--tail-eps": "1e-3", "--cap": "3"}
+_MODE_CASES = {
+    "density-matrix": [
+        (_FROM_R, {"--from-r": (_FROM_R, "{tmp}/other.json"),
+                   **_output_cases(_FROM_R, other_format="csv")}),
+        (_DM_RHO, {"--source": (_DM_RHO, "indis-entangled"),
+                   "--mu": (["--source", "dis-entangled", "--method", "closed-rho"], "0.3"),
+                   "--method": (_DM_RHO, "exact"),
+                   **_output_cases(_DM_RHO, other_format="csv")}),
+        (_DM, {"--source": (_DM, "indis-entangled"),
+               "--mu": (["--source", "dis-entangled"], "0.3"),
+               "--method": (_DM, "closed-rho"),
+               # without darks alpha cancels from the closed-form rate ratios
+               **_detector_cases(_DM + _DARKS),
+               "--dark-s": (_DM, "1e-3"),
+               "--dark-i": (_DM, "1e-3"),
+               **_output_cases(_DM, other_format="csv")}),
+    ],
+    "car": [
+        _sweep_mode(["--source", "dis-correlated", "--method", "closed"], "thermal-correlated",
+                    {"--method": "exact"}),
+    ],
+    "timebin": [
+        _sweep_mode(["--source", "dis-entangled", "--method", "closed"], "indis-entangled",
+                    {"--port": "ab", "--method": "exact"}),
+        _sweep_mode(["--source", "dis-entangled"], "indis-entangled",
+                    {"--port": "ab", "--method": "closed", **_SERIES_CASES}),
+        _sweep_mode(["--source", "dis-entangled", "--port", "ab"], "indis-entangled",
+                    {"--port": "aa", "--method": "closed", **_SERIES_CASES}),
+    ],
+    "validate": [
+        ([], {"--trials": ([], "50"), "--hplus-model": ([], "independent"),
+              **_output_cases([])}),
+    ],
 }
 
 
@@ -490,9 +552,11 @@ def _result(argv: list[str]):
 
 
 def test_every_cli_option_is_read(tmp_path):
-    # an option a subcommand declares and echoes must change what it
-    # prints or how it exits, or it is a silently ignored parameter
+    # an option a mode reads and echoes must change what it prints or
+    # how it exits; an option it does not read is refused, or it would be
+    # a silently ignored parameter
     (tmp_path / "rates.json").write_text(json.dumps({"r": [0.5, 0.2] + [0.25] * 14}))
+    (tmp_path / "other.json").write_text(json.dumps({"r": [0.4, 0.3] + [0.25] * 14}))
     subparsers = next(
         a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
@@ -505,6 +569,10 @@ def test_every_cli_option_is_read(tmp_path):
             results[tuple(argv)] = _result(argv)
         return results[tuple(argv)]
 
+    def refused(argv, flag):
+        err = _capture([a.format(tmp=tmp_path) for a in argv])[2]
+        return flag in err.partition("does not read")[2].replace(",", " ").split()
+
     for name, sub in subparsers.choices.items():
         options = {a.option_strings[-1]: a for a in sub._actions
                    if a.option_strings and not isinstance(a, argparse._HelpAction)}
@@ -513,3 +581,16 @@ def test_every_cli_option_is_read(tmp_path):
             assert (flag in base) == options[flag].required, (name, flag)
             default = run([name, *base])
             assert run([name, *base, flag, other]) != default, (name, flag)
+            assert not refused([name, *base, flag, other], flag), (name, flag)
+            # no prefix matching: an abbreviated flag is an error
+            assert run([name, *base, flag[:-1], other])[0] == 2, (name, flag)
+        for selector, cases in _MODE_CASES.get(name, []):
+            assert run([name, *selector])[0] == 0, (name, selector)
+            assert set(cases) < set(options), (name, selector)
+            for flag, (base, other) in cases.items():
+                assert run([name, *base, flag, other]) != run([name, *base]), (name, selector, flag)
+                assert not refused([name, *base, flag, other], flag), (name, selector, flag)
+            for flag in set(options) - set(cases):
+                argv = [name, *selector, flag, _OPTION_CASES[name][flag][1]]
+                code, out, err = _capture([a.format(tmp=tmp_path) for a in argv])
+                assert code == 2 and not out and flag in err, (argv, err)

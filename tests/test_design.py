@@ -1,0 +1,41 @@
+"""Design checks over the package source."""
+
+import ast
+from pathlib import Path
+
+import biphoton
+
+_SOURCES = sorted(Path(biphoton.__file__).parent.glob("*.py"))
+
+
+def _defined(tree: ast.Module) -> list[str]:
+    """Names a module binds at its top level with def, class or assignment."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def test_every_private_module_name_is_referenced():
+    # a module-level private function or constant that nothing in the
+    # package reads is dead code
+    trees = {path.name: ast.parse(path.read_text()) for path in _SOURCES}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unreferenced = [
+        f"{module}:{name}" for module, tree in trees.items() for name in _defined(tree)
+        if name.startswith("_") and not name.startswith("__") and name not in referenced
+    ]
+    assert len(_SOURCES) > 1
+    assert unreferenced == []

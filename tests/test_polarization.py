@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biphoton import (
+    CapExceeded,
     DetectorModel,
     HplusModel,
     PairSource,
@@ -28,6 +29,7 @@ from biphoton import (
     truncation_index,
 )
 from biphoton.detection import click_prob
+from biphoton.oracle import HPLUS_X_CAP
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
 CORRELATED = (SourceKind.DIS_CORRELATED, SourceKind.THERMAL_CORRELATED)
@@ -125,6 +127,29 @@ def _convolution_plus_port_distribution(x):
 def test_plus_port_recurrence_equals_the_convolution(x):
     # the same integers and the same int / int division: equal tuples
     assert plus_port_distribution(x) == _convolution_plus_port_distribution(x)
+
+
+def test_plus_port_distribution_stops_at_the_hard_cap():
+    # its cache grows like x^3, so x is bounded by the default hard_cap,
+    # which is also the Monte-Carlo ladder's cap: about 28 MB in all
+    cap = TruncationPolicy().hard_cap
+    assert cap == HPLUS_X_CAP
+    assert len(plus_port_distribution(cap)) == cap + 1
+    det = DetectorModel(0.3, 1e-4)
+    src = PairSource(SourceKind.INDIS_ENTANGLED, 20.0)
+    advice = "lower hard_cap or mu, or use HplusModel.INDEPENDENT"
+    with pytest.raises(CapExceeded, match=advice):
+        plus_port_distribution(cap + 1)
+    with pytest.raises(CapExceeded, match=advice):
+        per_x_coincidence(src.kind, Setting.HPLUS, cap + 1, det, det)
+    with pytest.raises(CapExceeded, match=advice):
+        coincidence_rate(src, Setting.HPLUS, det, det, TruncationPolicy(hard_cap=1000))
+    assert plus_port_distribution.cache_info().currsize <= cap + 1
+    # the independent model needs no table
+    entry = coincidence_rate(src, Setting.HPLUS, det, det, TruncationPolicy(hard_cap=1000),
+                             HplusModel.INDEPENDENT)
+    assert entry.truncation_used > cap
+    assert 0.0 < entry.value < 1.0
 
 
 def _generator_coherent_kernel(x, det_s, det_i):
