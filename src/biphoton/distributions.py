@@ -22,8 +22,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, count, islice, repeat
 
 __all__ = [
     "CapExceeded",
@@ -116,42 +119,41 @@ def _pmf0(source: PairSource) -> float:
     return math.exp(-mu)
 
 
-def _ratio(source: PairSource, x: int) -> float:
-    """pmf(x+1)/pmf(x).  Non-increasing in x for every supported kind."""
+def _ratios(source: PairSource) -> Iterator[float]:
+    """pmf(x+1)/pmf(x) for x = 0, 1, 2, ...  Non-increasing in x for
+    every supported kind.  Each is one C-level iterator, so a sweep makes
+    no Python call per term."""
     mu = source.mu
     if source.kind is SourceKind.INDIS_ENTANGLED:
         r = (mu / 2.0) / (1.0 + mu / 2.0)
-        return r * (x + 2) / (x + 1)
+        return map(operator.truediv, map(operator.mul, repeat(r), count(2)), count(1))
     if source.kind is SourceKind.THERMAL_CORRELATED:
-        return mu / (1.0 + mu)
-    return mu / (x + 1)
+        return repeat(mu / (1.0 + mu))
+    return map(operator.truediv, repeat(mu), count(1))
+
+
+def _pmfs(source: PairSource) -> Iterator[float]:
+    """pmf(0), pmf(1), ...: the multiplicative recurrence from P(0), in
+    which no factorials or large powers appear, so every value is finite."""
+    return accumulate(_ratios(source), operator.mul, initial=_pmf0(source))
 
 
 def pmf(source: PairSource, x: int) -> float:
     """Probability of generating exactly ``x`` pairs in one pulse.
 
-    The last entry of :func:`pmf_values`: a multiplicative recurrence
-    from P(0) in which no factorials or large powers appear, so the
-    result stays finite for any ``x``.
+    The entry ``x`` of :func:`pmf_values`, from the same recurrence,
+    keeping only the running value.
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    return pmf_values(source, x)[x]
+    return next(islice(_pmfs(source), x, None))
 
 
 def pmf_values(source: PairSource, x_max: int) -> list[float]:
     """pmf(0..x_max) in one recurrence sweep."""
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
-    if source.mu == 0.0:
-        return [1.0] + [0.0] * x_max
-    out = [0.0] * (x_max + 1)
-    p = _pmf0(source)
-    out[0] = p
-    for n in range(x_max):
-        p *= _ratio(source, n)
-        out[n + 1] = p
-    return out
+    return list(islice(_pmfs(source), x_max + 1))
 
 
 def mean(source: PairSource) -> float:
@@ -179,16 +181,13 @@ def truncation_index(source: PairSource, policy: TruncationPolicy) -> int:
     up to ``hard_cap`` is certified, :class:`CapExceeded` is raised;
     the series is never truncated silently.
     """
-    if source.mu == 0.0:
-        return 0
     eps = policy.tail_epsilon
-    p = _pmf0(source)
-    for x in range(policy.hard_cap + 1):
-        p_next = p * _ratio(source, x)
-        q = _ratio(source, x + 1)
+    # p_next = pmf(x+1) and q = pmf(x+2)/pmf(x+1), walked side by side
+    pmfs, ratios = _pmfs(source), _ratios(source)
+    next(pmfs), next(ratios)
+    for x, p_next, q in zip(range(policy.hard_cap + 1), pmfs, ratios):
         if q < 1.0 and p_next / (1.0 - q) < eps:
             return x
-        p = p_next
     raise CapExceeded(
         f"no truncation index up to hard_cap={policy.hard_cap} certifies "
         f"tail < {eps:g} for {source.kind.value} source with mu={source.mu:g}"

@@ -13,6 +13,23 @@ depends on the detectors and the setting but not on mu, so
 it in a small LRU of tables, one per kind, setting, detector pair and
 H+ model, and a mu sweep computes each K(x) once.
 
+The coherent H+ kernel of indistinguishable pairs costs O(x^2) per x.
+With float idler clicks its table grows in blocks of 16 pair numbers:
+the rows y <= x/2 of :func:`plus_port_distribution` for a block are one
+cached numpy array, independent of mu and the detectors, multiplied by
+the idler clicks in one step (the same IEEE products ``w[y][p] *
+qi[p]``), and each row of n products t is summed by error-free
+extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 189 (2008)).
+With sigma = 2^k >= (n+2) max(t), high = (sigma + t) - sigma and
+low = t - high are exact, tau = sum(high) is exact in any order, and
+rho = fl(sum(low)) lies within E = n^2 2^-52 ulp(sigma)/2 of the exact
+sum(low).  s = fl(tau + rho) is kept only where the exact residual
+tau + rho - s (TwoSum), widened by E, stays inside half the gaps to the
+doubles next to s, which proves s is the correctly rounded sum that
+``math.fsum`` returns; the rare other rows, near ties, are summed by
+``math.fsum``.  So the tables equal
+:func:`per_x_coincidence`, the reference, bit for bit.
+
 For distinguishable pairs the x-pair state is an incoherent mixture of
 the 2^x ways of assigning HH/VV to the pairs; for indistinguishable
 pairs it is a coherent superposition whose collapsed pattern index k
@@ -36,9 +53,13 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
+
+import numpy as np
 
 from .detection import DetectorModel, click_prob
 from .distributions import (CapExceeded, PairSource, SourceKind, TruncationPolicy,
@@ -143,18 +164,35 @@ class RateReport:
     single_i: float
 
 
-def _sum(terms: list) -> float:
-    # math.fsum would silently coerce exact types (Fraction) to float,
-    # so route anything non-float through exact summation instead
-    if any(not isinstance(t, float) for t in terms):
-        return sum(terms)
-    return math.fsum(terms)
-
-
 # largest x that plus_port_distribution tabulates: TruncationPolicy's
 # default hard_cap and the oracle's HPLUS_X_CAP.  Its cache grows like x^3
 # and holds about 28 MB for x = 0..200.
 _PLUS_PORT_X_CAP = 200
+
+
+def _check_plus_port_x(x: int) -> None:
+    if x > _PLUS_PORT_X_CAP:
+        raise CapExceeded(
+            f"the coherent H+ kernel is tabulated up to x={_PLUS_PORT_X_CAP} pairs, "
+            f"got x={x}; lower hard_cap or mu, or use HplusModel.INDEPENDENT"
+        )
+
+
+def _plus_port_rows(x: int) -> Iterator[list[float]]:
+    """Rows k = 0..x//2 of :func:`plus_port_distribution`, as lists."""
+    fact = [math.factorial(n) for n in range(x + 1)]
+    half = x // 2 + 1  # p = 0..x//2; the rest mirror them
+    perms = [fact[p] * fact[x - p] for p in range(half)]
+    for k in range(half):
+        coeff = [(-1) ** k]
+        prev = 0
+        for p in range(half - 1):
+            c = coeff[p]
+            coeff.append(((x - 2 * k) * c + (p - 1 - x) * prev) // (p + 1))
+            prev = c
+        den = (1 << x) * fact[x - k] * fact[k]
+        row = [c * c * f / den for c, f in zip(coeff, perms)]
+        yield row + row[: (x + 1) // 2][::-1]
 
 
 @lru_cache(maxsize=None)
@@ -181,42 +219,113 @@ def plus_port_distribution(x: int) -> tuple[tuple[float, ...], ...]:
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    if x > _PLUS_PORT_X_CAP:
-        raise CapExceeded(
-            f"the coherent H+ kernel is tabulated up to x={_PLUS_PORT_X_CAP} pairs, "
-            f"got x={x}; lower hard_cap or mu, or use HplusModel.INDEPENDENT"
-        )
-    fact = [math.factorial(n) for n in range(x + 1)]
-    half = x // 2 + 1  # p = 0..x//2; the rest mirror them
-    perms = [fact[p] * fact[x - p] for p in range(half)]
-    rows: list = [None] * (x + 1)
-    for k in range(half):
-        coeff = [(-1) ** k]
-        prev = 0
-        for p in range(half - 1):
-            c = coeff[p]
-            coeff.append(((x - 2 * k) * c + (p - 1 - x) * prev) // (p + 1))
-            prev = c
-        den = (1 << x) * fact[x - k] * fact[k]
-        row = [c * c * f / den for c, f in zip(coeff, perms)]
-        rows[k] = rows[x - k] = tuple(row + row[: (x + 1) // 2][::-1])
-    return tuple(rows)
+    _check_plus_port_x(x)
+    rows = [tuple(row) for row in _plus_port_rows(x)]
+    return tuple(rows + rows[: (x + 1) // 2][::-1])
 
 
-def _pattern_sum(kind: SourceKind, x: int, terms: list, factor=1):
+# x values per block of plus_port_distribution rows in a float array
+_BLOCK = 16
+
+
+@lru_cache(maxsize=None)
+def _plus_port_block(b: int) -> tuple[np.ndarray, float, list[int]]:
+    """Rows y <= x/2 of plus_port_distribution(x) for the x of block b,
+    stacked in one read-only array padded with zeros; its largest entry;
+    and the index of the first row of each x, with one past the last.
+    Built from the rows themselves, not through the tuple cache."""
+    xs = range(b * _BLOCK, min((b + 1) * _BLOCK, _PLUS_PORT_X_CAP + 1))
+    block = np.zeros((sum(x // 2 + 1 for x in xs), xs[-1] + 1))
+    i = 0
+    for x in xs:
+        for row in _plus_port_rows(x):
+            block[i, : x + 1] = row
+            i += 1
+    block.flags.writeable = False
+    return block, float(block.max()), list(accumulate((x // 2 + 1 for x in xs), initial=0))
+
+
+def _row_sums(terms: np.ndarray, top: float) -> list[float]:
+    """``math.fsum`` of each row of a nonnegative float array, bit for bit,
+    given ``top`` >= every entry.
+
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
+    189 (2008)), for a row of n terms:
+
+    * sigma = 2^k >= (n+2) top.  Then high = (sigma + t) - sigma and
+      low = t - high are exact, high is a multiple of u = ulp(sigma) =
+      2^(k-52) and |low| <= u/2.
+    * tau = sum(high) is exact in any order: a multiple of u no larger
+      than 2 sigma = 2^53 u.
+    * rho = fl(sum(low)) is off by at most (n-1) 2^-53 / (1 - (n-1) 2^-53)
+      * n u/2, in any order; E = n^2 2^-52 u/2 bounds that with a factor
+      two to spare for the rounding of E itself.  (Where E underflows,
+      the bound is below 2^-1075 and the error, a multiple of 2^-1074,
+      is 0.)
+    * s = fl(tau + rho), and delta = tau + rho - s exactly (TwoSum).
+
+    The exact row sum lies in [s + delta - E, s + delta + E].  Where
+    delta + E is below half the gap from s to the next double up, and
+    E - delta below half the gap to the next one down, the correctly
+    rounded sum, which ``math.fsum`` returns, is s; every other row, a
+    near tie, is summed by ``math.fsum``.
+    """
+    n = terms.shape[1]
+    # frexp's exponent e gives top < 2^e, and 2^bit_length(n+1) >= n+2
+    sigma = math.ldexp(1.0, math.frexp(top)[1] + (n + 1).bit_length())
+    high = terms + sigma
+    high -= sigma
+    low = terms - high
+    tau = high.sum(axis=1)
+    rho = low.sum(axis=1)
+    bound = sigma * (n * n * 2.0**-105)
+    s = tau + rho
+    t = s - tau
+    delta = (tau - (s - t)) + (rho - t)
+    certified = ((delta + bound < np.spacing(s) / 2)
+                 & (bound - delta < (s - np.nextafter(s, 0.0)) / 2))
+    sums = s.tolist()
+    for i in np.flatnonzero(~certified):
+        sums[i] = math.fsum(terms[i].tolist())
+    return sums
+
+
+@lru_cache(maxsize=256)
+def _float_binomials(x: int) -> tuple[float, ...]:
+    """C(x, y) as floats for y = 0..x.  A float times an int is, in
+    CPython, the float times float(int), so these products are bit for
+    bit those of the ints."""
+    return tuple(float(math.comb(x, y)) for y in range(x + 1))
+
+
+def _exact(det: DetectorModel) -> bool:
+    """True when :func:`click_prob` of this detector returns exact numbers
+    (int or Fraction), False when it returns floats, as it does for every
+    photon number once alpha or dark is a float."""
+    return float not in (type(det.alpha), type(det.dark))
+
+
+def _pattern_sum(kind: SourceKind, x: int, terms, exact: bool, factor=1):
     """``factor`` times the mean of ``terms[y]`` over the pattern of x pairs.
 
     y counts the V-polarized pairs: Binomial(x, 1/2) for distinguishable
     pairs, the uniform collapsed index on 0..x for indistinguishable
     pairs, and always 0 for correlated kinds, whose pairs are all H.
+    ``exact`` terms (int or Fraction) are summed exactly, floats by
+    ``math.fsum``, which would silently coerce exact types to float.
     ``factor`` multiplies the weighted sum before the normalisation, so
     a factorized kernel rounds as one product and one division.
     """
+    total = sum if exact else math.fsum
     if kind is SourceKind.DIS_ENTANGLED:
-        return _sum([math.comb(x, y) * t for y, t in enumerate(terms)]) * factor / (1 << x)
+        if exact:
+            terms = [math.comb(x, y) * t for y, t in enumerate(terms)]
+        else:
+            terms = map(operator.mul, _float_binomials(x), terms)
+        return total(terms) * factor / (1 << x)
     if kind is SourceKind.INDIS_ENTANGLED:
-        return _sum(terms) * factor / (x + 1)
-    return terms[0] * factor
+        return total(terms) * factor / (x + 1)
+    return next(iter(terms)) * factor
 
 
 def _check_kernel(kind: SourceKind, setting: Setting) -> None:
@@ -226,27 +335,36 @@ def _check_kernel(kind: SourceKind, setting: Setting) -> None:
         raise UnsupportedSetting(f"{setting.value} is undefined for correlated kind {kind.value}")
 
 
-def _kernel(kind: SourceKind, setting: Setting, x: int, qs: list, qi: list, hplus_model):
-    """K(x) from the click tables ``qs`` and ``qi``, each at least x+1 long."""
+def _coherent_kernel(x: int, qs: list, sums: list):
+    """K(x) of coherent H+ on indistinguishable pairs from ``sums[y]``, the
+    idler click probability of pattern y, for y = 0..x//2."""
+    # rows y and x-y are one tuple, and so are their sums
+    sums = sums + sums[: (x + 1) // 2][::-1]
+    return _pattern_sum(SourceKind.INDIS_ENTANGLED, x, map(operator.mul, qs[x::-1], sums), False)
+
+
+def _kernel(kind: SourceKind, setting: Setting, x: int, qs: list, qi: list, hplus_model,
+            exact_s: bool, exact_i: bool):
+    """K(x) from the click tables ``qs`` and ``qi``, each at least x+1 long,
+    whose values are exact or floats as ``exact_s`` and ``exact_i`` say."""
     # with y V-polarized pairs the signal H/V polarizer passes x-y photons;
     # grouping the two click factors first keeps the term multiset, and
     # with it the exactly rounded sum, invariant under a detector swap
     if setting is Setting.HH:
-        terms = [qs[x - y] * qi[x - y] for y in range(x + 1)]
+        terms = map(operator.mul, qs[x::-1], qi[x::-1])
     elif setting is Setting.HV:
-        terms = [qs[x - y] * qi[y] for y in range(x + 1)]
+        terms = map(operator.mul, qs[x::-1], qi)
     elif kind is SourceKind.DIS_ENTANGLED or hplus_model is HplusModel.INDEPENDENT:
         # the idler + count is Binomial(x, 1/2) whatever the pattern, so
         # the kernel factorizes into the two marginal click probabilities
-        idler = _pattern_sum(SourceKind.DIS_ENTANGLED, x, qi[: x + 1])
-        return _pattern_sum(kind, x, qs[x::-1], idler)
+        idler = _pattern_sum(SourceKind.DIS_ENTANGLED, x, qi[: x + 1], exact_i)
+        return _pattern_sum(kind, x, qs[x::-1], exact_s, idler)
     else:
         w = plus_port_distribution(x)
-        # rows y and x-y are one tuple, and so are their sums
-        sums = [math.fsum(map(operator.mul, w[y], qi)) for y in range(x // 2 + 1)]
-        sums += sums[: (x + 1) // 2][::-1]
-        terms = [qs[x - y] * sums[y] for y in range(x + 1)]
-    return _pattern_sum(kind, x, terms)
+        return _coherent_kernel(
+            x, qs, [math.fsum(map(operator.mul, w[y], qi)) for y in range(x // 2 + 1)])
+    # a product is exact only when both of its factors are
+    return _pattern_sum(kind, x, terms, exact_s and exact_i)
 
 
 def per_x_coincidence(
@@ -271,7 +389,7 @@ def per_x_coincidence(
     _check_kernel(kind, setting)
     qs = [click_prob(det_s, n) for n in range(x + 1)]
     qi = [click_prob(det_i, n) for n in range(x + 1)]
-    return _kernel(kind, setting, x, qs, qi, hplus_model)
+    return _kernel(kind, setting, x, qs, qi, hplus_model, _exact(det_s), _exact(det_i))
 
 
 @lru_cache(maxsize=64)
@@ -287,17 +405,44 @@ def _kernel_table(kind, setting, det_s, det_i, hplus_model, value_types) -> tupl
 _TABLE_LOCK = threading.Lock()
 
 
+def _grow_coherent(qs: list, qi: list, ks: list, x_max: int) -> None:
+    """Append the coherent-H+ K(x) of indistinguishable pairs to ``ks``
+    up to x_max, for float idler clicks: each block of plus_port rows is
+    multiplied by the idler clicks in one array product, the same IEEE
+    products ``w[y][p] * qi[p]``, and summed by :func:`_row_sums`."""
+    while len(ks) <= x_max:
+        b, j = divmod(len(ks), _BLOCK)
+        block, top, starts = _plus_port_block(b)
+        x_hi = min(x_max, (b + 1) * _BLOCK - 1)
+        rows = slice(starts[j], starts[x_hi - b * _BLOCK + 1])
+        q = np.array(qi[: x_hi + 1])
+        # products with clicks q <= max(q) are at most top * max(q)
+        sums = _row_sums(block[rows, : x_hi + 1] * q, top * q.max())
+        i = 0
+        for x in range(len(ks), x_hi + 1):
+            ks.append(_coherent_kernel(x, qs, sums[i: i + x // 2 + 1]))
+            i += x // 2 + 1
+
+
 def _kernels(kind, setting, det_s, det_i, hplus_model, x_max: int) -> list:
     """K(0..x_max) or more, from the shared table of this configuration."""
     _check_kernel(kind, setting)
+    coherent = (setting is Setting.HPLUS and kind is SourceKind.INDIS_ENTANGLED
+                and hplus_model is HplusModel.COHERENT)
+    if coherent:
+        _check_plus_port_x(x_max)
     value_types = (type(det_s.alpha), type(det_s.dark), type(det_i.alpha), type(det_i.dark))
+    exact_s, exact_i = _exact(det_s), _exact(det_i)
     with _TABLE_LOCK:
         qs, qi, ks = _kernel_table(kind, setting, det_s, det_i, hplus_model, value_types)
         for n in range(len(qs), x_max + 1):
             qs.append(click_prob(det_s, n))
             qi.append(click_prob(det_i, n))
-        for x in range(len(ks), x_max + 1):
-            ks.append(_kernel(kind, setting, x, qs, qi, hplus_model))
+        if coherent and not exact_i:
+            _grow_coherent(qs, qi, ks, x_max)
+        else:
+            for x in range(len(ks), x_max + 1):
+                ks.append(_kernel(kind, setting, x, qs, qi, hplus_model, exact_s, exact_i))
     # later growth only appends, so entries 0..x_max stay as they are
     return ks
 
@@ -314,7 +459,12 @@ def coincidence_rate(
 
     K(x) does not depend on mu, so it is read from a table shared by
     every call with the same kind, setting, detector pair and H+ model,
-    and grown when a larger x_max needs more terms.
+    and grown when a larger x_max needs more terms.  Float tables of the
+    coherent H+ kernel on indistinguishable pairs sum their rows by
+    certified vectorized extraction with a ``math.fsum`` fallback (see
+    the module docstring and ``_row_sums``), bit-identical to
+    :func:`per_x_coincidence`.  That kernel is tabulated up to x = 200;
+    a larger x_max raises :class:`CapExceeded` before any table grows.
     """
     x_max = truncation_index(source, policy)
     weights = pmf_values(source, x_max)
@@ -339,11 +489,9 @@ def single_rate(
     x_max = truncation_index(source, policy)
     weights = pmf_values(source, x_max)
     q = [click_prob(det, n) for n in range(x_max + 1)]
-    terms = [
-        weights[x] * _pattern_sum(source.kind, x, [q[x - y] for y in range(x + 1)])
-        for x in range(x_max + 1)
-    ]
-    return math.fsum(terms)
+    exact = _exact(det)
+    return math.fsum(weights[x] * _pattern_sum(source.kind, x, q[x::-1], exact)
+                     for x in range(x_max + 1))
 
 
 def closed_form_rates(

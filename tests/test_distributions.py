@@ -1,6 +1,7 @@
 """Pair-number statistics: pmf values, moments, certified truncation."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -97,8 +98,23 @@ def test_poisson_pmf_matches_direct_form():
 
 def test_pmf_values_matches_pointwise_pmf():
     for kind in ALL_KINDS:
-        src = PairSource(kind, 0.7)
-        assert pmf_values(src, 20) == [pmf(src, x) for x in range(21)]
+        for mu in (0.0, 1e-3, 0.7, 5.0, 1e3):
+            src = PairSource(kind, mu)
+            values = [v.hex() for v in pmf_values(src, 400)]
+            assert values == [pmf(src, x).hex() for x in range(401)], (kind, mu)
+
+
+def test_pmf_keeps_only_the_running_value():
+    src = PairSource(SourceKind.THERMAL_CORRELATED, 1e6)
+    tracemalloc.start()
+    try:
+        value = pmf(src, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # (mu/(1+mu))^x / (1+mu) with x = mu: about e^-1 / (1+mu)
+    assert value == pytest.approx(math.exp(-1) / (1 + 1e6), rel=1e-5)
 
 
 def test_moment_closed_forms():

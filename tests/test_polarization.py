@@ -28,8 +28,10 @@ from biphoton import (
     single_rate,
     truncation_index,
 )
+from biphoton import polarization
 from biphoton.detection import click_prob
 from biphoton.oracle import HPLUS_X_CAP
+from biphoton.polarization import _BLOCK, _row_sums
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
 CORRELATED = (SourceKind.DIS_CORRELATED, SourceKind.THERMAL_CORRELATED)
@@ -135,15 +137,26 @@ def test_plus_port_distribution_stops_at_the_hard_cap():
     cap = TruncationPolicy().hard_cap
     assert cap == HPLUS_X_CAP
     assert len(plus_port_distribution(cap)) == cap + 1
-    det = DetectorModel(0.3, 1e-4)
+    # a detector pair no other test uses, so its table starts empty
+    det = DetectorModel(0.3, 1.0003e-4)
     src = PairSource(SourceKind.INDIS_ENTANGLED, 20.0)
     advice = "lower hard_cap or mu, or use HplusModel.INDEPENDENT"
     with pytest.raises(CapExceeded, match=advice):
         plus_port_distribution(cap + 1)
     with pytest.raises(CapExceeded, match=advice):
         per_x_coincidence(src.kind, Setting.HPLUS, cap + 1, det, det)
+    table = polarization._kernel_table(src.kind, Setting.HPLUS, det, det, HplusModel.COHERENT,
+                                       (float,) * 4)
+
+    def state():
+        return ([len(t) for t in table], plus_port_distribution.cache_info().currsize,
+                polarization._plus_port_block.cache_info().currsize)
+
+    before = state()
+    # x_max is checked against the cap before anything is tabulated
     with pytest.raises(CapExceeded, match=advice):
         coincidence_rate(src, Setting.HPLUS, det, det, TruncationPolicy(hard_cap=1000))
+    assert state() == before
     assert plus_port_distribution.cache_info().currsize <= cap + 1
     # the independent model needs no table
     entry = coincidence_rate(src, Setting.HPLUS, det, det, TruncationPolicy(hard_cap=1000),
@@ -443,6 +456,34 @@ def test_kernel_tables_match_the_per_x_series_in_any_mu_order(order):
         got = coincidence_rate(src, setting, det_s, det_i, policy, model).value
         want = _series_reference(src, setting, det_s, det_i, policy, model)
         assert got.hex() == want.hex(), (kind, setting, model, det_s, det_i, mu)
+    # the coherent H+ table of float detectors grows in blocks of _BLOCK
+    # pair numbers, through block edges in any order, up to the cap
+    x_maxes = [0, 1, 5, _BLOCK - 1, _BLOCK, 40, 91, 120, 199, 200]
+    if order == "descending":
+        x_maxes.reverse()
+    elif order == "shuffled":
+        rng.shuffle(x_maxes)
+    det_s, det_i = pairs[0]
+    for x_max in x_maxes:
+        ks = polarization._kernels(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, det_s, det_i,
+                                   HplusModel.COHERENT, x_max)
+    for x in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 91, 199, 200):
+        want = per_x_coincidence(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, x, det_s, det_i)
+        assert ks[x].hex() == want.hex(), x
+    # exact detectors, and one exact arm beside a float arm, keep the
+    # per-x values and their types; the exact ones are the enumeration's
+    third = DetectorModel(Fraction(1, 3), Fraction(1, 1000))
+    unit = DetectorModel(1, 0)
+    for det_s, det_i in ((third, third), (unit, unit), (third, det_i), (unit, det_i)):
+        for kind, setting, model in _CONFIGS:
+            ks = polarization._kernels(kind, setting, det_s, det_i, model, 12)
+            for x in range(13):
+                want = per_x_coincidence(kind, setting, x, det_s, det_i, model)
+                assert type(ks[x]) is type(want) and ks[x] == want, (kind, setting, x)
+                if det_i in (third, unit) and setting is not Setting.HPLUS:
+                    # int arithmetic ends in one correctly rounded division
+                    exact = _brute_force_per_x(kind, setting, x, det_s, det_i)
+                    assert ks[x] == (exact if det_s is third else float(exact))
 
 
 def test_kernel_tables_survive_more_pairs_than_they_hold():
@@ -514,3 +555,76 @@ def test_kernel_tables_are_safe_to_share_between_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+_TERMS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=2.0**-1074, max_value=1.0),
+    st.sampled_from([2.0**-1074, 2.0**-1022, 2.0**-53, 0.5, 1.0]),
+)
+
+
+@st.composite
+def _half_ulp_tie(draw):
+    """An exact tie, a plus half the gap above it or a power of two p
+    less half the (halved) gap below it, maybe nudged off the tie."""
+    if draw(st.booleans()):
+        a = draw(st.floats(min_value=2.0**-1000, max_value=0.5))
+        half = math.ulp(a) / 2
+        row = [a, draw(st.sampled_from([half, half * (1 - 2.0**-53)]))]
+    else:
+        p = 2.0 ** draw(st.integers(min_value=-900, max_value=0))
+        half = p * 2.0**-54
+        row = [p / 2, p / 2 - 2 * half, draw(st.sampled_from([half, half * (1 - 2.0**-53)]))]
+    return row + draw(st.lists(st.sampled_from([0.0, half * 2.0**-60]), max_size=2))
+
+
+@st.composite
+def _kernel_row(draw):
+    """w[y][p] * qi[p] of a coherent H+ row, at extreme detectors too,
+    maybe scaled down until the products are subnormal."""
+    x = draw(st.integers(min_value=0, max_value=60))
+    det = draw(st.sampled_from([DetectorModel(1.0, 0.0), DetectorModel(0.3, 0.0),
+                                DetectorModel(1e-9, 0.0), DetectorModel(0.2, 1 - 2.0**-40),
+                                DetectorModel(1.0, 1 - 2.0**-52)]))
+    scale = draw(st.sampled_from([1.0, 2.0**-1000, 2.0**-1040]))
+    w = plus_port_distribution(x)[draw(st.integers(min_value=0, max_value=x))]
+    return [p * click_prob(det, n) * scale for n, p in enumerate(w)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rows=st.lists(
+        st.one_of(
+            st.lists(_TERMS, min_size=1, max_size=40),
+            st.tuples(_TERMS, st.integers(min_value=1, max_value=70)).map(lambda t: [t[0]] * t[1]),
+            _half_ulp_tie(),
+            _kernel_row(),
+        ),
+        min_size=1, max_size=6,
+    ),
+    slack=st.sampled_from([1.0, 2.0, 1e6]),
+)
+def test_certified_row_sums_equal_fsum(rows, slack):
+    # each row alone, and all rows zero-padded in one array as the kernel
+    # blocks are; any bound at or above the largest term is allowed
+    want = [math.fsum(row).hex() for row in rows]
+    alone = [_row_sums(np.array([row]), max(row) * slack)[0] for row in rows]
+    assert [v.hex() for v in alone] == want
+    width = max(map(len, rows))
+    terms = np.array([row + [0.0] * (width - len(row)) for row in rows])
+    together = _row_sums(terms, float(terms.max()) * slack)
+    assert [v.hex() for v in together] == want
+
+
+def test_certified_row_sums_fall_back_on_near_ties():
+    # 1 + 2^-53 is a tie that rounds to 1.0, and 2^-113 tips the exact sum
+    # over it, to 1 + 2^-52; the low parts sum to 2^-53, so the uncertified
+    # tau + rho is 1.0, and only the math.fsum fallback gets it right
+    above = [1.0, 2.0**-53, 2.0**-113]
+    # the same just below the power of two, where the gap is halved: the
+    # exact sum 1 - 2^-54 - 2^-107 rounds down, its tau + rho rounds to 1.0
+    below = [0.5, 0.5 - 2.0**-53, 2.0**-54 - 2.0**-107]
+    want = [1.0 + 2.0**-52, 1.0 - 2.0**-53]
+    assert [math.fsum(above), math.fsum(below)] == want
+    assert _row_sums(np.array([above, below]), 1.0) == want
