@@ -28,7 +28,7 @@ from . import __version__
 from .detection import DetectorModel
 from .distributions import PairSource, SourceKind, TruncationPolicy
 from .metrics import Objective, car, optimize_mu, series_rate, visibility_approx, visibility_exact
-from .oracle import enumerate_rate, mc_rate
+from .oracle import X_MAX_LIMIT, enumerate_rate, mc_rate
 from .polarization import HplusModel, RateMethod, Setting
 from .timebin import TimebinPort, timebin_rate
 from .tomography import (
@@ -134,8 +134,6 @@ def _parse_mu_values(args) -> list[float]:
     if (args.mu is None) == (args.mu_range is None):
         raise ConfigError("exactly one of --mu and --mu-range is required")
     if args.mu is not None:
-        if args.mu < 0:
-            raise ConfigError(f"--mu must be >= 0, got {args.mu}")
         return [args.mu]
     return _parse_sweep(args.mu_range)
 
@@ -164,19 +162,10 @@ def _parse_sweep(text: str) -> list[float]:
         step = (math.log(hi) - math.log(lo)) / (n - 1)
         vals = [math.exp(math.log(lo) + j * step) for j in range(n)]
     else:
-        if lo < 0:
-            raise ConfigError("--mu-range needs LO >= 0")
         step = (hi - lo) / (n - 1)
         vals = [lo + j * step for j in range(n)]
     vals[0], vals[-1] = lo, hi
     return vals
-
-
-def _policy(args) -> TruncationPolicy:
-    try:
-        return TruncationPolicy(tail_epsilon=args.tail_eps, hard_cap=args.cap)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _detector_args(args) -> tuple[float, float, float, float]:
@@ -224,7 +213,7 @@ def _write_text(out: str, text: str) -> None:
 def cmd_visibility_curve(args) -> int:
     config = _config(args)
     mus = _parse_mu_values(args)
-    policy = _policy(args)
+    policy = TruncationPolicy(args.tail_eps, args.cap)
     kinds = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
     rows = []
     for mu in mus:
@@ -287,8 +276,8 @@ def cmd_density_matrix(args) -> int:
             rho = reconstruct(assemble_r(kind, args.mu, *_detector_args(args)))
         else:
             rho = reconstruct(assemble_r(
-                kind, args.mu, *_detector_args(args), _policy(args), RateMethod.EXACT_SERIES,
-                HplusModel(args.hplus_model),
+                kind, args.mu, *_detector_args(args), TruncationPolicy(args.tail_eps, args.cap),
+                RateMethod.EXACT_SERIES, HplusModel(args.hplus_model),
             ))
     _emit_json(
         args, config, {"density_matrix": rho.to_json_dict(), "concurrence": concurrence(rho)}
@@ -299,7 +288,7 @@ def cmd_density_matrix(args) -> int:
 def cmd_car(args) -> int:
     config = _config(args, f"--method {args.method}")
     mus = _parse_mu_values(args)
-    policy = _policy(args)
+    policy = TruncationPolicy(args.tail_eps, args.cap)
     rows = []
     for mu in mus:
         source = PairSource(_KINDS[args.source], mu)
@@ -315,7 +304,7 @@ def cmd_timebin(args) -> int:
         mode += f" --port {args.port}"
     config = _config(args, mode)
     mus = _parse_mu_values(args)
-    policy = _policy(args)
+    policy = TruncationPolicy(args.tail_eps, args.cap)
     rows = []
     for mu in mus:
         entry = timebin_rate(_KINDS[args.source], TimebinPort(args.port), mu,
@@ -376,7 +365,8 @@ def cmd_validate(args) -> int:
                         det_s = DetectorModel(alpha, dark)
                         det_i = DetectorModel(alpha, dark)
                         series = series_rate(source, setting, det_s, det_i, policy, hplus_model)
-                        ora = enumerate_rate(source, setting, det_s, det_i, 14, hplus_model)
+                        ora = enumerate_rate(source, setting, det_s, det_i, X_MAX_LIMIT,
+                                             hplus_model)
                         tol = _VALIDATE_TOL + ora.tail_bound
                         err = abs(series - ora.value)
                         max_abs_err = max(max_abs_err, err)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -42,7 +43,8 @@ __all__ = [
 
 
 class CapExceeded(ValueError):
-    """Certified truncation would need more terms than the hard cap allows."""
+    """Certified truncation would need more terms than the hard cap allows,
+    or the pmf at this mu is not representable in floats."""
 
 
 class SourceKind(Enum):
@@ -110,13 +112,21 @@ class TruncationPolicy:
 
 
 def _pmf0(source: PairSource) -> float:
-    """P(x=0), the start of the multiplicative recurrence."""
+    """P(x=0), the start of the multiplicative recurrence.  A Poissonian
+    exp(-mu) below the smallest normal float would make every pmf value,
+    and a certified tail, 0 or inexact, so it raises :class:`CapExceeded`."""
     mu = source.mu
     if source.kind is SourceKind.INDIS_ENTANGLED:
         return 1.0 / (1.0 + mu / 2.0) ** 2
     if source.kind is SourceKind.THERMAL_CORRELATED:
         return 1.0 / (1.0 + mu)
-    return math.exp(-mu)
+    p0 = math.exp(-mu)
+    if p0 < sys.float_info.min:
+        raise CapExceeded(
+            f"P(0) = exp(-mu) underflows for {source.kind.value} source with mu={mu:g}; "
+            f"use mu <= 708"
+        )
+    return p0
 
 
 def _ratios(source: PairSource) -> Iterator[float]:

@@ -14,6 +14,7 @@ from .polarization import (
     HplusModel,
     RateMethod,
     Setting,
+    UnsupportedSetting,
     closed_form_rates,
     coincidence_rate,
     single_rate,
@@ -89,7 +90,7 @@ def visibility_exact(
 ) -> VisibilityResult:
     """Visibility from the exact-series HH and HV rates."""
     if not source.kind.entangled:
-        raise ValueError(f"visibility requires an entangled kind, got {source.kind.value}")
+        raise UnsupportedSetting(f"visibility requires an entangled kind, got {source.kind.value}")
     det_s = DetectorModel(alpha_s, dark_s)
     det_i = DetectorModel(alpha_i, dark_i)
     hh = coincidence_rate(source, Setting.HH, det_s, det_i, policy).value
@@ -103,10 +104,9 @@ def visibility_approx(kind: SourceKind, mu: float) -> VisibilityResult:
     Distinguishable pairs: v = 1/(1+mu), contrast 1 + 2/mu.
     Indistinguishable pairs: v = (mu+2)/(3*mu+2), contrast 2 + 2/mu.
     """
+    mu = PairSource(kind, mu).mu
     if not kind.entangled:
-        raise ValueError(f"visibility requires an entangled kind, got {kind.value}")
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+        raise UnsupportedSetting(f"visibility requires an entangled kind, got {kind.value}")
     if kind is SourceKind.DIS_ENTANGLED:
         v = 1.0 / (1.0 + mu)
         contrast = 1.0 + 2.0 / mu if mu > 0 else math.inf
@@ -131,11 +131,10 @@ def car(
     unmatched (accidental) rate pairs clicks of two independent pulses,
     so it is the product of the two arms' single-count rates.
     """
-    if not source.kind.correlated:
-        raise ValueError(f"CAR requires a correlated kind, got {source.kind.value}")
     mu = source.mu
-    det_s = DetectorModel(alpha_s, dark_s)
-    det_i = DetectorModel(alpha_i, dark_i)
+    _, det_s, det_i = Setting.CAR_MATCHED.resolve(
+        source.kind, DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
+    )
     if method is RateMethod.CLOSED_FORM:
         matched = mu * alpha_s * alpha_i + (mu * alpha_s + dark_s) * (mu * alpha_i + dark_i)
         if source.kind is SourceKind.THERMAL_CORRELATED:

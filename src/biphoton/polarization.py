@@ -14,12 +14,13 @@ it in a small LRU of tables, one per kind, setting, detector pair and
 H+ model, and a mu sweep computes each K(x) once.
 
 The coherent H+ kernel of indistinguishable pairs costs O(x^2) per x.
-With float idler clicks its table grows in blocks of 16 pair numbers:
-the rows y <= x/2 of :func:`plus_port_distribution` for a block are one
-cached numpy array, independent of mu and the detectors, multiplied by
-the idler clicks in one step (the same IEEE products ``w[y][p] *
-qi[p]``), and each row of n products t is summed by error-free
-extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31, 189 (2008)).
+Its table grows in blocks of 16 pair numbers: the rows y <= x/2 of
+:func:`plus_port_distribution` for a block are one cached numpy array,
+independent of mu and the detectors, multiplied by the idler clicks as
+floats in one step (the same IEEE products ``w[y][p] * qi[p]`` that
+CPython forms for a float times an int or Fraction), and each row of n
+products t is summed by error-free extraction (Rump, Ogita & Oishi,
+SIAM J. Sci. Comput. 31, 189 (2008)).
 With sigma = 2^k >= (n+2) max(t), high = (sigma + t) - sigma and
 low = t - high are exact, tau = sum(high) is exact in any order, and
 rho = fl(sum(low)) lies within E = n^2 2^-52 ulp(sigma)/2 of the exact
@@ -407,15 +408,16 @@ _TABLE_LOCK = threading.Lock()
 
 def _grow_coherent(qs: list, qi: list, ks: list, x_max: int) -> None:
     """Append the coherent-H+ K(x) of indistinguishable pairs to ``ks``
-    up to x_max, for float idler clicks: each block of plus_port rows is
-    multiplied by the idler clicks in one array product, the same IEEE
-    products ``w[y][p] * qi[p]``, and summed by :func:`_row_sums`."""
+    up to x_max: each block of plus_port rows is multiplied by the idler
+    clicks as floats in one array product, the same IEEE products
+    ``w[y][p] * qi[p]`` as for float, int or Fraction clicks, and summed
+    by :func:`_row_sums`."""
     while len(ks) <= x_max:
         b, j = divmod(len(ks), _BLOCK)
         block, top, starts = _plus_port_block(b)
         x_hi = min(x_max, (b + 1) * _BLOCK - 1)
         rows = slice(starts[j], starts[x_hi - b * _BLOCK + 1])
-        q = np.array(qi[: x_hi + 1])
+        q = np.array(qi[: x_hi + 1], dtype=float)
         # products with clicks q <= max(q) are at most top * max(q)
         sums = _row_sums(block[rows, : x_hi + 1] * q, top * q.max())
         i = 0
@@ -438,7 +440,7 @@ def _kernels(kind, setting, det_s, det_i, hplus_model, x_max: int) -> list:
         for n in range(len(qs), x_max + 1):
             qs.append(click_prob(det_s, n))
             qi.append(click_prob(det_i, n))
-        if coherent and not exact_i:
+        if coherent:
             _grow_coherent(qs, qi, ks, x_max)
         else:
             for x in range(len(ks), x_max + 1):
@@ -459,7 +461,7 @@ def coincidence_rate(
 
     K(x) does not depend on mu, so it is read from a table shared by
     every call with the same kind, setting, detector pair and H+ model,
-    and grown when a larger x_max needs more terms.  Float tables of the
+    and grown when a larger x_max needs more terms.  Tables of the
     coherent H+ kernel on indistinguishable pairs sum their rows by
     certified vectorized extraction with a ``math.fsum`` fallback (see
     the module docstring and ``_row_sums``), bit-identical to
@@ -506,20 +508,18 @@ def closed_form_rates(
 
     Valid for small efficiency-times-pair-number products; multi-pair
     contributions enter through the mu^2 terms and accidentals through
-    the products of the two arms' single rates.  Efficiencies and dark
-    probabilities are range-checked as :class:`DetectorModel` does.
+    the products of the two arms' single rates.  ``mu`` is checked by
+    :class:`PairSource`, each arm's efficiency and dark probability by
+    :class:`DetectorModel`.
     """
+    # the rules of PairSource and DetectorModel; the inputs are used as given
+    mu = PairSource(kind, mu).mu
+    DetectorModel(alpha_s, dark_s)
+    DetectorModel(alpha_i, dark_i)
     if not kind.entangled:
         raise UnsupportedSetting(
             f"closed-form polarization rates require an entangled kind, got {kind.value}"
         )
-    # plain comparisons rather than DetectorModel objects: optimize_mu
-    # calls this in its inner loop
-    for alpha, dark in ((alpha_s, dark_s), (alpha_i, dark_i)):
-        if not (0 <= alpha <= 1):
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-        if not (0 <= dark < 1):
-            raise ValueError(f"dark must lie in [0, 1), got {dark}")
     acc = (mu * alpha_s / 2 + dark_s) * (mu * alpha_i / 2 + dark_i)
     if kind is SourceKind.DIS_ENTANGLED:
         r_hh = mu * alpha_s * alpha_i / 2 + acc

@@ -238,10 +238,9 @@ def closed_form_rho(kind: SourceKind, mu: float) -> DensityMatrix:
     accidentals, raising the HV/VH populations and (for distinguishable
     pairs) damping the coherences.
     """
+    mu = PairSource(kind, mu).mu
     if not kind.entangled:
         raise UnsupportedSetting(f"tomography requires an entangled kind, got {kind.value}")
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
     if kind is SourceKind.DIS_ENTANGLED:
         outer = (2.0 + mu) / (4.0 + 4.0 * mu)
         inner = mu / (4.0 + 4.0 * mu)
@@ -264,10 +263,9 @@ def closed_form_concurrence(kind: SourceKind, mu: float) -> float:
     reaches zero at mu = 2, and 2 / (2 + 3 mu) for indistinguishable
     pairs, which stays positive.
     """
+    mu = PairSource(kind, mu).mu
     if not kind.entangled:
         raise UnsupportedSetting(f"tomography requires an entangled kind, got {kind.value}")
-    if mu < 0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
     if kind is SourceKind.DIS_ENTANGLED:
         return max(0.0, (2.0 - mu) / (2.0 * (1.0 + mu)))
     return 2.0 / (2.0 + 3.0 * mu)

@@ -87,6 +87,31 @@ def test_sweep_validation_errors(capsys):
     assert code == 2
 
 
+_CLOSED_TIMEBIN = ["timebin", "--source", "dis-entangled", "--method", "closed"]
+
+
+# the grid checks are the CLI's own; mu itself is PairSource's rule,
+# which every mode reaches before it writes anything
+@pytest.mark.parametrize("argv", [
+    [*_CLOSED_TIMEBIN, "--mu", "nan"],
+    [*_CLOSED_TIMEBIN, "--mu", "inf"],
+    [*_CLOSED_TIMEBIN, "--mu-range", "0:inf:3"],
+    ["visibility-curve", "--mu", "-1"],
+    ["visibility-curve", "--mu-range=-1:1:3"],
+    ["concurrence-curve", "--mu", "nan"],
+    ["density-matrix", "--source", "indis-entangled", "--method", "closed-rho", "--mu", "inf"],
+    ["density-matrix", "--source", "indis-entangled", "--method", "closed", "--mu", "-1"],
+    ["density-matrix", "--source", "indis-entangled", "--method", "exact", "--mu", "nan"],
+    ["car", "--source", "dis-correlated", "--method", "closed", "--mu", "nan"],
+    ["car", "--source", "thermal-correlated", "--mu-range", "0:inf:3"],
+    ["timebin", "--source", "indis-entangled", "--port", "aplus", "--mu", "nan"],
+])
+def test_invalid_mu_exits_2_with_nothing_on_stdout(argv):
+    code, out, err = _capture(argv)
+    assert code == 2 and not out, (argv, out)
+    assert "mu must be finite and >= 0" in err, (argv, err)
+
+
 def test_json_output_is_self_describing(capsys):
     code, out, _ = _run(
         capsys, ["visibility-curve", "--mu", "0.1", "--format", "json"]

@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from biphoton import (
     CapExceeded,
+    DetectorModel,
     PairSource,
+    Setting,
     SourceKind,
     TruncationPolicy,
+    coincidence_rate,
     mean,
     pmf,
     pmf_values,
@@ -100,8 +103,35 @@ def test_pmf_values_matches_pointwise_pmf():
     for kind in ALL_KINDS:
         for mu in (0.0, 1e-3, 0.7, 5.0, 1e3):
             src = PairSource(kind, mu)
+            if kind.poissonian and mu == 1e3:
+                # exp(-1e3) underflows: refused rather than all zeros
+                with pytest.raises(CapExceeded):
+                    pmf_values(src, 400)
+                with pytest.raises(CapExceeded):
+                    pmf(src, 400)
+                continue
             values = [v.hex() for v in pmf_values(src, 400)]
             assert values == [pmf(src, x).hex() for x in range(401)], (kind, mu)
+
+
+def test_poissonian_pmf_refuses_underflowing_p0():
+    # exp(-708) is the last P(0) above the smallest normal float
+    policy = TruncationPolicy(hard_cap=5000)
+    det = DetectorModel(0.3, 1e-4)
+    for kind in (SourceKind.DIS_ENTANGLED, SourceKind.DIS_CORRELATED):
+        src = PairSource(kind, 708.0)
+        values = pmf_values(src, 1000)
+        assert values[0] == math.exp(-708.0)
+        assert [pmf(src, x) for x in (0, 708, 1000)] == [values[0], values[708], values[1000]]
+        assert math.fsum(values) == pytest.approx(1.0, rel=1e-12)
+        assert truncation_index(src, policy) < 1000
+        for mu in (709.0, 1000.0):
+            src = PairSource(kind, mu)
+            for call in (lambda: pmf(src, 0), lambda: pmf_values(src, 10),
+                         lambda: truncation_index(src, policy),
+                         lambda: coincidence_rate(src, Setting.HH, det, det, policy)):
+                with pytest.raises(CapExceeded, match=f"mu={mu:g}.*use mu <= 708"):
+                    call()
 
 
 def test_pmf_keeps_only_the_running_value():

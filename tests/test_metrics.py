@@ -14,14 +14,19 @@ from biphoton import (
     RateMethod,
     Setting,
     SourceKind,
+    TimebinPort,
     TruncationPolicy,
     UnsupportedSetting,
+    assemble_r,
     car,
+    closed_form_concurrence,
     closed_form_rates,
+    closed_form_rho,
     coincidence_rate,
     optimize_mu,
     series_rate,
     single_rate,
+    timebin_rate,
     visibility_approx,
     visibility_exact,
 )
@@ -156,6 +161,54 @@ def test_car_floor_and_validation():
     with pytest.raises(ValueError):
         car(PairSource(SourceKind.DIS_CORRELATED, 0.1), 0.1, 0.1, 0, 0,
             policy, "oracle")
+
+
+# every closed-form entry point as f(kind, mu, alpha_s); those without
+# detectors take no alpha
+_CLOSED_FORMS = {
+    "closed_form_rates": lambda kind, mu, a=0.1: closed_form_rates(kind, mu, a, 0.1),
+    "visibility_approx": visibility_approx,
+    "closed_form_rho": closed_form_rho,
+    "closed_form_concurrence": closed_form_concurrence,
+    "timebin_rate": lambda kind, mu, a=0.1: timebin_rate(
+        kind, TimebinPort.APLUS, mu, a, 0.1, method=RateMethod.CLOSED_FORM),
+    "assemble_r": lambda kind, mu, a=0.1: assemble_r(
+        kind, mu, a, 0.1, method=RateMethod.CLOSED_FORM),
+}
+_WITH_DETECTORS = ("closed_form_rates", "timebin_rate", "assemble_r")
+
+
+@pytest.mark.parametrize("mu", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", list(_CLOSED_FORMS))
+def test_closed_forms_check_mu_as_pair_source_does(name, mu):
+    for kind in ENTANGLED:
+        _CLOSED_FORMS[name](kind, 0.1)
+        with pytest.raises(ValueError, match=r"mu must be finite and >= 0"):
+            _CLOSED_FORMS[name](kind, mu)
+
+
+@pytest.mark.parametrize("alpha, error, message", [
+    (1.5, ValueError, r"alpha must lie in \[0, 1\]"),
+    (math.nan, ValueError, r"alpha must lie in \[0, 1\]"),
+    (True, TypeError, "alpha must be a real number"),
+])
+@pytest.mark.parametrize("name", _WITH_DETECTORS)
+def test_closed_forms_check_detectors_as_detector_model_does(name, alpha, error, message):
+    for kind in ENTANGLED:
+        with pytest.raises(error, match=message):
+            _CLOSED_FORMS[name](kind, 0.1, alpha)
+
+
+def test_a_kind_without_the_measurement_is_an_unsupported_setting():
+    for kind in CORRELATED:
+        with pytest.raises(UnsupportedSetting):
+            visibility_exact(PairSource(kind, 0.1), 0.1, 0.1)
+        with pytest.raises(UnsupportedSetting):
+            visibility_approx(kind, 0.1)
+    for kind in ENTANGLED:
+        for method in RateMethod:
+            with pytest.raises(UnsupportedSetting):
+                car(PairSource(kind, 0.1), 0.1, 0.1, method=method)
 
 
 def test_series_rate_dispatches_each_setting():

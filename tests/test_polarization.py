@@ -486,6 +486,23 @@ def test_kernel_tables_match_the_per_x_series_in_any_mu_order(order):
                     assert ks[x] == (exact if det_s is third else float(exact))
 
 
+def test_coherent_tables_of_exact_clicks_equal_the_per_x_kernel():
+    # one growth path for every number type: a float times an int or a
+    # Fraction is the float times its correctly rounded float, which the
+    # block product forms; across block edges for each arm's type
+    dets = (DetectorModel(0.37, 2e-3), DetectorModel(Fraction(1, 3), Fraction(1, 1000)),
+            DetectorModel(1, 0), DetectorModel(0, 0), DetectorModel(Fraction(3, 4)))
+    x_max = 2 * _BLOCK + 3
+    for det_s in dets:
+        for det_i in dets:
+            ks = polarization._kernels(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, det_s, det_i,
+                                       HplusModel.COHERENT, x_max)
+            for x in range(x_max + 1):
+                want = per_x_coincidence(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, x,
+                                         det_s, det_i)
+                assert type(ks[x]) is float and ks[x].hex() == want.hex(), (det_s, det_i, x)
+
+
 def test_kernel_tables_survive_more_pairs_than_they_hold():
     # 100 detector pairs over two configurations overflow the table cache;
     # the first pairs come back after eviction, at a larger mu
