@@ -46,14 +46,16 @@ from .polarization import (
     RateMethod,
     RateReport,
     Setting,
+    TimebinPort,
     UnsupportedSetting,
     closed_form_rates,
     coincidence_rate,
+    fringe_per_pair,
     per_x_coincidence,
     plus_port_distribution,
     single_rate,
+    timebin_rate,
 )
-from .timebin import TimebinPort, fringe_per_pair, timebin_rate
 from .tomography import (
     DensityMatrix,
     NotPhysical,

@@ -29,8 +29,7 @@ from .detection import DetectorModel
 from .distributions import PairSource, SourceKind, TruncationPolicy
 from .metrics import Objective, car, optimize_mu, series_rate, visibility_approx, visibility_exact
 from .oracle import X_MAX_LIMIT, enumerate_rate, mc_rate
-from .polarization import HplusModel, RateMethod, Setting
-from .timebin import TimebinPort, timebin_rate
+from .polarization import HplusModel, RateMethod, Setting, TimebinPort, timebin_rate
 from .tomography import (
     assemble_r,
     closed_form_concurrence,
@@ -60,8 +59,10 @@ _OPTIONS = {
     "alpha_i": {"type": float, "default": 0.1, "help": "idler efficiency (default 0.1)"},
     "dark_s": {"type": float, "default": 0.0, "help": "signal dark probability per gate"},
     "dark_i": {"type": float, "default": 0.0, "help": "idler dark probability per gate"},
-    "tail_eps": {"type": float, "default": 1e-12, "help": "certified series tail (default 1e-12)"},
-    "cap": {"type": int, "default": 100, "help": "series term cap (default 100)"},
+    "tail_eps": {"type": float, "default": TruncationPolicy().tail_epsilon,
+                 "help": "certified series tail (default %(default)s)"},
+    "cap": {"type": int, "default": TruncationPolicy().hard_cap,
+            "help": "series term cap (default %(default)s)"},
     "hplus_model": {
         "choices": [m.value for m in HplusModel],
         "default": HplusModel.COHERENT.value,
@@ -347,7 +348,7 @@ def cmd_validate(args) -> int:
     if args.trials < 0:
         raise ConfigError(f"--trials must be >= 0, got {args.trials}")
     config = _config(args, "with --trials" if args.trials > 0 else "without --trials")
-    policy = TruncationPolicy(tail_epsilon=1e-13, hard_cap=200)
+    policy = TruncationPolicy(tail_epsilon=1e-13)
     hplus_model = HplusModel(args.hplus_model)
     columns = ["kind", "setting", "mu", "alpha", "dark", "series", "oracle", "abs_err", "tol", "status"]
     if args.trials > 0:
@@ -494,8 +495,21 @@ def _parser() -> argparse.ArgumentParser:
     return _build_parser()
 
 
+_VALUE_FLAGS = {_flag(option) for option in _OPTIONS}  # every option takes one value
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """``--mu -1`` as ``--mu=-1``: argparse takes a value starting with '-' for a flag."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _VALUE_FLAGS and token.startswith("-") and not token.startswith("--"):
+            token = out.pop() + "=" + token
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:  # ConfigError is a ValueError

@@ -44,7 +44,7 @@ __all__ = [
 
 class CapExceeded(ValueError):
     """Certified truncation would need more terms than the hard cap allows,
-    or the pmf at this mu is not representable in floats."""
+    or the pmf or a closed form at this mu is not representable in floats."""
 
 
 class SourceKind(Enum):

@@ -14,7 +14,8 @@ from .polarization import (
     HplusModel,
     RateMethod,
     Setting,
-    UnsupportedSetting,
+    _closed_form_mu,
+    _require_entangled,
     closed_form_rates,
     coincidence_rate,
     single_rate,
@@ -89,8 +90,7 @@ def visibility_exact(
     policy: TruncationPolicy = TruncationPolicy(),
 ) -> VisibilityResult:
     """Visibility from the exact-series HH and HV rates."""
-    if not source.kind.entangled:
-        raise UnsupportedSetting(f"visibility requires an entangled kind, got {source.kind.value}")
+    _require_entangled(source.kind, "visibility")
     det_s = DetectorModel(alpha_s, dark_s)
     det_i = DetectorModel(alpha_i, dark_i)
     hh = coincidence_rate(source, Setting.HH, det_s, det_i, policy).value
@@ -104,9 +104,8 @@ def visibility_approx(kind: SourceKind, mu: float) -> VisibilityResult:
     Distinguishable pairs: v = 1/(1+mu), contrast 1 + 2/mu.
     Indistinguishable pairs: v = (mu+2)/(3*mu+2), contrast 2 + 2/mu.
     """
-    mu = PairSource(kind, mu).mu
-    if not kind.entangled:
-        raise UnsupportedSetting(f"visibility requires an entangled kind, got {kind.value}")
+    mu = _closed_form_mu(kind, mu)
+    _require_entangled(kind, "visibility")
     if kind is SourceKind.DIS_ENTANGLED:
         v = 1.0 / (1.0 + mu)
         contrast = 1.0 + 2.0 / mu if mu > 0 else math.inf
@@ -129,13 +128,15 @@ def car(
 
     The matched rate pairs clicks produced by the same pulse; the
     unmatched (accidental) rate pairs clicks of two independent pulses,
-    so it is the product of the two arms' single-count rates.
+    so it is the product of the two arms' single-count rates.  The
+    closed form raises :class:`CapExceeded` above mu = 1e150.
     """
     mu = source.mu
     _, det_s, det_i = Setting.CAR_MATCHED.resolve(
         source.kind, DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
     )
     if method is RateMethod.CLOSED_FORM:
+        _closed_form_mu(source.kind, mu)
         matched = mu * alpha_s * alpha_i + (mu * alpha_s + dark_s) * (mu * alpha_i + dark_i)
         if source.kind is SourceKind.THERMAL_CORRELATED:
             matched += mu * mu * alpha_s * alpha_i

@@ -47,6 +47,11 @@ idler H/V Fock state in the +/- basis.  Two variants are provided:
 
 Both variants have the same first moment of the +-photon number and
 therefore agree to first order in the detector efficiency.
+
+Time-bin pairs are this model seen through half-efficiency detectors:
+a photon in one of the two slots of an unbalanced interferometer
+reaches an analyzer output only through the matching arm, with
+amplitude 1/2, so alpha -> alpha/2 and dark counts are untouched.
 """
 
 from __future__ import annotations
@@ -78,6 +83,9 @@ __all__ = [
     "coincidence_rate",
     "single_rate",
     "closed_form_rates",
+    "TimebinPort",
+    "timebin_rate",
+    "fringe_per_pair",
 ]
 
 
@@ -88,8 +96,10 @@ class UnsupportedSetting(ValueError):
 class Setting(Enum):
     """A measurement: a polarizer pair, one arm alone, a CAR coincidence,
     or a time-bin analyzer port pair.  Only HH, HV and HPLUS have a per-x
-    coincidence kernel; a time-bin setting is one of them seen through
-    half-efficiency detectors (see :meth:`resolve`)."""
+    coincidence kernel.  A port pair is its polarization twin seen through
+    half-efficiency detectors (see :meth:`resolve`): HH for same-slot (aa),
+    HV for opposite-slot (ab), HPLUS for slot-vs-superposition (a+).
+    ``mu`` counts the pairs over both slots."""
 
     HH = "hh"
     HV = "hv"
@@ -107,30 +117,34 @@ class Setting(Enum):
     ) -> tuple[Setting, DetectorModel, DetectorModel]:
         """Reject a setting the kind does not define; map a time-bin setting
         onto its polarization twin seen through DetectorModel(alpha/2, dark)."""
-        setting = self
-        if self in _TIMEBIN_TWIN:
-            if not kind.entangled:
-                raise UnsupportedSetting(
-                    f"{self.value} requires an entangled kind, got {kind.value}"
-                )
-            # the matching interferometer arm passes a slot with amplitude 1/2
-            det_s = DetectorModel(det_s.alpha / 2, det_s.dark)
-            det_i = DetectorModel(det_i.alpha / 2, det_i.dark)
-            setting = _TIMEBIN_TWIN[self]
-        if kind.entangled and setting in (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED):
-            raise UnsupportedSetting(f"{setting.value} requires a correlated kind")
-        if kind.correlated and setting is Setting.HPLUS:
-            raise UnsupportedSetting(
-                f"{setting.value} is undefined for correlated kind {kind.value}"
-            )
-        return setting, det_s, det_i
+        if self is Setting.HPLUS or self in _TIMEBIN_TWIN:
+            _require_entangled(kind, self.value)
+        if kind.entangled and self in (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED):
+            raise UnsupportedSetting(f"{self.value} requires a correlated kind")
+        if self not in _TIMEBIN_TWIN:
+            return self, det_s, det_i
+        # the matching interferometer arm passes a slot with amplitude 1/2
+        return (_TIMEBIN_TWIN[self], DetectorModel(det_s.alpha / 2, det_s.dark),
+                DetectorModel(det_i.alpha / 2, det_i.dark))
 
 
-_TIMEBIN_TWIN = {
-    Setting.TIMEBIN_AA: Setting.HH,
-    Setting.TIMEBIN_AB: Setting.HV,
-    Setting.TIMEBIN_APLUS: Setting.HPLUS,
-}
+def _require_entangled(kind: SourceKind, what: str) -> None:
+    """The one kind rule: the diagonal basis, the time-bin ports, the
+    visibility and the tomography exist only for entangled pairs."""
+    if not kind.entangled:
+        raise UnsupportedSetting(f"{what} is undefined for correlated kind {kind.value}")
+
+
+# the closed forms are quadratic in mu: finite up to about 7e153 at unit efficiency
+_CLOSED_FORM_MU_MAX = 1e150
+
+
+def _closed_form_mu(kind: SourceKind, mu) -> float:
+    """mu as :class:`PairSource` checks and stores it, within the closed forms' domain."""
+    mu = PairSource(kind, mu).mu
+    if mu > _CLOSED_FORM_MU_MAX:
+        raise CapExceeded(f"the closed forms hold for mu <= {_CLOSED_FORM_MU_MAX:g}, got mu={mu!r}")
+    return mu
 
 
 class HplusModel(Enum):
@@ -165,10 +179,61 @@ class RateReport:
     single_i: float
 
 
+_TIMEBIN_TWIN = {
+    Setting.TIMEBIN_AA: Setting.HH,
+    Setting.TIMEBIN_AB: Setting.HV,
+    Setting.TIMEBIN_APLUS: Setting.HPLUS,
+}
+
+
+class TimebinPort(Enum):
+    AA = "aa"
+    AB = "ab"
+    APLUS = "aplus"
+
+
+def timebin_rate(
+    kind: SourceKind,
+    port: TimebinPort,
+    mu: float,
+    alpha_s: float,
+    alpha_i: float,
+    dark_s: float = 0.0,
+    dark_i: float = 0.0,
+    method: RateMethod = RateMethod.EXACT_SERIES,
+    policy: TruncationPolicy = TruncationPolicy(),
+    hplus_model: HplusModel = HplusModel.COHERENT,
+) -> RateEntry:
+    """Coincidence rate of a time-bin analyzer port pair.
+
+    The efficiencies are those of the detectors themselves and must lie
+    in [0, 1]; the returned entry's ``setting`` is the polarization
+    twin the rate was computed for, at alpha/2.
+    """
+    setting, det_s, det_i = Setting(f"timebin-{port.value}").resolve(
+        kind, DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
+    )
+    if method is RateMethod.EXACT_SERIES:
+        return coincidence_rate(PairSource(kind, mu), setting, det_s, det_i, policy, hplus_model)
+    if method is not RateMethod.CLOSED_FORM:
+        raise ValueError(f"unsupported time-bin method {method}")
+    rep = closed_form_rates(kind, mu, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark)
+    value = getattr(rep, f"r_{setting.value}")  # r_hh, r_hv or r_hplus
+    model = hplus_model if setting is Setting.HPLUS else None
+    return RateEntry(value, setting, RateMethod.CLOSED_FORM, 0, model)
+
+
+def fringe_per_pair(phase_sum: float) -> float:
+    """Single-pair same-slot coincidence fringe versus the summed phase:
+    (1 + cos(phase)) / 16, peak 1/8 at zero phase and zero at pi, where
+    the opposite-slot fringe peaks instead."""
+    return (1.0 + math.cos(phase_sum)) / 16.0
+
+
 # largest x that plus_port_distribution tabulates: TruncationPolicy's
-# default hard_cap and the oracle's HPLUS_X_CAP.  Its cache grows like x^3
-# and holds about 28 MB for x = 0..200.
-_PLUS_PORT_X_CAP = 200
+# default hard_cap, equal to the oracle's HPLUS_X_CAP.  Its cache grows
+# like x^3 and holds about 28 MB for x = 0..200.
+_PLUS_PORT_X_CAP = TruncationPolicy().hard_cap
 
 
 def _check_plus_port_x(x: int) -> None:
@@ -332,8 +397,8 @@ def _pattern_sum(kind: SourceKind, x: int, terms, exact: bool, factor=1):
 def _check_kernel(kind: SourceKind, setting: Setting) -> None:
     if setting not in (Setting.HH, Setting.HV, Setting.HPLUS):
         raise UnsupportedSetting(f"{setting.value} has no per-x kernel; use series_rate")
-    if setting is Setting.HPLUS and kind.correlated:
-        raise UnsupportedSetting(f"{setting.value} is undefined for correlated kind {kind.value}")
+    if setting is Setting.HPLUS:
+        _require_entangled(kind, setting.value)
 
 
 def _coherent_kernel(x: int, qs: list, sums: list):
@@ -510,16 +575,14 @@ def closed_form_rates(
     contributions enter through the mu^2 terms and accidentals through
     the products of the two arms' single rates.  ``mu`` is checked by
     :class:`PairSource`, each arm's efficiency and dark probability by
-    :class:`DetectorModel`.
+    :class:`DetectorModel`; mu above the closed forms' finite domain
+    raises :class:`CapExceeded`.
     """
     # the rules of PairSource and DetectorModel; the inputs are used as given
-    mu = PairSource(kind, mu).mu
+    mu = _closed_form_mu(kind, mu)
     DetectorModel(alpha_s, dark_s)
     DetectorModel(alpha_i, dark_i)
-    if not kind.entangled:
-        raise UnsupportedSetting(
-            f"closed-form polarization rates require an entangled kind, got {kind.value}"
-        )
+    _require_entangled(kind, "closed-form polarization rates")
     acc = (mu * alpha_s / 2 + dark_s) * (mu * alpha_i / 2 + dark_i)
     if kind is SourceKind.DIS_ENTANGLED:
         r_hh = mu * alpha_s * alpha_i / 2 + acc

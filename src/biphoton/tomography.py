@@ -22,7 +22,8 @@ from .polarization import (
     HplusModel,
     RateMethod,
     Setting,
-    UnsupportedSetting,
+    _closed_form_mu,
+    _require_entangled,
     closed_form_rates,
     coincidence_rate,
 )
@@ -164,8 +165,7 @@ def assemble_r(
     hplus_model: HplusModel = HplusModel.COHERENT,
 ) -> TomographyVector:
     """Fill the 16-entry rate vector from the model's three distinct rates."""
-    if not kind.entangled:
-        raise UnsupportedSetting(f"tomography requires an entangled kind, got {kind.value}")
+    _require_entangled(kind, "tomography")
     if method is RateMethod.CLOSED_FORM:
         rep = closed_form_rates(kind, mu, alpha_s, alpha_i, dark_s, dark_i)
         hh, hv, hp = rep.r_hh, rep.r_hv, rep.r_hplus
@@ -238,9 +238,8 @@ def closed_form_rho(kind: SourceKind, mu: float) -> DensityMatrix:
     accidentals, raising the HV/VH populations and (for distinguishable
     pairs) damping the coherences.
     """
-    mu = PairSource(kind, mu).mu
-    if not kind.entangled:
-        raise UnsupportedSetting(f"tomography requires an entangled kind, got {kind.value}")
+    mu = _closed_form_mu(kind, mu)
+    _require_entangled(kind, "tomography")
     if kind is SourceKind.DIS_ENTANGLED:
         outer = (2.0 + mu) / (4.0 + 4.0 * mu)
         inner = mu / (4.0 + 4.0 * mu)
@@ -263,9 +262,8 @@ def closed_form_concurrence(kind: SourceKind, mu: float) -> float:
     reaches zero at mu = 2, and 2 / (2 + 3 mu) for indistinguishable
     pairs, which stays positive.
     """
-    mu = PairSource(kind, mu).mu
-    if not kind.entangled:
-        raise UnsupportedSetting(f"tomography requires an entangled kind, got {kind.value}")
+    mu = _closed_form_mu(kind, mu)
+    _require_entangled(kind, "tomography")
     if kind is SourceKind.DIS_ENTANGLED:
         return max(0.0, (2.0 - mu) / (2.0 * (1.0 + mu)))
     return 2.0 / (2.0 + 3.0 * mu)

@@ -15,9 +15,9 @@ from biphoton import (
     DetectorModel,
     HplusModel,
     Objective,
-    OracleSetting,
     PairSource,
     RateMethod,
+    Setting,
     SourceKind,
     TimebinPort,
     TruncationPolicy,
@@ -34,13 +34,12 @@ from biphoton import (
     pmf_values,
     reconstruct,
     second_moment,
+    series_rate,
     timebin_rate,
     truncation_index,
     visibility_approx,
     visibility_exact,
 )
-from biphoton.polarization import Setting
-from biphoton.cli import series_rate
 from biphoton.tomography import assemble_r
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
@@ -49,15 +48,15 @@ CORRELATED = (SourceKind.DIS_CORRELATED, SourceKind.THERMAL_CORRELATED)
 # the oracle cross-check grid: settings per kind x mu x alpha x dark
 GRID_SETTINGS = {
     SourceKind.DIS_ENTANGLED: (
-        OracleSetting.HH, OracleSetting.HV, OracleSetting.HPLUS,
-        OracleSetting.SINGLE_S, OracleSetting.TIMEBIN_AA, OracleSetting.TIMEBIN_AB,
+        Setting.HH, Setting.HV, Setting.HPLUS,
+        Setting.SINGLE_S, Setting.TIMEBIN_AA, Setting.TIMEBIN_AB,
     ),
     SourceKind.INDIS_ENTANGLED: (
-        OracleSetting.HH, OracleSetting.HV, OracleSetting.HPLUS,
-        OracleSetting.SINGLE_S, OracleSetting.TIMEBIN_AA, OracleSetting.TIMEBIN_AB,
+        Setting.HH, Setting.HV, Setting.HPLUS,
+        Setting.SINGLE_S, Setting.TIMEBIN_AA, Setting.TIMEBIN_AB,
     ),
-    SourceKind.DIS_CORRELATED: (OracleSetting.CAR_MATCHED, OracleSetting.CAR_UNMATCHED),
-    SourceKind.THERMAL_CORRELATED: (OracleSetting.CAR_MATCHED, OracleSetting.CAR_UNMATCHED),
+    SourceKind.DIS_CORRELATED: (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED),
+    SourceKind.THERMAL_CORRELATED: (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED),
 }
 GRID_MUS = (0.05, 0.2)
 GRID_ALPHAS = (0.05, 0.5)

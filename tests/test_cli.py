@@ -105,11 +105,19 @@ _CLOSED_TIMEBIN = ["timebin", "--source", "dis-entangled", "--method", "closed"]
     ["car", "--source", "dis-correlated", "--method", "closed", "--mu", "nan"],
     ["car", "--source", "thermal-correlated", "--mu-range", "0:inf:3"],
     ["timebin", "--source", "indis-entangled", "--port", "aplus", "--mu", "nan"],
+    # a value that starts with "-" reaches its rule, not argparse's flag check
+    ["visibility-curve", "--mu-range", "-1:1:3"],
+    ["timebin", "--source", "dis-entangled", "--mu", "-1e-3"],
+    ["car", "--source", "dis-correlated", "--mu", "0.1", "--dark-s", "-1e-4"],
+    ["concurrence-curve", "--mu", "0.1", "--alpha-s", "-inf"],
 ])
 def test_invalid_mu_exits_2_with_nothing_on_stdout(argv):
     code, out, err = _capture(argv)
     assert code == 2 and not out, (argv, out)
-    assert "mu must be finite and >= 0" in err, (argv, err)
+    # a detector value breaks DetectorModel's rule, any other PairSource's
+    rules = {"--alpha-s": "alpha must lie in [0, 1]", "--dark-s": "dark must lie in [0, 1)"}
+    rule = next((rules[f] for f in rules if f in argv), "mu must be finite and >= 0")
+    assert rule in err, (argv, err)
 
 
 def test_json_output_is_self_describing(capsys):
@@ -363,10 +371,10 @@ def test_repeated_main_calls_match_a_fresh_parser(monkeypatch):
 # its kernel tables across mu; a faster series must print the same bytes
 _SWEEP_DETS = ["--alpha-s", "0.3", "--alpha-i", "0.2", "--dark-s", "1e-4", "--dark-i", "2e-4"]
 _FROZEN_SWEEPS = {
-    "visibility-curve": "aa95667f74531d21b18334a1eff9b94268b71834d4e46c83ad612cc0593a21a6",
-    "timebin": "5e22c566dab877a7c2437c550ab040409c1353c86d5daee103f4e4e8eb3176cf",
-    "car": "8082fb59d6f21d6815d53551f5f4b3a44f75a004538ac5987c63db6d70397759",
-    "density-matrix": "f0255aa158a0447d031051ab1d9a9b2f66bc11498ac80dccbc7b78c9f332d785",
+    "visibility-curve": "fc9c7f583ba271b427d8c4e2d24040b516e8215ca237239fb6a6bef654d5a945",
+    "timebin": "7ced1535c915c0a95a327eea269d503715957512e957a3d0224f37dea90cfaa1",
+    "car": "b27348ebe8aa7c9f11e6c068dbc505e1dd35aa8bd68ae3719c164fcd539580d5",
+    "density-matrix": "39809df45ea74e9a67b5b7e81233444cfecacb80b5fbf9707daa4a5d8a148144",
 }
 
 
@@ -381,7 +389,8 @@ def _sweep_digests() -> dict:
         "visibility-curve": ["visibility-curve", "--mu-range", "0.01:5:12:log"],
         "timebin": ["timebin", "--source", "indis-entangled", "--port", "aplus",
                     "--mu-range", "0.01:5:12:log"],
-        # at mu = 5 the thermal series exceeds the default --cap 100
+        # ends at mu = 3, where the thermal series stops at x = 96, so the
+        # digest also holds under a --cap of 100
         "car": ["car", "--source", "thermal-correlated", "--mu-range", "0.01:3:12:log"],
     }
     outputs = {name: _stdout([*argv, *_SWEEP_DETS]) for name, argv in sweeps.items()}

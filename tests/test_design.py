@@ -39,3 +39,16 @@ def test_every_private_module_name_is_referenced():
     ]
     assert len(_SOURCES) > 1
     assert unreferenced == []
+
+
+def test_unsupported_setting_is_raised_only_beside_setting():
+    # which measurement a source kind has is one rule, stated in
+    # polarization.py next to Setting; other modules call it
+    raised = set()
+    for path in _SOURCES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "UnsupportedSetting":
+                    raised.add(path.name)
+    assert raised == {"polarization.py"}

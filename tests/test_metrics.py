@@ -5,6 +5,7 @@ import math
 import pytest
 
 from biphoton import (
+    CapExceeded,
     CarResult,
     DetectorModel,
     HplusModel,
@@ -30,6 +31,7 @@ from biphoton import (
     visibility_approx,
     visibility_exact,
 )
+from biphoton import polarization
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
 CORRELATED = (SourceKind.DIS_CORRELATED, SourceKind.THERMAL_CORRELATED)
@@ -197,6 +199,42 @@ def test_closed_forms_check_detectors_as_detector_model_does(name, alpha, error,
     for kind in ENTANGLED:
         with pytest.raises(error, match=message):
             _CLOSED_FORMS[name](kind, 0.1, alpha)
+
+
+_DARK = math.nextafter(1.0, 0.0)
+
+
+def _closed_values(name: str, kind: SourceKind, mu: float) -> list:
+    """What a closed entry point returns at unit efficiency and dark near
+    1, where its terms are largest, as a list of numbers."""
+    if name == "closed_form_rates":
+        rep = closed_form_rates(kind, mu, 1.0, 1.0, _DARK, _DARK)
+        return [rep.r_hh, rep.r_hv, rep.r_hplus, rep.single_s, rep.single_i]
+    if name == "visibility_approx":
+        res = visibility_approx(kind, mu)
+        return [res.visibility, res.contrast]
+    if name == "closed_form_rho":
+        return [abs(v) for v in closed_form_rho(kind, mu).matrix.ravel()]
+    if name == "closed_form_concurrence":
+        return [closed_form_concurrence(kind, mu)]
+    if name == "car":
+        res = car(PairSource(kind, mu), 1.0, 1.0, _DARK, _DARK, method=RateMethod.CLOSED_FORM)
+        return [res.matched_rate, res.unmatched_rate, res.car]
+    if name == "timebin_rate":
+        return [timebin_rate(kind, port, mu, 1.0, 1.0, _DARK, _DARK,
+                             method=RateMethod.CLOSED_FORM).value for port in TimebinPort]
+    return list(assemble_r(kind, mu, 1.0, 1.0, _DARK, _DARK, method=RateMethod.CLOSED_FORM).r)
+
+
+@pytest.mark.parametrize("name", [*_CLOSED_FORMS, "car"])
+def test_closed_forms_are_finite_up_to_their_bound(name):
+    bound = polarization._CLOSED_FORM_MU_MAX
+    for kind in CORRELATED if name == "car" else ENTANGLED:
+        assert all(math.isfinite(v) for v in _closed_values(name, kind, bound)), kind
+        for mu in (math.nextafter(bound, math.inf), 1e200, 1e308):
+            with pytest.raises(CapExceeded) as exc:
+                _closed_values(name, kind, mu)
+            assert repr(mu) in str(exc.value) and f"{bound:g}" in str(exc.value)
 
 
 def test_a_kind_without_the_measurement_is_an_unsupported_setting():
