@@ -319,8 +319,13 @@ def cmd_timebin(args) -> int:
 def cmd_optimize_mu(args) -> int:
     config = _config(args)
     mus = _parse_sweep(args.mu_range)
+    # optimize_mu samples its bracket on a log grid of N points
+    if not args.mu_range.endswith(":log") or len(mus) < 3:
+        raise ConfigError(
+            f"optimize-mu needs --mu-range LO:HI:N:log with N >= 3, got {args.mu_range!r}"
+        )
     result = optimize_mu(_KINDS[args.source], *_detector_args(args), _OBJECTIVES[args.objective],
-                         (mus[0], mus[-1]), samples=max(3, len(mus)))
+                         (mus[0], mus[-1]), samples=len(mus))
     _emit_table(
         args, config, ["mu_star", "value", "unimodal"], [[result.mu, result.value, result.unimodal]]
     )
@@ -455,7 +460,7 @@ _COMMANDS = {
     "optimize-mu": _Command(
         cmd_optimize_mu,
         "maximize a closed-form objective over mu",
-        {"mu_range": {"required": True}},
+        {"mu_range": {"required": True, "help": "search bracket sampled at LO:HI:N:log, N >= 3"}},
         {"": ("source", "mu_range", "objective", *_DETECTORS)},
     ),
     "validate": _Command(

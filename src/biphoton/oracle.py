@@ -60,10 +60,8 @@ __all__ = [
     "XMaxTooLarge",
     "EnumeratedRate",
     "McEstimate",
-    "ladder_plus_distribution",
     "enumerate_rate",
     "mc_rate",
-    "sample_patterns",
 ]
 
 # deepest pair number the enumeration takes: `biphoton validate` and the

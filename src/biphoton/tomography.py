@@ -30,9 +30,6 @@ from .polarization import (
 
 __all__ = [
     "NotPhysical",
-    "PROJECTION_STATES",
-    "PARALLEL_INDICES",
-    "CROSSED_INDICES",
     "TomographyVector",
     "DensityMatrix",
     "projectors",
@@ -223,6 +220,10 @@ def reconstruct(r) -> DensityMatrix:
     """
     # a TomographyVector checked its rates when it was built
     rv = np.asarray(r.r, dtype=float) if isinstance(r, TomographyVector) else _checked_rates(r)
+    top = rv.max()
+    if top > 0:
+        # exact power-of-two rescale: no rate scale overflows or underflows
+        rv = np.ldexp(rv, -np.frexp(top)[1])
     coeff = np.linalg.solve(DESIGN_MATRIX, rv)
     rho = sum(c * b for c, b in zip(coeff, PAULI_BASIS))
     tr = rho.trace().real
@@ -285,9 +286,10 @@ def concurrence(rho: DensityMatrix | np.ndarray) -> float:
 
     Computed through the Hermitian form sqrt(rho) rho~ sqrt(rho) with
     rho~ = (sy x sy) rho* (sy x sy), whose eigenvalues are real and
-    nonnegative up to rounding; tiny negative noise is clipped.
+    nonnegative up to rounding; tiny negative noise is clipped.  A raw
+    array is validated as a :class:`DensityMatrix` first.
     """
-    m = np.asarray(rho, dtype=complex)
+    m = (rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)).matrix
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     spin_flipped = _SYSY @ m.conj() @ _SYSY

@@ -196,6 +196,12 @@ def test_density_matrix_from_r_round_trip(tmp_path, capsys):
     got = np.array(got["re"]) + 1j * np.array(got["im"])
     want = closed_form_rho(SourceKind.INDIS_ENTANGLED, 0.2).matrix
     assert np.max(np.abs(got - want)) <= 1e-10
+    # the overall scale is irrelevant, out to the ends of the float range
+    for scale in (2.0**1000, 2.0**-1000):
+        payload.write_text(json.dumps({"r": [v * scale for v in r]}))
+        code, scaled, _ = _run(capsys, ["density-matrix", "--from-r", str(payload)])
+        assert code == 0
+        assert json.loads(scaled)["density_matrix"] == json.loads(out)["density_matrix"]
 
 
 def test_density_matrix_errors(tmp_path, capsys):
@@ -281,6 +287,11 @@ def test_optimize_mu_command(capsys):
                              "--mu-range", "1e-5:1:65:log"])
     assert code == 2
     assert "--mu 0.3" in err
+    # the bracket is sampled on a log grid of N >= 3 points; nothing else is read
+    for text in ("1e-3:1:9", "1e-3:1:9:lin", "1e-3:1:2:log"):
+        code, out, err = _capture(["optimize-mu", "--source", "dis-entangled", "--mu-range", text])
+        assert code == 2 and out == ""
+        assert "--mu-range LO:HI:N:log with N >= 3" in err, text
     code, out, _ = _run(
         capsys,
         ["optimize-mu", "--source", "dis-entangled", "--mu-range", "1e-5:1:65:log",

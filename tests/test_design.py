@@ -1,6 +1,7 @@
 """Design checks over the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import biphoton
@@ -52,3 +53,21 @@ def test_unsupported_setting_is_raised_only_beside_setting():
                 if isinstance(exc, ast.Name) and exc.id == "UnsupportedSetting":
                     raised.add(path.name)
     assert raised == {"polarization.py"}
+
+
+def test_each_public_name_is_declared_in_one_module_all():
+    # a public name is written once, in the __all__ of the module that
+    # defines it; the package re-exports the library modules' lists
+    owners: dict[str, list[str]] = {}
+    for path in _SOURCES:
+        if path.stem == "__init__":
+            continue
+        exported = importlib.import_module(f"biphoton.{path.stem}").__all__
+        assert set(exported) <= set(_defined(ast.parse(path.read_text()))), path.name
+        for name in exported:
+            owners.setdefault(name, []).append(path.stem)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+    library = {name for name, (mod,) in owners.items() if mod != "cli"}
+    assert len(biphoton.__all__) == len(set(biphoton.__all__)) == 49
+    assert set(biphoton.__all__) == {"__version__", *library}
+    assert biphoton.OracleSetting is biphoton.Setting

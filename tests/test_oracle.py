@@ -26,16 +26,14 @@ from biphoton import (
     car,
     coincidence_rate,
     enumerate_rate,
-    ladder_plus_distribution,
     mc_rate,
     plus_port_distribution,
     pmf_values,
-    sample_patterns,
     single_rate,
     timebin_rate,
 )
 from biphoton.detection import click_prob
-from biphoton.oracle import _draw_pairs
+from biphoton.oracle import _draw_pairs, ladder_plus_distribution, sample_patterns
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
 CORRELATED = (SourceKind.DIS_CORRELATED, SourceKind.THERMAL_CORRELATED)

@@ -184,6 +184,17 @@ def test_concurrence_reference_states():
     assert concurrence(prod) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_concurrence_validates_a_raw_array():
+    # a raw array goes through DensityMatrix, the one validator
+    with pytest.raises(NotPhysical, match="non-finite"):
+        concurrence(np.full((4, 4), np.nan))
+    with pytest.raises(ValueError, match=r"4x4 matrix, got shape \(3, 3\)"):
+        concurrence(np.eye(3) / 3.0)
+    with pytest.raises(NotPhysical, match="trace"):
+        concurrence(np.eye(4))
+    assert concurrence(BELL) == concurrence(DensityMatrix(BELL))
+
+
 def test_concurrence_closed_form_anchors():
     c = concurrence(closed_form_rho(SourceKind.DIS_ENTANGLED, 0.3))
     assert c == pytest.approx((2 - 0.3) / (2 * 1.3), abs=1e-12)
@@ -223,6 +234,27 @@ def test_concurrence_matches_x_state_shortcut():
                 0.0, abs(m[0, 3]) - math.sqrt((m[1, 1] * m[2, 2]).real)
             )
             assert concurrence(m) == pytest.approx(short, abs=1e-10)
+
+
+def test_reconstruct_is_bit_identical_under_power_of_two_scaling():
+    # the rates are rescaled by an exact power of two before the solve, so
+    # every exactly representable 2**k r gives the same state, bit for bit,
+    # with no overflow or underflow warning out to rates of 1e308 and 5e-324
+    bases = [np.array(assemble_r(kind, 0.3, 0.1, 0.1, 1e-5, 1e-5).r) for kind in ENTANGLED]
+    bases += [np.ones(16), np.full(16, 1e308)]
+    for r in bases:
+        want = reconstruct(r).matrix
+        checked = 0
+        top = int(np.frexp(r.max())[1])  # r.max() < 2**top, so k <= 1024 - top is finite
+        for k in range(-1100 - top, 1025 - top):
+            scaled = np.ldexp(r, k)
+            with np.errstate(over="ignore"):  # a rounded-up underflow scales back past 2**1024
+                exact = np.array_equal(np.ldexp(scaled, -k), r)
+            if exact:
+                assert np.array_equal(reconstruct(scaled).matrix, want), k
+                checked += 1
+        assert checked > 1000
+    assert np.array_equal(reconstruct([5e-324] * 16).matrix, reconstruct(np.ones(16)).matrix)
 
 
 def test_density_matrix_validation():
