@@ -231,6 +231,18 @@ def cmd_visibility_curve(args) -> int:
     return 0
 
 
+def _require_coincidences(args, mu: float) -> None:
+    """At mu = 0 only dark counts click, so a zero dark count leaves every
+    coincidence rate at 0 and no state to reconstruct."""
+    zero = [_flag(d) + " 0" for d in ("dark_s", "dark_i") if getattr(args, d) == 0.0]
+    if mu == 0.0 and zero:
+        fix = "start --mu-range above 0" if getattr(args, "mu_range", None) else "set --mu above 0"
+        raise ConfigError(
+            f"at mu = 0 with {' and '.join(zero)} every coincidence rate is 0, "
+            f"so no state can be reconstructed; {fix}"
+        )
+
+
 def cmd_concurrence_curve(args) -> int:
     config = _config(args)
     mus = _parse_mu_values(args)
@@ -242,6 +254,7 @@ def cmd_concurrence_curve(args) -> int:
                 # all rates vanish at mu=0; the limit state is the pure Bell state
                 row.append(concurrence(closed_form_rho(kind, 0.0)))
                 continue
+            _require_coincidences(args, mu)
             row.append(concurrence(reconstruct(assemble_r(kind, mu, *_detector_args(args)))))
         for kind in (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED):
             row.append(closed_form_concurrence(kind, mu))
@@ -274,8 +287,10 @@ def cmd_density_matrix(args) -> int:
         if args.method == "closed-rho":
             rho = closed_form_rho(kind, args.mu)
         elif args.method == "closed":
+            _require_coincidences(args, args.mu)
             rho = reconstruct(assemble_r(kind, args.mu, *_detector_args(args)))
         else:
+            _require_coincidences(args, args.mu)
             rho = reconstruct(assemble_r(
                 kind, args.mu, *_detector_args(args), TruncationPolicy(args.tail_eps, args.cap),
                 RateMethod.EXACT_SERIES, HplusModel(args.hplus_model),

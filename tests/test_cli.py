@@ -120,6 +120,25 @@ def test_invalid_mu_exits_2_with_nothing_on_stdout(argv):
     assert rule in err, (argv, err)
 
 
+_DM_CLOSED = ["density-matrix", "--source", "dis-entangled", "--format", "json", "--mu", "0"]
+
+
+# at mu = 0 only dark counts click: one zero dark count leaves every rate
+# at 0, and the limit state is not the Bell state of the both-zero row
+@pytest.mark.parametrize(("argv", "zero", "fix"), [
+    (["concurrence-curve", "--mu-range", "0:1e-6:3", "--dark-i", "1e-3"],
+     "--dark-s 0", "start --mu-range above 0"),
+    (["concurrence-curve", "--mu", "0", "--dark-s", "1e-3"], "--dark-i 0", "set --mu above 0"),
+    ([*_DM_CLOSED, "--method", "closed"], "--dark-s 0 and --dark-i 0", "set --mu above 0"),
+    ([*_DM_CLOSED, "--method", "exact", "--dark-s", "1e-3"], "--dark-i 0", "set --mu above 0"),
+])
+def test_mu_zero_with_a_zero_dark_count_is_a_config_error(argv, zero, fix):
+    code, out, err = _capture(argv)
+    assert code == 2 and not out, (argv, out)
+    assert f"at mu = 0 with {zero} every coincidence rate is 0" in err, err
+    assert fix in err, err
+
+
 def test_json_output_is_self_describing(capsys):
     code, out, _ = _run(
         capsys, ["visibility-curve", "--mu", "0.1", "--format", "json"]

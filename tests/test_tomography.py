@@ -2,9 +2,13 @@
 and concurrence."""
 
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     DensityMatrix,
@@ -27,7 +31,9 @@ from biphoton.tomography import (
     CROSSED_INDICES,
     DESIGN_MATRIX,
     PARALLEL_INDICES,
+    PAULI_BASIS,
     PROJECTION_STATES,
+    _DUAL,
 )
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
@@ -299,3 +305,196 @@ def test_density_matrix_json_round_trip():
     assert d["basis"] == list(BASIS_LABELS) == ["HH", "HV", "VH", "VV"]
     back = np.array(d["re"]) + 1j * np.array(d["im"])
     assert np.max(np.abs(back - rho.matrix)) == 0.0
+
+
+# ---------------------------------------------------- exact references
+
+def _fractions(z: complex) -> tuple[Fraction, Fraction]:
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _exact_inverse(a: np.ndarray) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse of a float matrix, its entries taken as exact rationals."""
+    n = len(a)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a.tolist())]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+_EXACT_INVERSE = _exact_inverse(DESIGN_MATRIX)
+_EXACT_BASIS = [[_fractions(z) for z in b.ravel()] for b in PAULI_BASIS]
+
+
+def test_dual_frame_is_exact_in_fractions():
+    # the entries of M_nu are halves, so every product with a rate is exact
+    assert all((2 * q).denominator == 1 for z in _DUAL.ravel() for q in _fractions(z))
+    assert all(Fraction(a).denominator == 1 for a in DESIGN_MATRIX.ravel())
+    # coefficients of M_nu over the Pauli basis: c[j][nu] = tr(B_j M_nu) / 4
+    coeff = [[Fraction(0)] * 16 for _ in range(16)]
+    for nu in range(16):
+        m = [_fractions(z) for z in _DUAL[nu]]
+        for j, b in enumerate(_EXACT_BASIS):
+            re = im = Fraction(0)
+            for row in range(4):
+                for k in range(4):
+                    (br, bi), (mr, mi) = b[4 * row + k], m[4 * k + row]
+                    re += br * mr - bi * mi
+                    im += br * mi + bi * mr
+            assert im == 0, (nu, j)
+            coeff[j][nu] = re / 4
+    # the design matrix applied to those coefficients is the identity: the
+    # 16 rates of M_nu are the unit vector e_nu, exactly
+    for row in range(16):
+        for nu in range(16):
+            got = sum(Fraction(DESIGN_MATRIX[row, j]) * coeff[j][nu] for j in range(16))
+            assert got == (row == nu), (row, nu)
+
+
+# per entry, |rho - rho_exact| <= K_RECON u sum(r) / tr: each entry of the
+# unnormalized state is a sum of 16 exact products of size <= r_nu
+# (error <= 15 u sum r), the trace adds 4 such sums, and the division
+# rounds once; sum(r) >= tr because HH + HV + VH + VV is the identity
+K_RECON = 80
+
+
+def _exact_reconstruction(r) -> tuple[list[tuple[Fraction, Fraction]], Fraction]:
+    """Solve DESIGN_MATRIX c = r and sum c_j B_j, all in Fractions: the 16
+    entries of the unnormalized state and its trace."""
+    rq = [Fraction(v) for v in r]
+    c = [sum(a * v for a, v in zip(row, rq)) for row in _EXACT_INVERSE]
+    rho = [(sum(cj * b[k][0] for cj, b in zip(c, _EXACT_BASIS)),
+            sum(cj * b[k][1] for cj, b in zip(c, _EXACT_BASIS))) for k in range(16)]
+    return rho, sum(rho[5 * i][0] for i in range(4))
+
+
+def _check_against_exact(r) -> None:
+    got = reconstruct(r).matrix
+    assert np.array_equal(got, got.conj().T)  # exactly Hermitian
+    rho, tr = _exact_reconstruction(r)
+    bound = K_RECON * 2.0**-53 * float(sum(Fraction(v) for v in r) / tr)
+    for k, (re, im) in enumerate(rho):
+        z = got.flat[k]
+        assert abs(float(re / tr - Fraction(z.real))) <= bound, (k, z, bound)
+        assert abs(float(im / tr - Fraction(z.imag))) <= bound, (k, z, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    g=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=32, max_size=32),
+    exponent=st.floats(min_value=-300.0, max_value=300.0),
+)
+def test_reconstruct_matches_exact_rational_inversion_on_random_states(g, exponent):
+    gm = np.array(g[:16]).reshape(4, 4) + 1j * np.array(g[16:]).reshape(4, 4)
+    # a full-rank state at a random rate scale
+    rho = gm @ gm.conj().T + 1e-3 * np.eye(4)
+    rho /= rho.trace().real
+    r = [10.0**exponent * float(np.trace(rho @ pi).real) for pi in projectors()]
+    _check_against_exact(r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(ENTANGLED),
+    log_mu=st.floats(min_value=-6.0, max_value=math.log10(5.0)),
+    alphas=st.tuples(st.floats(min_value=1e-3, max_value=1.0),
+                     st.floats(min_value=1e-3, max_value=1.0)),
+    darks=st.tuples(st.sampled_from((0.0, 1e-6, 1e-3)), st.sampled_from((0.0, 1e-6, 1e-3))),
+)
+def test_reconstruct_matches_exact_rational_inversion_on_model_vectors(kind, log_mu, alphas, darks):
+    _check_against_exact(assemble_r(kind, 10.0**log_mu, *alphas, *darks).r)
+
+
+# ------------------------------------------- one eigendecomposition per state
+
+def _concurrence_from_a_fresh_eigh(m: np.ndarray) -> float:
+    """The concurrence formula with its own eigh of (m + m^+) / 2."""
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    sysy = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
+    lam2 = np.linalg.eigvalsh(sqrt_rho @ (sysy @ m.conj() @ sysy) @ sqrt_rho)
+    lam = np.sqrt(np.clip(lam2, 0.0, None))[::-1]
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+def test_concurrence_reuses_the_validation_eigendecomposition_bit_for_bit():
+    rng = np.random.default_rng(7)
+    states = [BELL, np.eye(4) / 4.0]
+    states += [closed_form_rho(kind, mu).matrix for kind in ENTANGLED for mu in (1e-6, 0.3, 3.0)]
+    states += [reconstruct(assemble_r(kind, mu, 0.13, 0.27, 1e-4, 2e-4)).matrix
+               for kind in ENTANGLED for mu in (1e-4, 0.3, 2.0)]
+    for _ in range(20):
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        states.append(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+    for m in states:
+        rho = DensityMatrix(m)
+        assert rho.psd_clip == 0.0
+        assert concurrence(rho) == _concurrence_from_a_fresh_eigh(rho.matrix)
+
+
+def test_a_clipped_state_recomputes_its_eigendecomposition():
+    # the existing clip case keeps its values, and a clipped state with
+    # coherences decomposes the clipped matrix, not the one it was given
+    rho = DensityMatrix(np.diag([0.6, 0.4 + 1e-11, -1e-11, 0.0]).astype(complex))
+    assert rho.psd_clip == 1e-11
+    assert concurrence(rho) == 0.0
+    near_bell = np.array(BELL)
+    near_bell[0, 3] = near_bell[3, 0] = 0.5 + 1e-11
+    rho = DensityMatrix(near_bell)
+    assert rho.psd_clip == pytest.approx(1e-11, rel=1e-6)
+    assert concurrence(rho) == _concurrence_from_a_fresh_eigh(rho.matrix)
+
+
+@pytest.mark.parametrize(("eig", "clip"), [(-2e-10, None), (-1e-11, 1e-11), (0.0, 0.0)])
+def test_positivity_decisions_at_the_tolerance(eig, clip):
+    m = np.diag([0.6, 0.4 - eig, eig, 0.0]).astype(complex)
+    if clip is None:
+        with pytest.raises(NotPhysical, match="below positivity tolerance"):
+            DensityMatrix(m)
+    else:
+        assert DensityMatrix(m).psd_clip == clip
+
+
+# ------------------------------------------------------ concurrence accuracy
+
+_SYSY_EXACT = mp.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+
+
+def _concurrence_mp(m: np.ndarray) -> float:
+    """Wootters concurrence of the given float matrix in 50-digit mpmath:
+    sqrt of the eigenvalues of rho (sy x sy) rho* (sy x sy)."""
+    with mp.workdps(50):
+        rho = mp.matrix([[mp.mpc(complex(z)) for z in row] for row in m])
+        flipped = _SYSY_EXACT * rho.apply(mp.conj) * _SYSY_EXACT
+        ev = mp.eig(rho * flipped, left=False, right=False)
+        lam = sorted((mp.sqrt(max(mp.re(e), 0)) for e in ev), reverse=True)
+        return float(max(0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(ENTANGLED),
+    mu=st.floats(min_value=1e-6, max_value=2e-6),
+    alphas=st.tuples(st.floats(min_value=0.05, max_value=1.0),
+                     st.floats(min_value=0.05, max_value=1.0)),
+)
+def test_concurrence_of_near_pure_model_states_against_mpmath(kind, mu, alphas):
+    # C near 1 - 2e-6: the tiny crossed eigenvalues carry the rounding
+    rho = reconstruct(assemble_r(kind, mu, *alphas))
+    assert abs(concurrence(rho) - _concurrence_mp(rho.matrix)) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(g=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=32, max_size=32))
+def test_concurrence_of_random_states_against_mpmath(g):
+    gm = np.array(g[:16]).reshape(4, 4) + 1j * np.array(g[16:]).reshape(4, 4)
+    m = gm @ gm.conj().T + 1e-3 * np.eye(4)
+    rho = DensityMatrix(m / m.trace().real)
+    assert abs(concurrence(rho) - _concurrence_mp(rho.matrix)) <= 1e-9
