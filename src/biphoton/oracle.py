@@ -17,10 +17,14 @@ rate modules:
   pattern, per-arm clicks) with a seeded PCG64 generator and reports a
   mean with its standard error.  It never touches the pair-number pmf:
   pair numbers come from numpy's own Poisson, binomial, geometric and
-  hypergeometric samplers.  Only the trials that carry a pair are drawn
-  one by one; the clicks of all trials with the same photon numbers are
-  decided together by one binomial draw.  Three sampling identities
-  make this exact in distribution (Devroye, *Non-Uniform Random Variate
+  hypergeometric samplers, and the pattern and +/- laws from the
+  oracle's coin and ladder tables.  Only the trials that carry a pair
+  get their own draw.  The rest goes by photon-number class: one
+  multinomial splits the pulses of each pair number up to 14 over the
+  pattern (and, for H+, over the + count), pulses with more pairs draw
+  one pattern each, and one binomial decides the clicks of all trials
+  with the same photon numbers.  Four sampling identities make this
+  exact in distribution (Devroye, *Non-Uniform Random Variate
   Generation*, 1986, ch. X):
 
   - Poisson splitting: N ~ Poisson(n mu) pairs thrown uniformly into n
@@ -28,6 +32,8 @@ rate modules:
   - geometric memorylessness: a geometric count conditioned on being
     positive is one plus the same geometric count, so the positive
     counts are numpy's ``geometric`` draws on {1, 2, ...};
+  - multinomial splitting: c independent draws from a law on 0..x fall
+    into its values as one Multinomial(c, law) draw;
   - binomial thinning: c trials that each succeed with probability q
     succeed Binomial(c, q) times in total.
 
@@ -168,6 +174,16 @@ def ladder_plus_distribution(x: int, k: int) -> tuple[float, ...]:
     return tuple((rows[k] * rows[k]).tolist())
 
 
+def _pattern_law(kind: SourceKind, x: int) -> tuple[float, ...]:
+    """Law of the pattern variable y at x pairs, as :func:`sample_patterns`
+    draws it; correlated pairs are all H."""
+    if kind is SourceKind.DIS_ENTANGLED:
+        return _coin_weights(x)
+    if kind is SourceKind.INDIS_ENTANGLED:
+        return (1.0 / (x + 1),) * (x + 1)
+    return (1.0,)
+
+
 def _per_x_probability(
     kind: SourceKind,
     setting: Setting,
@@ -179,13 +195,7 @@ def _per_x_probability(
     qs = [click_prob(det_s, n) for n in range(x + 1)]
     qi = [click_prob(det_i, n) for n in range(x + 1)]
     coin = _coin_weights(x)
-    # the law of the pattern variable y that sample_patterns draws from
-    if kind is SourceKind.DIS_ENTANGLED:
-        law = coin
-    elif kind is SourceKind.INDIS_ENTANGLED:
-        law = [1.0 / (x + 1)] * (x + 1)
-    else:
-        law = [1.0]  # correlated pairs are all H
+    law = _pattern_law(kind, x)
     coherent = kind is SourceKind.INDIS_ENTANGLED and hplus_model is HplusModel.COHERENT
 
     def plus_click(y: int) -> float:
@@ -246,20 +256,21 @@ def enumerate_rate(
 def _draw_pairs(rng: np.random.Generator, source: PairSource, n: int) -> np.ndarray:
     """Pair numbers of those of ``n`` independent pulses that carry any.
 
-    Returns one positive count per such pulse, in no particular order;
-    the other pulses carry none.  Exact in distribution for every kind,
-    and O(n) in memory for any mu up to ``MU_MAX``.
+    Returns one positive count per such pulse, in increasing order; the
+    other pulses carry none.  Exact in distribution for every kind, and
+    O(n) in memory for any mu up to ``MU_MAX``.
     """
     mu = source.mu
-    if source.kind.poissonian:
-        if mu > 1.0:
-            x = rng.poisson(mu, n)
-            return x[x > 0]
-        # Poisson splitting: run lengths of the sorted slots that were hit
-        slots = np.sort(rng.integers(0, n, rng.poisson(n * mu)))
-        starts = np.flatnonzero(np.diff(slots, prepend=-1))
-        return np.diff(starts, append=slots.size)
-    if source.kind is SourceKind.THERMAL_CORRELATED:
+    if source.kind.poissonian and mu > 1.0:
+        x = rng.poisson(mu, n)
+        x = x[x > 0]
+    elif source.kind.poissonian:
+        # Poisson splitting: run lengths of the sorted slots that were hit;
+        # int32 slots are exact, as n <= _BLOCK < 2^31, and sort faster
+        slots = np.sort(rng.integers(0, n, rng.poisson(n * mu), dtype=np.int32))
+        starts = np.flatnonzero(np.diff(slots, prepend=-1) != 0)
+        x = np.diff(starts, append=slots.size)
+    elif source.kind is SourceKind.THERMAL_CORRELATED:
         # geometric on {0, 1, ...}: positive with probability mu/(1+mu)
         x = rng.geometric(1.0 / (1.0 + mu), rng.binomial(n, mu / (1.0 + mu)))
     else:
@@ -272,9 +283,10 @@ def _draw_pairs(rng: np.random.Generator, source: PairSource, n: int) -> np.ndar
         g = rng.geometric(1.0 / (1.0 + half), a + b)
         g[:both] += g[a : a + both]
         x = np.concatenate((g[:a], g[a + both :]))
+    x.sort()
     # numpy's geometric saturates at the int64 maximum, and a sum of two
     # geometrics beyond it wraps to a negative count
-    if x.size and (x.min() < 1 or x.max() == _INT64_MAX):
+    if x.size and (x[0] < 1 or x[-1] == _INT64_MAX):
         raise XMaxTooLarge(f"a pulse drew more pairs than int64 holds at mu={mu:g}; lower mu")
     return x
 
@@ -312,20 +324,16 @@ def _classes(*photons: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return tuple(v + m for v, m in zip(np.unravel_index(keys, shape), lo)), counts
 
 
-def _ladder_classes(
-    rng: np.random.Generator, x: np.ndarray, k: np.ndarray
+def _plus_classes(
+    rng: np.random.Generator, xy: np.ndarray, coherent: bool
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """(signal H photons, idler + photons) classes for coherent H+.
-
-    Pulses are binned by (x, k); each bin is split over the + count by
-    one multinomial draw with the ladder law, in increasing x.
-    """
-    top = int(x.max()) if x.size else 0
-    xk = np.bincount(x * (top + 1) + k, minlength=(top + 1) ** 2).reshape(top + 1, top + 1)
-    counts = np.zeros((top + 1, top + 1), dtype=np.int64)
-    for xv in np.flatnonzero(xk.any(axis=1)).tolist():
-        split = rng.multinomial(xk[xv, : xv + 1], _ladder_table(xv) ** 2)
-        counts[xv - np.arange(xv + 1), : xv + 1] += split
+    """(signal H photons, idler + photons) classes of the (x, y) bins ``xy``:
+    one multinomial per row x over the + count, in increasing x, with the
+    ladder law of the collapsed state if ``coherent``, else x fair coins."""
+    counts = np.zeros_like(xy)
+    for xv in np.flatnonzero(xy.any(axis=1)).tolist():
+        law = _ladder_table(xv) ** 2 if coherent else _coin_weights(xv)
+        counts[xv - np.arange(xv + 1), : xv + 1] += rng.multinomial(xy[xv, : xv + 1], law)
     occupied = np.nonzero(counts)
     return occupied, counts[occupied]
 
@@ -349,6 +357,35 @@ def _hits(
     return int(rng.binomial(counts, p).sum()) + int(rng.binomial(empty, dark))
 
 
+def _photon_classes(
+    rng: np.random.Generator, kind: SourceKind, setting: Setting, x: np.ndarray, coherent: bool
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(photons per arm, pulse count) classes of the pulses with the sorted
+    pair numbers ``x``: by (x, pattern) bin up to ``X_MAX_LIMIT`` pairs, or
+    up to ``HPLUS_X_CAP`` for coherent H+, and by `_classes` beyond."""
+    top = HPLUS_X_CAP if coherent else X_MAX_LIMIT
+    edges = np.searchsorted(x, np.arange(top + 2))  # one run per pair number
+    xy = np.zeros((top + 1, top + 1), dtype=np.int64)
+    for xv in np.flatnonzero(np.diff(edges)).tolist():
+        law = _pattern_law(kind, xv)
+        xy[xv, : len(law)] = rng.multinomial(edges[xv + 1] - edges[xv], law)
+    x = x[edges[-1] :]
+    v = sample_patterns(kind, x, rng)
+    if setting is Setting.HPLUS:
+        small = _plus_classes(rng, xy, coherent)
+        big = _classes(x - v, rng.binomial(x, 0.5))
+    else:
+        def arms(h, v):  # y pairs are V-polarized: x - y photons pass each H polarizer
+            return {Setting.HV: (h, v), Setting.SINGLE_S: (h,),
+                    Setting.SINGLE_I: (h,)}.get(setting, (h, h))
+
+        xs, ys = np.nonzero(xy)
+        small = arms(xs - ys, ys), xy[xs, ys]
+        big = _classes(*arms(x - v, v))
+    photons = tuple(np.concatenate(p) for p in zip(small[0], big[0]))
+    return photons, np.concatenate((small[1], big[1]))
+
+
 def _mc_block(
     rng: np.random.Generator,
     source: PairSource,
@@ -358,37 +395,25 @@ def _mc_block(
     n: int,
     hplus_model: HplusModel,
 ) -> int:
-    kind = source.kind
-    x = _draw_pairs(rng, source, n)
-    empty = n - x.size
-
-    if setting is Setting.CAR_UNMATCHED:
-        # the idler comes from another pulse: draw it only where the signal clicked
-        signal = _hits(rng, empty, (det_s,), *_classes(x))
-        x = _draw_pairs(rng, source, signal)
-        return _hits(rng, signal - x.size, (det_i,), *_classes(x))
-
-    v = sample_patterns(kind, x, rng)
-    h = x - v
-    if setting is Setting.SINGLE_S:
-        return _hits(rng, empty, (det_s,), *_classes(h))
-    if setting is Setting.SINGLE_I:
-        return _hits(rng, empty, (det_i,), *_classes(h))
-    if setting in (Setting.HH, Setting.CAR_MATCHED):
-        classes = _classes(h, h)
-    elif setting is Setting.HV:
-        classes = _classes(h, v)
-    elif kind is SourceKind.INDIS_ENTANGLED and hplus_model is HplusModel.COHERENT:
-        if x.size and x.max() > HPLUS_X_CAP:
+    coherent = setting is Setting.HPLUS and hplus_model is HplusModel.COHERENT and (
+        source.kind is SourceKind.INDIS_ENTANGLED)
+    # (setting, detectors) per draw; CAR_UNMATCHED draws the idler from
+    # other pulses, only as many as there were signal clicks
+    steps = {
+        Setting.SINGLE_S: [(setting, (det_s,))],
+        Setting.SINGLE_I: [(setting, (det_i,))],
+        Setting.CAR_UNMATCHED: [(Setting.SINGLE_S, (det_s,)), (Setting.SINGLE_I, (det_i,))],
+    }.get(setting, [(setting, (det_s, det_i))])
+    for arm, dets in steps:
+        x = _draw_pairs(rng, source, n)
+        if coherent and x.size and x[-1] > HPLUS_X_CAP:
             raise XMaxTooLarge(
-                f"coherent H+ Monte-Carlo drew a pulse with {x.max()} pairs at "
+                f"coherent H+ Monte-Carlo drew a pulse with {x[-1]} pairs at "
                 f"mu={source.mu:g}, above its ladder cap of {HPLUS_X_CAP}; use a "
                 f"smaller mu or HplusModel.INDEPENDENT"
             )
-        classes = _ladder_classes(rng, x, v)
-    else:  # HPLUS with independent +/- splitting
-        classes = _classes(h, rng.binomial(x, 0.5))
-    return _hits(rng, empty, (det_s, det_i), *classes)
+        n = _hits(rng, n - x.size, dets, *_photon_classes(rng, source.kind, arm, x, coherent))
+    return n
 
 
 def mc_rate(
@@ -407,21 +432,25 @@ def mc_rate(
     order is fixed:
 
     1. pair numbers of the pulses that carry any: for Poissonian kinds
-       with mu <= 1, N ~ Poisson(n mu) and N slot indices; with mu > 1,
-       one Poisson per pulse; for the thermal kind, a Binomial count of
-       positive pulses and one geometric each; for the indistinguishable
-       kind, two such Binomial counts, their hypergeometric overlap and
-       one geometric per positive factor;
-    2. the pattern variable of each of those pulses (entangled kinds);
-    3. for H+, the + port: Binomial(x, 1/2) per pulse, or for coherent
-       indistinguishable pairs one multinomial per pair number x over
-       its (x, k) bins, in increasing x;
-    4. one binomial per occupied (signal photons, idler photons) class,
-       in increasing order, then one for the pulses without pairs.
+       with mu <= 1, N ~ Poisson(n mu) and N int32 slot indices; with
+       mu > 1, one Poisson per pulse; for the thermal kind, a Binomial
+       count of positive pulses and one geometric each; for the
+       indistinguishable kind, two such Binomial counts, their
+       hypergeometric overlap and one geometric per positive factor;
+    2. the pattern variable: one multinomial per occupied pair number
+       x <= 14 (x <= ``HPLUS_X_CAP`` for coherent H+), in increasing x,
+       then one draw per pulse with more pairs, in increasing x;
+    3. for H+, the + count: one multinomial per occupied x over its
+       (x, pattern) bins, in increasing x, with the ladder law (coherent
+       indistinguishable pairs) or x fair coins, then Binomial(x, 1/2)
+       per pulse with more pairs;
+    4. one binomial per occupied bin of steps 2-3, then one per (signal
+       photons, idler photons) class of the other pulses, each in
+       increasing order, then one for the pulses without pairs.
 
-    For CAR_UNMATCHED, step 4 draws the signal clicks only; then the
-    idler's pair numbers are drawn (as in step 1) for the S pulses whose
-    signal clicked, followed by the idler's step 4.
+    CAR_UNMATCHED runs steps 1, 2 and 4 for the signal arm over the n
+    pulses, then again for the idler arm over as many fresh pulses as
+    there were signal clicks.
 
     Coherent H+ on the indistinguishable kind raises
     :class:`XMaxTooLarge` if a pulse draws more than ``HPLUS_X_CAP`` =

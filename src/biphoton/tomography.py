@@ -103,12 +103,13 @@ def _checked_rates(r) -> np.ndarray:
 class DensityMatrix:
     """A validated 4x4 two-qubit density matrix.
 
-    Construction enforces hermiticity and unit trace to 1e-12 and
-    positivity up to -1e-10 of eigenvalue noise.  Any negative noise
-    eigenvalues are clipped to zero and the matrix renormalized; the
-    total clipped magnitude is recorded in ``psd_clip``.  The positivity
-    check and the clip share one Hermitian eigendecomposition, which
-    :func:`concurrence` reuses when nothing was clipped.
+    Construction copies the input, so ``matrix`` is read-only and the
+    caller's array is not, and enforces hermiticity and unit trace to
+    1e-12 and positivity up to -1e-10 of eigenvalue noise.  Negative
+    noise eigenvalues are clipped to zero and the matrix renormalized;
+    the total clipped magnitude is recorded in ``psd_clip``.  The
+    positivity check and the clip share one Hermitian eigendecomposition,
+    which :func:`concurrence` reuses when nothing was clipped.
     """
 
     HERM_TOL = 1e-12
@@ -116,7 +117,7 @@ class DensityMatrix:
     PSD_TOL = 1e-10
 
     def __init__(self, matrix: np.ndarray) -> None:
-        m = np.asarray(matrix, dtype=complex)
+        m = np.array(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
         if not np.isfinite(m).all():

@@ -31,9 +31,17 @@ from biphoton import (
     pmf_values,
     single_rate,
     timebin_rate,
+    truncation_index,
 )
 from biphoton.detection import click_prob
-from biphoton.oracle import _draw_pairs, ladder_plus_distribution, sample_patterns
+from biphoton.oracle import (
+    X_MAX_LIMIT,
+    _coin_weights,
+    _draw_pairs,
+    _photon_classes,
+    ladder_plus_distribution,
+    sample_patterns,
+)
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
 CORRELATED = (SourceKind.DIS_CORRELATED, SourceKind.THERMAL_CORRELATED)
@@ -473,3 +481,100 @@ def test_sample_patterns_match_their_laws():
     assert stats.chisquare(counts, np.full(x + 1, n / (x + 1))).pvalue > 1e-3
     pat = sample_patterns(SourceKind.THERMAL_CORRELATED, xs, rng)
     assert np.all(pat == 0)
+
+
+def test_coin_weights_are_exact_binomial_laws():
+    # the class-wise Monte-Carlo draws its VV counts and fair-coin +
+    # splits from these tables: each entry is comb(x, j) / 2^x exactly
+    for x in range(X_MAX_LIMIT + 1):
+        got = [Fraction(w) for w in _coin_weights(x)]
+        assert got == [Fraction(math.comb(x, j), 2**x) for j in range(x + 1)], x
+
+
+def _pooled_chisquare(observed, expected):
+    """Chi-square p-value with the cells expected below 5 pooled into one;
+    a cell of probability 0 (the ladder has some) must stay empty."""
+    observed, expected = np.ravel(observed), np.ravel(expected)
+    assert not observed[expected == 0.0].any()
+    sparse = expected < 5.0
+    obs, exp = observed[~sparse], expected[~sparse]
+    if expected[sparse].sum() > 0.0:
+        obs = np.append(obs, observed[sparse].sum())
+        exp = np.append(exp, expected[sparse].sum())
+    return stats.chisquare(obs, exp * (obs.sum() / exp.sum())).pvalue
+
+
+@pytest.mark.parametrize("x", [6, X_MAX_LIMIT])
+@pytest.mark.parametrize(
+    "kind, coherent",
+    [(SourceKind.DIS_ENTANGLED, False), (SourceKind.INDIS_ENTANGLED, False),
+     (SourceKind.INDIS_ENTANGLED, True)],
+)
+def test_class_wise_draws_match_their_laws(x, kind, coherent):
+    # n pulses of x pairs each, split by class: the pattern counts (HV
+    # classes are (x - y, y)) and the joint (x - y, + count) of H+
+    n = 200_000
+    rng = np.random.Generator(np.random.PCG64(8080 + x))
+    pulses = np.full(n, x)
+    if kind is SourceKind.DIS_ENTANGLED:
+        pattern = np.array([math.comb(x, y) for y in range(x + 1)]) / 2.0**x
+    else:
+        pattern = np.full(x + 1, 1.0 / (x + 1))
+    if not coherent:
+        (h, v), counts = _photon_classes(rng, kind, Setting.HV, pulses, False)
+        assert np.all(h + v == x)
+        assert counts.sum() == n
+        observed = np.bincount(v, weights=counts, minlength=x + 1)
+        assert _pooled_chisquare(observed, n * pattern) > 1e-3
+    if kind is SourceKind.INDIS_ENTANGLED and coherent:
+        plus = np.array(plus_port_distribution(x))  # row y: the ladder law
+    else:
+        plus = np.tile([math.comb(x, p) / 2.0**x for p in range(x + 1)], (x + 1, 1))
+    (h, p), counts = _photon_classes(rng, kind, Setting.HPLUS, pulses, coherent)
+    assert counts.sum() == n
+    observed = np.zeros((x + 1, x + 1))
+    np.add.at(observed, (x - h, p), counts)
+    assert _pooled_chisquare(observed, n * pattern[:, None] * plus) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "kind, mu", [(SourceKind.DIS_ENTANGLED, 12.0), (SourceKind.INDIS_ENTANGLED, 6.0)]
+)
+@pytest.mark.parametrize(
+    "setting, model",
+    [(Setting.HH, HplusModel.COHERENT), (Setting.HV, HplusModel.COHERENT),
+     (Setting.HPLUS, HplusModel.COHERENT), (Setting.HPLUS, HplusModel.INDEPENDENT),
+     (Setting.SINGLE_S, HplusModel.COHERENT)],
+)
+def test_mc_agrees_with_series_on_both_sides_of_the_class_limit(kind, mu, setting, model):
+    # at these mu a good share of the pulses carry more than X_MAX_LIMIT
+    # pairs (23% at Poisson mu 12, 6% at NB(2) mu 6), so the class-wise
+    # and the per-pulse draws both feed the estimate
+    src = PairSource(kind, mu)
+    det_s, det_i = DetectorModel(0.03, 1e-3), DetectorModel(0.05, 1e-4)
+    policy = TruncationPolicy()
+    assert truncation_index(src, policy) < policy.hard_cap
+    x = _draw_pairs(np.random.Generator(np.random.PCG64(5)), src, 100_000)
+    assert np.any(x <= X_MAX_LIMIT) and np.any(x > X_MAX_LIMIT)
+    if setting is Setting.SINGLE_S:
+        want = single_rate(src, det_s, policy)
+    else:
+        want = coincidence_rate(src, setting, det_s, det_i, policy, model).value
+    est = mc_rate(src, setting, det_s, det_i, 400_000, seed=31, hplus_model=model)
+    se = max(est.std_error, math.sqrt(want * (1.0 - want) / est.trials))
+    assert abs(est.mean - want) / se <= 4.0, (est.mean, want)
+
+
+@pytest.mark.parametrize(
+    "kind, setting",
+    [(SourceKind.DIS_CORRELATED, Setting.CAR_UNMATCHED),
+     (SourceKind.INDIS_ENTANGLED, Setting.HPLUS)],
+)
+def test_mc_class_wise_draws_rerun_bit_for_bit(kind, setting):
+    src = PairSource(kind, 0.3)
+    det = DetectorModel(0.4, 1e-4)
+    # 1.5e6 trials: two blocks, the second with a different size
+    a = mc_rate(src, setting, det, det, 1_500_000, seed=77)
+    b = mc_rate(src, setting, det, det, 1_500_000, seed=77)
+    assert (a.mean, a.std_error) == (b.mean, b.std_error)
+    assert mc_rate(src, setting, det, det, 1_500_000, seed=78).mean != a.mean

@@ -299,6 +299,20 @@ def test_density_matrix_is_write_protected():
     assert rho.matrix[0, 0] != 5.0
 
 
+def test_density_matrix_leaves_the_callers_array_writable():
+    # a complex input used to be frozen in place, not copied
+    m = np.eye(4, dtype=complex) / 4
+    before = m.copy()
+    dm = DensityMatrix(m)
+    assert concurrence(m) == 0.0
+    assert m.flags.writeable
+    np.testing.assert_array_equal(m, before)
+    m[0, 0] = 1.0
+    assert dm.matrix[0, 0] == 0.25
+    with pytest.raises(ValueError):
+        dm.matrix[0, 0] = 1.0
+
+
 def test_density_matrix_json_round_trip():
     rho = closed_form_rho(SourceKind.INDIS_ENTANGLED, 0.4)
     d = rho.to_json_dict()
