@@ -15,27 +15,27 @@ rate modules:
 
 * :func:`mc_rate` samples the same generative chain (pair number,
   pattern, per-arm clicks) with a seeded PCG64 generator and reports a
-  mean with its standard error.  It never touches the pair-number pmf:
-  pair numbers come from numpy's own Poisson, binomial, geometric and
-  hypergeometric samplers, and the pattern and +/- laws from the
-  oracle's coin and ladder tables.  Only the trials that carry a pair
-  get their own draw.  The rest goes by photon-number class: one
-  multinomial splits the pulses of each pair number up to 14 over the
-  pattern (and, for H+, over the + count), pulses with more pairs draw
-  one pattern each, and one binomial decides the clicks of all trials
-  with the same photon numbers.  Four sampling identities make this
+  mean with its standard error.  It goes by photon-number class: one
+  multinomial over each kind's pair-number law on 0..top (top = 14, or
+  200 for coherent H+) gives the pulse count of each pair number, one
+  per pair number splits those pulses over the pattern (and, for H+,
+  the + count) with the oracle's coin and ladder tables, and one
+  binomial decides the clicks of all pulses with the same photon
+  numbers.  Only pulses beyond top get their own draws; Poissonian
+  kinds with mu > 1 draw one Poisson per pulse.  The law is stated here
+  in closed form, apart from the series' recurrence: Poisson in log
+  space, geometric, and NB(2) (x+1) q^x (1-q)^2.  Multinomial splitting,
+  binomial thinning and three tail identities for x > top make this
   exact in distribution (Devroye, *Non-Uniform Random Variate
-  Generation*, 1986, ch. X):
+  Generation*, 1986):
 
-  - Poisson splitting: N ~ Poisson(n mu) pairs thrown uniformly into n
-    trials leave independent Poisson(mu) counts in the trials;
-  - geometric memorylessness: a geometric count conditioned on being
-    positive is one plus the same geometric count, so the positive
-    counts are numpy's ``geometric`` draws on {1, 2, ...};
-  - multinomial splitting: c independent draws from a law on 0..x fall
-    into its values as one Multinomial(c, law) draw;
-  - binomial thinning: c trials that each succeed with probability q
-    succeed Binomial(c, q) times in total.
+  - geometric: top plus a geometric on {1, 2, ...} (memorylessness);
+  - NB(2): R = x - top - 1 has weight (top + 2 + R) q^R, one geometric
+    with probability (top + 1)(1 - q)/((top + 1)(1 - q) + 1), else the
+    sum of two;
+  - Poisson: top + 1 + Poisson(mu (1 - s)), where s is the (top+1)-th
+    arrival of a rate-mu process on [0, 1], drawn as U^(1/(top+1)) and
+    accepted with probability e^(-mu s) >= 1/e for mu <= 1.
 
   For a fixed seed, trial count and configuration the result is
   reproducible bit for bit: trials are consumed in blocks of
@@ -188,12 +188,12 @@ def _per_x_probability(
     kind: SourceKind,
     setting: Setting,
     x: int,
-    det_s: DetectorModel,
-    det_i: DetectorModel,
+    qs: list[float],
+    qi: list[float],
     hplus_model: HplusModel,
 ) -> float:
-    qs = [click_prob(det_s, n) for n in range(x + 1)]
-    qi = [click_prob(det_i, n) for n in range(x + 1)]
+    """Detection probability at x pairs, given each arm's click
+    probabilities ``qs``/``qi`` at 0, 1, ... photons."""
     coin = _coin_weights(x)
     law = _pattern_law(kind, x)
     coherent = kind is SourceKind.INDIS_ENTANGLED and hplus_model is HplusModel.COHERENT
@@ -238,57 +238,80 @@ def enumerate_rate(
 
     weights = pmf_values(source, x_max)
     tail = max(0.0, 1.0 - math.fsum(weights))
+    qs = [click_prob(det_s, n) for n in range(x_max + 1)]
+    qi = [click_prob(det_i, n) for n in range(x_max + 1)]
 
     if setting is Setting.CAR_UNMATCHED:
-        a = math.fsum(weights[x] * click_prob(det_s, x) for x in range(x_max + 1))
-        b = math.fsum(weights[x] * click_prob(det_i, x) for x in range(x_max + 1))
+        a = math.fsum(weights[x] * qs[x] for x in range(x_max + 1))
+        b = math.fsum(weights[x] * qi[x] for x in range(x_max + 1))
         # |A'B' - AB| <= tail*(A + B + tail) when each factor gains <= tail
         return EnumeratedRate(a * b, tail * (a + b + tail), x_max)
 
     value = math.fsum(
         weights[x]
-        * _per_x_probability(source.kind, setting, x, det_s, det_i, hplus_model)
+        * _per_x_probability(source.kind, setting, x, qs, qi, hplus_model)
         for x in range(x_max + 1)
     )
     return EnumeratedRate(value, tail, x_max)
 
 
-def _draw_pairs(rng: np.random.Generator, source: PairSource, n: int) -> np.ndarray:
-    """Pair numbers of those of ``n`` independent pulses that carry any.
+def _pair_law(kind: SourceKind, mu: float, top: int) -> np.ndarray:
+    """The pair-number law on 0..top in closed form: Poisson in log space,
+    geometric (thermal), and NB(2) (x+1) q^x / (1+h)^2 with h = mu/2 and
+    q = h/(1+h); stated apart from the series' recurrence on purpose."""
+    x = np.arange(top + 1.0)
+    if kind.poissonian:
+        log_fact = np.array([math.lgamma(v + 1.0) for v in x])
+        return np.exp(x * math.log(mu) - mu - log_fact) if mu else (x == 0) * 1.0
+    if kind is SourceKind.THERMAL_CORRELATED:
+        return (mu / (1.0 + mu)) ** x / (1.0 + mu)
+    h = mu / 2.0
+    return (x + 1.0) * (h / (1.0 + h)) ** x / (1.0 + h) ** 2
 
-    Returns one positive count per such pulse, in increasing order; the
-    other pulses carry none.  Exact in distribution for every kind, and
-    O(n) in memory for any mu up to ``MU_MAX``.
-    """
-    mu = source.mu
-    if source.kind.poissonian and mu > 1.0:
-        x = rng.poisson(mu, n)
-        x = x[x > 0]
-    elif source.kind.poissonian:
-        # Poisson splitting: run lengths of the sorted slots that were hit;
-        # int32 slots are exact, as n <= _BLOCK < 2^31, and sort faster
-        slots = np.sort(rng.integers(0, n, rng.poisson(n * mu), dtype=np.int32))
-        starts = np.flatnonzero(np.diff(slots, prepend=-1) != 0)
-        x = np.diff(starts, append=slots.size)
-    elif source.kind is SourceKind.THERMAL_CORRELATED:
-        # geometric on {0, 1, ...}: positive with probability mu/(1+mu)
-        x = rng.geometric(1.0 / (1.0 + mu), rng.binomial(n, mu / (1.0 + mu)))
+
+def _tail_pairs(rng: np.random.Generator, source: PairSource, top: int, t: int) -> np.ndarray:
+    """``t`` pair numbers from the law conditioned on x > top (not for
+    Poisson with mu > 1): one geometric each (thermal); a binomial count
+    of single geometrics, then the geometrics (NB(2)); rounds of proposal
+    and acceptance uniforms, then one Poisson each (Poisson)."""
+    kind, mu = source.kind, source.mu
+    if kind is SourceKind.THERMAL_CORRELATED:
+        return top + rng.geometric(1.0 / (1.0 + mu), t)
+    if kind is SourceKind.INDIS_ENTANGLED:
+        h = mu / 2.0
+        one = rng.binomial(t, (top + 1) / (top + 2 + h))  # (top+1)(1-q)/((top+1)(1-q)+1)
+        g = rng.geometric(1.0 / (1.0 + h), 2 * t - one)
+        x = top + g[:t]
+        x[one:] += g[t:] - 1
+        return x
+    s = np.empty(0)  # the (top+1)-th arrivals
+    while s.size < t:
+        u = rng.random(t - s.size) ** (1.0 / (top + 1))
+        s = np.concatenate((s, u[rng.random(u.size) < np.exp(-mu * u)]))
+    return top + 1 + rng.poisson(mu * (1.0 - s))
+
+
+def _draw_pairs(
+    rng: np.random.Generator, source: PairSource, n: int, top: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair numbers of ``n`` independent pulses: the pulse count of each
+    of 0..top pairs, and the pair numbers beyond.  Exact in
+    distribution, and O(n) in memory for any mu up to ``MU_MAX``."""
+    kind, mu = source.kind, source.mu
+    if kind.poissonian and mu > 1.0:
+        x = np.sort(rng.poisson(mu, n))
+        edges = np.searchsorted(x, np.arange(top + 2))  # one run per pair number
+        counts, tail = np.diff(edges), x[edges[-1] :]
     else:
-        # NB(2): the sum of two such geometrics, each with mean mu/2; a
-        # pulses have the first positive, b the second, and `both` of them both
-        half = mu / 2.0
-        a = rng.binomial(n, half / (1.0 + half))
-        b = rng.binomial(n, half / (1.0 + half))
-        both = rng.hypergeometric(a, n - a, b)
-        g = rng.geometric(1.0 / (1.0 + half), a + b)
-        g[:both] += g[a : a + both]
-        x = np.concatenate((g[:a], g[a + both :]))
-    x.sort()
-    # numpy's geometric saturates at the int64 maximum, and a sum of two
-    # geometrics beyond it wraps to a negative count
-    if x.size and (x[0] < 1 or x[-1] == _INT64_MAX):
+        # numpy gives the last bin, the pulses beyond top, the remaining mass
+        counts = rng.multinomial(n, np.append(_pair_law(kind, mu, top), 0.0))
+        tail = _tail_pairs(rng, source, top, int(counts[-1]))
+        counts = counts[:-1]
+    # numpy's geometric saturates at the int64 maximum, and a sum beyond
+    # it wraps to a negative count
+    if tail.size and (tail.min() <= top or tail.max() == _INT64_MAX):
         raise XMaxTooLarge(f"a pulse drew more pairs than int64 holds at mu={mu:g}; lower mu")
-    return x
+    return counts, tail
 
 
 def sample_patterns(kind: SourceKind, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -358,22 +381,22 @@ def _hits(
 
 
 def _photon_classes(
-    rng: np.random.Generator, kind: SourceKind, setting: Setting, x: np.ndarray, coherent: bool
+    rng: np.random.Generator, kind: SourceKind, setting: Setting, counts: np.ndarray,
+    tail: np.ndarray, coherent: bool,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """(photons per arm, pulse count) classes of the pulses with the sorted
-    pair numbers ``x``: by (x, pattern) bin up to ``X_MAX_LIMIT`` pairs, or
-    up to ``HPLUS_X_CAP`` for coherent H+, and by `_classes` beyond."""
-    top = HPLUS_X_CAP if coherent else X_MAX_LIMIT
-    edges = np.searchsorted(x, np.arange(top + 2))  # one run per pair number
-    xy = np.zeros((top + 1, top + 1), dtype=np.int64)
-    for xv in np.flatnonzero(np.diff(edges)).tolist():
+    """(photons per arm, pulse count) classes of the pulses that carry
+    pairs: by (x, pattern) bin for ``counts``, the pulse counts of x =
+    0..top pairs (x = 0 left out), by `_classes` for the pair numbers
+    ``tail`` beyond."""
+    occupied = (np.flatnonzero(counts[1:]) + 1).tolist()  # pair numbers
+    xy = np.zeros((max(occupied, default=0) + 1,) * 2, dtype=np.int64)
+    for xv in occupied:
         law = _pattern_law(kind, xv)
-        xy[xv, : len(law)] = rng.multinomial(edges[xv + 1] - edges[xv], law)
-    x = x[edges[-1] :]
-    v = sample_patterns(kind, x, rng)
+        xy[xv, : len(law)] = rng.multinomial(counts[xv], law)
+    v = sample_patterns(kind, tail, rng)
     if setting is Setting.HPLUS:
         small = _plus_classes(rng, xy, coherent)
-        big = _classes(x - v, rng.binomial(x, 0.5))
+        big = _classes(tail - v, rng.binomial(tail, 0.5))
     else:
         def arms(h, v):  # y pairs are V-polarized: x - y photons pass each H polarizer
             return {Setting.HV: (h, v), Setting.SINGLE_S: (h,),
@@ -381,7 +404,7 @@ def _photon_classes(
 
         xs, ys = np.nonzero(xy)
         small = arms(xs - ys, ys), xy[xs, ys]
-        big = _classes(*arms(x - v, v))
+        big = _classes(*arms(tail - v, v))
     photons = tuple(np.concatenate(p) for p in zip(small[0], big[0]))
     return photons, np.concatenate((small[1], big[1]))
 
@@ -404,15 +427,17 @@ def _mc_block(
         Setting.SINGLE_I: [(setting, (det_i,))],
         Setting.CAR_UNMATCHED: [(Setting.SINGLE_S, (det_s,)), (Setting.SINGLE_I, (det_i,))],
     }.get(setting, [(setting, (det_s, det_i))])
+    top = HPLUS_X_CAP if coherent else X_MAX_LIMIT
     for arm, dets in steps:
-        x = _draw_pairs(rng, source, n)
-        if coherent and x.size and x[-1] > HPLUS_X_CAP:
+        counts, tail = _draw_pairs(rng, source, n, top)
+        if coherent and tail.size:
             raise XMaxTooLarge(
-                f"coherent H+ Monte-Carlo drew a pulse with {x[-1]} pairs at "
+                f"coherent H+ Monte-Carlo drew a pulse with {tail.max()} pairs at "
                 f"mu={source.mu:g}, above its ladder cap of {HPLUS_X_CAP}; use a "
                 f"smaller mu or HplusModel.INDEPENDENT"
             )
-        n = _hits(rng, n - x.size, dets, *_photon_classes(rng, source.kind, arm, x, coherent))
+        classes = _photon_classes(rng, source.kind, arm, counts, tail, coherent)
+        n = _hits(rng, int(counts[0]), dets, *classes)
     return n
 
 
@@ -431,19 +456,17 @@ def mc_rate(
     the b-th child of SeedSequence(seed).  Within a block the draw
     order is fixed:
 
-    1. pair numbers of the pulses that carry any: for Poissonian kinds
-       with mu <= 1, N ~ Poisson(n mu) and N int32 slot indices; with
-       mu > 1, one Poisson per pulse; for the thermal kind, a Binomial
-       count of positive pulses and one geometric each; for the
-       indistinguishable kind, two such Binomial counts, their
-       hypergeometric overlap and one geometric per positive factor;
+    1. pair numbers: one multinomial of the n pulses over the law on
+       0..top and a bin beyond, top = 14 (``HPLUS_X_CAP`` for coherent
+       H+), then the pulses beyond top as :func:`_tail_pairs` draws
+       them; for Poissonian kinds with mu > 1, one Poisson per pulse;
     2. the pattern variable: one multinomial per occupied pair number
-       x <= 14 (x <= ``HPLUS_X_CAP`` for coherent H+), in increasing x,
-       then one draw per pulse with more pairs, in increasing x;
+       1..top, in increasing x, then one draw per pulse beyond top, in
+       the order of step 1;
     3. for H+, the + count: one multinomial per occupied x over its
        (x, pattern) bins, in increasing x, with the ladder law (coherent
        indistinguishable pairs) or x fair coins, then Binomial(x, 1/2)
-       per pulse with more pairs;
+       per pulse beyond top;
     4. one binomial per occupied bin of steps 2-3, then one per (signal
        photons, idler photons) class of the other pulses, each in
        increasing order, then one for the pulses without pairs.
@@ -453,7 +476,7 @@ def mc_rate(
     there were signal clicks.
 
     Coherent H+ on the indistinguishable kind raises
-    :class:`XMaxTooLarge` if a pulse draws more than ``HPLUS_X_CAP`` =
+    :class:`XMaxTooLarge` if any pulse falls beyond ``HPLUS_X_CAP`` =
     200 pairs; ``HplusModel.INDEPENDENT`` has no such cap.  Every kind
     raises it for mu above ``MU_MAX`` = 2^62, and when a drawn pair
     number does not fit in int64 (thermal and indistinguishable kinds

@@ -2,9 +2,11 @@
 
 import math
 import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -38,7 +40,10 @@ from biphoton.oracle import (
     X_MAX_LIMIT,
     _coin_weights,
     _draw_pairs,
+    _pair_law,
+    _per_x_probability,
     _photon_classes,
+    _tail_pairs,
     ladder_plus_distribution,
     sample_patterns,
 )
@@ -234,6 +239,32 @@ def test_enumeration_matches_a_bitmask_pattern_walk(kind, setting):
                 assert abs(got - want) <= 1e-15, (mu, x_max, model, got - want)
 
 
+@pytest.mark.parametrize("kind", list(SourceKind))
+def test_enumeration_builds_its_click_lists_once(kind):
+    # enumerate_rate builds each arm's click list once per call and hands
+    # it to every x; the same sum with the lists rebuilt for each x gives
+    # the same value bit for bit
+    src = PairSource(kind, 0.2)
+    det_s, det_i = DetectorModel(0.05, 1e-3), DetectorModel(0.5)
+    weights = pmf_values(src, X_MAX_LIMIT)
+    extra = Setting.HPLUS if kind.entangled else Setting.CAR_MATCHED
+    for setting in (Setting.HH, Setting.HV, Setting.SINGLE_S, Setting.SINGLE_I, extra):
+        for model in HplusModel:
+            want = math.fsum(
+                weights[x] * _per_x_probability(
+                    kind, setting, x, [click_prob(det_s, n) for n in range(x + 1)],
+                    [click_prob(det_i, n) for n in range(x + 1)], model)
+                for x in range(X_MAX_LIMIT + 1)
+            )
+            got = enumerate_rate(src, setting, det_s, det_i, X_MAX_LIMIT, model).value
+            assert got == want, (setting, model)
+    if kind.correlated:
+        a, b = (math.fsum(w * click_prob(det, x) for x, w in enumerate(weights))
+                for det in (det_s, det_i))
+        got = enumerate_rate(src, Setting.CAR_UNMATCHED, det_s, det_i, X_MAX_LIMIT).value
+        assert got == a * b
+
+
 def test_enumeration_small_cutoffs():
     det = DetectorModel(0.3)
     # a crossed-basis coincidence needs at least two pairs
@@ -380,15 +411,71 @@ def test_mc_coherent_hplus_caps_the_pair_number():
 def test_pair_sampler_matches_pmf(kind, mu):
     n = 200_000
     src = PairSource(kind, mu)
-    x = _draw_pairs(np.random.Generator(np.random.PCG64(2024)), src, n)
-    assert x.size == 0 or x.min() >= 1
-    observed = np.bincount(x, minlength=2)
-    observed[0] = n - x.size
+    counts, tail = _draw_pairs(np.random.Generator(np.random.PCG64(2024)), src, n, X_MAX_LIMIT)
+    assert counts.size == X_MAX_LIMIT + 1 and counts.sum() + tail.size == n
+    assert tail.size == 0 or tail.min() > X_MAX_LIMIT
+    observed = np.bincount(tail, minlength=X_MAX_LIMIT + 1)
+    observed[: X_MAX_LIMIT + 1] += counts
     expected = n * np.array(pmf_values(src, observed.size + 60))
     top = int(np.flatnonzero(expected >= 5.0).max())  # pool the sparse tail
     obs = np.append(observed[: top + 1], observed[top + 1 :].sum())
     exp = np.append(expected[: top + 1], n - expected[: top + 1].sum())
     assert stats.chisquare(obs, exp).pvalue > 1e-3
+
+
+def _pair_law_mp(kind, mu, x):
+    """The pair-number law at x in 50-digit mpmath."""
+    with mp.workdps(50):
+        mu = mp.mpf(mu)
+        if kind is SourceKind.INDIS_ENTANGLED:
+            value = (x + 1) * (mu / 2) ** x / (1 + mu / 2) ** (x + 2)
+        elif kind is SourceKind.THERMAL_CORRELATED:
+            value = mu**x / (1 + mu) ** (x + 1)
+        else:
+            value = mp.exp(-mu) * mu**x / mp.factorial(x)
+        return float(value)
+
+
+@pytest.mark.parametrize("kind", list(SourceKind))
+def test_pair_law_matches_the_series_pmf_and_mpmath(kind):
+    # the Monte-Carlo's closed-form law against the series' recurrence and
+    # 50-digit mpmath.  The Poisson form is evaluated in log space, so its
+    # relative error is the rounding of its exponent's terms: up to
+    # 4 eps (1 + x |ln mu| + mu + ln x!), which exceeds 1e-13 only at
+    # large x or mu.  Values below the normal range are compared absolutely.
+    eps, tiny = sys.float_info.epsilon, sys.float_info.min
+    for mu in np.logspace(-7, 3, 21).tolist():
+        got = _pair_law(kind, mu, 200)
+        assert got.shape == (201,)
+        # pmf_values: exp(-mu) underflows beyond mu = 708 for Poisson kinds
+        series = pmf_values(PairSource(kind, mu), 200) if mu < 700 or not kind.poissonian else None
+        for x in range(201):
+            tol = 1e-13
+            if kind.poissonian:
+                tol = max(tol, 4 * eps * (1 + x * abs(math.log(mu)) + mu + math.lgamma(x + 1)))
+            for want in [_pair_law_mp(kind, mu, x)] + ([series[x]] if series else []):
+                assert abs(got[x] - want) <= tol * want + tiny, (mu, x, got[x], want)
+    assert _pair_law(kind, 0.0, 5).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("top", [0, 2, X_MAX_LIMIT])
+@pytest.mark.parametrize(
+    "kind, mu",
+    [(SourceKind.DIS_ENTANGLED, 0.05), (SourceKind.DIS_CORRELATED, 1.0)]
+    + [(kind, mu) for kind in (SourceKind.THERMAL_CORRELATED, SourceKind.INDIS_ENTANGLED)
+       for mu in (0.05, 3.0, 50.0)],
+)
+def test_tail_samplers_match_the_conditioned_law(kind, mu, top):
+    # the pulses beyond the multinomial's last bin draw their pair numbers
+    # from the law conditioned on x > top; a small top fills that tail
+    n = 100_000
+    rng = np.random.Generator(np.random.PCG64(6060 + top))
+    x = _tail_pairs(rng, PairSource(kind, mu), top, n)
+    assert x.size == n and x.min() > top
+    law = np.array(pmf_values(PairSource(kind, mu), top + 4000)[top + 1 :])
+    law /= law.sum()  # the mass beyond top + 4000 is below 1e-30
+    observed = np.bincount(np.minimum(x - top - 1, law.size), minlength=law.size + 1)
+    assert _pooled_chisquare(observed, n * np.append(law, 0.0)) > 1e-3
 
 
 CAR = (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED)
@@ -443,6 +530,28 @@ def test_mc_memory_is_bounded_by_the_block(setting, mu):
         tracemalloc.stop()
     assert 0.0 < est.mean <= 1.0
     assert peak < 128 * 1_000_000
+
+
+@pytest.mark.parametrize(
+    "kind, setting",
+    [(SourceKind.DIS_ENTANGLED, Setting.HH), (SourceKind.INDIS_ENTANGLED, Setting.HPLUS),
+     (SourceKind.THERMAL_CORRELATED, Setting.CAR_UNMATCHED)],
+)
+def test_mc_memory_does_not_grow_with_the_pairs_at_small_mu(kind, setting):
+    # at mu = 0.5 a block draws its pair numbers as one histogram: the
+    # working memory is O(classes), not O(pairs) (1e6 trials carry 5e5
+    # pairs).  The first run fills the ladder and coin caches; the second
+    # is measured.
+    src, det = PairSource(kind, 0.5), DetectorModel(0.1, 1e-5)
+    mc_rate(src, setting, det, det, 1_000_000, seed=9)
+    tracemalloc.start()
+    try:
+        est = mc_rate(src, setting, det, det, 1_000_000, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < est.mean < 1.0
+    assert peak < 64 * 1024, peak
 
 
 @pytest.mark.parametrize("kind", ENTANGLED)
@@ -515,13 +624,15 @@ def test_class_wise_draws_match_their_laws(x, kind, coherent):
     # classes are (x - y, y)) and the joint (x - y, + count) of H+
     n = 200_000
     rng = np.random.Generator(np.random.PCG64(8080 + x))
-    pulses = np.full(n, x)
+    pulses = np.zeros(x + 1, dtype=np.int64)  # pulse counts of 0..x pairs
+    pulses[x] = n
+    none = np.zeros(0, dtype=np.int64)  # no pulse beyond
     if kind is SourceKind.DIS_ENTANGLED:
         pattern = np.array([math.comb(x, y) for y in range(x + 1)]) / 2.0**x
     else:
         pattern = np.full(x + 1, 1.0 / (x + 1))
     if not coherent:
-        (h, v), counts = _photon_classes(rng, kind, Setting.HV, pulses, False)
+        (h, v), counts = _photon_classes(rng, kind, Setting.HV, pulses, none, False)
         assert np.all(h + v == x)
         assert counts.sum() == n
         observed = np.bincount(v, weights=counts, minlength=x + 1)
@@ -530,7 +641,7 @@ def test_class_wise_draws_match_their_laws(x, kind, coherent):
         plus = np.array(plus_port_distribution(x))  # row y: the ladder law
     else:
         plus = np.tile([math.comb(x, p) / 2.0**x for p in range(x + 1)], (x + 1, 1))
-    (h, p), counts = _photon_classes(rng, kind, Setting.HPLUS, pulses, coherent)
+    (h, p), counts = _photon_classes(rng, kind, Setting.HPLUS, pulses, none, coherent)
     assert counts.sum() == n
     observed = np.zeros((x + 1, x + 1))
     np.add.at(observed, (x - h, p), counts)
@@ -554,8 +665,8 @@ def test_mc_agrees_with_series_on_both_sides_of_the_class_limit(kind, mu, settin
     det_s, det_i = DetectorModel(0.03, 1e-3), DetectorModel(0.05, 1e-4)
     policy = TruncationPolicy()
     assert truncation_index(src, policy) < policy.hard_cap
-    x = _draw_pairs(np.random.Generator(np.random.PCG64(5)), src, 100_000)
-    assert np.any(x <= X_MAX_LIMIT) and np.any(x > X_MAX_LIMIT)
+    counts, tail = _draw_pairs(np.random.Generator(np.random.PCG64(5)), src, 100_000, X_MAX_LIMIT)
+    assert counts[1:].any() and tail.size
     if setting is Setting.SINGLE_S:
         want = single_rate(src, det_s, policy)
     else:
