@@ -36,8 +36,6 @@ __all__ = [
     "TruncationPolicy",
     "pmf",
     "pmf_values",
-    "mean",
-    "second_moment",
     "truncation_index",
 ]
 
@@ -164,21 +162,6 @@ def pmf_values(source: PairSource, x_max: int) -> list[float]:
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
     return list(islice(_pmfs(source), x_max + 1))
-
-
-def mean(source: PairSource) -> float:
-    """First moment of the pair number; equals ``mu`` for every kind."""
-    return source.mu
-
-
-def second_moment(source: PairSource) -> float:
-    """Second moment E[x^2] of the pair number."""
-    mu = source.mu
-    if source.kind is SourceKind.INDIS_ENTANGLED:
-        return mu + 1.5 * mu * mu
-    if source.kind is SourceKind.THERMAL_CORRELATED:
-        return mu + 2.0 * mu * mu
-    return mu + mu * mu
 
 
 def truncation_index(source: PairSource, policy: TruncationPolicy) -> int:

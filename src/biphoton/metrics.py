@@ -209,7 +209,10 @@ def _objective_fn(
     return f
 
 
-def _golden_max(f, log_lo: float, log_hi: float, rel_tol: float):
+_LOG_MU_TOL = 1e-6  # golden-section stop: a width in log(mu), so relative in mu
+
+
+def _golden_max(f, log_lo: float, log_hi: float):
     """Golden-section maximization of f(exp(t)) on [log_lo, log_hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = log_lo, log_hi
@@ -217,7 +220,7 @@ def _golden_max(f, log_lo: float, log_hi: float, rel_tol: float):
     d = a + invphi * (b - a)
     fc = f(math.exp(c))
     fd = f(math.exp(d))
-    while (b - a) > rel_tol:
+    while (b - a) > _LOG_MU_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -238,15 +241,14 @@ def optimize_mu(
     objective: Objective,
     mu_range: tuple[float, float],
     samples: int = 65,
-    rel_tol: float = 1e-6,
 ) -> MuOptimum:
     """Maximize a closed-form objective over the mean pair number.
 
     The bracket is first sampled on a log grid to test unimodality.  A
     unimodal profile is refined by golden-section search on log(mu) to
-    ``rel_tol`` relative accuracy; endpoints are returned exactly when
-    they win (monotone objectives).  A non-unimodal profile sets the
-    warning flag and returns the best sample as-is.
+    ``_LOG_MU_TOL`` = 1e-6 relative accuracy; endpoints are returned
+    exactly when they win (monotone objectives).  A non-unimodal profile
+    sets the warning flag and returns the best sample as-is.
     """
     lo, hi = mu_range
     if not (0 < lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
@@ -268,7 +270,7 @@ def optimize_mu(
 
     a = log_lo if peak == 0 else math.log(grid[peak - 1])
     b = log_hi if peak == samples - 1 else math.log(grid[peak + 1])
-    t, ft = _golden_max(f, a, b, rel_tol)
+    t, ft = _golden_max(f, a, b)
     best_mu, best_val = math.exp(t), ft
     # prefer an exact endpoint when it is at least as good (monotone case)
     for m, y in ((lo, ys[0]), (hi, ys[-1])):

@@ -7,11 +7,11 @@ rate modules:
   law of the generation pattern that :func:`sample_patterns` draws
   from: the number of VV pairs among distinguishable pairs, the x+1
   collapsed pattern indices of indistinguishable pairs, and the all-H
-  pattern of correlated pairs; for the diagonal-basis setting it adds a
-  +/- photon-number distribution built by applying creation operators
-  step by step.  Binomial laws, of the VV count and of photon
-  splittings, are built by repeated convolution of a fair coin rather
-  than from binomial coefficients.
+  pattern of correlated pairs; for the diagonal-basis setting it reads
+  the idler's +/- law from the creation-operator ladder table that
+  :func:`mc_rate` samples from.  Binomial laws, of the VV count and of
+  photon splittings, are built by repeated convolution of a fair coin
+  rather than from binomial coefficients.
 
 * :func:`mc_rate` samples the same generative chain (pair number,
   pattern, per-arm clicks) with a seeded PCG64 generator and reports a
@@ -157,23 +157,6 @@ def _ladder_table(x: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=1024)
-def ladder_plus_distribution(x: int, k: int) -> tuple[float, ...]:
-    """+/- basis photon-number law of the x-k H, k V idler Fock state.
-
-    Built operationally from vacuum by creation operators (see
-    :func:`_ladder_step`); finite for any x, in O(x^3) time and O(x^2)
-    memory.  Tables up to x = ``HPLUS_X_CAP`` are kept, and the 1024
-    most recent (x, k) results.
-    """
-    if not (0 <= k <= x):
-        raise ValueError(f"need 0 <= k <= x, got k={k}, x={x}")
-    rows = _ladder_table(min(x, HPLUS_X_CAP))
-    while rows.shape[0] <= x:
-        rows = _ladder_step(rows)
-    return tuple((rows[k] * rows[k]).tolist())
-
-
 def _pattern_law(kind: SourceKind, x: int) -> tuple[float, ...]:
     """Law of the pattern variable y at x pairs, as :func:`sample_patterns`
     draws it; correlated pairs are all H."""
@@ -194,26 +177,24 @@ def _per_x_probability(
 ) -> float:
     """Detection probability at x pairs, given each arm's click
     probabilities ``qs``/``qi`` at 0, 1, ... photons."""
-    coin = _coin_weights(x)
     law = _pattern_law(kind, x)
-    coherent = kind is SourceKind.INDIS_ENTANGLED and hplus_model is HplusModel.COHERENT
-
-    def plus_click(y: int) -> float:
-        # the idler's + count: the ladder law of the collapsed coherent
-        # state, otherwise x photons routed by fair coins
-        w = ladder_plus_distribution(x, y) if coherent else coin
-        return math.fsum(w[p] * qi[p] for p in range(x + 1))
-
     # y pairs are V-polarized, so x - y photons pass each H polarizer
-    term = {
-        Setting.HH: lambda y: qs[x - y] * qi[x - y],
-        Setting.CAR_MATCHED: lambda y: qs[x - y] * qi[x - y],
-        Setting.HV: lambda y: qs[x - y] * qi[y],
-        Setting.HPLUS: lambda y: qs[x - y] * plus_click(y),
-        Setting.SINGLE_S: lambda y: qs[x - y],
-        Setting.SINGLE_I: lambda y: qi[x - y],
-    }[setting]
-    return math.fsum(p * term(y) for y, p in enumerate(law))
+    ys = range(len(law))
+    if setting is Setting.HPLUS:
+        # the idler's + count: ladder row y of the collapsed state, or x fair coins
+        coherent = kind is SourceKind.INDIS_ENTANGLED and hplus_model is HplusModel.COHERENT
+        w = _ladder_table(x) ** 2 if coherent else np.array([_coin_weights(x)])
+        plus = [math.fsum(row) for row in (w * np.asarray(qi[: x + 1], dtype=float)).tolist()]
+        terms = [qs[x - y] * plus[y if coherent else 0] for y in ys]
+    elif setting is Setting.HV:
+        terms = [qs[x - y] * qi[y] for y in ys]
+    elif setting is Setting.SINGLE_S:
+        terms = [qs[x - y] for y in ys]
+    elif setting is Setting.SINGLE_I:
+        terms = [qi[x - y] for y in ys]
+    else:  # HH and CAR_MATCHED
+        terms = [qs[x - y] * qi[x - y] for y in ys]
+    return math.fsum(p * t for p, t in zip(law, terms))
 
 
 def enumerate_rate(

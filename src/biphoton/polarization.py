@@ -85,7 +85,6 @@ __all__ = [
     "closed_form_rates",
     "TimebinPort",
     "timebin_rate",
-    "fringe_per_pair",
 ]
 
 
@@ -221,13 +220,6 @@ def timebin_rate(
     value = getattr(rep, f"r_{setting.value}")  # r_hh, r_hv or r_hplus
     model = hplus_model if setting is Setting.HPLUS else None
     return RateEntry(value, setting, RateMethod.CLOSED_FORM, 0, model)
-
-
-def fringe_per_pair(phase_sum: float) -> float:
-    """Single-pair same-slot coincidence fringe versus the summed phase:
-    (1 + cos(phase)) / 16, peak 1/8 at zero phase and zero at pi, where
-    the opposite-slot fringe peaks instead."""
-    return (1.0 + math.cos(phase_sum)) / 16.0
 
 
 # largest x that plus_port_distribution tabulates: TruncationPolicy's

@@ -7,6 +7,7 @@ from pathlib import Path
 import biphoton
 
 _SOURCES = sorted(Path(biphoton.__file__).parent.glob("*.py"))
+_ADAPTER = Path(__file__).resolve().parents[1] / "bench" / "adapter.py"
 
 
 def _defined(tree: ast.Module) -> list[str]:
@@ -42,6 +43,21 @@ def test_every_private_module_name_is_referenced():
     assert unreferenced == []
 
 
+def test_every_public_name_is_used_by_the_program():
+    # a public name that only tests call is API kept alive for them: the
+    # package or the benchmark adapter must load or import it somewhere
+    # other than its own definition (its __all__ entry is a string)
+    used = set()
+    for path in (*_SOURCES, _ADAPTER):
+        for top in ast.parse(path.read_text()).body:
+            names = {node.id for node in ast.walk(top)
+                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            names |= {node.name for node in ast.walk(top) if isinstance(node, ast.alias)}
+            used |= names - set(_defined(ast.Module(body=[top], type_ignores=[])))
+    assert _ADAPTER.is_file()
+    assert sorted(set(biphoton.__all__) - used) == []
+
+
 def test_unsupported_setting_is_raised_only_beside_setting():
     # which measurement a source kind has is one rule, stated in
     # polarization.py next to Setting; other modules call it
@@ -68,6 +84,6 @@ def test_each_public_name_is_declared_in_one_module_all():
             owners.setdefault(name, []).append(path.stem)
     assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
     library = {name for name, (mod,) in owners.items() if mod != "cli"}
-    assert len(biphoton.__all__) == len(set(biphoton.__all__)) == 49
+    assert len(biphoton.__all__) == len(set(biphoton.__all__)) == 46
     assert set(biphoton.__all__) == {"__version__", *library}
     assert biphoton.OracleSetting is biphoton.Setting

@@ -18,10 +18,8 @@ from biphoton import (
     SourceKind,
     TruncationPolicy,
     coincidence_rate,
-    mean,
     pmf,
     pmf_values,
-    second_moment,
     truncation_index,
 )
 
@@ -147,12 +145,11 @@ def test_pmf_keeps_only_the_running_value():
     assert value == pytest.approx(math.exp(-1) / (1 + 1e6), rel=1e-5)
 
 
-def test_moment_closed_forms():
-    for kind in ALL_KINDS:
-        assert mean(PairSource(kind, 0.4)) == 0.4
-    assert second_moment(PairSource(SourceKind.INDIS_ENTANGLED, 1.0)) == 2.5
-    assert second_moment(PairSource(SourceKind.THERMAL_CORRELATED, 1.0)) == 3.0
-    assert second_moment(PairSource(SourceKind.DIS_ENTANGLED, 1.0)) == 2.0
+def _second_moment(src):
+    """E[x^2]: mu + mu^2 (Poisson), mu + 1.5 mu^2 (NB(2) of mean mu) and
+    mu + 2 mu^2 (geometric)."""
+    factor = {SourceKind.INDIS_ENTANGLED: 1.5, SourceKind.THERMAL_CORRELATED: 2.0}
+    return src.mu + factor.get(src.kind, 1.0) * src.mu * src.mu
 
 
 def test_truncated_sums_reproduce_moments():
@@ -165,10 +162,10 @@ def test_truncated_sums_reproduce_moments():
             tol = policy.tail_epsilon * x_max * x_max * 10
             assert 1 - policy.tail_epsilon <= math.fsum(w) <= 1 + 1e-15
             assert math.fsum(x * w[x] for x in range(x_max + 1)) == pytest.approx(
-                mean(src), abs=tol, rel=1e-12
+                src.mu, abs=tol, rel=1e-12
             )
             assert math.fsum(x * x * w[x] for x in range(x_max + 1)) == pytest.approx(
-                second_moment(src), abs=tol, rel=1e-12
+                _second_moment(src), abs=tol, rel=1e-12
             )
 
 

@@ -322,7 +322,7 @@ def test_optimize_other_objectives():
     assert res.mu == 10.0
     res = optimize_mu(
         SourceKind.INDIS_ENTANGLED, a, a, d, d, Objective.MAX_CONCURRENCE,
-        (1e-4, 1.0), samples=17, rel_tol=1e-4,
+        (1e-4, 1.0), samples=17,
     )
     assert isinstance(res, MuOptimum)
     assert 1e-4 < res.mu < 1.0

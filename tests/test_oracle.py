@@ -40,11 +40,11 @@ from biphoton.oracle import (
     X_MAX_LIMIT,
     _coin_weights,
     _draw_pairs,
+    _ladder_table,
     _pair_law,
     _per_x_probability,
     _photon_classes,
     _tail_pairs,
-    ladder_plus_distribution,
     sample_patterns,
 )
 
@@ -59,19 +59,26 @@ TIMEBIN = {
 }
 
 
+def _plus_law(x, k):
+    """+/- basis photon-number law of the x-k H, k V idler Fock state: the
+    squared row k of the ladder table, as both oracles read it."""
+    return (_ladder_table(x)[k] ** 2).tolist()
+
+
 def test_ladder_distribution_properties():
     for x in range(9):
+        assert _ladder_table(x).shape == (x + 1, x + 1)
         for k in range(x + 1):
-            w = ladder_plus_distribution(x, k)
-            assert len(w) == x + 1
+            w = _plus_law(x, k)
             assert all(v >= 0.0 for v in w)
             assert math.fsum(w) == pytest.approx(1.0, abs=1e-12)
     # one H and one V photon bunch: never exactly one photon in the + port
-    assert ladder_plus_distribution(2, 1) == pytest.approx((0.5, 0.0, 0.5), abs=1e-12)
+    assert _plus_law(2, 1) == pytest.approx((0.5, 0.0, 0.5), abs=1e-12)
     # two same-mode photons split like independent coins
-    assert ladder_plus_distribution(2, 0) == pytest.approx((0.25, 0.5, 0.25), abs=1e-12)
+    assert _plus_law(2, 0) == pytest.approx((0.25, 0.5, 0.25), abs=1e-12)
+    # the cached tables are shared, so nothing may write to them
     with pytest.raises(ValueError):
-        ladder_plus_distribution(2, 3)
+        _ladder_table(2)[0, 0] = 0.0
 
 
 def test_ladder_matches_generating_function_table():
@@ -79,7 +86,7 @@ def test_ladder_matches_generating_function_table():
     for x in range(11):
         table = plus_port_distribution(x)
         for k in range(x + 1):
-            got = ladder_plus_distribution(x, k)
+            got = _plus_law(x, k)
             assert got == pytest.approx(table[k], abs=1e-12), (x, k)
 
 
@@ -114,22 +121,23 @@ def _exact_ladder(x, k):
 def test_ladder_matches_single_chain_and_exact_laws():
     for x in range(31):
         for k in range(x + 1):
-            got = ladder_plus_distribution(x, k)
+            got = _plus_law(x, k)
             assert got == pytest.approx(_single_chain_ladder(x, k), abs=1e-12), (x, k)
     for x in range(31, 41):
         for k in range(x + 1):
-            assert ladder_plus_distribution(x, k) == pytest.approx(
+            assert _plus_law(x, k) == pytest.approx(
                 _exact_ladder(x, k), abs=1e-12), (x, k)
 
 
 def test_ladder_is_finite_and_exact_at_large_x():
-    # the single chain overflows a float from x = 171 on
-    for x, k in ((171, 85), (300, 150), (300, 7)):
-        w = ladder_plus_distribution(x, k)
+    # the single chain overflows a float from x = 171 on; the coherent H+
+    # Monte-Carlo reads the table up to HPLUS_X_CAP = 200
+    for x, k in ((171, 85), (200, 100), (200, 7)):
+        w = _plus_law(x, k)
         assert all(math.isfinite(v) and v >= 0.0 for v in w)
         assert abs(math.fsum(w) - 1.0) <= 1e-12
         assert w == pytest.approx(_exact_ladder(x, k), abs=1e-12), (x, k)
-    assert ladder_plus_distribution.cache_info().maxsize is not None
+    assert _ladder_table.cache_info().maxsize is not None
 
 
 def test_enumeration_matches_series_hard_corner():
@@ -263,6 +271,62 @@ def test_enumeration_builds_its_click_lists_once(kind):
                 for det in (det_s, det_i))
         got = enumerate_rate(src, Setting.CAR_UNMATCHED, det_s, det_i, X_MAX_LIMIT).value
         assert got == a * b
+
+
+# enumerate_rate(...).value.hex() of the H+ cells of `biphoton validate`
+# (x_max = X_MAX_LIMIT, equal arms): a change in how the enumeration sums
+# its terms shows here bit for bit, where tolerance checks pass it
+_FROZEN_HPLUS_HEX = {
+    (SourceKind.DIS_ENTANGLED, HplusModel.COHERENT, 0.05, 0.05, 0.0): "0x1.1295996bdadabp-15",
+    (SourceKind.DIS_ENTANGLED, HplusModel.COHERENT, 0.05, 0.05, 0.001): "0x1.2f5c8e4692e3dp-15",
+    (SourceKind.DIS_ENTANGLED, HplusModel.COHERENT, 0.05, 0.5, 0.0): "0x1.a4566ff36d53bp-9",
+    (SourceKind.DIS_ENTANGLED, HplusModel.COHERENT, 0.05, 0.5, 0.001): "0x1.a6e1b1499d393p-9",
+    (SourceKind.DIS_ENTANGLED, HplusModel.COHERENT, 0.2, 0.05, 0.0): "0x1.37b821b335ce2p-13",
+    (SourceKind.DIS_ENTANGLED, HplusModel.COHERENT, 0.2, 0.05, 0.001): "0x1.4e176fbc6bd11p-13",
+    (SourceKind.DIS_ENTANGLED, HplusModel.COHERENT, 0.2, 0.5, 0.0): "0x1.c2e36fa2c3f69p-7",
+    (SourceKind.DIS_ENTANGLED, HplusModel.COHERENT, 0.2, 0.5, 0.001): "0x1.c53680615ec70p-7",
+    (SourceKind.DIS_ENTANGLED, HplusModel.INDEPENDENT, 0.05, 0.05, 0.0): "0x1.1295996bdadabp-15",
+    (SourceKind.DIS_ENTANGLED, HplusModel.INDEPENDENT, 0.05, 0.05, 0.001): "0x1.2f5c8e4692e3dp-15",
+    (SourceKind.DIS_ENTANGLED, HplusModel.INDEPENDENT, 0.05, 0.5, 0.0): "0x1.a4566ff36d53bp-9",
+    (SourceKind.DIS_ENTANGLED, HplusModel.INDEPENDENT, 0.05, 0.5, 0.001): "0x1.a6e1b1499d393p-9",
+    (SourceKind.DIS_ENTANGLED, HplusModel.INDEPENDENT, 0.2, 0.05, 0.0): "0x1.37b821b335ce2p-13",
+    (SourceKind.DIS_ENTANGLED, HplusModel.INDEPENDENT, 0.2, 0.05, 0.001): "0x1.4e176fbc6bd11p-13",
+    (SourceKind.DIS_ENTANGLED, HplusModel.INDEPENDENT, 0.2, 0.5, 0.0): "0x1.c2e36fa2c3f69p-7",
+    (SourceKind.DIS_ENTANGLED, HplusModel.INDEPENDENT, 0.2, 0.5, 0.001): "0x1.c53680615ec70p-7",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.COHERENT, 0.05, 0.05, 0.0): "0x1.1870fb6535fe3p-15",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.COHERENT, 0.05, 0.05, 0.001): "0x1.35319899b1ae4p-15",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.COHERENT, 0.05, 0.5, 0.0): "0x1.a4b7af2162089p-9",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.COHERENT, 0.05, 0.5, 0.001): "0x1.a73d9d677618ep-9",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.COHERENT, 0.2, 0.05, 0.0): "0x1.4e9c08e3dc16ep-13",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.COHERENT, 0.2, 0.05, 0.001): "0x1.64e2540f0dad6p-13",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.COHERENT, 0.2, 0.5, 0.0): "0x1.c1a97a1d5caf7p-7",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.COHERENT, 0.2, 0.5, 0.001): "0x1.c3e9deb2754f5p-7",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.INDEPENDENT, 0.05, 0.05, 0.0): "0x1.189cc0d77d0b3p-15",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.INDEPENDENT, 0.05, 0.05, 0.001): "0x1.355e1da5310b4p-15",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.INDEPENDENT, 0.05, 0.5, 0.0): "0x1.a742b26b4a980p-9",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.INDEPENDENT, 0.05, 0.5, 0.001): "0x1.a9c89a82ecbc2p-9",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.INDEPENDENT, 0.2, 0.05, 0.0): "0x1.4f609d1696c6ep-13",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.INDEPENDENT, 0.2, 0.05, 0.001): "0x1.65a9d5454a241p-13",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.INDEPENDENT, 0.2, 0.5, 0.0): "0x1.cb973f1794fe1p-7",
+    (SourceKind.INDIS_ENTANGLED, HplusModel.INDEPENDENT, 0.2, 0.5, 0.001): "0x1.cdd74e648abdcp-7",
+}
+# the same at mu 0.2 with exact detectors, DetectorModel(1/3, 1/1000) on both arms
+_FROZEN_HPLUS_FRACTION_HEX = {
+    HplusModel.COHERENT: "0x1.a8eea9c1ebc87p-8",
+    HplusModel.INDEPENDENT: "0x1.af37307079051p-8",
+}
+
+
+def test_enumeration_hplus_values_are_frozen_bit_for_bit():
+    for (kind, model, mu, alpha, dark), want in _FROZEN_HPLUS_HEX.items():
+        det = DetectorModel(alpha, dark)
+        got = enumerate_rate(PairSource(kind, mu), Setting.HPLUS, det, det, X_MAX_LIMIT, model)
+        assert got.value.hex() == want, (kind, model, mu, alpha, dark)
+    det = DetectorModel(Fraction(1, 3), Fraction(1, 1000))
+    src = PairSource(SourceKind.INDIS_ENTANGLED, 0.2)
+    for model, want in _FROZEN_HPLUS_FRACTION_HEX.items():
+        got = enumerate_rate(src, Setting.HPLUS, det, det, X_MAX_LIMIT, model)
+        assert got.value.hex() == want, model
 
 
 def test_enumeration_small_cutoffs():

@@ -1,5 +1,5 @@
 """Time-bin rates: correspondence with the polarization model under
-halved efficiency, closed forms, and the single-pair fringe."""
+halved efficiency, and closed forms."""
 
 import math
 
@@ -19,7 +19,6 @@ from biphoton import (
     UnsupportedSetting,
     closed_form_rates,
     coincidence_rate,
-    fringe_per_pair,
     series_rate,
     timebin_rate,
 )
@@ -171,15 +170,3 @@ def test_timebin_setting_wrapper_and_validation():
         with pytest.raises(ValueError, match=r"dark must lie in \[0, 1\)"):
             timebin_rate(SourceKind.INDIS_ENTANGLED, TimebinPort.AB, 0.1, 0.1, 0.1,
                          dark_i=1.0, method=method)
-
-
-def test_fringe_shape():
-    assert fringe_per_pair(0.0) == 0.125
-    assert fringe_per_pair(math.pi) == 0.0
-    assert fringe_per_pair(math.pi / 2) == pytest.approx(1 / 16, abs=1e-16)
-    for phase in (0.0, 0.4, 1.3, 2.9):
-        assert fringe_per_pair(phase + 2 * math.pi) == pytest.approx(
-            fringe_per_pair(phase), abs=1e-12
-        )
-        assert fringe_per_pair(-phase) == fringe_per_pair(phase)
-        assert fringe_per_pair(0.0) >= fringe_per_pair(phase)
