@@ -31,6 +31,7 @@ from .metrics import Objective, car, optimize_mu, series_rate, visibility_approx
 from .oracle import X_MAX_LIMIT, enumerate_rate, mc_rate
 from .polarization import HplusModel, RateMethod, Setting, TimebinPort, timebin_rate
 from .tomography import (
+    _concurrences,
     assemble_r,
     closed_form_concurrence,
     closed_form_rho,
@@ -246,19 +247,25 @@ def _require_coincidences(args, mu: float) -> None:
 def cmd_concurrence_curve(args) -> int:
     config = _config(args)
     mus = _parse_mu_values(args)
+    kinds = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
+    # all rates vanish at mu=0; the limit state is the pure Bell state
+    bell = args.dark_s == 0.0 and args.dark_i == 0.0
+
+    def states():
+        for mu in mus:
+            if not (mu == 0.0 and bell):
+                _require_coincidences(args, mu)
+                yield from (assemble_r(kind, mu, *_detector_args(args)) for kind in kinds)
+
+    # every state reconstructed and graded in one stacked pass
+    graded = iter(_concurrences(states()).tolist())
     rows = []
     for mu in mus:
-        row = [mu]
-        for kind in (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED):
-            if mu == 0.0 and args.dark_s == 0.0 and args.dark_i == 0.0:
-                # all rates vanish at mu=0; the limit state is the pure Bell state
-                row.append(concurrence(closed_form_rho(kind, 0.0)))
-                continue
-            _require_coincidences(args, mu)
-            row.append(concurrence(reconstruct(assemble_r(kind, mu, *_detector_args(args)))))
-        for kind in (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED):
-            row.append(closed_form_concurrence(kind, mu))
-        rows.append(row)
+        if mu == 0.0 and bell:
+            conc = [concurrence(closed_form_rho(kind, 0.0)) for kind in kinds]
+        else:
+            conc = [next(graded) for _ in kinds]
+        rows.append([mu, *conc, *(closed_form_concurrence(kind, mu) for kind in kinds)])
     _emit_table(
         args, config, ["mu", "conc_dis", "conc_indis", "conc_closed_dis", "conc_closed_indis"], rows
     )

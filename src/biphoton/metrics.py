@@ -189,15 +189,17 @@ def _objective_fn(
     dark_i: float,
     objective: Objective,
 ):
+    """The objective as a function of a list of mu: one value per mu."""
     if objective is Objective.MAX_CONCURRENCE:
         # late import keeps the module dependency one-way
-        from .tomography import assemble_r, concurrence, reconstruct
+        from .tomography import _concurrences, assemble_r
 
-        def f(mu: float) -> float:
-            r = assemble_r(kind, mu, alpha_s, alpha_i, dark_s, dark_i)
-            return concurrence(reconstruct(r))
+        def scan(mus: list[float]) -> list[float]:
+            # every state reconstructed and graded in one stacked pass
+            states = (assemble_r(kind, mu, alpha_s, alpha_i, dark_s, dark_i) for mu in mus)
+            return _concurrences(states).tolist()
 
-        return f
+        return scan
 
     def f(mu: float) -> float:
         rep = closed_form_rates(kind, mu, alpha_s, alpha_i, dark_s, dark_i)
@@ -206,7 +208,7 @@ def _objective_fn(
             return v
         return rep.r_hh * v
 
-    return f
+    return lambda mus: [f(mu) for mu in mus]
 
 
 _LOG_MU_TOL = 1e-6  # golden-section stop: a width in log(mu), so relative in mu
@@ -255,11 +257,11 @@ def optimize_mu(
         raise ValueError(f"mu_range must satisfy 0 < lo < hi, got {mu_range}")
     if samples < 3:
         raise ValueError(f"samples must be >= 3, got {samples}")
-    f = _objective_fn(kind, alpha_s, alpha_i, dark_s, dark_i, objective)
+    scan = _objective_fn(kind, alpha_s, alpha_i, dark_s, dark_i, objective)
     log_lo, log_hi = math.log(lo), math.log(hi)
     grid = [math.exp(log_lo + (log_hi - log_lo) * j / (samples - 1)) for j in range(samples)]
     grid[0], grid[-1] = lo, hi
-    ys = [f(m) for m in grid]
+    ys = scan(grid)
 
     peak = max(range(samples), key=lambda j: ys[j])
     tol = lambda v: 1e-12 * abs(v) + 1e-300
@@ -270,7 +272,7 @@ def optimize_mu(
 
     a = log_lo if peak == 0 else math.log(grid[peak - 1])
     b = log_hi if peak == samples - 1 else math.log(grid[peak + 1])
-    t, ft = _golden_max(f, a, b)
+    t, ft = _golden_max(lambda mu: scan([mu])[0], a, b)
     best_mu, best_val = math.exp(t), ft
     # prefer an exact endpoint when it is at least as good (monotone case)
     for m, y in ((lo, ys[0]), (hi, ys[-1])):

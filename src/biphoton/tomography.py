@@ -109,7 +109,8 @@ class DensityMatrix:
     noise eigenvalues are clipped to zero and the matrix renormalized;
     the total clipped magnitude is recorded in ``psd_clip``.  The
     positivity check and the clip share one Hermitian eigendecomposition,
-    which :func:`concurrence` reuses when nothing was clipped.
+    which :func:`concurrence` reuses; a clipped matrix is decomposed
+    afresh.
     """
 
     HERM_TOL = 1e-12
@@ -120,26 +121,14 @@ class DensityMatrix:
         m = np.array(matrix, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise NotPhysical("matrix has non-finite entries")
-        herm = np.max(np.abs(m - m.conj().T))
-        if herm > self.HERM_TOL:
-            raise NotPhysical(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > self.TRACE_TOL:
-            raise NotPhysical(f"trace must be 1, got {tr}")
-        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-        if w[0] < -self.PSD_TOL:
-            raise NotPhysical(f"eigenvalue {w[0]:.3e} below positivity tolerance")
-        clip = float(-w[w < 0].sum()) if w[0] < 0 else 0.0
-        if clip > 0.0:
-            m = (v * np.clip(w, 0.0, None)) @ v.conj().T
-            m /= m.trace().real
+        self._keep(*_validated(m[None]))
+
+    def _keep(self, m: np.ndarray, clip: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
+        """Hold row 0 of a validated stack: matrix, clip and the spectrum of ``matrix``."""
         m.setflags(write=False)
-        self.matrix = m
-        self.psd_clip = clip
-        # the spectrum of ``matrix`` itself only when nothing was clipped
-        self._eigh = (w, v) if clip == 0.0 else None
+        self.matrix = m[0]
+        self.psd_clip = float(clip[0])
+        self._stack = (m, w, v)
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix, dtype=dtype)
@@ -225,6 +214,81 @@ for _m in (*PAULI_BASIS, DESIGN_MATRIX, _DUAL):
     _m.setflags(write=False)
 
 
+def _validated(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Every check of :class:`DensityMatrix` on an (N, 4, 4) stack it owns.
+
+    Returns the stack, with clipped rows replaced, the clipped magnitude
+    per row and the eigendecomposition of each returned row: one stacked
+    ``eigh`` for all, a fresh one for clipped rows only.  A failing check
+    raises for the first row it flags.  Each check reads one reduction of
+    the whole stack, so one row costs about what a 4x4 check costs.
+    """
+    if not np.isfinite(m).all():
+        raise NotPhysical("matrix has non-finite entries")
+    mh = m.conj().swapaxes(1, 2)
+    asym = np.abs(m - mh)
+    if asym.max(initial=0.0) > DensityMatrix.HERM_TOL:
+        herm = asym.max(axis=(1, 2))
+        k = np.argmax(herm > DensityMatrix.HERM_TOL)
+        raise NotPhysical(f"matrix is not Hermitian: max asymmetry {herm[k]:.3e}")
+    tr = np.trace(m, axis1=1, axis2=2)
+    off = np.abs(tr - 1.0)
+    if off.max(initial=0.0) > DensityMatrix.TRACE_TOL:
+        raise NotPhysical(f"trace must be 1, got {tr[np.argmax(off > DensityMatrix.TRACE_TOL)]}")
+    w, v = np.linalg.eigh((m + mh) / 2.0)
+    low = w[:, 0]
+    lowest = low.min(initial=0.0)
+    if lowest < -DensityMatrix.PSD_TOL:
+        k = np.argmax(low < -DensityMatrix.PSD_TOL)
+        raise NotPhysical(f"eigenvalue {low[k]:.3e} below positivity tolerance")
+    clip = np.zeros(len(m))
+    if lowest < 0:
+        clipped = np.flatnonzero(low < 0)
+        for k in clipped:
+            clip[k] = -w[k][w[k] < 0].sum()
+            mk = (v[k] * np.maximum(w[k], 0.0)) @ v[k].conj().T
+            mk /= mk.trace().real
+            m[k] = mk
+        mc = m[clipped]
+        w[clipped], v[clipped] = np.linalg.eigh((mc + mc.conj().swapaxes(1, 2)) / 2.0)
+    return m, clip, w, v
+
+
+def _reconstructed(rv: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Linear inversion of an (N, 16) stack of rates, then :func:`_validated`."""
+    top = rv.max(axis=1)
+    if not (rv.min(initial=0.0) == 0.0 and top.max(initial=0.0) < math.inf):  # False for NaN too
+        raise ValueError("rates must be finite and >= 0")
+    # exact power-of-two rescale of each row: no rate scale overflows or
+    # underflows (an all-zero row keeps exponent 0)
+    rv = np.ldexp(rv, -np.frexp(top)[1][:, None])
+    # a stack of vector-matrix products: a plain (N, 16) @ (16, 32) would
+    # go to a matrix-matrix kernel, whose sums round differently
+    flat = np.take(np.matmul(rv[:, None, :], _DUAL.view(float))[:, 0], _GATHER, axis=1) * _SIGN
+    rho = flat.view(complex).reshape(-1, 4, 4)
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    if not tr.min(initial=1.0) > 0:
+        raise NotPhysical(f"reconstructed trace {tr[np.argmin(tr > 0)]:.3e} is not positive")
+    return _validated(rho / tr[:, None, None])
+
+
+def _states(rates) -> tuple[np.ndarray, ...]:
+    """:func:`_reconstructed` of a stack of 16-rate rows, failing as row by row.
+
+    A row before the one that a check flags in the stack can fail a later
+    check, so on any error the rows run alone, in order, and the first
+    that fails raises its own error.
+    """
+    rv = np.asarray(rates, dtype=float).reshape(-1, 16)
+    try:
+        return _reconstructed(rv)
+    except ValueError:
+        if len(rv) > 1:
+            for k in range(len(rv)):
+                _reconstructed(rv[k : k + 1])
+        raise
+
+
 def reconstruct(r) -> DensityMatrix:
     """Linear-inversion tomography of the 16 projection rates.
 
@@ -233,18 +297,14 @@ def reconstruct(r) -> DensityMatrix:
     entries are exact halves, so each product is exact and only the sum
     of 16 terms rounds; the result is exactly Hermitian.  The overall
     scale of ``r`` is irrelevant because the result is trace-normalized.
+    One state is the one-row case of the stacked reconstruction that
+    ``concurrence-curve`` and ``optimize_mu`` run, bit for bit.
     """
     # a TomographyVector checked its rates when it was built
     rv = np.asarray(r.r, dtype=float) if isinstance(r, TomographyVector) else _checked_rates(r)
-    top = rv.max()
-    if top > 0:
-        # exact power-of-two rescale: no rate scale overflows or underflows
-        rv = np.ldexp(rv, -np.frexp(top)[1])
-    rho = ((rv @ _DUAL.view(float))[_GATHER] * _SIGN).view(complex).reshape(4, 4)
-    tr = rho.trace().real
-    if tr <= 0:
-        raise NotPhysical(f"reconstructed trace {tr:.3e} is not positive")
-    return DensityMatrix(rho / tr)
+    dm = DensityMatrix.__new__(DensityMatrix)
+    dm._keep(*_states(rv))
+    return dm
 
 
 def closed_form_rho(kind: SourceKind, mu: float) -> DensityMatrix:
@@ -296,6 +356,33 @@ _SYSY = np.array(
 )
 
 
+def _wootters(m: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Concurrence of each row of a validated stack, from its eigendecomposition."""
+    sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))[:, None, :]) @ v.conj().swapaxes(1, 2)
+    spin_flipped = _SYSY @ m.conj() @ _SYSY
+    lam = np.sqrt(np.maximum(np.linalg.eigvalsh(sqrt_rho @ spin_flipped @ sqrt_rho), 0.0))
+    # never -0.0, so the same as max(0.0, ...) of each row
+    return np.maximum(lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0], 0.0)
+
+
+def _concurrences(vectors) -> np.ndarray:
+    """C of each :class:`TomographyVector` of an iterable, in one stacked pass.
+
+    As one state at a time: when building a vector fails, the states
+    built before it are reconstructed first, so one of them that is not
+    physical raises first.
+    """
+    rates = []
+    try:
+        for vec in vectors:
+            rates.append(vec.r)
+    except Exception:
+        _states(rates)
+        raise
+    m, _, w, v = _states(rates)
+    return _wootters(m, w, v)
+
+
 def concurrence(rho: DensityMatrix | np.ndarray) -> float:
     """Wootters concurrence of a two-qubit density matrix.
 
@@ -314,10 +401,4 @@ def concurrence(rho: DensityMatrix | np.ndarray) -> float:
     reference.
     """
     dm = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
-    m = dm.matrix
-    w, v = dm._eigh if dm._eigh is not None else np.linalg.eigh((m + m.conj().T) / 2.0)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    spin_flipped = _SYSY @ m.conj() @ _SYSY
-    lam2 = np.linalg.eigvalsh(sqrt_rho @ spin_flipped @ sqrt_rho)
-    lam = np.sqrt(np.clip(lam2, 0.0, None))[::-1]
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(_wootters(*dm._stack)[0])
