@@ -17,6 +17,7 @@ from biphoton import (
     RateMethod,
     SourceKind,
     TomographyVector,
+    TruncationPolicy,
     UnsupportedSetting,
     assemble_r,
     closed_form_concurrence,
@@ -429,12 +430,13 @@ def test_reconstruct_matches_exact_rational_inversion_on_model_vectors(kind, log
 # ------------------------------------------- one eigendecomposition per state
 
 def _concurrence_from_a_fresh_eigh(m: np.ndarray) -> float:
-    """The concurrence formula with its own eigh of (m + m^+) / 2."""
+    """The concurrence formula with its own eigh of (m + m^+) / 2: lam are
+    the singular values of sqrt(rho) (sy x sy) sqrt(rho)* (sy x sy)."""
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    sysy = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
-    lam2 = np.linalg.eigvalsh(sqrt_rho @ (sysy @ m.conj() @ sysy) @ sqrt_rho)
-    lam = np.sqrt(np.clip(lam2, 0.0, None))[::-1]
+    sqrt_rho = (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    signs = np.array([-1.0, 1.0, 1.0, -1.0])
+    sqrt_flipped = np.outer(signs, signs) * sqrt_rho[::-1, ::-1].conj()
+    lam = np.linalg.svd(sqrt_rho @ sqrt_flipped, compute_uv=False)
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
@@ -481,10 +483,10 @@ def test_positivity_decisions_at_the_tolerance(eig, clip):
 _SYSY_EXACT = mp.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
 
 
-def _concurrence_mp(m: np.ndarray) -> float:
-    """Wootters concurrence of the given float matrix in 50-digit mpmath:
-    sqrt of the eigenvalues of rho (sy x sy) rho* (sy x sy)."""
-    with mp.workdps(50):
+def _concurrence_mp(m: np.ndarray, dps: int = 50) -> float:
+    """Wootters concurrence of the given float matrix in ``dps``-digit
+    mpmath: sqrt of the eigenvalues of rho (sy x sy) rho* (sy x sy)."""
+    with mp.workdps(dps):
         rho = mp.matrix([[mp.mpc(complex(z)) for z in row] for row in m])
         flipped = _SYSY_EXACT * rho.apply(mp.conj) * _SYSY_EXACT
         ev = mp.eig(rho * flipped, left=False, right=False)
@@ -502,7 +504,7 @@ def _concurrence_mp(m: np.ndarray) -> float:
 def test_concurrence_of_near_pure_model_states_against_mpmath(kind, mu, alphas):
     # C near 1 - 2e-6: the tiny crossed eigenvalues carry the rounding
     rho = reconstruct(assemble_r(kind, mu, *alphas))
-    assert abs(concurrence(rho) - _concurrence_mp(rho.matrix)) <= 1e-9
+    assert abs(concurrence(rho) - _concurrence_mp(rho.matrix)) <= 1e-14
 
 
 @settings(max_examples=30, deadline=None)
@@ -511,4 +513,16 @@ def test_concurrence_of_random_states_against_mpmath(g):
     gm = np.array(g[:16]).reshape(4, 4) + 1j * np.array(g[16:]).reshape(4, 4)
     m = gm @ gm.conj().T + 1e-3 * np.eye(4)
     rho = DensityMatrix(m / m.trace().real)
-    assert abs(concurrence(rho) - _concurrence_mp(rho.matrix)) <= 1e-9
+    assert abs(concurrence(rho) - _concurrence_mp(rho.matrix)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ENTANGLED)
+def test_concurrence_of_a_near_pure_exact_state_to_the_last_bits(kind):
+    # 1 - C is 1.5e-8 here; lam from the eigenvalues of sqrt(rho) rho~
+    # sqrt(rho) were off by up to 5e-9, singular values are off by 4e-16
+    vec = assemble_r(kind, 1e-8, 0.2, 0.3, policy=TruncationPolicy(1e-40),
+                     method=RateMethod.EXACT_SERIES)
+    rho = reconstruct(vec)
+    want = _concurrence_mp(rho.matrix, dps=60)
+    assert 1.4e-8 < 1.0 - want < 1.5e-8
+    assert abs(concurrence(rho) - want) <= 1e-14
