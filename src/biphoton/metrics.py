@@ -1,6 +1,6 @@
 """Quality metrics derived from the rates: visibility, contrast, CAR,
-closed-form optimization of the mean pair number, and the exact-series
-rate of any :class:`Setting`."""
+optimization of the mean pair number on the closed-form rates, and the
+exact-series rate of any :class:`Setting`."""
 
 from __future__ import annotations
 
@@ -244,9 +244,15 @@ def optimize_mu(
     mu_range: tuple[float, float],
     samples: int = 65,
 ) -> MuOptimum:
-    """Maximize a closed-form objective over the mean pair number.
+    """Maximize an objective over the mean pair number.
 
-    The bracket is first sampled on a log grid to test unimodality.  A
+    Every objective reads the closed-form rates: ``MAX_VISIBILITY`` and
+    ``MAX_COINCIDENCE_TIMES_VISIBILITY`` directly, ``MAX_CONCURRENCE``
+    through the states reconstructed from the rate vectors that
+    :func:`assemble_r` fills with them.
+    The bracket is first sampled on a log grid to test unimodality; for
+    ``MAX_CONCURRENCE`` the samples are reconstructed and graded in one
+    stacked pass, equal bit for bit to one state at a time.  A
     unimodal profile is refined by golden-section search on log(mu) to
     ``_LOG_MU_TOL`` = 1e-6 relative accuracy; endpoints are returned
     exactly when they win (monotone objectives).  A non-unimodal profile

@@ -220,8 +220,9 @@ def _validated(m: np.ndarray) -> tuple[np.ndarray, ...]:
     Returns the stack, with clipped rows replaced, the clipped magnitude
     per row and the eigendecomposition of each returned row: one stacked
     ``eigh`` for all, a fresh one for clipped rows only.  A failing check
-    raises for the first row it flags.  Each check reads one reduction of
-    the whole stack, so one row costs about what a 4x4 check costs.
+    raises for the first row it flags.  Each check reduces the whole
+    stack once and looks for the flagged row only on failure, so one row
+    costs about what one 4x4 check costs.
     """
     if not np.isfinite(m).all():
         raise NotPhysical("matrix has non-finite entries")
@@ -243,28 +244,28 @@ def _validated(m: np.ndarray) -> tuple[np.ndarray, ...]:
         raise NotPhysical(f"eigenvalue {low[k]:.3e} below positivity tolerance")
     clip = np.zeros(len(m))
     if lowest < 0:
-        clipped = np.flatnonzero(low < 0)
-        for k in clipped:
-            clip[k] = -w[k][w[k] < 0].sum()
-            mk = (v[k] * np.maximum(w[k], 0.0)) @ v[k].conj().T
+        # few rows clip, so each is rebuilt and decomposed on its own
+        for k in [k for k, x in enumerate(low.tolist()) if x < 0]:
+            wk, vk = w[k], v[k]
+            clip[k] = -wk[wk < 0].sum()
+            mk = (vk * np.maximum(wk, 0.0)) @ vk.conj().T
             mk /= mk.trace().real
             m[k] = mk
-        mc = m[clipped]
-        w[clipped], v[clipped] = np.linalg.eigh((mc + mc.conj().swapaxes(1, 2)) / 2.0)
+            w[k], v[k] = np.linalg.eigh((mk + mk.conj().T) / 2.0)
     return m, clip, w, v
 
 
 def _reconstructed(rv: np.ndarray) -> tuple[np.ndarray, ...]:
     """Linear inversion of an (N, 16) stack of rates, then :func:`_validated`."""
     top = rv.max(axis=1)
-    if not (rv.min(initial=0.0) == 0.0 and top.max(initial=0.0) < math.inf):  # False for NaN too
+    if not (rv.min(initial=0.0) >= 0.0 and top.max(initial=0.0) < math.inf):  # False for NaN too
         raise ValueError("rates must be finite and >= 0")
     # exact power-of-two rescale of each row: no rate scale overflows or
     # underflows (an all-zero row keeps exponent 0)
     rv = np.ldexp(rv, -np.frexp(top)[1][:, None])
     # a stack of vector-matrix products: a plain (N, 16) @ (16, 32) would
     # go to a matrix-matrix kernel, whose sums round differently
-    flat = np.take(np.matmul(rv[:, None, :], _DUAL.view(float))[:, 0], _GATHER, axis=1) * _SIGN
+    flat = np.matmul(rv[:, None, :], _DUAL.view(float))[:, 0].take(_GATHER, axis=1) * _SIGN
     rho = flat.view(complex).reshape(-1, 4, 4)
     tr = rho.trace(axis1=1, axis2=2).real
     if not tr.min(initial=1.0) > 0:

@@ -13,6 +13,7 @@ import pytest
 from biphoton import (
     RateMethod,
     SourceKind,
+    TomographyVector,
     TruncationPolicy,
     assemble_r,
     closed_form_rates,
@@ -175,6 +176,60 @@ def test_concurrence_curve_rows(capsys):
     assert last[2] == pytest.approx(0.689655, abs=1e-6)
     assert last[1] == pytest.approx(last[3], abs=1e-10)
     assert last[2] == pytest.approx(last[4], abs=1e-10)
+
+
+_ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
+
+
+@pytest.mark.parametrize(("grid", "dets"), [
+    ("0:2:21", (0.1, 0.1, 0.0, 0.0)),  # zero darks: the mu = 0 row is the Bell limit
+    ("1e-9:3:40:log", (0.3, 0.2, 1e-4, 2e-4)),
+    ("0.01:2:20:log", (0.1, 0.1, 1e-4, 2e-4)),
+])
+def test_concurrence_curve_rows_equal_one_state_at_a_time(capsys, grid, dets):
+    # the curve grades all its states in one stacked pass; each printed C
+    # is that of its state reconstructed alone, bit for bit
+    flags = ("--alpha-s", "--alpha-i", "--dark-s", "--dark-i")
+    argv = ["concurrence-curve", "--mu-range", grid]
+    for flag, value in zip(flags, dets):
+        argv += [flag, repr(value)]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    _, rows = _rows(out)
+    for row in rows:
+        mu = float(row[0])
+        for kind, cell in zip(_ENTANGLED, row[1:3]):
+            if mu == 0.0:
+                want = concurrence(closed_form_rho(kind, 0.0))
+            else:
+                want = concurrence(reconstruct(assemble_r(kind, mu, *dets)))
+            assert float(cell) == want, (kind, mu)
+    assert (float(rows[0][0]) == 0.0) == grid.startswith("0:")
+
+
+_NOT_PSD = TomographyVector((1.0,) + (0.0,) * 15, RateMethod.CLOSED_FORM)
+
+
+@pytest.mark.parametrize(("grid", "unphysical", "message"), [
+    # mu = 0 with a zero dark count fails before a later unphysical state
+    ("0:1:3", 0.5, "at mu = 0 with --dark-s 0 every coincidence rate is 0"),
+    # an unphysical state fails before a later mu outside the closed forms
+    ("1:1e200:3", 1.0, "below positivity tolerance"),
+    # and a mu outside the closed forms before a later unphysical state
+    ("1:1e200:3", 1e200, "the closed forms hold for mu <= 1e+150, got mu=5e+199"),
+])
+def test_concurrence_curve_raises_the_error_of_the_first_failing_mu(
+    capsys, monkeypatch, grid, unphysical, message
+):
+    real = cli.assemble_r
+
+    def assemble(kind, mu, *dets):
+        return _NOT_PSD if mu == unphysical else real(kind, mu, *dets)
+
+    monkeypatch.setattr(cli, "assemble_r", assemble)
+    code, out, err = _run(capsys, ["concurrence-curve", "--mu-range", grid, "--dark-i", "1e-3"])
+    assert code == 2 and not out
+    assert message in err
 
 
 def test_density_matrix_json(capsys):

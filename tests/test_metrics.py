@@ -24,14 +24,17 @@ from biphoton import (
     closed_form_rates,
     closed_form_rho,
     coincidence_rate,
+    concurrence,
     optimize_mu,
+    reconstruct,
     series_rate,
     single_rate,
     timebin_rate,
     visibility_approx,
     visibility_exact,
 )
-from biphoton import polarization
+from biphoton import polarization, tomography
+from biphoton.metrics import _golden_max
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
 CORRELATED = (SourceKind.DIS_CORRELATED, SourceKind.THERMAL_CORRELATED)
@@ -339,3 +342,62 @@ def test_optimize_validation():
     with pytest.raises(ValueError):
         optimize_mu(SourceKind.DIS_ENTANGLED, 0.1, 0.1, 0, 0,
                     Objective.MAX_VISIBILITY, (0.1, 1.0), samples=2)
+
+
+def _max_concurrence_one_state_at_a_time(kind, dets, mu_range, samples=65) -> MuOptimum:
+    """optimize_mu's max-concurrence search with each state reconstructed
+    and graded alone: the sample scan, its unimodality test, then the
+    golden section."""
+    def f(mu):
+        return concurrence(reconstruct(tomography.assemble_r(kind, mu, *dets)))
+
+    lo, hi = mu_range
+    log_lo, log_hi = math.log(lo), math.log(hi)
+    grid = [math.exp(log_lo + (log_hi - log_lo) * j / (samples - 1)) for j in range(samples)]
+    grid[0], grid[-1] = lo, hi
+    ys = [f(mu) for mu in grid]
+    peak = max(range(samples), key=lambda j: ys[j])
+    tol = lambda v: 1e-12 * abs(v) + 1e-300
+    if not (all(ys[j + 1] >= ys[j] - tol(ys[j]) for j in range(peak))
+            and all(ys[j + 1] <= ys[j] + tol(ys[j]) for j in range(peak, samples - 1))):
+        return MuOptimum(grid[peak], ys[peak], False, Objective.MAX_CONCURRENCE)
+    a = log_lo if peak == 0 else math.log(grid[peak - 1])
+    b = log_hi if peak == samples - 1 else math.log(grid[peak + 1])
+    t, best_val = _golden_max(f, a, b)
+    best_mu = math.exp(t)
+    for mu, y in ((lo, ys[0]), (hi, ys[-1])):
+        if y >= best_val:
+            best_mu, best_val = mu, y
+    return MuOptimum(best_mu, best_val, True, Objective.MAX_CONCURRENCE)
+
+
+@pytest.mark.parametrize(("kind", "dets", "mu_range", "samples", "where"), [
+    (SourceKind.INDIS_ENTANGLED, (0.1, 0.1, 1e-5, 1e-5), (1e-4, 1.0), 65, "interior"),
+    (SourceKind.DIS_ENTANGLED, (0.3, 0.2, 1e-4, 2e-4), (1e-3, 1.0), 9, "interior"),
+    (SourceKind.DIS_ENTANGLED, (0.1, 0.2, 0.0, 0.0), (1e-3, 1.0), 40, "endpoint"),
+    (SourceKind.INDIS_ENTANGLED, (0.1, 0.1, 1e-5, 1e-5), (1e-6, 1e-4), 5, "endpoint"),
+])
+def test_max_concurrence_search_equals_one_state_at_a_time(kind, dets, mu_range, samples, where):
+    # the scan grades its samples in one stacked pass; the result is the
+    # per-point search's, bit for bit
+    res = optimize_mu(kind, *dets, Objective.MAX_CONCURRENCE, mu_range, samples)
+    assert res == _max_concurrence_one_state_at_a_time(kind, dets, mu_range, samples)
+    assert res.unimodal
+    assert (res.mu in mu_range) == (where == "endpoint")
+
+
+def test_max_concurrence_search_of_a_bracket_that_is_not_unimodal(monkeypatch):
+    # mu is folded onto [1e-3, 1e-1] three times over, so the profile has
+    # several peaks, each at the dark-limited optimum near mu = 1e-2
+    real = tomography.assemble_r
+
+    def folded(kind, mu, *dets):
+        return real(kind, 10.0 ** (-3.0 + 2.0 * abs(math.sin(math.log(mu)))), *dets)
+
+    monkeypatch.setattr(tomography, "assemble_r", folded)
+    dets = (0.1, 0.1, 1e-5, 1e-5)
+    res = optimize_mu(SourceKind.INDIS_ENTANGLED, *dets, Objective.MAX_CONCURRENCE,
+                      (1e-4, 1e4), 65)
+    assert not res.unimodal
+    assert res == _max_concurrence_one_state_at_a_time(
+        SourceKind.INDIS_ENTANGLED, dets, (1e-4, 1e4), 65)

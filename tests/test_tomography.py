@@ -35,6 +35,9 @@ from biphoton.tomography import (
     PAULI_BASIS,
     PROJECTION_STATES,
     _DUAL,
+    _concurrences,
+    _states,
+    _wootters,
 )
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
@@ -526,3 +529,109 @@ def test_concurrence_of_a_near_pure_exact_state_to_the_last_bits(kind):
     want = _concurrence_mp(rho.matrix, dps=60)
     assert 1.4e-8 < 1.0 - want < 1.5e-8
     assert abs(concurrence(rho) - want) <= 1e-14
+
+
+# --------------------------------------------------- stacked reconstruction
+
+_PROJECTORS = np.array(projectors())
+
+
+def _random_rates(rank: int, seed: int, log_scale: float) -> list[float]:
+    """The 16 rates of a random state of the given rank, times 10**log_scale;
+    states of rank 1 to 3 take the positivity clip about half the time."""
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(4, rank)) + 1j * rng.normal(size=(4, rank))
+    rho = g @ g.conj().T
+    rates = np.einsum("ab,nba->n", rho / rho.trace().real, _PROJECTORS).real
+    return [10.0**log_scale * max(0.0, float(v)) for v in rates]
+
+
+_ALPHA = st.floats(min_value=1e-3, max_value=1.0)
+_DARK = st.sampled_from((0.0, 1e-6, 1e-3))
+_ROWS = st.one_of(
+    st.builds(_random_rates, st.integers(1, 4), st.integers(0, 2**32 - 1),
+              st.floats(min_value=-300.0, max_value=300.0)),
+    st.builds(lambda kind, log_mu, a_s, a_i, d_s, d_i:
+              assemble_r(kind, 10.0**log_mu, a_s, a_i, d_s, d_i).r,
+              st.sampled_from(ENTANGLED), st.floats(min_value=-9.0, max_value=math.log10(5.0)),
+              _ALPHA, _ALPHA, _DARK, _DARK),
+    st.builds(lambda kind, log_mu, a_s, a_i, d_s, d_i:
+              assemble_r(kind, 10.0**log_mu, a_s, a_i, d_s, d_i,
+                         method=RateMethod.EXACT_SERIES).r,
+              st.sampled_from(ENTANGLED), st.floats(min_value=-9.0, max_value=0.0),
+              _ALPHA, _ALPHA, _DARK, _DARK),
+)
+
+
+def _assert_rows_equal_one_at_a_time(rows) -> np.ndarray:
+    """Check a stack against each row alone, bit for bit; its clipped magnitudes."""
+    m, clip, w, v = _states(rows)
+    c = _wootters(w, v)
+    for k, r in enumerate(rows):
+        rho = reconstruct(r)
+        assert np.array_equal(rho.matrix, m[k]), k
+        assert rho.psd_clip == clip[k], k
+        assert concurrence(rho) == c[k], k
+    vectors = (TomographyVector(r, RateMethod.CLOSED_FORM) for r in rows)
+    assert np.array_equal(_concurrences(vectors), c)
+    return clip
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 64).flatmap(lambda n: st.lists(_ROWS, min_size=n, max_size=n)))
+def test_a_stack_equals_its_rows_one_at_a_time_bit_for_bit(rows):
+    _assert_rows_equal_one_at_a_time(rows)
+
+
+def test_a_stack_with_clipped_rows_equals_its_rows_bit_for_bit():
+    rng = np.random.default_rng(11)
+    rows = [_random_rates(int(rng.integers(1, 5)), int(rng.integers(2**32)), rng.uniform(-300, 300))
+            for _ in range(64)]
+    rows += [assemble_r(kind, mu, 0.2, 0.3).r for kind in ENTANGLED for mu in (1e-8, 0.3, 4.0)]
+    clip = _assert_rows_equal_one_at_a_time(rows)
+    assert 0 < np.count_nonzero(clip) < len(rows)
+
+
+def test_an_empty_stack_grades_nothing():
+    assert _concurrences([]).shape == (0,)
+
+
+_NOT_PSD = [1.0] + [0.0] * 15  # the first dual-frame element alone
+_ZERO = [0.0] * 16
+
+
+def test_a_stack_raises_the_error_of_its_first_unphysical_row():
+    with pytest.raises(NotPhysical, match="^eigenvalue -5.000e-01 below positivity tolerance$"):
+        reconstruct(_NOT_PSD)
+    with pytest.raises(NotPhysical, match="^reconstructed trace 0.000e[+]00 is not positive$"):
+        reconstruct(_ZERO)
+    good = [assemble_r(kind, mu, 0.1, 0.2, 1e-5, 0.0).r for kind in ENTANGLED for mu in (0.01, 1.0)]
+    # the positivity check comes after the trace check: in a stack, a row
+    # that fails it still wins over a later row that fails the trace
+    for first, later in ((_NOT_PSD, _ZERO), (_ZERO, _NOT_PSD), (_NOT_PSD, [-1.0] * 16)):
+        with pytest.raises(ValueError) as alone:
+            reconstruct(first)
+        for k in range(len(good) + 1):
+            rows = good[:k] + [first] + good[k:] + [later]
+            with pytest.raises(NotPhysical) as stacked:
+                _states(rows)
+            assert str(stacked.value) == str(alone.value), k
+            with pytest.raises(NotPhysical) as graded:
+                _concurrences(TomographyVector(r, RateMethod.CLOSED_FORM) for r in rows[:-1])
+            assert str(graded.value) == str(alone.value), k
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        _states(good + [[math.nan] * 16, _ZERO])
+
+
+def test_a_failing_vector_grades_the_states_built_before_it_first():
+    def vectors(failing_mu):
+        for mu in (0.1, 0.2, 0.3):
+            if mu == failing_mu:
+                raise OverflowError(f"no vector at mu {mu}")
+            yield TomographyVector(_NOT_PSD if mu == 0.2 else assemble_r(
+                SourceKind.DIS_ENTANGLED, mu, 0.1, 0.1).r, RateMethod.CLOSED_FORM)
+
+    with pytest.raises(NotPhysical, match="positivity"):
+        _concurrences(vectors(0.3))
+    with pytest.raises(OverflowError, match="mu 0.2"):
+        _concurrences(vectors(0.2))
