@@ -387,8 +387,8 @@ def test_max_concurrence_search_equals_one_state_at_a_time(kind, dets, mu_range,
 
 
 def test_max_concurrence_search_of_a_bracket_that_is_not_unimodal(monkeypatch):
-    # mu is folded onto [1e-3, 1e-1] three times over, so the profile has
-    # several peaks, each at the dark-limited optimum near mu = 1e-2
+    # mu is folded back and forth onto [1e-3, 1e-1], where C falls with
+    # mu, so the profile peaks at each return to 1e-3
     real = tomography.assemble_r
 
     def folded(kind, mu, *dets):
