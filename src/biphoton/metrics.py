@@ -65,7 +65,8 @@ class MuOptimum:
 
     ``unimodal`` is False when the coarse scan saw more than one local
     maximum; the returned point is then the best sample, not a certified
-    optimum.
+    optimum.  When True, ``mu`` is within 1e-6 relative of the optimum: a
+    golden-section point, or an endpoint that one probe confirmed.
     """
 
     mu: float
@@ -255,7 +256,11 @@ def optimize_mu(
     stacked pass, equal bit for bit to one state at a time.  A
     unimodal profile is refined by golden-section search on log(mu) to
     ``_LOG_MU_TOL`` = 1e-6 relative accuracy; endpoints are returned
-    exactly when they win (monotone objectives).  A non-unimodal profile
+    exactly when they win (monotone objectives).  A scan that peaks at an
+    endpoint costs one probe more, ``_LOG_MU_TOL`` inside it and clamped
+    to the next sample, so no objective is read outside ``mu_range``; if
+    the probe falls by more than the scan's noise allowance, the endpoint
+    is returned, as the search would return it.  A non-unimodal profile
     sets the warning flag and returns the best sample as-is.
     """
     lo, hi = mu_range
@@ -278,8 +283,14 @@ def optimize_mu(
 
     a = log_lo if peak == 0 else math.log(grid[peak - 1])
     b = log_hi if peak == samples - 1 else math.log(grid[peak + 1])
-    t, ft = _golden_max(lambda mu: scan([mu])[0], a, b)
-    best_mu, best_val = math.exp(t), ft
+    f = lambda mu: scan([mu])[0]
+    # an endpoint peak that falls at one probe inside [a, b] is the optimum
+    probe = min(max(log_lo + _LOG_MU_TOL if peak == 0 else log_hi - _LOG_MU_TOL, a), b)
+    if peak in (0, samples - 1) and f(math.exp(probe)) < ys[peak] - tol(ys[peak]):
+        best_mu, best_val = grid[peak], ys[peak]
+    else:
+        t, best_val = _golden_max(f, a, b)
+        best_mu = math.exp(t)
     # prefer an exact endpoint when it is at least as good (monotone case)
     for m, y in ((lo, ys[0]), (hi, ys[-1])):
         if y >= best_val:

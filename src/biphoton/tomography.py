@@ -90,12 +90,12 @@ class TomographyVector:
         object.__setattr__(self, "r", tuple(_checked_rates(self.r).tolist()))
 
 
-def _checked_rates(r) -> np.ndarray:
-    """The 16 projection rates as a float array, each finite and >= 0."""
+def _checked_rates(r, values: bool = True) -> np.ndarray:
+    """The 16 projection rates as a float array; with ``values``, each finite and >= 0."""
     rv = np.asarray(r, dtype=float)
     if rv.shape != (16,):
         raise ValueError(f"expected 16 rates, got shape {rv.shape}")
-    if not 0 <= rv.min() <= rv.max() < math.inf:  # False for NaN too
+    if values and not 0 <= rv.min() <= rv.max() < math.inf:  # False for NaN too
         raise ValueError("rates must be finite and >= 0")
     return rv
 
@@ -301,8 +301,8 @@ def reconstruct(r) -> DensityMatrix:
     One state is the one-row case of the stacked reconstruction that
     ``concurrence-curve`` and ``optimize_mu`` run, bit for bit.
     """
-    # a TomographyVector checked its rates when it was built
-    rv = np.asarray(r.r, dtype=float) if isinstance(r, TomographyVector) else _checked_rates(r)
+    # only the shape here: the kernel checks every rate value
+    rv = _checked_rates(r.r if isinstance(r, TomographyVector) else r, values=False)
     dm = DensityMatrix.__new__(DensityMatrix)
     dm._keep(*_states(rv))
     return dm

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     CapExceeded,
@@ -33,7 +35,7 @@ from biphoton import (
     visibility_approx,
     visibility_exact,
 )
-from biphoton import polarization, tomography
+from biphoton import metrics, polarization, tomography
 from biphoton.metrics import _golden_max
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
@@ -344,13 +346,25 @@ def test_optimize_validation():
                     Objective.MAX_VISIBILITY, (0.1, 1.0), samples=2)
 
 
-def _max_concurrence_one_state_at_a_time(kind, dets, mu_range, samples=65) -> MuOptimum:
-    """optimize_mu's max-concurrence search with each state reconstructed
-    and graded alone: the sample scan, its unimodality test, then the
-    golden section."""
-    def f(mu):
-        return concurrence(reconstruct(tomography.assemble_r(kind, mu, *dets)))
+def _objective_at(kind, dets, objective):
+    """The objective at one mu, each state reconstructed and graded alone."""
+    if objective is Objective.MAX_CONCURRENCE:
+        return lambda mu: concurrence(reconstruct(tomography.assemble_r(kind, mu, *dets)))
 
+    def f(mu):
+        rep = closed_form_rates(kind, mu, *dets)
+        total = rep.r_hh + rep.r_hv
+        v = (rep.r_hh - rep.r_hv) / total if total > 0 else 1.0
+        return v if objective is Objective.MAX_VISIBILITY else rep.r_hh * v
+
+    return f
+
+
+def _full_search(kind, dets, objective, mu_range, samples=65) -> MuOptimum:
+    """optimize_mu's search without the endpoint probe, one mu at a time:
+    the sample scan, its unimodality test, then the golden section, with
+    an exact endpoint preferred when it is at least as good."""
+    f = _objective_at(kind, dets, objective)
     lo, hi = mu_range
     log_lo, log_hi = math.log(lo), math.log(hi)
     grid = [math.exp(log_lo + (log_hi - log_lo) * j / (samples - 1)) for j in range(samples)]
@@ -360,7 +374,7 @@ def _max_concurrence_one_state_at_a_time(kind, dets, mu_range, samples=65) -> Mu
     tol = lambda v: 1e-12 * abs(v) + 1e-300
     if not (all(ys[j + 1] >= ys[j] - tol(ys[j]) for j in range(peak))
             and all(ys[j + 1] <= ys[j] + tol(ys[j]) for j in range(peak, samples - 1))):
-        return MuOptimum(grid[peak], ys[peak], False, Objective.MAX_CONCURRENCE)
+        return MuOptimum(grid[peak], ys[peak], False, objective)
     a = log_lo if peak == 0 else math.log(grid[peak - 1])
     b = log_hi if peak == samples - 1 else math.log(grid[peak + 1])
     t, best_val = _golden_max(f, a, b)
@@ -368,7 +382,7 @@ def _max_concurrence_one_state_at_a_time(kind, dets, mu_range, samples=65) -> Mu
     for mu, y in ((lo, ys[0]), (hi, ys[-1])):
         if y >= best_val:
             best_mu, best_val = mu, y
-    return MuOptimum(best_mu, best_val, True, Objective.MAX_CONCURRENCE)
+    return MuOptimum(best_mu, best_val, True, objective)
 
 
 @pytest.mark.parametrize(("kind", "dets", "mu_range", "samples", "where"), [
@@ -381,7 +395,7 @@ def test_max_concurrence_search_equals_one_state_at_a_time(kind, dets, mu_range,
     # the scan grades its samples in one stacked pass; the result is the
     # per-point search's, bit for bit
     res = optimize_mu(kind, *dets, Objective.MAX_CONCURRENCE, mu_range, samples)
-    assert res == _max_concurrence_one_state_at_a_time(kind, dets, mu_range, samples)
+    assert res == _full_search(kind, dets, Objective.MAX_CONCURRENCE, mu_range, samples)
     assert res.unimodal
     assert (res.mu in mu_range) == (where == "endpoint")
 
@@ -399,5 +413,105 @@ def test_max_concurrence_search_of_a_bracket_that_is_not_unimodal(monkeypatch):
     res = optimize_mu(SourceKind.INDIS_ENTANGLED, *dets, Objective.MAX_CONCURRENCE,
                       (1e-4, 1e4), 65)
     assert not res.unimodal
-    assert res == _max_concurrence_one_state_at_a_time(
-        SourceKind.INDIS_ENTANGLED, dets, (1e-4, 1e4), 65)
+    assert res == _full_search(
+        SourceKind.INDIS_ENTANGLED, dets, Objective.MAX_CONCURRENCE, (1e-4, 1e4), 65)
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+_DARKS = st.one_of(st.just(0.0), _log_uniform(-7.0, -1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(ENTANGLED),
+    objective=st.sampled_from(Objective),
+    dets=st.tuples(_log_uniform(-3.0, 0.0), _log_uniform(-3.0, 0.0), _DARKS, _DARKS),
+    lo=_log_uniform(-6.0, 4.0),
+    decades=st.floats(1e-3, 4.0),
+    samples=st.integers(3, 65),
+)
+# an upper endpoint wins: the rate grows faster than the visibility decays
+@example(kind=SourceKind.DIS_ENTANGLED, objective=Objective.MAX_COINCIDENCE_TIMES_VISIBILITY,
+         dets=(0.01, 0.01, 1e-5, 1e-5), lo=1e-4, decades=5.0, samples=65)
+def test_optimize_mu_equals_the_full_search_bit_for_bit(kind, objective, dets, lo, decades,
+                                                        samples):
+    # the endpoint probe only skips a golden section whose result the
+    # endpoint preference would throw away
+    mu_range = (lo, lo * 10.0 ** decades)
+    res = optimize_mu(kind, *dets, objective, mu_range, samples)
+    ref = _full_search(kind, dets, objective, mu_range, samples)
+    if res != ref:
+        # a profile flat to rounding (C of a separable state, V at alpha 1)
+        # has no optimum to find: each search returns a point of it
+        f = _objective_at(kind, dets, objective)
+        ys = [f(mu) for mu in (res.mu, ref.mu, *mu_range)]
+        assert max(ys) - min(ys) <= 1e-12 * max(map(abs, ys)) + 1e-15
+        assert res.unimodal == ref.unimodal
+
+
+def _record_mus(monkeypatch, objective) -> list:
+    """Every mu at which optimize_mu evaluates the objective, in order."""
+    mus = []
+    module, name = ((tomography, "assemble_r") if objective is Objective.MAX_CONCURRENCE
+                    else (metrics, "closed_form_rates"))
+    real = getattr(module, name)
+
+    def recorded(kind, mu, *args):
+        mus.append(mu)
+        return real(kind, mu, *args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return mus
+
+
+@pytest.mark.parametrize(("kind", "dets", "objective", "mu_range", "samples"), [
+    (SourceKind.DIS_ENTANGLED, (0.1, 0.2, 0.0, 0.0), Objective.MAX_CONCURRENCE, (1e-3, 1.0), 40),
+    (SourceKind.INDIS_ENTANGLED, (0.01, 0.01, 0.0, 0.0), Objective.MAX_VISIBILITY, (1e-3, 1.0), 9),
+    (SourceKind.DIS_ENTANGLED, (0.01, 0.01, 1e-5, 1e-5),
+     Objective.MAX_COINCIDENCE_TIMES_VISIBILITY, (1e-4, 10.0), 65),
+])
+def test_a_monotone_profile_costs_the_scan_and_one_probe(monkeypatch, kind, dets, objective,
+                                                        mu_range, samples):
+    mus = _record_mus(monkeypatch, objective)
+    res = optimize_mu(kind, *dets, objective, mu_range, samples)
+    assert res.unimodal and res.mu in mu_range
+    assert len(mus) == samples + 1
+
+
+def test_an_endpoint_peak_with_the_optimum_just_inside_runs_the_golden_section():
+    # the 3-sample scan peaks at lo, but V peaks at 2 d / alpha = 2e-3 just
+    # above it: the probe rises, so the search goes on
+    a, d, lo = 0.01, 1e-5, 1.9e-3
+    res = optimize_mu(SourceKind.DIS_ENTANGLED, a, a, d, d, Objective.MAX_VISIBILITY,
+                      (lo, 1.0), 3)
+    assert res.unimodal
+    assert res.mu > lo
+    assert res.mu == pytest.approx(2 * d / a, rel=1e-4)
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+@pytest.mark.parametrize(("kind", "mu_range"), [
+    # ends at the closed forms' bound: a probe past hi raises CapExceeded
+    (SourceKind.INDIS_ENTANGLED, (1e150 * (1 - 1e-9), 1e150)),
+    (SourceKind.DIS_ENTANGLED, (1.0, 1.0 + 1e-9)),
+])
+def test_the_probe_stays_inside_a_bracket_narrower_than_its_step(monkeypatch, objective, kind,
+                                                               mu_range):
+    # each bracket is 1e-9 wide in log(mu), below _LOG_MU_TOL
+    mus = _record_mus(monkeypatch, objective)
+    res = optimize_mu(kind, 0.3, 0.2, 1e-3, 1e-2, objective, mu_range, 5)
+    assert mu_range[0] <= res.mu <= mu_range[1]
+    assert all(mu_range[0] <= mu <= mu_range[1] for mu in mus)
+
+
+def test_a_profile_flat_to_rounding_runs_the_golden_section():
+    # V does not depend on mu at alpha_i = 1 and dark_i = 0; the last sample
+    # is the peak by one rounding, and a probe below it by one more is noise
+    kind, dets = SourceKind.INDIS_ENTANGLED, (1e-3, 1.0, 1e-3, 0.0)
+    mu_range = (1.0, 52.60644696797855)
+    res = optimize_mu(kind, *dets, Objective.MAX_VISIBILITY, mu_range, 3)
+    assert res == _full_search(kind, dets, Objective.MAX_VISIBILITY, mu_range, 3)
+    assert res.mu not in mu_range

@@ -148,6 +148,21 @@ def test_reconstruct_rejects_a_wrong_number_of_rates():
         reconstruct([math.nan] * 16)
 
 
+def test_raw_rates_keep_their_messages_with_one_value_check():
+    # the shape is checked before the kernel, which checks the values alone
+    with pytest.raises(ValueError, match=r"expected 16 rates, got shape \(32,\)"):
+        reconstruct(np.full(32, 0.1))
+    with pytest.raises(ValueError, match=r"expected 16 rates, got shape \(2, 16\)"):
+        reconstruct(np.full((2, 16), 0.1))
+    for bad_value in (math.nan, math.inf, -math.inf, -0.1):
+        rates = np.full(16, 0.1)
+        rates[7] = bad_value
+        with pytest.raises(ValueError, match="rates must be finite and >= 0"):
+            reconstruct(rates)
+        with pytest.raises(ValueError, match="rates must be finite and >= 0"):
+            TomographyVector(tuple(rates), RateMethod.CLOSED_FORM)
+
+
 def test_exact_series_reconstructions_stay_physical():
     for kind in ENTANGLED:
         for alpha in (0.1, 0.5):
