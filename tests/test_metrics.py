@@ -494,13 +494,14 @@ def test_an_endpoint_peak_with_the_optimum_just_inside_runs_the_golden_section()
 
 @pytest.mark.parametrize("objective", list(Objective))
 @pytest.mark.parametrize(("kind", "mu_range"), [
-    # ends at the closed forms' bound: a probe past hi raises CapExceeded
+    # at the closed forms' bound, past which an objective raises CapExceeded
     (SourceKind.INDIS_ENTANGLED, (1e150 * (1 - 1e-9), 1e150)),
     (SourceKind.DIS_ENTANGLED, (1.0, 1.0 + 1e-9)),
 ])
 def test_the_probe_stays_inside_a_bracket_narrower_than_its_step(monkeypatch, objective, kind,
                                                                mu_range):
-    # each bracket is 1e-9 wide in log(mu), below _LOG_MU_TOL
+    # each bracket is 1e-9 wide in log(mu), below _LOG_MU_TOL; an unclamped
+    # probe would read the objective outside it at one end or the other
     mus = _record_mus(monkeypatch, objective)
     res = optimize_mu(kind, 0.3, 0.2, 1e-3, 1e-2, objective, mu_range, 5)
     assert mu_range[0] <= res.mu <= mu_range[1]
