@@ -64,8 +64,8 @@ class MuOptimum:
     """Result of a mean-pair-number optimization.
 
     ``unimodal`` is False when the coarse scan saw more than one local
-    maximum; the returned point is then the best sample, not a certified
-    optimum.  When True, ``mu`` is within 1e-6 relative of the optimum: a
+    maximum, or was flat to rounding; the returned point is then the best
+    sample, not a certified optimum.  When True, ``mu`` is within 1e-6 relative of the optimum: a
     golden-section point, or an endpoint that one probe confirmed.
     """
 
@@ -261,7 +261,9 @@ def optimize_mu(
     to the next sample, so no objective is read outside ``mu_range``; if
     the probe falls by more than the scan's noise allowance, the endpoint
     is returned, as the search would return it.  A non-unimodal profile
-    sets the warning flag and returns the best sample as-is.
+    sets the warning flag and returns the best sample as-is; so does a
+    scan flat to within that allowance (1e-12 relative, plus 1e-14
+    absolute for C and V), which evaluates nothing more.
     """
     lo, hi = mu_range
     if not (0 < lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
@@ -275,7 +277,12 @@ def optimize_mu(
     ys = scan(grid)
 
     peak = max(range(samples), key=lambda j: ys[j])
-    tol = lambda v: 1e-12 * abs(v) + 1e-300
+    # C and V lie in [0, 1], so their noise has an absolute floor too: the
+    # accuracy C is computed to (concurrence: 3.7e-15 at worst)
+    floor = 1e-300 if objective is Objective.MAX_COINCIDENCE_TIMES_VISIBILITY else 1e-14
+    tol = lambda v: 1e-12 * abs(v) + floor
+    if all(ys[peak] - y <= tol(ys[peak]) for y in ys):  # flat to rounding: no optimum
+        return MuOptimum(grid[peak], ys[peak], False, objective)
     rising = all(ys[j + 1] >= ys[j] - tol(ys[j]) for j in range(peak))
     falling = all(ys[j + 1] <= ys[j] + tol(ys[j]) for j in range(peak, samples - 1))
     if not (rising and falling):

@@ -43,7 +43,12 @@ rate modules:
   uses the b-th child of numpy's SeedSequence(seed), draws happen in a
   fixed order within a block (see :func:`mc_rate`), and the per-block
   success counts are integers, so the final reduction is exact in any
-  order.
+  order.  A block costs its draws: the binned law is built once per
+  (kind, mu, top) and cached, block b's seed is built directly as
+  SeedSequence(seed, spawn_key=(b,)), and calls that would draw nothing
+  (an empty tail, a one-bin pattern law, the dark-count binomial of no
+  pulses or of zero darks) are left out.  numpy advances no generator
+  state for such calls, so leaving them out does not change the stream.
 
 Both oracles take a :class:`Setting` and let :meth:`Setting.resolve`
 turn a time-bin setting into its polarization twin at half efficiency,
@@ -250,6 +255,16 @@ def _pair_law(kind: SourceKind, mu: float, top: int) -> np.ndarray:
     return (x + 1.0) * (h / (1.0 + h)) ** x / (1.0 + h) ** 2
 
 
+# 32 laws of at most 202 bins hold about 55 KB
+@lru_cache(maxsize=32)
+def _binned_law(kind: SourceKind, mu: float, top: int) -> np.ndarray:
+    """The pair-number multinomial's bins (read-only): the law on 0..top,
+    then a bin beyond top, to which numpy gives the remaining mass."""
+    law = np.append(_pair_law(kind, mu, top), 0.0)
+    law.flags.writeable = False
+    return law
+
+
 def _tail_pairs(rng: np.random.Generator, source: PairSource, top: int, t: int) -> np.ndarray:
     """``t`` pair numbers from the law conditioned on x > top (not for
     Poisson with mu > 1): one geometric each (thermal); a binomial count
@@ -285,9 +300,9 @@ def _draw_pairs(
         counts, tail = np.diff(edges), x[edges[-1] :]
     else:
         # numpy gives the last bin, the pulses beyond top, the remaining mass
-        counts = rng.multinomial(n, np.append(_pair_law(kind, mu, top), 0.0))
-        tail = _tail_pairs(rng, source, top, int(counts[-1]))
-        counts = counts[:-1]
+        counts = rng.multinomial(n, _binned_law(kind, mu, top))
+        counts, beyond = counts[:-1], int(counts[-1])
+        tail = _tail_pairs(rng, source, top, beyond) if beyond else np.empty(0, np.int64)
     # numpy's geometric saturates at the int64 maximum, and a sum beyond
     # it wraps to a negative count
     if tail.size and (tail.min() <= top or tail.max() == _INT64_MAX):
@@ -351,14 +366,18 @@ def _hits(
 ) -> int:
     """Pulses on which every arm clicks: one binomial draw per occupied
     class, in the order given, then one for the ``empty`` pulses, which
-    carry no photons and click on dark counts alone."""
+    carry no photons and click on dark counts alone (none if there are
+    no such pulses or an arm has no dark counts)."""
     p = np.ones(counts.shape)
     dark = 1.0
     for det, n in zip(dets, photons):
         # arranged as in click_prob
         p *= det.dark + (1.0 - det.dark) * (1.0 - (1.0 - det.alpha) ** n)
         dark *= det.dark
-    return int(rng.binomial(counts, p).sum()) + int(rng.binomial(empty, dark))
+    hits = int(rng.binomial(counts, p).sum())
+    if empty and dark:
+        hits += int(rng.binomial(empty, dark))
+    return hits
 
 
 def _photon_classes(
@@ -373,11 +392,11 @@ def _photon_classes(
     xy = np.zeros((max(occupied, default=0) + 1,) * 2, dtype=np.int64)
     for xv in occupied:
         law = _pattern_law(kind, xv)
-        xy[xv, : len(law)] = rng.multinomial(counts[xv], law)
-    v = sample_patterns(kind, tail, rng)
+        xy[xv, : len(law)] = rng.multinomial(counts[xv], law) if len(law) > 1 else counts[xv]
+    v = sample_patterns(kind, tail, rng) if tail.size else tail
     if setting is Setting.HPLUS:
         small = _plus_classes(rng, xy, coherent)
-        big = _classes(tail - v, rng.binomial(tail, 0.5))
+        big = _classes(tail - v, rng.binomial(tail, 0.5) if tail.size else tail)
     else:
         def arms(h, v):  # y pairs are V-polarized: x - y photons pass each H polarizer
             return {Setting.HV: (h, v), Setting.SINGLE_S: (h,),
@@ -435,7 +454,9 @@ def mc_rate(
 
     Trials run in blocks of ``_BLOCK`` = 1,000,000, block b seeded by
     the b-th child of SeedSequence(seed).  Within a block the draw
-    order is fixed:
+    order is fixed (the law of step 1 is cached per (kind, mu, top), and
+    a call with nothing to draw is skipped, which leaves the stream as it
+    would be with the call made):
 
     1. pair numbers: one multinomial of the n pulses over the law on
        0..top and a bin beyond, top = 14 (``HPLUS_X_CAP`` for coherent
@@ -474,8 +495,9 @@ def mc_rate(
 
     n_blocks = (trials + _BLOCK - 1) // _BLOCK
     successes = 0
-    for b, child in enumerate(np.random.SeedSequence(seed).spawn(n_blocks)):
-        rng = np.random.Generator(np.random.PCG64(child))
+    for b in range(n_blocks):
+        # the b-th child of SeedSequence(seed), built without its siblings
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(b,))))
         n = min(_BLOCK, trials - b * _BLOCK)
         successes += _mc_block(rng, source, setting, det_s, det_i, n, hplus_model)
     p = successes / trials

@@ -378,6 +378,22 @@ def test_optimize_mu_command(capsys):
     assert rows[0][2] == "true"
 
 
+def test_optimize_mu_reports_a_flat_profile_as_not_unimodal(capsys):
+    # at alpha_i 1 and dark_i 0 the state is separable: C is 0 up to
+    # rounding over the whole bracket, so no optimum is certified
+    code, out, _ = _run(
+        capsys,
+        ["optimize-mu", "--source", "indis-entangled", "--objective", "max-concurrence",
+         "--mu-range", "1:10:3:log", "--alpha-s", "0.01", "--alpha-i", "1",
+         "--dark-s", "0.01", "--dark-i", "0"],
+    )
+    assert code == 0
+    _, rows = _rows(out)
+    assert rows[0][0] == "10"
+    assert abs(float(rows[0][1])) <= 1e-14
+    assert rows[0][2] == "false"
+
+
 def test_validate_command(capsys):
     code, _, err = _run(capsys, ["validate", "--trials", "-1"])
     assert code == 2

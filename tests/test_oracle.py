@@ -753,3 +753,95 @@ def test_mc_class_wise_draws_rerun_bit_for_bit(kind, setting):
     b = mc_rate(src, setting, det, det, 1_500_000, seed=77)
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
     assert mc_rate(src, setting, det, det, 1_500_000, seed=78).mean != a.mean
+
+
+# numpy does not promise stable Generator streams across versions, so the
+# frozen Monte-Carlo outputs below hold for the numpy they were recorded with
+_MC_FROZEN_NUMPY = "2.4.6"
+_CO, _IN = HplusModel.COHERENT, HplusModel.INDEPENDENT
+# (kind, setting, mu, (alpha_s, dark_s), (alpha_i, dark_i), trials, seed,
+#  H+ model) -> (mean.hex(), std_error.hex()).  Between them the cells reach
+# every kind; HH, HV, H+ under both models, a single and CAR_UNMATCHED; the
+# one-bin pattern law of correlated pairs; pulses beyond top (indis mu 3
+# and 4, thermal mu 2); the per-pulse Poisson of mu > 1 (dis mu 3 and 12);
+# mu 0; two blocks (1,000,001 and 1,200,000 trials); darks of 0 on one arm,
+# on both, and above 0 on both.
+_MC_FROZEN = [
+    ((SourceKind.DIS_ENTANGLED, Setting.HH, 0.1, (0.1, 1e-4), (0.1, 1e-4), 200_000, 1, _CO),
+     ("0x1.00e6afcce1c58p-11", "0x1.9f1d3cda0f7f6p-15")),
+    ((SourceKind.DIS_ENTANGLED, Setting.HV, 3.0, (0.3, 0.0), (0.2, 1e-3), 100_000, 2, _CO),
+     ("0x1.7a1a0cf1800a8p-4", "0x1.dfea7fc27cffdp-11")),
+    ((SourceKind.DIS_ENTANGLED, Setting.HPLUS, 0.5, (0.2, 1e-5), (0.3, 1e-5), 100_000, 3, _IN),
+     ("0x1.4ee392e1ef73cp-7", "0x1.4d8033e807648p-12")),
+    ((SourceKind.DIS_ENTANGLED, Setting.HPLUS, 12.0, (0.05, 1e-3), (0.04, 0.0), 50_000, 4, _IN),
+     ("0x1.ee78183f91e64p-5", "0x1.17331205190bbp-10")),
+    ((SourceKind.INDIS_ENTANGLED, Setting.HPLUS, 0.8, (0.1, 1e-5), (0.1, 1e-5), 100_000, 5, _CO),
+     ("0x1.ff2e48e8a71dep-9", "0x1.9d59175caca84p-13")),
+    ((SourceKind.INDIS_ENTANGLED, Setting.HPLUS, 4.0, (0.1, 0.0), (0.2, 0.0), 100_000, 6, _IN),
+     ("0x1.36b8f9b13165dp-4", "0x1.b6fb916064670p-11")),
+    ((SourceKind.INDIS_ENTANGLED, Setting.HH, 3.0, (0.1, 1e-4), (0.1, 1e-4), 1_000_001, 7, _CO),
+     ("0x1.40bb9ced54cacp-5", "0x1.96c18c883371cp-13")),
+    ((SourceKind.INDIS_ENTANGLED, Setting.SINGLE_S, 0.3, (0.5, 1e-3), (0.5, 1e-3), 100_000, 8, _CO),
+     ("0x1.238da3c21187ep-4", "0x1.aa4d2f0fc163ap-11")),
+    ((SourceKind.INDIS_ENTANGLED, Setting.HH, 0.0, (0.5, 0.05), (0.5, 0.05), 100_000, 9, _CO),
+     ("0x1.3fd0d0678c005p-9", "0x1.472ff64c7a410p-13")),
+    ((SourceKind.INDIS_ENTANGLED, Setting.TIMEBIN_APLUS, 0.5, (0.3, 1e-4), (0.3, 1e-4), 100_000,
+      10, _CO),
+     ("0x1.1b1d92b7fe08bp-8", "0x1.b2f1cae5d2b12p-13")),
+    ((SourceKind.DIS_CORRELATED, Setting.CAR_UNMATCHED, 0.3, (0.4, 1e-4), (0.4, 1e-4), 200_000,
+      11, _CO),
+     ("0x1.b2031ceaf251cp-7", "0x1.0c0ceeba7c7ebp-12")),
+    ((SourceKind.DIS_CORRELATED, Setting.SINGLE_I, 12.0, (0.1, 1e-3), (0.02, 1e-3), 50_000, 12,
+      _CO),
+     ("0x1.b7414a4d2b2c0p-3", "0x1.e134cec97a841p-10")),
+    ((SourceKind.THERMAL_CORRELATED, Setting.CAR_UNMATCHED, 2.0, (0.1, 1e-4), (0.1, 1e-4),
+      200_000, 13, _CO),
+     ("0x1.cb3e5753a3ec0p-6", "0x1.8302f8188814fp-12")),
+    ((SourceKind.THERMAL_CORRELATED, Setting.CAR_MATCHED, 0.1, (0.1, 0.0), (0.1, 0.0), 1_200_000,
+      14, _CO),
+     ("0x1.2c5f92c5f92c6p-10", "0x1.031104f1146eep-15")),
+]
+
+
+@pytest.mark.skipif(np.__version__ != _MC_FROZEN_NUMPY,
+                    reason=f"frozen with numpy {_MC_FROZEN_NUMPY}")
+@pytest.mark.parametrize("cell, want", _MC_FROZEN)
+def test_mc_outputs_are_frozen_bit_for_bit(cell, want):
+    kind, setting, mu, det_s, det_i, trials, seed, model = cell
+    est = mc_rate(PairSource(kind, mu), setting, DetectorModel(*det_s), DetectorModel(*det_i),
+                  trials, seed, model)
+    assert (est.mean.hex(), est.std_error.hex()) == want
+
+
+def _moves(call) -> bool:
+    """Whether ``call(rng)`` advances the generator's state."""
+    rng = np.random.Generator(np.random.PCG64(11))
+    before = rng.bit_generator.state
+    call(rng)
+    return rng.bit_generator.state != before
+
+
+def test_the_draws_mc_rate_skips_advance_no_state():
+    # mc_rate leaves out these calls when they have nothing to draw; its
+    # stream is unchanged by that only because numpy draws nothing for them
+    empty = np.empty(0, dtype=np.int64)
+    skipped = {
+        "binomial(0, p)": lambda rng: rng.binomial(0, 1e-6),
+        "binomial(n, 0.0)": lambda rng: rng.binomial(1000, 0.0),
+        "binomial(empty, p)": lambda rng: rng.binomial(empty, 0.5),
+        "integers(0, empty + 1)": lambda rng: rng.integers(0, empty + 1),
+        "poisson(empty)": lambda rng: rng.poisson(np.empty(0)),
+        "geometric(p, 0)": lambda rng: rng.geometric(0.3, 0),
+        "one-bin multinomial": lambda rng: rng.multinomial(1000, (1.0,)),
+    }
+    assert [name for name, call in skipped.items() if _moves(call)] == []
+    # the state check itself sees a draw
+    assert _moves(lambda rng: rng.binomial(1000, 0.5))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+def test_block_b_seeds_from_the_bth_child_of_the_seed_sequence(seed):
+    children = np.random.SeedSequence(seed).spawn(4)
+    for b, child in enumerate(children):
+        direct = np.random.SeedSequence(seed, spawn_key=(b,))
+        assert (np.random.PCG64(direct).state == np.random.PCG64(child).state)
