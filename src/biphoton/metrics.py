@@ -65,8 +65,9 @@ class MuOptimum:
 
     ``unimodal`` is False when the coarse scan saw more than one local
     maximum, or was flat to rounding; the returned point is then the best
-    sample, not a certified optimum.  When True, ``mu`` is within 1e-6 relative of the optimum: a
-    golden-section point, or an endpoint that one probe confirmed.
+    sample, not a certified optimum.  When True, ``mu`` is within 1e-6
+    relative of the optimum: a golden-section point, or an endpoint that
+    one probe confirmed.
     """
 
     mu: float
