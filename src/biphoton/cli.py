@@ -19,6 +19,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -212,24 +213,24 @@ def _write_text(out: str, text: str) -> None:
             fh.write(text)
 
 
-def cmd_visibility_curve(args) -> int:
-    config = _config(args)
+def _sweep(args, mode: str, columns: list[str], row: Callable[..., list]) -> int:
+    """A mu sweep's table, a row ``[mu, *row(mu, policy)]`` per mu: the options
+    are checked first, then --mu/--mu-range, then the series policy."""
+    config = _config(args, mode)
     mus = _parse_mu_values(args)
     policy = TruncationPolicy(args.tail_eps, args.cap)
-    kinds = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
-    rows = []
-    for mu in mus:
-        row = [mu]
-        for kind in kinds:
-            res = visibility_exact(PairSource(kind, mu), *_detector_args(args), policy)
-            row.append(res.visibility)
-        for kind in kinds:
-            row.append(visibility_approx(kind, mu).visibility)
-        rows.append(row)
-    _emit_table(
-        args, config, ["mu", "v_exact_dis", "v_exact_indis", "v_approx_dis", "v_approx_indis"], rows
-    )
+    _emit_table(args, config, columns, [[mu, *row(mu, policy)] for mu in mus])
     return 0
+
+
+def cmd_visibility_curve(args) -> int:
+    kinds = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
+    columns = ["mu", "v_exact_dis", "v_exact_indis", "v_approx_dis", "v_approx_indis"]
+    det = _detector_args(args)
+    return _sweep(args, "", columns, lambda mu, policy: [
+        *(visibility_exact(PairSource(kind, mu), *det, policy).visibility for kind in kinds),
+        *(visibility_approx(kind, mu).visibility for kind in kinds),
+    ])
 
 
 def _require_coincidences(args, mu: float) -> None:
@@ -309,33 +310,21 @@ def cmd_density_matrix(args) -> int:
 
 
 def cmd_car(args) -> int:
-    config = _config(args, f"--method {args.method}")
-    mus = _parse_mu_values(args)
-    policy = TruncationPolicy(args.tail_eps, args.cap)
-    rows = []
-    for mu in mus:
-        source = PairSource(_KINDS[args.source], mu)
-        res = car(source, *_detector_args(args), policy, _METHODS[args.method])
-        rows.append([mu, res.matched_rate, res.unmatched_rate, res.car])
-    _emit_table(args, config, ["mu", "matched", "unmatched", "car"], rows)
-    return 0
+    def row(mu, policy):
+        res = car(PairSource(_KINDS[args.source], mu), *_detector_args(args), policy,
+                  _METHODS[args.method])
+        return [res.matched_rate, res.unmatched_rate, res.car]
+
+    return _sweep(args, f"--method {args.method}", ["mu", "matched", "unmatched", "car"], row)
 
 
 def cmd_timebin(args) -> int:
     mode = f"--method {args.method}"
     if args.method == "exact":
         mode += f" --port {args.port}"
-    config = _config(args, mode)
-    mus = _parse_mu_values(args)
-    policy = TruncationPolicy(args.tail_eps, args.cap)
-    rows = []
-    for mu in mus:
-        entry = timebin_rate(_KINDS[args.source], TimebinPort(args.port), mu,
-                             *_detector_args(args), _METHODS[args.method], policy,
-                             HplusModel(args.hplus_model))
-        rows.append([mu, entry.value])
-    _emit_table(args, config, ["mu", "rate"], rows)
-    return 0
+    return _sweep(args, mode, ["mu", "rate"], lambda mu, policy: [timebin_rate(
+        _KINDS[args.source], TimebinPort(args.port), mu, *_detector_args(args),
+        _METHODS[args.method], policy, HplusModel(args.hplus_model)).value])
 
 
 def cmd_optimize_mu(args) -> int:
@@ -381,45 +370,30 @@ def cmd_validate(args) -> int:
     if args.trials > 0:
         columns += ["mc_mean", "mc_z", "mc_status"]
     rows: list[list] = []
-    failed = False
-    max_abs_err = 0.0
-    max_z = 0.0
     for kind, settings in _VALIDATE_SETTINGS.items():
-        for setting in settings:
-            for mu in _VALIDATE_MUS:
-                for alpha in _VALIDATE_ALPHAS:
-                    for dark in _VALIDATE_DARKS:
-                        source = PairSource(kind, mu)
-                        det_s = DetectorModel(alpha, dark)
-                        det_i = DetectorModel(alpha, dark)
-                        series = series_rate(source, setting, det_s, det_i, policy, hplus_model)
-                        ora = enumerate_rate(source, setting, det_s, det_i, X_MAX_LIMIT,
-                                             hplus_model)
-                        tol = _VALIDATE_TOL + ora.tail_bound
-                        err = abs(series - ora.value)
-                        max_abs_err = max(max_abs_err, err)
-                        ok = err <= tol
-                        failed |= not ok
-                        row = [
-                            kind.value, setting.value, mu, alpha, dark,
-                            series, ora.value, err, tol, "pass" if ok else "FAIL",
-                        ]
-                        if args.trials > 0:
-                            est = mc_rate(
-                                source, setting, det_s, det_i, args.trials, args.seed, hplus_model
-                            )
-                            se0 = math.sqrt(max(series * (1.0 - series), 0.0) / args.trials)
-                            se = max(est.std_error, se0)
-                            z = abs(est.mean - series) / se if se > 0 else 0.0
-                            max_z = max(max_z, z)
-                            mc_ok = z <= 4.0
-                            failed |= not mc_ok
-                            row += [est.mean, z, "pass" if mc_ok else "FAIL"]
-                        rows.append(row)
-    summary = {"cells": len(rows), "max_abs_err": max_abs_err,
+        for setting, mu, alpha, dark in itertools.product(settings, _VALIDATE_MUS,
+                                                          _VALIDATE_ALPHAS, _VALIDATE_DARKS):
+            source = PairSource(kind, mu)
+            det_s = det_i = DetectorModel(alpha, dark)
+            series = series_rate(source, setting, det_s, det_i, policy, hplus_model)
+            ora = enumerate_rate(source, setting, det_s, det_i, X_MAX_LIMIT, hplus_model)
+            tol = _VALIDATE_TOL + ora.tail_bound
+            err = abs(series - ora.value)
+            row = [kind.value, setting.value, mu, alpha, dark,
+                   series, ora.value, err, tol, "pass" if err <= tol else "FAIL"]
+            if args.trials > 0:
+                est = mc_rate(source, setting, det_s, det_i, args.trials, args.seed, hplus_model)
+                se0 = math.sqrt(max(series * (1.0 - series), 0.0) / args.trials)
+                se = max(est.std_error, se0)
+                z = abs(est.mean - series) / se if se > 0 else 0.0
+                row += [est.mean, z, "pass" if z <= 4.0 else "FAIL"]
+            rows.append(row)
+    # the summary reads the rows: a FAIL status or mc_status, abs_err (7) and mc_z (11)
+    failed = any("FAIL" in row for row in rows)
+    summary = {"cells": len(rows), "max_abs_err": max(row[7] for row in rows),
                "status": "FAIL" if failed else "pass"}
     if args.trials > 0:
-        summary["max_mc_z"] = max_z
+        summary["max_mc_z"] = max(row[11] for row in rows)
     _emit_table(args, config, columns, rows, summary)
     return 1 if failed else 0
 

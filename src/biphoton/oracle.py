@@ -43,12 +43,14 @@ rate modules:
   uses the b-th child of numpy's SeedSequence(seed), draws happen in a
   fixed order within a block (see :func:`mc_rate`), and the per-block
   success counts are integers, so the final reduction is exact in any
-  order.  A block costs its draws: the binned law is built once per
-  (kind, mu, top) and cached, block b's seed is built directly as
+  order.  A block costs its draws: the laws of the pair number and of
+  the + count are cached, block b's seed is built directly as
   SeedSequence(seed, spawn_key=(b,)), and calls that would draw nothing
-  (an empty tail, a one-bin pattern law, the dark-count binomial of no
-  pulses or of zero darks) are left out.  numpy advances no generator
-  state for such calls, so leaving them out does not change the stream.
+  (an empty tail, a one-bin pattern law) are left out.  numpy advances
+  no state for such calls and draws an array binomial element by
+  element, nothing for n = 0 or p = 0, so neither those calls nor the
+  pulses without pairs, the last class of the click binomial, change the
+  stream.
 
 Both oracles take a :class:`Setting` and let :meth:`Setting.resolve`
 turn a time-bin setting into its polarization twin at half efficiency,
@@ -162,6 +164,16 @@ def _ladder_table(x: int) -> np.ndarray:
     return table
 
 
+# 201 ladder laws and 15 coin rows hold about 22 MB (tracemalloc, cache included)
+@lru_cache(maxsize=HPLUS_X_CAP + X_MAX_LIMIT + 2)
+def _plus_law(x: int, coherent: bool) -> np.ndarray:
+    """The idler's + count law at x pairs (read-only): ladder row y of
+    the collapsed state if ``coherent``, else one row of x fair coins."""
+    law = _ladder_table(x) ** 2 if coherent else np.array([_coin_weights(x)])
+    law.flags.writeable = False
+    return law
+
+
 def _pattern_law(kind: SourceKind, x: int) -> tuple[float, ...]:
     """Law of the pattern variable y at x pairs, as :func:`sample_patterns`
     draws it; correlated pairs are all H."""
@@ -186,10 +198,9 @@ def _per_x_probability(
     # y pairs are V-polarized, so x - y photons pass each H polarizer
     ys = range(len(law))
     if setting is Setting.HPLUS:
-        # the idler's + count: ladder row y of the collapsed state, or x fair coins
         coherent = kind is SourceKind.INDIS_ENTANGLED and hplus_model is HplusModel.COHERENT
-        w = _ladder_table(x) ** 2 if coherent else np.array([_coin_weights(x)])
-        plus = [math.fsum(row) for row in (w * np.asarray(qi[: x + 1], dtype=float)).tolist()]
+        w = _plus_law(x, coherent) * np.asarray(qi[: x + 1], dtype=float)
+        plus = [math.fsum(row) for row in w.tolist()]
         terms = [qs[x - y] * plus[y if coherent else 0] for y in ys]
     elif setting is Setting.HV:
         terms = [qs[x - y] * qi[y] for y in ys]
@@ -347,11 +358,10 @@ def _plus_classes(
     rng: np.random.Generator, xy: np.ndarray, coherent: bool
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """(signal H photons, idler + photons) classes of the (x, y) bins ``xy``:
-    one multinomial per row x over the + count, in increasing x, with the
-    ladder law of the collapsed state if ``coherent``, else x fair coins."""
+    one multinomial per row x over the + count (:func:`_plus_law`), in increasing x."""
     counts = np.zeros_like(xy)
     for xv in np.flatnonzero(xy.any(axis=1)).tolist():
-        law = _ladder_table(xv) ** 2 if coherent else _coin_weights(xv)
+        law = _plus_law(xv, coherent)
         counts[xv - np.arange(xv + 1), : xv + 1] += rng.multinomial(xy[xv, : xv + 1], law)
     occupied = np.nonzero(counts)
     return occupied, counts[occupied]
@@ -359,25 +369,17 @@ def _plus_classes(
 
 def _hits(
     rng: np.random.Generator,
-    empty: int,
     dets: tuple[DetectorModel, ...],
     photons: tuple[np.ndarray, ...],
     counts: np.ndarray,
 ) -> int:
-    """Pulses on which every arm clicks: one binomial draw per occupied
-    class, in the order given, then one for the ``empty`` pulses, which
-    carry no photons and click on dark counts alone (none if there are
-    no such pulses or an arm has no dark counts)."""
+    """Pulses on which every arm clicks: one binomial draw per class, in
+    the order given; a class of 0 photons clicks on dark counts alone."""
     p = np.ones(counts.shape)
-    dark = 1.0
     for det, n in zip(dets, photons):
         # arranged as in click_prob
         p *= det.dark + (1.0 - det.dark) * (1.0 - (1.0 - det.alpha) ** n)
-        dark *= det.dark
-    hits = int(rng.binomial(counts, p).sum())
-    if empty and dark:
-        hits += int(rng.binomial(empty, dark))
-    return hits
+    return int(rng.binomial(counts, p).sum())
 
 
 def _photon_classes(
@@ -436,8 +438,10 @@ def _mc_block(
                 f"mu={source.mu:g}, above its ladder cap of {HPLUS_X_CAP}; use a "
                 f"smaller mu or HplusModel.INDEPENDENT"
             )
-        classes = _photon_classes(rng, source.kind, arm, counts, tail, coherent)
-        n = _hits(rng, int(counts[0]), dets, *classes)
+        photons, pulses = _photon_classes(rng, source.kind, arm, counts, tail, coherent)
+        # the pulses without pairs are the last class: 0 photons in every arm
+        n = _hits(rng, dets, tuple(np.concatenate((p, [0])) for p in photons),
+                  np.concatenate((pulses, counts[:1])))
     return n
 
 
@@ -469,9 +473,9 @@ def mc_rate(
        (x, pattern) bins, in increasing x, with the ladder law (coherent
        indistinguishable pairs) or x fair coins, then Binomial(x, 1/2)
        per pulse beyond top;
-    4. one binomial per occupied bin of steps 2-3, then one per (signal
-       photons, idler photons) class of the other pulses, each in
-       increasing order, then one for the pulses without pairs.
+    4. one binomial call, one draw per class: each occupied bin of steps
+       2-3, then each (signal photons, idler photons) class of the other
+       pulses, each in increasing order, then the pulses without pairs.
 
     CAR_UNMATCHED runs steps 1, 2 and 4 for the signal arm over the n
     pulses, then again for the idler arm over as many fresh pulses as

@@ -219,29 +219,26 @@ def _validated(m: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Returns the stack, with clipped rows replaced, the clipped magnitude
     per row and the eigendecomposition of each returned row: one stacked
-    ``eigh`` for all, a fresh one for clipped rows only.  A failing check
-    raises for the first row it flags.  Each check reduces the whole
-    stack once and looks for the flagged row only on failure, so one row
-    costs about what one 4x4 check costs.
+    ``eigh`` for all, a fresh one for clipped rows only.  Each check
+    reduces the whole stack once, so one row costs about what one 4x4
+    check costs, and reports the stack's worst value, which for one row
+    is that row's: :func:`_states` owns the error order of a stack.
     """
     if not np.isfinite(m).all():
         raise NotPhysical("matrix has non-finite entries")
     mh = m.conj().swapaxes(1, 2)
-    asym = np.abs(m - mh)
-    if asym.max(initial=0.0) > DensityMatrix.HERM_TOL:
-        herm = asym.max(axis=(1, 2))
-        k = np.argmax(herm > DensityMatrix.HERM_TOL)
-        raise NotPhysical(f"matrix is not Hermitian: max asymmetry {herm[k]:.3e}")
+    herm = np.abs(m - mh).max(initial=0.0)
+    if herm > DensityMatrix.HERM_TOL:
+        raise NotPhysical(f"matrix is not Hermitian: max asymmetry {herm:.3e}")
     tr = m.trace(axis1=1, axis2=2)
     off = np.abs(tr - 1.0)
     if off.max(initial=0.0) > DensityMatrix.TRACE_TOL:
-        raise NotPhysical(f"trace must be 1, got {tr[np.argmax(off > DensityMatrix.TRACE_TOL)]}")
+        raise NotPhysical(f"trace must be 1, got {tr[off.argmax()]}")
     w, v = np.linalg.eigh((m + mh) / 2.0)
     low = w[:, 0]
     lowest = low.min(initial=0.0)
     if lowest < -DensityMatrix.PSD_TOL:
-        k = np.argmax(low < -DensityMatrix.PSD_TOL)
-        raise NotPhysical(f"eigenvalue {low[k]:.3e} below positivity tolerance")
+        raise NotPhysical(f"eigenvalue {lowest:.3e} below positivity tolerance")
     clip = np.zeros(len(m))
     if lowest < 0:
         # few rows clip, so each is rebuilt and decomposed on its own
@@ -269,16 +266,16 @@ def _reconstructed(rv: np.ndarray) -> tuple[np.ndarray, ...]:
     rho = flat.view(complex).reshape(-1, 4, 4)
     tr = rho.trace(axis1=1, axis2=2).real
     if not tr.min(initial=1.0) > 0:
-        raise NotPhysical(f"reconstructed trace {tr[np.argmin(tr > 0)]:.3e} is not positive")
+        raise NotPhysical(f"reconstructed trace {tr.min():.3e} is not positive")
     return _validated(rho / tr[:, None, None])
 
 
 def _states(rates) -> tuple[np.ndarray, ...]:
     """:func:`_reconstructed` of a stack of 16-rate rows, failing as row by row.
 
-    A row before the one that a check flags in the stack can fail a later
-    check, so on any error the rows run alone, in order, and the first
-    that fails raises its own error.
+    A check of the whole stack reports its worst row, and a row before
+    that one can fail a later check, so on any error the rows run alone,
+    in order, and the first that fails raises its own error.
     """
     rv = np.asarray(rates, dtype=float).reshape(-1, 16)
     try:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 
 from biphoton import (
     RateMethod,
+    Setting,
     SourceKind,
     TomographyVector,
     TruncationPolicy,
@@ -86,6 +88,14 @@ def test_sweep_validation_errors(capsys):
     assert code == 2
     code, _, err = _run(capsys, ["visibility-curve", "--mu", "-1"])
     assert code == 2
+    code, _, err = _run(capsys, ["visibility-curve", "--mu-range", "0:1:3:sqrt"])
+    assert code == 2
+    assert "scale must be 'lin' or 'log', got 'sqrt'" in err
+    # the mu values are checked before the series policy is built
+    for command in (["car", "--source", "dis-correlated"], ["visibility-curve"]):
+        code, _, err = _run(capsys, [*command, "--mu-range", "1:0:3", "--tail-eps", "0"])
+        assert code == 2
+        assert "--mu-range needs at least 2 distinct points" in err, err
 
 
 _CLOSED_TIMEBIN = ["timebin", "--source", "dis-entangled", "--method", "closed"]
@@ -419,6 +429,34 @@ def test_validate_with_mc_trials(capsys):
     assert header[-1] == "mc_status"
     assert all(row[-1] == "pass" for row in rows)
     assert max(float(row[11]) for row in rows) <= 4.0
+
+
+def test_validate_fails_on_a_disagreement(capsys, monkeypatch):
+    # the summary and the exit code follow the rows' status and mc_status
+    series_rate, mc_rate = cli.series_rate, cli.mc_rate
+
+    def off_series(source, setting, *rest):
+        return series_rate(source, setting, *rest) + (1e-6 if setting is Setting.HV else 0.0)
+
+    def off_mc(source, setting, *rest):
+        est = mc_rate(source, setting, *rest)
+        shift = 0.5 if setting is Setting.CAR_MATCHED else 0.0
+        return dataclasses.replace(est, mean=est.mean + shift)
+
+    monkeypatch.setattr(cli, "series_rate", off_series)
+    code, out, _ = _run(capsys, ["validate"])
+    assert code == 1 and "# status=FAIL" in out
+    _, rows = _rows(out)
+    assert {row[1] for row in rows if row[9] == "FAIL"} == {"hv"}
+    assert f"# max_abs_err={max(float(row[7]) for row in rows):.17g}" in out
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "mc_rate", off_mc)
+    code, out, _ = _run(capsys, ["validate", "--trials", "20000"])
+    assert code == 1 and "# status=FAIL" in out
+    _, rows = _rows(out)
+    assert all(row[9] == "pass" for row in rows)
+    assert {row[1] for row in rows if row[12] == "FAIL"} == {"car-matched"}
+    assert f"# max_mc_z={max(float(row[11]) for row in rows):.17g}" in out
 
 
 def test_version_and_help():

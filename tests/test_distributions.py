@@ -218,6 +218,8 @@ def test_input_validation():
         TruncationPolicy(hard_cap=-1)
     with pytest.raises(ValueError):
         pmf(PairSource(SourceKind.DIS_ENTANGLED, 0.1), -1)
+    with pytest.raises(ValueError, match="x_max must be >= 0, got -1"):
+        pmf_values(PairSource(SourceKind.DIS_ENTANGLED, 0.1), -1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -79,6 +79,9 @@ def test_ladder_distribution_properties():
     # the cached tables are shared, so nothing may write to them
     with pytest.raises(ValueError):
         _ladder_table(2)[0, 0] = 0.0
+    for coherent in (True, False):
+        with pytest.raises(ValueError):
+            biphoton.oracle._plus_law(2, coherent)[0, 0] = 0.0
 
 
 def test_ladder_matches_generating_function_table():
@@ -138,6 +141,7 @@ def test_ladder_is_finite_and_exact_at_large_x():
         assert abs(math.fsum(w) - 1.0) <= 1e-12
         assert w == pytest.approx(_exact_ladder(x, k), abs=1e-12), (x, k)
     assert _ladder_table.cache_info().maxsize is not None
+    assert biphoton.oracle._plus_law.cache_info().maxsize is not None
 
 
 def test_enumeration_matches_series_hard_corner():
@@ -837,6 +841,34 @@ def test_the_draws_mc_rate_skips_advance_no_state():
     assert [name for name, call in skipped.items() if _moves(call)] == []
     # the state check itself sees a draw
     assert _moves(lambda rng: rng.binomial(1000, 0.5))
+
+
+def _twins():
+    return (np.random.Generator(np.random.PCG64(11)) for _ in range(2))
+
+
+@pytest.mark.parametrize("n, p", [(0, 0.2), (40, 0.0), (0, 0.0), (40, 0.2), (5000, 0.4)])
+def test_a_trailing_binomial_element_draws_as_a_separate_call(n, p):
+    # mc_rate's click binomial takes the pulses without pairs as its last
+    # element: the same draws and final state as drawing them after it
+    counts, probs = np.array([5, 0, 1000, 7]), np.array([0.3, 0.5, 0.6, 0.9])
+    one, two = _twins()
+    joint = one.binomial(np.append(counts, n), np.append(probs, p))
+    split = np.append(two.binomial(counts, probs), two.binomial(n, p))
+    assert joint.tolist() == split.tolist()
+    assert one.bit_generator.state == two.bit_generator.state
+
+
+@pytest.mark.parametrize("x", [1, 5, X_MAX_LIMIT])
+def test_a_one_row_multinomial_law_draws_as_the_1d_law(x):
+    # the fair-coin + law is one row of a 2-D law, as the ladder law is
+    # a row per pattern; per pattern, zeros included, the draws are the same
+    n = np.arange(x + 1) * 37 % 11
+    one, two = _twins()
+    flat = one.multinomial(n, _coin_weights(x))
+    rows = two.multinomial(n, np.array([_coin_weights(x)]))
+    assert flat.tolist() == rows.tolist()
+    assert one.bit_generator.state == two.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])

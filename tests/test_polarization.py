@@ -158,6 +158,11 @@ def test_plus_port_distribution_stops_at_the_hard_cap():
         coincidence_rate(src, Setting.HPLUS, det, det, TruncationPolicy(hard_cap=1000))
     assert state() == before
     assert plus_port_distribution.cache_info().currsize <= cap + 1
+    # and below 0
+    with pytest.raises(ValueError, match="x must be >= 0, got -1"):
+        plus_port_distribution(-1)
+    with pytest.raises(ValueError, match="x must be >= 0, got -1"):
+        per_x_coincidence(src.kind, Setting.HPLUS, -1, det, det)
     # the independent model needs no table
     entry = coincidence_rate(src, Setting.HPLUS, det, det, TruncationPolicy(hard_cap=1000),
                              HplusModel.INDEPENDENT)
