@@ -294,14 +294,13 @@ def cmd_density_matrix(args) -> int:
         kind = _KINDS[args.source]
         if args.method == "closed-rho":
             rho = closed_form_rho(kind, args.mu)
-        elif args.method == "closed":
-            _require_coincidences(args, args.mu)
-            rho = reconstruct(assemble_r(kind, args.mu, *_detector_args(args)))
         else:
+            # closed mode reads neither the policy nor the H+ model: _config
+            # refuses them, so the defaults it passes are never read
             _require_coincidences(args, args.mu)
             rho = reconstruct(assemble_r(
                 kind, args.mu, *_detector_args(args), TruncationPolicy(args.tail_eps, args.cap),
-                RateMethod.EXACT_SERIES, HplusModel(args.hplus_model),
+                _METHODS[args.method], HplusModel(args.hplus_model),
             ))
     _emit_json(
         args, config, {"density_matrix": rho.to_json_dict(), "concurrence": concurrence(rho)}

@@ -55,6 +55,11 @@ def click_prob(det: DetectorModel, x: int):
     """
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
-    # algebraically 1 - (1-dark)(1-alpha)^x, arranged so a lone dark
-    # count comes back as exactly `dark` instead of 1 - (1 - dark)
-    return det.dark + (1 - det.dark) * (1 - (1 - det.alpha) ** x)
+    return _click(det.alpha, det.dark, x)
+
+
+def _click(alpha, dark, x):
+    """The click law at ``x`` photons, ``x`` a number or a numpy array:
+    algebraically 1 - (1-dark)(1-alpha)^x, arranged so a lone dark count
+    comes back as exactly ``dark`` instead of 1 - (1 - dark)."""
+    return dark + (1 - dark) * (1 - (1 - alpha) ** x)

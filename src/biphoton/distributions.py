@@ -110,19 +110,25 @@ class TruncationPolicy:
 
 
 def _pmf0(source: PairSource) -> float:
-    """P(x=0), the start of the multiplicative recurrence.  A Poissonian
-    exp(-mu) below the smallest normal float would make every pmf value,
-    and a certified tail, 0 or inexact, so it raises :class:`CapExceeded`."""
+    """P(x=0), the start of the multiplicative recurrence.  A P(0) below
+    the smallest normal float would make every pmf value, and a certified
+    tail, 0 or inexact, so it raises :class:`CapExceeded`, naming the
+    largest mu the kind's law takes."""
     mu = source.mu
     if source.kind is SourceKind.INDIS_ENTANGLED:
-        return 1.0 / (1.0 + mu / 2.0) ** 2
-    if source.kind is SourceKind.THERMAL_CORRELATED:
-        return 1.0 / (1.0 + mu)
-    p0 = math.exp(-mu)
+        law, top = "1/(1 + mu/2)^2", "1.34e154"  # 2^512
+        # (1 + mu/2)^2 overflows from mu = 2^513, where P(0) is 0 in floats
+        p0 = 1.0 / (1.0 + mu / 2.0) ** 2 if mu < 2.0**513 else 0.0
+    elif source.kind is SourceKind.THERMAL_CORRELATED:
+        law, top = "1/(1 + mu)", "4.49e307"  # 2^1022
+        p0 = 1.0 / (1.0 + mu)
+    else:
+        law, top = "exp(-mu)", "708"
+        p0 = math.exp(-mu)
     if p0 < sys.float_info.min:
         raise CapExceeded(
-            f"P(0) = exp(-mu) underflows for {source.kind.value} source with mu={mu:g}; "
-            f"use mu <= 708"
+            f"P(0) = {law} underflows for {source.kind.value} source with mu={mu:g}; "
+            f"use mu <= {top}"
         )
     return p0
 

@@ -139,10 +139,10 @@ def car(
     )
     if method is RateMethod.CLOSED_FORM:
         _closed_form_mu(source.kind, mu)
-        matched = mu * alpha_s * alpha_i + (mu * alpha_s + dark_s) * (mu * alpha_i + dark_i)
+        unmatched = (mu * alpha_s + dark_s) * (mu * alpha_i + dark_i)
+        matched = mu * alpha_s * alpha_i + unmatched
         if source.kind is SourceKind.THERMAL_CORRELATED:
             matched += mu * mu * alpha_s * alpha_i
-        unmatched = (mu * alpha_s + dark_s) * (mu * alpha_i + dark_i)
     elif method is RateMethod.EXACT_SERIES:
         x_max = truncation_index(source, policy)
         weights = pmf_values(source, x_max)
@@ -282,11 +282,10 @@ def optimize_mu(
     # accuracy C is computed to (concurrence: 3.7e-15 at worst)
     floor = 1e-300 if objective is Objective.MAX_COINCIDENCE_TIMES_VISIBILITY else 1e-14
     tol = lambda v: 1e-12 * abs(v) + floor
-    if all(ys[peak] - y <= tol(ys[peak]) for y in ys):  # flat to rounding: no optimum
-        return MuOptimum(grid[peak], ys[peak], False, objective)
+    flat = all(ys[peak] - y <= tol(ys[peak]) for y in ys)  # flat to rounding: no optimum
     rising = all(ys[j + 1] >= ys[j] - tol(ys[j]) for j in range(peak))
     falling = all(ys[j + 1] <= ys[j] + tol(ys[j]) for j in range(peak, samples - 1))
-    if not (rising and falling):
+    if flat or not (rising and falling):
         return MuOptimum(grid[peak], ys[peak], False, objective)
 
     a = log_lo if peak == 0 else math.log(grid[peak - 1])

@@ -15,19 +15,20 @@ rate modules:
 
 * :func:`mc_rate` samples the same generative chain (pair number,
   pattern, per-arm clicks) with a seeded PCG64 generator and reports a
-  mean with its standard error.  It goes by photon-number class: one
+  mean with its standard error, reproducible bit for bit by the draw
+  order that it states.  It goes by photon-number class: one
   multinomial over each kind's pair-number law on 0..top (top = 14, or
   200 for coherent H+) gives the pulse count of each pair number, one
   per pair number splits those pulses over the pattern (and, for H+,
   the + count) with the oracle's coin and ladder tables, and one
   binomial decides the clicks of all pulses with the same photon
-  numbers.  Only pulses beyond top get their own draws; Poissonian
-  kinds with mu > 1 draw one Poisson per pulse.  The law is stated here
-  in closed form, apart from the series' recurrence: Poisson in log
-  space, geometric, and NB(2) (x+1) q^x (1-q)^2.  Multinomial splitting,
-  binomial thinning and three tail identities for x > top make this
-  exact in distribution (Devroye, *Non-Uniform Random Variate
-  Generation*, 1986):
+  numbers, by the click law of :mod:`.detection`.  Only pulses beyond
+  top get their own draws; Poissonian kinds with mu > 1 draw one
+  Poisson per pulse.  The law is stated here in closed form, apart from
+  the series' recurrence: Poisson in log space, geometric, and NB(2)
+  (x+1) q^x (1-q)^2.  Multinomial splitting, binomial thinning and
+  three tail identities for x > top make this exact in distribution
+  (Devroye, *Non-Uniform Random Variate Generation*, 1986):
 
   - geometric: top plus a geometric on {1, 2, ...} (memorylessness);
   - NB(2): R = x - top - 1 has weight (top + 2 + R) q^R, one geometric
@@ -36,21 +37,6 @@ rate modules:
   - Poisson: top + 1 + Poisson(mu (1 - s)), where s is the (top+1)-th
     arrival of a rate-mu process on [0, 1], drawn as U^(1/(top+1)) and
     accepted with probability e^(-mu s) >= 1/e for mu <= 1.
-
-  For a fixed seed, trial count and configuration the result is
-  reproducible bit for bit: trials are consumed in blocks of
-  ``_BLOCK`` = 1,000,000 (the last block takes the remainder), block b
-  uses the b-th child of numpy's SeedSequence(seed), draws happen in a
-  fixed order within a block (see :func:`mc_rate`), and the per-block
-  success counts are integers, so the final reduction is exact in any
-  order.  A block costs its draws: the laws of the pair number and of
-  the + count are cached, block b's seed is built directly as
-  SeedSequence(seed, spawn_key=(b,)), and calls that would draw nothing
-  (an empty tail, a one-bin pattern law) are left out.  numpy advances
-  no state for such calls and draws an array binomial element by
-  element, nothing for n = 0 or p = 0, so neither those calls nor the
-  pulses without pairs, the last class of the click binomial, change the
-  stream.
 
 Both oracles take a :class:`Setting` and let :meth:`Setting.resolve`
 turn a time-bin setting into its polarization twin at half efficiency,
@@ -65,7 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detection import DetectorModel, click_prob
+from .detection import DetectorModel, _click, click_prob
 from .distributions import PairSource, SourceKind, pmf_values
 from .polarization import HplusModel, Setting
 
@@ -377,8 +363,8 @@ def _hits(
     the order given; a class of 0 photons clicks on dark counts alone."""
     p = np.ones(counts.shape)
     for det, n in zip(dets, photons):
-        # arranged as in click_prob
-        p *= det.dark + (1.0 - det.dark) * (1.0 - (1.0 - det.alpha) ** n)
+        # float: an exact detector draws as its float twin
+        p *= _click(float(det.alpha), float(det.dark), n)
     return int(rng.binomial(counts, p).sum())
 
 
@@ -386,10 +372,11 @@ def _photon_classes(
     rng: np.random.Generator, kind: SourceKind, setting: Setting, counts: np.ndarray,
     tail: np.ndarray, coherent: bool,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """(photons per arm, pulse count) classes of the pulses that carry
-    pairs: by (x, pattern) bin for ``counts``, the pulse counts of x =
-    0..top pairs (x = 0 left out), by `_classes` for the pair numbers
-    ``tail`` beyond."""
+    """(photons per arm, pulse count) classes of every pulse, given the
+    pulse counts ``counts`` of x = 0..top pairs and the pair numbers
+    ``tail`` beyond: by (x, pattern) bin for x >= 1, by `_classes` for
+    ``tail``, then the ``counts[0]`` pulses without pairs, 0 photons in
+    every arm."""
     occupied = (np.flatnonzero(counts[1:]) + 1).tolist()  # pair numbers
     xy = np.zeros((max(occupied, default=0) + 1,) * 2, dtype=np.int64)
     for xv in occupied:
@@ -407,8 +394,8 @@ def _photon_classes(
         xs, ys = np.nonzero(xy)
         small = arms(xs - ys, ys), xy[xs, ys]
         big = _classes(*arms(tail - v, v))
-    photons = tuple(np.concatenate(p) for p in zip(small[0], big[0]))
-    return photons, np.concatenate((small[1], big[1]))
+    photons = tuple(np.concatenate((*p, [0])) for p in zip(small[0], big[0]))
+    return photons, np.concatenate((small[1], big[1], counts[:1]))
 
 
 def _mc_block(
@@ -438,10 +425,7 @@ def _mc_block(
                 f"mu={source.mu:g}, above its ladder cap of {HPLUS_X_CAP}; use a "
                 f"smaller mu or HplusModel.INDEPENDENT"
             )
-        photons, pulses = _photon_classes(rng, source.kind, arm, counts, tail, coherent)
-        # the pulses without pairs are the last class: 0 photons in every arm
-        n = _hits(rng, dets, tuple(np.concatenate((p, [0])) for p in photons),
-                  np.concatenate((pulses, counts[:1])))
+        n = _hits(rng, dets, *_photon_classes(rng, source.kind, arm, counts, tail, coherent))
     return n
 
 
@@ -456,11 +440,10 @@ def mc_rate(
 ) -> McEstimate:
     """Monte-Carlo estimate of a rate by simulating the generative chain.
 
-    Trials run in blocks of ``_BLOCK`` = 1,000,000, block b seeded by
-    the b-th child of SeedSequence(seed).  Within a block the draw
-    order is fixed (the law of step 1 is cached per (kind, mu, top), and
-    a call with nothing to draw is skipped, which leaves the stream as it
-    would be with the call made):
+    Trials run in blocks of ``_BLOCK`` = 1,000,000 (the last block
+    takes the remainder), block b seeded by the b-th child of
+    SeedSequence(seed), built directly as SeedSequence(seed,
+    spawn_key=(b,)).  Within a block the draw order is fixed:
 
     1. pair numbers: one multinomial of the n pulses over the law on
        0..top and a bin beyond, top = 14 (``HPLUS_X_CAP`` for coherent
@@ -473,13 +456,25 @@ def mc_rate(
        (x, pattern) bins, in increasing x, with the ladder law (coherent
        indistinguishable pairs) or x fair coins, then Binomial(x, 1/2)
        per pulse beyond top;
-    4. one binomial call, one draw per class: each occupied bin of steps
-       2-3, then each (signal photons, idler photons) class of the other
-       pulses, each in increasing order, then the pulses without pairs.
+    4. one binomial call, one draw per class of :func:`_photon_classes`,
+       with the click law of :mod:`.detection` in floats: each occupied
+       bin of steps 2-3, then each (signal photons, idler photons) class
+       of the other pulses, each in increasing order, then the pulses
+       without pairs.
 
     CAR_UNMATCHED runs steps 1, 2 and 4 for the signal arm over the n
     pulses, then again for the idler arm over as many fresh pulses as
     there were signal clicks.
+
+    So for a fixed seed, trial count and configuration the result is
+    reproducible bit for bit; the per-block success counts are
+    integers, so their sum is exact in any order.  A block costs its
+    draws: the laws of step 1 (per kind, mu and top) and of the + count
+    are cached, and a call with nothing to draw (an empty tail, a
+    one-bin pattern law) is skipped.  numpy advances no state for such a
+    call and draws an array binomial element by element, nothing for n =
+    0 or p = 0, so neither the skipped calls nor the pulses without
+    pairs change the stream.
 
     Coherent H+ on the indistinguishable kind raises
     :class:`XMaxTooLarge` if any pulse falls beyond ``HPLUS_X_CAP`` =

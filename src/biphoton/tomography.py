@@ -90,12 +90,12 @@ class TomographyVector:
         object.__setattr__(self, "r", tuple(_checked_rates(self.r).tolist()))
 
 
-def _checked_rates(r, values: bool = True) -> np.ndarray:
-    """The 16 projection rates as a float array; with ``values``, each finite and >= 0."""
+def _checked_rates(r) -> np.ndarray:
+    """The 16 projection rates as a float array, each finite and >= 0."""
     rv = np.asarray(r, dtype=float)
     if rv.shape != (16,):
         raise ValueError(f"expected 16 rates, got shape {rv.shape}")
-    if values and not 0 <= rv.min() <= rv.max() < math.inf:  # False for NaN too
+    if not 0 <= rv.min() <= rv.max() < math.inf:  # False for NaN too
         raise ValueError("rates must be finite and >= 0")
     return rv
 
@@ -253,13 +253,10 @@ def _validated(m: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _reconstructed(rv: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Linear inversion of an (N, 16) stack of rates, then :func:`_validated`."""
-    top = rv.max(axis=1)
-    if not (rv.min(initial=0.0) >= 0.0 and top.max(initial=0.0) < math.inf):  # False for NaN too
-        raise ValueError("rates must be finite and >= 0")
+    """Linear inversion of an (N, 16) stack of checked rates, then :func:`_validated`."""
     # exact power-of-two rescale of each row: no rate scale overflows or
     # underflows (an all-zero row keeps exponent 0)
-    rv = np.ldexp(rv, -np.frexp(top)[1][:, None])
+    rv = np.ldexp(rv, -np.frexp(rv.max(axis=1))[1][:, None])
     # a stack of vector-matrix products: a plain (N, 16) @ (16, 32) would
     # go to a matrix-matrix kernel, whose sums round differently
     flat = np.matmul(rv[:, None, :], _DUAL.view(float))[:, 0].take(_GATHER, axis=1) * _SIGN
@@ -271,7 +268,7 @@ def _reconstructed(rv: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _states(rates) -> tuple[np.ndarray, ...]:
-    """:func:`_reconstructed` of a stack of 16-rate rows, failing as row by row.
+    """:func:`_reconstructed` of a stack of checked 16-rate rows, failing as row by row.
 
     A check of the whole stack reports its worst row, and a row before
     that one can fail a later check, so on any error the rows run alone,
@@ -298,8 +295,7 @@ def reconstruct(r) -> DensityMatrix:
     One state is the one-row case of the stacked reconstruction that
     ``concurrence-curve`` and ``optimize_mu`` run, bit for bit.
     """
-    # only the shape here: the kernel checks every rate value
-    rv = _checked_rates(r.r if isinstance(r, TomographyVector) else r, values=False)
+    rv = _checked_rates(r.r if isinstance(r, TomographyVector) else r)
     dm = DensityMatrix.__new__(DensityMatrix)
     dm._keep(*_states(rv))
     return dm
@@ -394,8 +390,7 @@ def concurrence(rho: DensityMatrix | np.ndarray) -> float:
     states included.  Against 60-digit references of the same matrices,
     3,100 random, rank-deficient and model states (mu 1e-9 to 5) were
     within 3.7e-15; tests hold model states at mu 1e-8 and 1e-6, and
-    random states, to 1e-14.  Square roots of the eigenvalues of that
-    product, the former form, lost up to sqrt(1e-16), about 1e-8, there.
+    random states, to 1e-14.
     """
     dm = rho if isinstance(rho, DensityMatrix) else DensityMatrix(rho)
     return float(_wootters(*dm._eigh)[0])

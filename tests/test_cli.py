@@ -265,6 +265,21 @@ def test_density_matrix_json(capsys):
     assert np.max(np.abs(got - want)) <= 1e-8
 
 
+def test_closed_density_matrix_prints_the_reconstruction_of_the_closed_rates(capsys):
+    # --method closed and --method exact share one rate path: each prints
+    # the reconstruction of the rates its method fills in, bit for bit
+    for kind in (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED):
+        for mu in (1e-6, 0.01, 0.3, 2.0, 5.0):
+            code, out, _ = _run(capsys, ["density-matrix", "--source", kind.value, "--method",
+                                         "closed", "--mu", repr(mu), "--alpha-s", "0.3",
+                                         "--dark-i", "2e-4"])
+            assert code == 0
+            doc = json.loads(out)
+            rho = reconstruct(assemble_r(kind, mu, 0.3, 0.1, 0.0, 2e-4))
+            assert doc["density_matrix"] == rho.to_json_dict(), (kind, mu)
+            assert doc["concurrence"] == concurrence(rho), (kind, mu)
+
+
 def test_density_matrix_from_r_round_trip(tmp_path, capsys):
     rep = closed_form_rates(SourceKind.INDIS_ENTANGLED, 0.2, 0.1, 0.1)
     r = [rep.r_hplus] * 16

@@ -1,6 +1,8 @@
 """Pair-number statistics: pmf values, moments, certified truncation."""
 
 import math
+import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from biphoton import (
     SourceKind,
     TruncationPolicy,
     coincidence_rate,
+    enumerate_rate,
     pmf,
     pmf_values,
     truncation_index,
@@ -130,6 +133,31 @@ def test_poissonian_pmf_refuses_underflowing_p0():
                          lambda: coincidence_rate(src, Setting.HH, det, det, policy)):
                 with pytest.raises(CapExceeded, match=f"mu={mu:g}.*use mu <= 708"):
                     call()
+
+
+@pytest.mark.parametrize(
+    "kind, last, top",
+    [(SourceKind.DIS_ENTANGLED, 708.3964185322641, "708"),
+     (SourceKind.DIS_CORRELATED, 708.3964185322641, "708"),
+     (SourceKind.INDIS_ENTANGLED, 2.0**512, "1.34e154"),
+     (SourceKind.THERMAL_CORRELATED, 2.0**1022, "4.49e307")],
+)
+def test_every_kind_refuses_a_p0_below_the_smallest_normal_float(kind, last, top):
+    # the last mu whose P(0) is a normal float, then the next float up,
+    # and for NB(2) mu where (1 + mu/2)^2 overflows, through the pmf, the
+    # rates and the enumeration
+    assert sys.float_info.min <= pmf(PairSource(kind, last), 0) < 2.0 * sys.float_info.min
+    det = DetectorModel(0.3, 1e-4)
+    for mu in (math.nextafter(last, math.inf), 1e160, sys.float_info.max):
+        if mu < last:
+            continue
+        src = PairSource(kind, mu)
+        for call in (lambda: pmf(src, 0), lambda: pmf_values(src, 10),
+                     lambda: coincidence_rate(src, Setting.HH, det, det),
+                     lambda: enumerate_rate(src, Setting.HH, det, det, 5)):
+            with pytest.raises(CapExceeded, match=f"underflows.*mu={re.escape(f'{mu:g}')}; "
+                                                  f"use mu <= {top}$"):
+                call()
 
 
 def test_pmf_keeps_only_the_running_value():

@@ -405,6 +405,28 @@ def test_timebin_enumeration_is_half_efficiency_remap():
     assert got.tail_bound == want.tail_bound
 
 
+@pytest.mark.parametrize("setting", list(Setting))
+def test_exact_detectors_draw_as_their_float_twins(setting):
+    # DetectorModel keeps int and Fraction values; the Monte-Carlo decides
+    # clicks in floats, so an exact detector pair draws bit for bit as
+    # its float twin
+    pairs = [
+        (DetectorModel(Fraction(1, 3), Fraction(1, 1000)),
+         DetectorModel(Fraction(3, 4), Fraction(1, 7))),
+        (DetectorModel(1, 0), DetectorModel(1, 0)),
+        (DetectorModel(0, Fraction(1, 5)), DetectorModel(Fraction(1, 2), 0)),
+    ]
+    kinds = CORRELATED if setting in (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED) else ENTANGLED
+    for kind in kinds:
+        src = PairSource(kind, 2.5)  # Poissonian kinds draw one Poisson per pulse
+        for exact in pairs:
+            twin = [DetectorModel(float(d.alpha), float(d.dark)) for d in exact]
+            for model in HplusModel:
+                got = mc_rate(src, setting, *exact, 20_000, seed=5, hplus_model=model)
+                want = mc_rate(src, setting, *twin, 20_000, seed=5, hplus_model=model)
+                assert got == want, (kind, exact, model)
+
+
 def test_mc_is_reproducible_bit_for_bit():
     src = PairSource(SourceKind.DIS_ENTANGLED, 0.1)
     det = DetectorModel(0.1, 1e-4)
@@ -699,8 +721,15 @@ def test_class_wise_draws_match_their_laws(x, kind, coherent):
         pattern = np.array([math.comb(x, y) for y in range(x + 1)]) / 2.0**x
     else:
         pattern = np.full(x + 1, 1.0 / (x + 1))
+
+    def classes(setting, coherent):
+        # the last class is the pulses without pairs: 0 photons, none here
+        photons, counts = _photon_classes(rng, kind, setting, pulses, none, coherent)
+        assert [p[-1] for p in photons] == [0, 0] and counts[-1] == 0
+        return tuple(p[:-1] for p in photons), counts[:-1]
+
     if not coherent:
-        (h, v), counts = _photon_classes(rng, kind, Setting.HV, pulses, none, False)
+        (h, v), counts = classes(Setting.HV, False)
         assert np.all(h + v == x)
         assert counts.sum() == n
         observed = np.bincount(v, weights=counts, minlength=x + 1)
@@ -709,7 +738,7 @@ def test_class_wise_draws_match_their_laws(x, kind, coherent):
         plus = np.array(plus_port_distribution(x))  # row y: the ladder law
     else:
         plus = np.tile([math.comb(x, p) / 2.0**x for p in range(x + 1)], (x + 1, 1))
-    (h, p), counts = _photon_classes(rng, kind, Setting.HPLUS, pulses, none, coherent)
+    (h, p), counts = classes(Setting.HPLUS, coherent)
     assert counts.sum() == n
     observed = np.zeros((x + 1, x + 1))
     np.add.at(observed, (x - h, p), counts)

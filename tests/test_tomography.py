@@ -634,8 +634,10 @@ def test_a_stack_raises_the_error_of_its_first_unphysical_row():
             with pytest.raises(NotPhysical) as graded:
                 _concurrences(TomographyVector(r, RateMethod.CLOSED_FORM) for r in rows[:-1])
             assert str(graded.value) == str(alone.value), k
-    with pytest.raises(ValueError, match="finite and >= 0"):
-        _states(good + [[math.nan] * 16, _ZERO])
+    # a row that is not finite and >= 0 is refused before any stack holds it
+    for refuse in (reconstruct, lambda r: TomographyVector(r, RateMethod.CLOSED_FORM)):
+        with pytest.raises(ValueError, match="^rates must be finite and >= 0$"):
+            refuse([math.nan] * 16)
 
 
 def test_a_failing_vector_grades_the_states_built_before_it_first():
