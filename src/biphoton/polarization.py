@@ -14,13 +14,17 @@ it in a small LRU of tables, one per kind, setting, detector pair and
 H+ model, and a mu sweep computes each K(x) once.
 
 The coherent H+ kernel of indistinguishable pairs costs O(x^2) per x.
-Its table grows in blocks of 16 pair numbers: the rows y <= x/2 of
-:func:`plus_port_distribution` for a block are one cached numpy array,
-independent of mu and the detectors, multiplied by the idler clicks as
-floats in one step (the same IEEE products ``w[y][p] * qi[p]`` that
-CPython forms for a float times an int or Fraction), and each row of n
-products t is summed by error-free extraction (Rump, Ogita & Oishi,
-SIAM J. Sci. Comput. 31, 189 (2008)).
+Its table grows only in whole blocks of 16 pair numbers, the last one
+cut at x = 200: the rows y <= x/2 of :func:`plus_port_distribution` for
+a block are one cached numpy array, independent of mu and the
+detectors, multiplied by the idler clicks as floats (the same IEEE
+products ``w[y][p] * qi[p]`` that CPython forms for a float times an
+int or Fraction) a bounded chunk of rows at a time, so no temporary
+outgrows about 96 KB, and each row of n products t is summed by
+error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
+189 (2008)).  Then K(x) of every x in the block comes from one more
+certified array pass, over the products of the signal clicks and those
+row sums, divided by x + 1.
 With sigma = 2^k >= (n+2) max(t), high = (sigma + t) - sigma and
 low = t - high are exact, tau = sum(high) is exact in any order, and
 rho = fl(sum(low)) lies within E = n^2 2^-52 ulp(sigma)/2 of the exact
@@ -224,7 +228,9 @@ def timebin_rate(
 
 # largest x that plus_port_distribution tabulates: TruncationPolicy's
 # default hard_cap, equal to the oracle's HPLUS_X_CAP.  Its cache grows
-# like x^3 and holds about 28 MB for x = 0..200.
+# like x^3 and holds about 28 MB for x = 0..200; the block arrays that
+# _plus_port_block caches for the tables hold about 12 MB more for
+# blocks 0-12 (tracemalloc).
 _PLUS_PORT_X_CAP = TruncationPolicy().hard_cap
 
 
@@ -287,25 +293,42 @@ _BLOCK = 16
 
 
 @lru_cache(maxsize=None)
-def _plus_port_block(b: int) -> tuple[np.ndarray, float, list[int]]:
+def _plus_port_block(b: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Rows y <= x/2 of plus_port_distribution(x) for the x of block b,
     stacked in one read-only array padded with zeros; its largest entry;
-    and the index of the first row of each x, with one past the last.
+    and two index arrays, one row per x of the block and one column per
+    k, that gather the terms of K(x): ``signal`` holds x-k, an index into
+    the signal clicks, and ``row`` the index of row min(k, x-k) of x in
+    the block, or one past the last row where k > x.
     Built from the rows themselves, not through the tuple cache."""
     xs = range(b * _BLOCK, min((b + 1) * _BLOCK, _PLUS_PORT_X_CAP + 1))
-    block = np.zeros((sum(x // 2 + 1 for x in xs), xs[-1] + 1))
+    starts = list(accumulate((x // 2 + 1 for x in xs), initial=0))
+    block = np.zeros((starts[-1], xs[-1] + 1))
     i = 0
     for x in xs:
         for row in _plus_port_rows(x):
             block[i, : x + 1] = row
             i += 1
     block.flags.writeable = False
-    return block, float(block.max()), list(accumulate((x // 2 + 1 for x in xs), initial=0))
+    x = np.array(xs)[:, None]
+    k = np.arange(xs[-1] + 1)
+    inside = k <= x
+    signal = np.where(inside, x - k, 0)
+    row = np.where(inside, np.array(starts[:-1])[:, None] + np.minimum(k, x - k), starts[-1])
+    return block, float(block.max()), signal, row
 
 
-def _row_sums(terms: np.ndarray, top: float) -> list[float]:
-    """``math.fsum`` of each row of a nonnegative float array, bit for bit,
-    given ``top`` >= every entry.
+# terms that _row_sums forms and splits at once: about 12k floats, so each
+# of its temporaries (96 KB) stays below glibc's 128 KB mmap threshold and
+# is reused, not returned to the OS and faulted back in by the next call
+_CHUNK = 12 * 1024
+
+
+def _row_sums(terms: np.ndarray, top: float, factors=1.0) -> list[float]:
+    """``math.fsum`` of each row of ``terms * factors``, a nonnegative
+    float array, bit for bit, given ``top`` >= every entry.  ``factors``
+    multiplies each row elementwise, and the products are formed and
+    split a chunk of rows at a time.
 
     Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
     189 (2008)), for a row of n terms:
@@ -331,11 +354,16 @@ def _row_sums(terms: np.ndarray, top: float) -> list[float]:
     n = terms.shape[1]
     # frexp's exponent e gives top < 2^e, and 2^bit_length(n+1) >= n+2
     sigma = math.ldexp(1.0, math.frexp(top)[1] + (n + 1).bit_length())
-    high = terms + sigma
-    high -= sigma
-    low = terms - high
-    tau = high.sum(axis=1)
-    rho = low.sum(axis=1)
+    tau = np.empty(len(terms))
+    rho = np.empty(len(terms))
+    step = max(1, _CHUNK // n)
+    for i in range(0, len(terms), step):
+        chunk = terms[i: i + step] * factors
+        high = chunk + sigma
+        high -= sigma
+        chunk -= high
+        tau[i: i + step] = high.sum(axis=1)
+        rho[i: i + step] = chunk.sum(axis=1)
     bound = sigma * (n * n * 2.0**-105)
     s = tau + rho
     t = s - tau
@@ -344,7 +372,7 @@ def _row_sums(terms: np.ndarray, top: float) -> list[float]:
                  & (bound - delta < (s - np.nextafter(s, 0.0)) / 2))
     sums = s.tolist()
     for i in np.flatnonzero(~certified):
-        sums[i] = math.fsum(terms[i].tolist())
+        sums[i] = math.fsum((terms[i] * factors).tolist())
     return sums
 
 
@@ -393,14 +421,6 @@ def _check_kernel(kind: SourceKind, setting: Setting) -> None:
         _require_entangled(kind, setting.value)
 
 
-def _coherent_kernel(x: int, qs: list, sums: list):
-    """K(x) of coherent H+ on indistinguishable pairs from ``sums[y]``, the
-    idler click probability of pattern y, for y = 0..x//2."""
-    # rows y and x-y are one tuple, and so are their sums
-    sums = sums + sums[: (x + 1) // 2][::-1]
-    return _pattern_sum(SourceKind.INDIS_ENTANGLED, x, map(operator.mul, qs[x::-1], sums), False)
-
-
 def _kernel(kind: SourceKind, setting: Setting, x: int, qs: list, qi: list, hplus_model,
             exact_s: bool, exact_i: bool):
     """K(x) from the click tables ``qs`` and ``qi``, each at least x+1 long,
@@ -418,9 +438,13 @@ def _kernel(kind: SourceKind, setting: Setting, x: int, qs: list, qi: list, hplu
         idler = _pattern_sum(SourceKind.DIS_ENTANGLED, x, qi[: x + 1], exact_i)
         return _pattern_sum(kind, x, qs[x::-1], exact_s, idler)
     else:
+        # sums[y], the idler click probability of pattern y; rows y and x-y
+        # of w are one tuple, and so are their sums
         w = plus_port_distribution(x)
-        return _coherent_kernel(
-            x, qs, [math.fsum(map(operator.mul, w[y], qi)) for y in range(x // 2 + 1)])
+        sums = [math.fsum(map(operator.mul, w[y], qi)) for y in range(x // 2 + 1)]
+        terms = map(operator.mul, qs[x::-1], sums + sums[: (x + 1) // 2][::-1])
+        # the sums are floats, and so are their products
+        return _pattern_sum(kind, x, terms, False)
     # a product is exact only when both of its factors are
     return _pattern_sum(kind, x, terms, exact_s and exact_i)
 
@@ -465,22 +489,25 @@ _TABLE_LOCK = threading.Lock()
 
 def _grow_coherent(qs: list, qi: list, ks: list, x_max: int) -> None:
     """Append the coherent-H+ K(x) of indistinguishable pairs to ``ks``
-    up to x_max: each block of plus_port rows is multiplied by the idler
-    clicks as floats in one array product, the same IEEE products
-    ``w[y][p] * qi[p]`` as for float, int or Fraction clicks, and summed
-    by :func:`_row_sums`."""
+    in whole blocks of _BLOCK pair numbers, through the block of x_max;
+    ``qs`` and ``qi`` must reach the end of that block.
+
+    Each block of plus_port rows is multiplied by the idler clicks as
+    floats, the same IEEE products ``w[y][p] * qi[p]`` as for float, int
+    or Fraction clicks, and summed by :func:`_row_sums`, a chunk of rows
+    at a time.  Then K(x) of every x in the block comes from one array
+    pass: the products ``qs[x-k] * S[min(k, x-k)]`` of the signal clicks
+    and the row sums S of x, summed by :func:`_row_sums` again and divided
+    by x+1, as :func:`per_x_coincidence` forms them."""
     while len(ks) <= x_max:
-        b, j = divmod(len(ks), _BLOCK)
-        block, top, starts = _plus_port_block(b)
-        x_hi = min(x_max, (b + 1) * _BLOCK - 1)
-        rows = slice(starts[j], starts[x_hi - b * _BLOCK + 1])
-        q = np.array(qi[: x_hi + 1], dtype=float)
-        # products with clicks q <= max(q) are at most top * max(q)
-        sums = _row_sums(block[rows, : x_hi + 1] * q, top * q.max())
-        i = 0
-        for x in range(len(ks), x_hi + 1):
-            ks.append(_coherent_kernel(x, qs, sums[i: i + x // 2 + 1]))
-            i += x // 2 + 1
+        block, top, signal, row = _plus_port_block(len(ks) // _BLOCK)
+        q = np.array(qi[: block.shape[1]], dtype=float)
+        # products with clicks q <= max(q) are at most top * max(q); the
+        # K(x) terms of k > x read the trailing 0
+        s = np.array(_row_sums(block, top * q.max(), q) + [0.0])
+        p = np.array(qs[: block.shape[1]], dtype=float)
+        kernels = _row_sums(p[signal] * s[row], p.max() * s.max())
+        ks += [k / (x + 1) for x, k in enumerate(kernels, len(ks))]
 
 
 def _kernels(kind, setting, det_s, det_i, hplus_model, x_max: int) -> list:
@@ -492,9 +519,11 @@ def _kernels(kind, setting, det_s, det_i, hplus_model, x_max: int) -> list:
         _check_plus_port_x(x_max)
     value_types = (type(det_s.alpha), type(det_s.dark), type(det_i.alpha), type(det_i.dark))
     exact_s, exact_i = _exact(det_s), _exact(det_i)
+    # a coherent table grows in whole blocks, and its click lists with it
+    n_max = min((x_max // _BLOCK + 1) * _BLOCK - 1, _PLUS_PORT_X_CAP) if coherent else x_max
     with _TABLE_LOCK:
         qs, qi, ks = _kernel_table(kind, setting, det_s, det_i, hplus_model, value_types)
-        for n in range(len(qs), x_max + 1):
+        for n in range(len(qs), n_max + 1):
             qs.append(click_prob(det_s, n))
             qi.append(click_prob(det_i, n))
         if coherent:

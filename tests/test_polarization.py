@@ -4,7 +4,9 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -506,6 +508,72 @@ def test_coherent_tables_of_exact_clicks_equal_the_per_x_kernel():
                 want = per_x_coincidence(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, x,
                                          det_s, det_i)
                 assert type(ks[x]) is float and ks[x].hex() == want.hex(), (det_s, det_i, x)
+
+
+# one arm of each number type, for the growth sequences below
+_GROWTH_ARMS = (DetectorModel(0.37, 2e-3), DetectorModel(1, 0),
+                DetectorModel(Fraction(1, 3), Fraction(1, 1000)))
+
+
+@lru_cache(maxsize=None)
+def _coherent_reference(s, i, x):
+    """per_x_coincidence of coherent H+ for the arms s and i, kept across examples."""
+    return per_x_coincidence(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, x,
+                             _GROWTH_ARMS[s], _GROWTH_ARMS[i])
+
+
+_GROWTH_X_MAX = st.one_of(
+    st.integers(min_value=0, max_value=HPLUS_X_CAP),
+    st.sampled_from([_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK - 1, 3 * _BLOCK,
+                     HPLUS_X_CAP - 1, HPLUS_X_CAP]),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(arms=st.tuples(st.integers(min_value=0, max_value=2), st.integers(min_value=0, max_value=2)),
+       x_maxes=st.lists(_GROWTH_X_MAX, min_size=1, max_size=6))
+def test_coherent_tables_grow_in_whole_blocks_along_any_x_max_sequence(arms, x_maxes):
+    # sequences stop mid-block, cross block edges, reach the cap, repeat
+    # and descend; the table and its click lists end at a block's end or
+    # at the cap, and every entry is the per-x kernel bit for bit
+    polarization._kernel_table.cache_clear()
+    det_s, det_i = (_GROWTH_ARMS[a] for a in arms)
+    value_types = (type(det_s.alpha), type(det_s.dark), type(det_i.alpha), type(det_i.dark))
+    reached = -1
+    for x_max in x_maxes:
+        ks = polarization._kernels(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, det_s, det_i,
+                                   HplusModel.COHERENT, x_max)
+        reached = max(reached, x_max)
+        qs, qi, table = polarization._kernel_table(SourceKind.INDIS_ENTANGLED, Setting.HPLUS,
+                                                   det_s, det_i, HplusModel.COHERENT, value_types)
+        assert table is ks
+        assert reached < len(ks) <= min(_BLOCK * math.ceil((reached + 1) / _BLOCK),
+                                        HPLUS_X_CAP + 1)
+        assert len(qs) == len(qi) == len(ks)
+    # a Fraction idler makes the per-x kernels up to x = 200 cost seconds,
+    # so past three blocks only the last x of each block is checked; a row
+    # lost or shifted in a block would move it
+    for x, k in enumerate(ks):
+        if x < 3 * _BLOCK or x % _BLOCK == _BLOCK - 1 or x == len(ks) - 1:
+            assert type(k) is float and k.hex() == _coherent_reference(*arms, x).hex(), (arms, x)
+
+
+def test_growing_a_coherent_table_to_the_cap_stays_below_1_mb():
+    # the block arrays are cached once; what a growth allocates itself is
+    # formed a bounded chunk of block rows at a time
+    for b in range(HPLUS_X_CAP // _BLOCK + 1):
+        polarization._plus_port_block(b)
+    # a detector pair no other test uses, so its table starts empty
+    det_s, det_i = DetectorModel(0.41, 1.0007e-4), DetectorModel(0.29, 3.0007e-4)
+    tracemalloc.start()
+    try:
+        ks = polarization._kernels(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, det_s, det_i,
+                                   HplusModel.COHERENT, HPLUS_X_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ks) == HPLUS_X_CAP + 1
+    assert peak < 1_000_000
 
 
 def test_kernel_tables_survive_more_pairs_than_they_hold():
