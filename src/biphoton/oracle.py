@@ -11,7 +11,9 @@ rate modules:
   the idler's +/- law from the creation-operator ladder table that
   :func:`mc_rate` samples from.  Binomial laws, of the VV count and of
   photon splittings, are built by repeated convolution of a fair coin
-  rather than from binomial coefficients.
+  rather than from binomial coefficients.  The per-x probabilities do
+  not depend on mu, so each configuration's are kept in one table (see
+  :func:`enumerate_rate`), built from these laws and no series code.
 
 * :func:`mc_rate` samples the same generative chain (pair number,
   pattern, per-arm clicks) with a seeded PCG64 generator and reports a
@@ -199,6 +201,21 @@ def _per_x_probability(
     return math.fsum(p * t for p, t in zip(law, terms))
 
 
+# the 64 tables of `biphoton validate` or an oracle-grid pass (x_max 14)
+# hold 67 KB (tracemalloc, cache included)
+@lru_cache(maxsize=256)
+def _per_x_table(kind, setting, det_s, det_i, x_max, hplus_model, value_types) -> tuple:
+    """Detection probabilities at x = 0..x_max, or both arms' click tuples
+    for CAR_UNMATCHED.  ``value_types`` keys apart equal detectors of
+    different number types (0.5, Fraction(1, 2)): they do not compute alike."""
+    qs = tuple(click_prob(det_s, n) for n in range(x_max + 1))
+    qi = tuple(click_prob(det_i, n) for n in range(x_max + 1))
+    if setting is Setting.CAR_UNMATCHED:
+        return qs, qi
+    return tuple(_per_x_probability(kind, setting, x, qs, qi, hplus_model)
+                 for x in range(x_max + 1))
+
+
 def enumerate_rate(
     source: PairSource,
     setting: Setting,
@@ -209,33 +226,36 @@ def enumerate_rate(
 ) -> EnumeratedRate:
     """Exhaustive-enumeration rate up to ``x_max`` generated pairs.
 
+    The per-x probabilities come from one immutable table per resolved
+    setting and detector pair (a time-bin setting shares its twin's at
+    alpha/2), kind, x_max, H+ model (H+ only) and number types of alpha
+    and dark, in an ``lru_cache`` of 256; it reads no series code.  A
+    call then costs the pmf, one ``math.fsum`` and the tail.
+
     The neglected contribution is at most the pmf mass beyond x_max
     (every per-x probability is <= 1); that mass is reported as
     ``tail_bound`` so callers can fold it into comparisons.
     """
+    if isinstance(x_max, bool) or not isinstance(x_max, int):
+        raise TypeError(f"x_max must be an int, got {x_max!r}")
     if x_max < 0:
         raise ValueError(f"x_max must be >= 0, got {x_max}")
     if x_max > X_MAX_LIMIT:
         raise XMaxTooLarge(f"x_max={x_max} exceeds the enumeration budget of {X_MAX_LIMIT}")
     setting, det_s, det_i = setting.resolve(source.kind, det_s, det_i)
-
+    table = _per_x_table(
+        source.kind, setting, det_s, det_i, x_max,
+        hplus_model if setting is Setting.HPLUS else None,
+        (type(det_s.alpha), type(det_s.dark), type(det_i.alpha), type(det_i.dark)),
+    )
     weights = pmf_values(source, x_max)
     tail = max(0.0, 1.0 - math.fsum(weights))
-    qs = [click_prob(det_s, n) for n in range(x_max + 1)]
-    qi = [click_prob(det_i, n) for n in range(x_max + 1)]
 
     if setting is Setting.CAR_UNMATCHED:
-        a = math.fsum(weights[x] * qs[x] for x in range(x_max + 1))
-        b = math.fsum(weights[x] * qi[x] for x in range(x_max + 1))
+        a, b = (math.fsum(w * q for w, q in zip(weights, qs)) for qs in table)
         # |A'B' - AB| <= tail*(A + B + tail) when each factor gains <= tail
         return EnumeratedRate(a * b, tail * (a + b + tail), x_max)
-
-    value = math.fsum(
-        weights[x]
-        * _per_x_probability(source.kind, setting, x, qs, qi, hplus_model)
-        for x in range(x_max + 1)
-    )
-    return EnumeratedRate(value, tail, x_max)
+    return EnumeratedRate(math.fsum(w * p for w, p in zip(weights, table)), tail, x_max)
 
 
 def _pair_law(kind: SourceKind, mu: float, top: int) -> np.ndarray:

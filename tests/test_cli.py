@@ -573,6 +573,21 @@ def test_sweep_outputs_are_frozen():
     assert _sweep_digests() == _FROZEN_SWEEPS
 
 
+# stdout digests of `biphoton validate` (CSV, no --trials) per H+ model,
+# recorded before the enumeration kept its per-x tables across mu: they
+# pin every `oracle` value, not only the H+ cells, bit for bit
+_FROZEN_VALIDATE = {
+    "coherent": "f5cb894d550c6d10b7a0477c7312ae40f57e1264d5e98966f460154d9fb133f7",
+    "independent": "ab6475b465d100b76fc5f0cfcb95117eb33d1b53135926cc620cc27af9bd9b04",
+}
+
+
+def test_validate_output_is_frozen():
+    digests = {model: hashlib.sha256(_stdout(["validate", "--hplus-model", model]).encode())
+               .hexdigest() for model in _FROZEN_VALIDATE}
+    assert digests == _FROZEN_VALIDATE
+
+
 _MU = ["--mu", "0.3"]
 _DARKS = ["--dark-s", "1e-3", "--dark-i", "1e-3"]
 _OUT = "{tmp}/out.txt"

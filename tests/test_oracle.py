@@ -43,6 +43,7 @@ from biphoton.oracle import (
     _ladder_table,
     _pair_law,
     _per_x_probability,
+    _per_x_table,
     _photon_classes,
     _tail_pairs,
     sample_patterns,
@@ -391,6 +392,98 @@ def test_enumeration_validation():
         enumerate_rate(thermal, Setting.HPLUS, det, det, 5)
     with pytest.raises(UnsupportedSetting):
         enumerate_rate(thermal, Setting.TIMEBIN_AA, det, det, 5)
+
+
+@pytest.mark.parametrize("x_max", [14.0, True, -0.0])
+def test_enumeration_refuses_an_x_max_that_is_not_an_int(x_max):
+    # the tables are keyed on x_max, and 14.0 == 14: the refusal must not
+    # depend on whether a table is warm
+    det = DetectorModel(0.1)
+    src = PairSource(SourceKind.DIS_ENTANGLED, 0.1)
+
+    def refusal():
+        with pytest.raises(TypeError) as exc:
+            enumerate_rate(src, Setting.HH, det, det, x_max)
+        return str(exc.value)
+
+    _per_x_table.cache_clear()
+    cold = refusal()
+    for n in (0, 1, X_MAX_LIMIT):
+        enumerate_rate(src, Setting.HH, det, det, n)
+    assert refusal() == cold == f"x_max must be an int, got {x_max!r}"
+
+
+def _fresh_enumeration(source, setting, det_s, det_i, x_max, model):
+    """The enumeration composed afresh, as in
+    test_enumeration_builds_its_click_lists_once."""
+    s, ds, di = setting.resolve(source.kind, det_s, det_i)
+    weights = pmf_values(source, x_max)
+    if s is Setting.CAR_UNMATCHED:
+        a, b = (math.fsum(w * click_prob(det, x) for x, w in enumerate(weights))
+                for det in (ds, di))
+        return a * b
+    return math.fsum(
+        weights[x] * _per_x_probability(
+            source.kind, s, x, [click_prob(ds, n) for n in range(x + 1)],
+            [click_prob(di, n) for n in range(x + 1)], model)
+        for x in range(x_max + 1)
+    )
+
+
+# arm values in pairs that compare and hash equal but may differ in type
+_ALPHA_TWINS = [(0.5, Fraction(1, 2)), (1, 1.0), (0, 0.0), (0.3, Fraction(0.3)),
+                (Fraction(1, 3), Fraction(1, 3))]
+_DARK_TWINS = [(0, 0.0), (1e-3, Fraction(1e-3)), (2.0**-10, Fraction(1, 1024))]
+_ARM = [st.tuples(st.sampled_from(twins), st.integers(0, 1))
+        for twins in (_ALPHA_TWINS, _DARK_TWINS, _ALPHA_TWINS, _DARK_TWINS)]
+_CONFIG = {
+    "setting": st.sampled_from(list(_supported_settings())),
+    "model": st.sampled_from(HplusModel),
+    "x_max": st.integers(0, X_MAX_LIMIT),
+    "mu": st.sampled_from([0.05, 0.2, 1, 1.0, Fraction(1, 2)]),
+    "arms": st.tuples(*_ARM),
+}
+# a step changes one field of the last call's configuration, or swaps one
+# arm value (alpha_s, dark_s, alpha_i, dark_i) for its twin of the other type
+_STEP = st.one_of(*(st.tuples(st.just(k), v) for k, v in _CONFIG.items()),
+                  st.tuples(st.just("swap"), st.integers(0, 3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(start=st.fixed_dictionaries(_CONFIG), steps=st.lists(_STEP, max_size=12))
+def test_enumeration_tables_answer_every_call_as_a_fresh_sum(start, steps):
+    # neighbouring calls differ in one field, so a table that answered a
+    # call with a different model, x_max or number type shows here
+    maxsize = _per_x_table.cache_info().maxsize
+    assert maxsize is not None
+    config = dict(start)
+    for field, value in [(None, None), *steps]:
+        if field == "swap":
+            arms = list(config["arms"])
+            twins, side = arms[value]
+            arms[value] = twins, 1 - side
+            config["arms"] = tuple(arms)
+        elif field:
+            config[field] = value
+        (kind, setting), model, x_max = config["setting"], config["model"], config["x_max"]
+        source = PairSource(kind, config["mu"])
+        a_s, d_s, a_i, d_i = (twins[side] for twins, side in config["arms"])
+        det_s, det_i = DetectorModel(a_s, d_s), DetectorModel(a_i, d_i)
+        got = enumerate_rate(source, setting, det_s, det_i, x_max, model).value
+        want = _fresh_enumeration(source, setting, det_s, det_i, x_max, model)
+        assert got.hex() == want.hex(), config
+        assert _per_x_table.cache_info().currsize <= maxsize
+
+
+def test_enumeration_tables_are_bounded():
+    maxsize = _per_x_table.cache_info().maxsize
+    assert maxsize is not None
+    src = PairSource(SourceKind.DIS_ENTANGLED, 0.1)
+    for n in range(maxsize + 10):
+        det = DetectorModel(Fraction(n, 2 * maxsize))
+        enumerate_rate(src, Setting.HH, det, det, 2)
+        assert _per_x_table.cache_info().currsize <= maxsize
+    assert _per_x_table.cache_info().currsize == maxsize
 
 
 def test_timebin_enumeration_is_half_efficiency_remap():
