@@ -10,6 +10,8 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 
+from .distributions import _check_count
+
 __all__ = ["DetectorModel", "click_prob"]
 
 
@@ -53,8 +55,8 @@ def click_prob(det: DetectorModel, x: int):
     Arithmetic is plain Python, so exact types such as
     :class:`fractions.Fraction` pass through unchanged.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    if type(x) is not int or x < 0:  # an exact int passes without a call
+        _check_count("x", x)
     return _click(det.alpha, det.dark, x)
 
 

@@ -45,6 +45,15 @@ class CapExceeded(ValueError):
     or the pmf or a closed form at this mu is not representable in floats."""
 
 
+def _check_count(name: str, value, least: int = 0) -> None:
+    """The one rule for a count argument: an int, not a bool, of at least
+    ``least``; a float such as 2.0 is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 class SourceKind(Enum):
     INDIS_ENTANGLED = "indis-entangled"
     DIS_ENTANGLED = "dis-entangled"
@@ -105,8 +114,7 @@ class TruncationPolicy:
             raise ValueError(
                 f"tail_epsilon must lie in (0, 1), got {self.tail_epsilon}"
             )
-        if self.hard_cap < 0:
-            raise ValueError(f"hard_cap must be >= 0, got {self.hard_cap}")
+        _check_count("hard_cap", self.hard_cap)
 
 
 def _pmf0(source: PairSource) -> float:
@@ -158,15 +166,13 @@ def pmf(source: PairSource, x: int) -> float:
     The entry ``x`` of :func:`pmf_values`, from the same recurrence,
     keeping only the running value.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    _check_count("x", x)
     return next(islice(_pmfs(source), x, None))
 
 
 def pmf_values(source: PairSource, x_max: int) -> list[float]:
     """pmf(0..x_max) in one recurrence sweep."""
-    if x_max < 0:
-        raise ValueError(f"x_max must be >= 0, got {x_max}")
+    _check_count("x_max", x_max)
     return list(islice(_pmfs(source), x_max + 1))
 
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .detection import DetectorModel, click_prob
-from .distributions import PairSource, SourceKind, TruncationPolicy, pmf_values, truncation_index
+from .distributions import (PairSource, SourceKind, TruncationPolicy, _check_count, pmf_values,
+                            truncation_index)
 from .polarization import (
     HplusModel,
     RateMethod,
@@ -269,8 +270,7 @@ def optimize_mu(
     lo, hi = mu_range
     if not (0 < lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"mu_range must satisfy 0 < lo < hi, got {mu_range}")
-    if samples < 3:
-        raise ValueError(f"samples must be >= 3, got {samples}")
+    _check_count("samples", samples, 3)
     scan = _objective_fn(kind, alpha_s, alpha_i, dark_s, dark_i, objective)
     log_lo, log_hi = math.log(lo), math.log(hi)
     grid = [math.exp(log_lo + (log_hi - log_lo) * j / (samples - 1)) for j in range(samples)]

@@ -8,11 +8,12 @@ rate modules:
   from: the number of VV pairs among distinguishable pairs, the x+1
   collapsed pattern indices of indistinguishable pairs, and the all-H
   pattern of correlated pairs; for the diagonal-basis setting it reads
-  the idler's +/- law from the creation-operator ladder table that
+  the idler's +/- law from the creation-operator ladder that
   :func:`mc_rate` samples from.  Binomial laws, of the VV count and of
   photon splittings, are built by repeated convolution of a fair coin
   rather than from binomial coefficients.  The per-x probabilities do
-  not depend on mu, so each configuration's are kept in one table (see
+  not depend on mu, so each configuration's are kept in one table to
+  ``X_MAX_LIMIT`` that every depth reads a prefix of (see
   :func:`enumerate_rate`), built from these laws and no series code.
 
 * :func:`mc_rate` samples the same generative chain (pair number,
@@ -22,7 +23,7 @@ rate modules:
   multinomial over each kind's pair-number law on 0..top (top = 14, or
   200 for coherent H+) gives the pulse count of each pair number, one
   per pair number splits those pulses over the pattern (and, for H+,
-  the + count) with the oracle's coin and ladder tables, and one
+  the + count) with the oracle's coin law and ladder, and one
   binomial decides the clicks of all pulses with the same photon
   numbers, by the click law of :mod:`.detection`.  Only pulses beyond
   top get their own draws; Poissonian kinds with mu > 1 draw one
@@ -40,6 +41,12 @@ rate modules:
     arrival of a rate-mu process on [0, 1], drawn as U^(1/(top+1)) and
     accepted with probability e^(-mu s) >= 1/e for mu <= 1.
 
+Each law is held once: the coin rows of x = 0..14, the coherent ladder's
+squared rows of x = 0..``HPLUS_X_CAP`` in one list filled in increasing
+x (about 22 MB when full; only the walk's head amplitudes are kept), one
+enumeration table per configuration and one binned pair law per kind,
+mu and top.
+
 Both oracles take a :class:`Setting` and let :meth:`Setting.resolve`
 turn a time-bin setting into its polarization twin at half efficiency,
 so neither knows about time bins.
@@ -48,13 +55,14 @@ so neither knows about time bins.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .detection import DetectorModel, _click, click_prob
-from .distributions import PairSource, SourceKind, pmf_values
+from .distributions import PairSource, SourceKind, _check_count, pmf_values
 from .polarization import HplusModel, Setting
 
 __all__ = [
@@ -65,8 +73,10 @@ __all__ = [
     "mc_rate",
 ]
 
-# deepest pair number the enumeration takes: `biphoton validate` and the
-# benchmark enumerate to it, and tests pin it
+# two meanings: the deepest pair number the enumeration takes (its tables
+# hold x = 0..X_MAX_LIMIT; `biphoton validate` and the benchmark enumerate
+# to it), and the Monte-Carlo's top outside coherent H+, the last pair
+# number it bins (moving it moves every stream); tests pin both
 X_MAX_LIMIT = 14
 # largest pair number the coherent H+ Monte-Carlo splits with the
 # operator ladder; equals TruncationPolicy's default hard_cap
@@ -109,11 +119,7 @@ def _coin_weights(x: int) -> tuple[float, ...]:
     """Binomial(x, 1/2) pmf by convolving x fair coins."""
     w = [1.0]
     for _ in range(x):
-        nxt = [0.0] * (len(w) + 1)
-        for j, v in enumerate(w):
-            nxt[j] += 0.5 * v
-            nxt[j + 1] += 0.5 * v
-        w = nxt
+        w = [0.5 * a + 0.5 * b for a, b in zip([0.0, *w], [*w, 0.0])]
     return tuple(w)
 
 
@@ -144,22 +150,33 @@ def _ladder_step(rows: np.ndarray) -> np.ndarray:
     return out / (t * math.sqrt(2.0))
 
 
-@lru_cache(maxsize=HPLUS_X_CAP + 1)
-def _ladder_table(x: int) -> np.ndarray:
-    """Ladder amplitude rows k = 0..x at x photons (read-only)."""
-    table = _ladder_step(_ladder_table(x - 1)) if x else np.ones((1, 1))
-    table.flags.writeable = False
-    return table
+def _ladder_walk():
+    """Squared ladder rows at x = 0, 1, ... (read-only), from the head's amplitudes alone."""
+    amps = np.ones((1, 1))
+    while True:
+        law = amps**2
+        law.flags.writeable = False
+        yield law
+        amps = _ladder_step(amps)
 
 
-# 201 ladder laws and 15 coin rows hold about 22 MB (tracemalloc, cache included)
-@lru_cache(maxsize=HPLUS_X_CAP + X_MAX_LIMIT + 2)
-def _plus_law(x: int, coherent: bool) -> np.ndarray:
-    """The idler's + count law at x pairs (read-only): ladder row y of
-    the collapsed state if ``coherent``, else one row of x fair coins."""
-    law = _ladder_table(x) ** 2 if coherent else np.array([_coin_weights(x)])
-    law.flags.writeable = False
-    return law
+# the coherent + law: ladder rows of x = 0..HPLUS_X_CAP, appended in increasing
+# x under the lock and read without it; all 201 hold about 22 MB (tracemalloc)
+_LADDER: list[np.ndarray] = []
+_LADDER_WALK = _ladder_walk()
+_LADDER_LOCK = threading.Lock()
+
+
+def _plus_law(x: int, coherent: bool) -> np.ndarray | tuple:
+    """The idler's + count law at x pairs, rows nothing may write: ladder
+    row y of the collapsed state if ``coherent``, else one row of x fair coins."""
+    if not coherent:
+        return (_coin_weights(x),)
+    if x >= len(_LADDER):
+        with _LADDER_LOCK:
+            while len(_LADDER) <= x:
+                _LADDER.append(next(_LADDER_WALK))
+    return _LADDER[x]
 
 
 def _pattern_law(kind: SourceKind, x: int) -> tuple[float, ...]:
@@ -201,19 +218,18 @@ def _per_x_probability(
     return math.fsum(p * t for p, t in zip(law, terms))
 
 
-# the 64 tables of `biphoton validate` or an oracle-grid pass (x_max 14)
-# hold 67 KB (tracemalloc, cache included)
+# the 64 tables of `biphoton validate` or an oracle-grid pass hold 67 KB
+# (tracemalloc, cache included)
 @lru_cache(maxsize=256)
-def _per_x_table(kind, setting, det_s, det_i, x_max, hplus_model, value_types) -> tuple:
-    """Detection probabilities at x = 0..x_max, or both arms' click tuples
-    for CAR_UNMATCHED.  ``value_types`` keys apart equal detectors of
+def _per_x_table(kind, setting, det_s, det_i, hplus_model, value_types) -> tuple:
+    """Detection probabilities at x = 0..X_MAX_LIMIT, or both arms' click
+    tuples for CAR_UNMATCHED.  ``value_types`` keys apart equal detectors of
     different number types (0.5, Fraction(1, 2)): they do not compute alike."""
-    qs = tuple(click_prob(det_s, n) for n in range(x_max + 1))
-    qi = tuple(click_prob(det_i, n) for n in range(x_max + 1))
+    xs = range(X_MAX_LIMIT + 1)
+    qs, qi = (tuple(click_prob(det, n) for n in xs) for det in (det_s, det_i))
     if setting is Setting.CAR_UNMATCHED:
         return qs, qi
-    return tuple(_per_x_probability(kind, setting, x, qs, qi, hplus_model)
-                 for x in range(x_max + 1))
+    return tuple(_per_x_probability(kind, setting, x, qs, qi, hplus_model) for x in xs)
 
 
 def enumerate_rate(
@@ -226,28 +242,23 @@ def enumerate_rate(
 ) -> EnumeratedRate:
     """Exhaustive-enumeration rate up to ``x_max`` generated pairs.
 
-    The per-x probabilities come from one immutable table per resolved
-    setting and detector pair (a time-bin setting shares its twin's at
-    alpha/2), kind, x_max, H+ model (H+ only) and number types of alpha
-    and dark, in an ``lru_cache`` of 256; it reads no series code.  A
+    Every x_max reads a prefix of one immutable table of x = 0..14 per
+    resolved setting and detector pair (a time-bin setting shares its
+    twin's at alpha/2), kind, H+ model (H+ only) and number types of alpha
+    and dark, in an ``lru_cache`` of 256, built from no series code.  A
     call then costs the pmf, one ``math.fsum`` and the tail.
 
     The neglected contribution is at most the pmf mass beyond x_max
     (every per-x probability is <= 1); that mass is reported as
     ``tail_bound`` so callers can fold it into comparisons.
     """
-    if isinstance(x_max, bool) or not isinstance(x_max, int):
-        raise TypeError(f"x_max must be an int, got {x_max!r}")
-    if x_max < 0:
-        raise ValueError(f"x_max must be >= 0, got {x_max}")
+    _check_count("x_max", x_max)
     if x_max > X_MAX_LIMIT:
         raise XMaxTooLarge(f"x_max={x_max} exceeds the enumeration budget of {X_MAX_LIMIT}")
     setting, det_s, det_i = setting.resolve(source.kind, det_s, det_i)
-    table = _per_x_table(
-        source.kind, setting, det_s, det_i, x_max,
-        hplus_model if setting is Setting.HPLUS else None,
-        (type(det_s.alpha), type(det_s.dark), type(det_i.alpha), type(det_i.dark)),
-    )
+    model = hplus_model if setting is Setting.HPLUS else None
+    types = (type(det_s.alpha), type(det_s.dark), type(det_i.alpha), type(det_i.dark))
+    table = _per_x_table(source.kind, setting, det_s, det_i, model, types)
     weights = pmf_values(source, x_max)
     tail = max(0.0, 1.0 - math.fsum(weights))
 
@@ -258,26 +269,23 @@ def enumerate_rate(
     return EnumeratedRate(math.fsum(w * p for w, p in zip(weights, table)), tail, x_max)
 
 
+# 32 laws of at most 202 bins hold about 64 KB (tracemalloc, cache included)
+@lru_cache(maxsize=32)
 def _pair_law(kind: SourceKind, mu: float, top: int) -> np.ndarray:
-    """The pair-number law on 0..top in closed form: Poisson in log space,
-    geometric (thermal), and NB(2) (x+1) q^x / (1+h)^2 with h = mu/2 and
-    q = h/(1+h); stated apart from the series' recurrence on purpose."""
+    """The pair-number multinomial's bins (read-only): the law on 0..top in
+    closed form, stated apart from the series' recurrence (Poisson in log
+    space, geometric, and NB(2) (x+1) q^x / (1+h)^2 with h = mu/2 and q =
+    h/(1+h)), then a bin beyond top, to which numpy gives the remaining mass."""
     x = np.arange(top + 1.0)
     if kind.poissonian:
         log_fact = np.array([math.lgamma(v + 1.0) for v in x])
-        return np.exp(x * math.log(mu) - mu - log_fact) if mu else (x == 0) * 1.0
-    if kind is SourceKind.THERMAL_CORRELATED:
-        return (mu / (1.0 + mu)) ** x / (1.0 + mu)
-    h = mu / 2.0
-    return (x + 1.0) * (h / (1.0 + h)) ** x / (1.0 + h) ** 2
-
-
-# 32 laws of at most 202 bins hold about 64 KB (tracemalloc, cache included)
-@lru_cache(maxsize=32)
-def _binned_law(kind: SourceKind, mu: float, top: int) -> np.ndarray:
-    """The pair-number multinomial's bins (read-only): the law on 0..top,
-    then a bin beyond top, to which numpy gives the remaining mass."""
-    law = np.append(_pair_law(kind, mu, top), 0.0)
+        law = np.exp(x * math.log(mu) - mu - log_fact) if mu else (x == 0) * 1.0
+    elif kind is SourceKind.THERMAL_CORRELATED:
+        law = (mu / (1.0 + mu)) ** x / (1.0 + mu)
+    else:
+        h = mu / 2.0
+        law = (x + 1.0) * (h / (1.0 + h)) ** x / (1.0 + h) ** 2
+    law = np.append(law, 0.0)
     law.flags.writeable = False
     return law
 
@@ -317,7 +325,7 @@ def _draw_pairs(
         counts, tail = np.diff(edges), x[edges[-1] :]
     else:
         # numpy gives the last bin, the pulses beyond top, the remaining mass
-        counts = rng.multinomial(n, _binned_law(kind, mu, top))
+        counts = rng.multinomial(n, _pair_law(kind, mu, top))
         counts, beyond = counts[:-1], int(counts[-1])
         tail = _tail_pairs(rng, source, top, beyond) if beyond else np.empty(0, np.int64)
     # numpy's geometric saturates at the int64 maximum, and a sum beyond
@@ -489,12 +497,15 @@ def mc_rate(
     So for a fixed seed, trial count and configuration the result is
     reproducible bit for bit; the per-block success counts are
     integers, so their sum is exact in any order.  A block costs its
-    draws: the laws of step 1 (per kind, mu and top) and of the + count
-    are cached, and a call with nothing to draw (an empty tail, a
-    one-bin pattern law) is skipped.  numpy advances no state for such a
-    call and draws an array binomial element by element, nothing for n =
-    0 or p = 0, so neither the skipped calls nor the pulses without
-    pairs change the stream.
+    draws: the binned law of step 1 is cached per kind, mu and top (32
+    laws), the + count reads the coin rows or the coherent ladder rows,
+    each filled once (all 201 ladder rows hold about 22 MB), and a call
+    with nothing to draw (an empty tail, a one-bin pattern law) is
+    skipped.  numpy advances no state for such a call and draws an array
+    binomial element by element, nothing for n = 0 or p = 0, so neither
+    the skipped calls nor the pulses without pairs change the stream.
+
+    ``trials`` and ``seed`` must be ints, not bools: at least 1 and 0.
 
     Coherent H+ on the indistinguishable kind raises
     :class:`XMaxTooLarge` if any pulse falls beyond ``HPLUS_X_CAP`` =
@@ -503,8 +514,8 @@ def mc_rate(
     number does not fit in int64 (thermal and indistinguishable kinds
     from mu ~ 1e18).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_count("trials", trials, 1)
+    _check_count("seed", seed)
     if source.mu > MU_MAX:
         raise XMaxTooLarge(
             f"mu={source.mu:g} is above the Monte-Carlo's MU_MAX = 2^62, where int64 "

@@ -73,7 +73,7 @@ import numpy as np
 
 from .detection import DetectorModel, click_prob
 from .distributions import (CapExceeded, PairSource, SourceKind, TruncationPolicy,
-                            pmf_values, truncation_index)
+                            _check_count, pmf_values, truncation_index)
 
 __all__ = [
     "Setting",
@@ -281,8 +281,7 @@ def plus_port_distribution(x: int) -> tuple[tuple[float, ...], ...]:
     integers, so each probability is correct to one rounding.  Above
     x = 200 it raises :class:`CapExceeded`, which bounds the cache.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    _check_count("x", x)
     _check_plus_port_x(x)
     rows = [tuple(row) for row in _plus_port_rows(x)]
     return tuple(rows + rows[: (x + 1) // 2][::-1])
@@ -466,8 +465,7 @@ def per_x_coincidence(
     is rejected because no diagonal-basis structure is modelled.  Every
     other setting raises :class:`UnsupportedSetting`.
     """
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+    _check_count("x", x)
     _check_kernel(kind, setting)
     qs = [click_prob(det_s, n) for n in range(x + 1)]
     qi = [click_prob(det_i, n) for n in range(x + 1)]

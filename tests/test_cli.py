@@ -446,6 +446,13 @@ def test_validate_with_mc_trials(capsys):
     assert max(float(row[11]) for row in rows) <= 4.0
 
 
+def test_validate_refuses_a_negative_seed(capsys):
+    # the Monte-Carlo names the seed; numpy's own refusal named no option
+    code, out, err = _run(capsys, ["validate", "--trials", "10", "--seed", "-1"])
+    assert code == 2 and out == ""
+    assert err == "biphoton: seed must be >= 0, got -1\n"
+
+
 def test_validate_fails_on_a_disagreement(capsys, monkeypatch):
     # the summary and the exit code follow the rows' status and mc_status
     series_rate, mc_rate = cli.series_rate, cli.mc_rate

@@ -15,12 +15,18 @@ from hypothesis import strategies as st
 from biphoton import (
     CapExceeded,
     DetectorModel,
+    Objective,
     PairSource,
     Setting,
     SourceKind,
     TruncationPolicy,
+    click_prob,
     coincidence_rate,
     enumerate_rate,
+    mc_rate,
+    optimize_mu,
+    per_x_coincidence,
+    plus_port_distribution,
     pmf,
     pmf_values,
     truncation_index,
@@ -275,3 +281,43 @@ def test_pmf_ratios_non_increasing(kind, mu):
     ratios = [vals[x + 1] / vals[x] for x in range(25) if vals[x] > 0]
     for a, b in zip(ratios, ratios[1:]):
         assert b <= a * (1 + 1e-12)
+
+
+_SRC = PairSource(SourceKind.DIS_ENTANGLED, 0.1)
+_DET = DetectorModel(0.1)
+
+
+def _mc(trials, seed):
+    return mc_rate(_SRC, Setting.HH, _DET, _DET, trials, seed)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: click_prob(_DET, 2.5), TypeError, "x must be an int, got 2.5"),
+    (lambda: click_prob(_DET, True), TypeError, "x must be an int, got True"),
+    (lambda: _mc(True, 1), TypeError, "trials must be an int, got True"),
+    (lambda: _mc(2.5, 1), TypeError, "trials must be an int, got 2.5"),
+    (lambda: _mc(0, 1), ValueError, "trials must be >= 1, got 0"),
+    (lambda: _mc(10, -1), ValueError, "seed must be >= 0, got -1"),
+    (lambda: _mc(10, 1.0), TypeError, "seed must be an int, got 1.0"),
+    (lambda: optimize_mu(SourceKind.INDIS_ENTANGLED, 0.1, 0.1, 0.0, 0.0,
+                         Objective.MAX_CONCURRENCE, (0.01, 1.0), samples=3.5),
+     TypeError, "samples must be an int, got 3.5"),
+    (lambda: TruncationPolicy(hard_cap=True), TypeError, "hard_cap must be an int, got True"),
+    (lambda: TruncationPolicy(hard_cap=2.5), TypeError, "hard_cap must be an int, got 2.5"),
+    (lambda: pmf_values(_SRC, 2.0), TypeError, "x_max must be an int, got 2.0"),
+    (lambda: pmf(_SRC, 2.0), TypeError, "x must be an int, got 2.0"),
+    (lambda: per_x_coincidence(SourceKind.DIS_ENTANGLED, Setting.HH, 1.0, _DET, _DET),
+     TypeError, "x must be an int, got 1.0"),
+    (lambda: plus_port_distribution(2.0), TypeError, "x must be an int, got 2.0"),
+    (lambda: plus_port_distribution(True), TypeError, "x must be an int, got True"),
+    (lambda: enumerate_rate(_SRC, Setting.HH, _DET, _DET, np.int64(3)),
+     TypeError, f"x_max must be an int, got {np.int64(3)!r}"),
+], ids=["click-fraction", "click-bool", "trials-bool", "trials-float", "trials-zero",
+        "seed-negative", "seed-float", "samples-float", "hard-cap-bool", "hard-cap-float",
+        "pmf-values-float", "pmf-float", "per-x-float", "plus-port-float", "plus-port-bool",
+        "x-max-numpy"])
+def test_every_count_follows_one_int_rule(call, error, message):
+    # a count is an int and not a bool, refused by name before any work
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message

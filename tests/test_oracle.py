@@ -1,8 +1,10 @@
 """Enumeration and Monte-Carlo oracles versus the analytic series."""
 
 import math
+import random
 import re
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -37,10 +39,10 @@ from biphoton import (
 )
 from biphoton.detection import click_prob
 from biphoton.oracle import (
+    HPLUS_X_CAP,
     X_MAX_LIMIT,
     _coin_weights,
     _draw_pairs,
-    _ladder_table,
     _pair_law,
     _per_x_probability,
     _per_x_table,
@@ -62,13 +64,13 @@ TIMEBIN = {
 
 def _plus_law(x, k):
     """+/- basis photon-number law of the x-k H, k V idler Fock state: the
-    squared row k of the ladder table, as both oracles read it."""
-    return (_ladder_table(x)[k] ** 2).tolist()
+    squared ladder row k of the coherent + law, as both oracles read it."""
+    return biphoton.oracle._plus_law(x, True)[k].tolist()
 
 
 def test_ladder_distribution_properties():
     for x in range(9):
-        assert _ladder_table(x).shape == (x + 1, x + 1)
+        assert biphoton.oracle._plus_law(x, True).shape == (x + 1, x + 1)
         for k in range(x + 1):
             w = _plus_law(x, k)
             assert all(v >= 0.0 for v in w)
@@ -77,12 +79,12 @@ def test_ladder_distribution_properties():
     assert _plus_law(2, 1) == pytest.approx((0.5, 0.0, 0.5), abs=1e-12)
     # two same-mode photons split like independent coins
     assert _plus_law(2, 0) == pytest.approx((0.25, 0.5, 0.25), abs=1e-12)
-    # the cached tables are shared, so nothing may write to them
+    # the held laws are shared, so nothing may write to them; the
+    # independent law is the coin law's own immutable row
     with pytest.raises(ValueError):
-        _ladder_table(2)[0, 0] = 0.0
-    for coherent in (True, False):
-        with pytest.raises(ValueError):
-            biphoton.oracle._plus_law(2, coherent)[0, 0] = 0.0
+        biphoton.oracle._plus_law(2, True)[0, 0] = 0.0
+    (coins,) = biphoton.oracle._plus_law(2, False)
+    assert coins is _coin_weights(2) and isinstance(coins, tuple)
 
 
 def test_ladder_matches_generating_function_table():
@@ -141,8 +143,74 @@ def test_ladder_is_finite_and_exact_at_large_x():
         assert all(math.isfinite(v) and v >= 0.0 for v in w)
         assert abs(math.fsum(w) - 1.0) <= 1e-12
         assert w == pytest.approx(_exact_ladder(x, k), abs=1e-12), (x, k)
-    assert _ladder_table.cache_info().maxsize is not None
-    assert biphoton.oracle._plus_law.cache_info().maxsize is not None
+    # the store is bounded: it holds x = 0..HPLUS_X_CAP, and the
+    # Monte-Carlo refuses a pulse beyond the cap before it reads the law
+    det = DetectorModel(0.1)
+    with pytest.raises(XMaxTooLarge):
+        mc_rate(PairSource(SourceKind.INDIS_ENTANGLED, 200.0), Setting.HPLUS, det, det, 1000, 1)
+    assert len(biphoton.oracle._LADDER) == HPLUS_X_CAP + 1
+
+
+@pytest.fixture
+def fresh_ladder(monkeypatch):
+    """The oracle module with an empty coherent + law, as in a new process."""
+    oracle = biphoton.oracle
+    monkeypatch.setattr(oracle, "_LADDER", [])
+    monkeypatch.setattr(oracle, "_LADDER_WALK", oracle._ladder_walk())
+    return oracle
+
+
+def test_a_full_coherent_plus_law_holds_at_most_23_mb(fresh_ladder):
+    # one store of squared rows and the head's amplitudes; the amplitudes
+    # of every x kept beside their squares held 43.7 MB
+    tracemalloc.start()
+    try:
+        for x in range(HPLUS_X_CAP + 1):
+            fresh_ladder._plus_law(x, True)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 23e6
+
+
+def test_a_falling_fill_walks_the_ladder_once(fresh_ladder, monkeypatch):
+    # a store that dropped amplitudes it needs again would rebuild the
+    # chain from x = 0 for each smaller x
+    step, calls = fresh_ladder._ladder_step, []
+    monkeypatch.setattr(fresh_ladder, "_ladder_step", lambda rows: calls.append(1) or step(rows))
+    for x in range(HPLUS_X_CAP, -1, -1):
+        fresh_ladder._plus_law(x, True)
+    assert len(calls) == HPLUS_X_CAP
+
+
+def test_the_coherent_plus_law_is_safe_to_share_between_threads(fresh_ladder):
+    # eight threads fill the store at once, each in its own x order; a
+    # lost or doubled append would shift every later row
+    walk = fresh_ladder._ladder_walk()
+    want = [next(walk) for _ in range(HPLUS_X_CAP + 1)]
+    errors = []
+
+    def worker(seed):
+        order = list(range(HPLUS_X_CAP + 1))
+        random.Random(seed).shuffle(order)
+        for x in order:
+            got = fresh_ladder._plus_law(x, True)
+            if got.shape != want[x].shape or not np.array_equal(got, want[x]):
+                errors.append(x)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(fresh_ladder._LADDER) == HPLUS_X_CAP + 1
 
 
 def test_enumeration_matches_series_hard_corner():
@@ -396,8 +464,8 @@ def test_enumeration_validation():
 
 @pytest.mark.parametrize("x_max", [14.0, True, -0.0])
 def test_enumeration_refuses_an_x_max_that_is_not_an_int(x_max):
-    # the tables are keyed on x_max, and 14.0 == 14: the refusal must not
-    # depend on whether a table is warm
+    # 14.0 == 14 and True == 1 hash alike, so a check made behind a cache
+    # would pass on a warm table: the refusal must not depend on it
     det = DetectorModel(0.1)
     src = PairSource(SourceKind.DIS_ENTANGLED, 0.1)
 
@@ -473,6 +541,20 @@ def test_enumeration_tables_answer_every_call_as_a_fresh_sum(start, steps):
         want = _fresh_enumeration(source, setting, det_s, det_i, x_max, model)
         assert got.hex() == want.hex(), config
         assert _per_x_table.cache_info().currsize <= maxsize
+
+
+def test_one_enumeration_table_serves_every_depth():
+    # entry x does not depend on x_max, so each depth reads a prefix of
+    # the one table of its configuration
+    det_s, det_i = DetectorModel(0.23, 2.3e-4), DetectorModel(Fraction(1, 3))
+    src = PairSource(SourceKind.INDIS_ENTANGLED, 0.3)
+    _per_x_table.cache_clear()
+    for x_max in [*range(X_MAX_LIMIT + 1), *range(X_MAX_LIMIT, -1, -1)]:
+        got = enumerate_rate(src, Setting.HPLUS, det_s, det_i, x_max).value
+        want = _fresh_enumeration(src, Setting.HPLUS, det_s, det_i, x_max, HplusModel.COHERENT)
+        assert got.hex() == want.hex(), x_max
+    info = _per_x_table.cache_info()
+    assert info.currsize == info.misses == 1
 
 
 def test_enumeration_tables_are_bounded():
@@ -629,7 +711,7 @@ def test_pair_law_matches_the_series_pmf_and_mpmath(kind):
     eps, tiny = sys.float_info.epsilon, sys.float_info.min
     for mu in np.logspace(-7, 3, 21).tolist():
         got = _pair_law(kind, mu, 200)
-        assert got.shape == (201,)
+        assert got.shape == (202,) and got[-1] == 0.0  # the bin beyond top
         # pmf_values: exp(-mu) underflows beyond mu = 708 for Poisson kinds
         series = pmf_values(PairSource(kind, mu), 200) if mu < 700 or not kind.poissonian else None
         for x in range(201):
@@ -638,7 +720,7 @@ def test_pair_law_matches_the_series_pmf_and_mpmath(kind):
                 tol = max(tol, 4 * eps * (1 + x * abs(math.log(mu)) + mu + math.lgamma(x + 1)))
             for want in [_pair_law_mp(kind, mu, x)] + ([series[x]] if series else []):
                 assert abs(got[x] - want) <= tol * want + tiny, (mu, x, got[x], want)
-    assert _pair_law(kind, 0.0, 5).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+    assert _pair_law(kind, 0.0, 5).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("top", [0, 2, X_MAX_LIMIT])
