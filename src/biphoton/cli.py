@@ -28,9 +28,9 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .detection import DetectorModel
 from .distributions import PairSource, SourceKind, TruncationPolicy
-from .metrics import Objective, car, optimize_mu, series_rate, visibility_approx, visibility_exact
+from .metrics import Objective, car, optimize_mu, visibility_approx, visibility_exact
 from .oracle import X_MAX_LIMIT, enumerate_rate, mc_rate
-from .polarization import HplusModel, RateMethod, Setting, TimebinPort, timebin_rate
+from .polarization import HplusModel, RateMethod, Setting, TimebinPort, series_rate, timebin_rate
 from .tomography import (
     _concurrences,
     assemble_r,

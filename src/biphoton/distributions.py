@@ -54,6 +54,13 @@ def _check_count(name: str, value, least: int = 0) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _check_member(name: str, value, enum: type[Enum]) -> None:
+    """The one rule for an enum argument: a member of ``enum``; its value
+    string (``"independent"``) is refused, not looked up."""
+    if not isinstance(value, enum):
+        raise TypeError(f"{name} must be a {enum.__name__}, got {value!r}")
+
+
 class SourceKind(Enum):
     INDIS_ENTANGLED = "indis-entangled"
     DIS_ENTANGLED = "dis-entangled"
@@ -83,8 +90,7 @@ class PairSource:
     mu: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, SourceKind):
-            raise TypeError(f"kind must be a SourceKind, got {self.kind!r}")
+        _check_member("kind", self.kind, SourceKind)
         # float and int first: the numbers.Real ABC check is slow
         if isinstance(self.mu, bool) or not isinstance(self.mu, (float, int, numbers.Real)):
             raise TypeError(f"mu must be a real number, got {self.mu!r}")

@@ -1,6 +1,6 @@
-"""Quality metrics derived from the rates: visibility, contrast, CAR,
-optimization of the mean pair number on the closed-form rates, and the
-exact-series rate of any :class:`Setting`."""
+"""Quality metrics derived from the rates: visibility, contrast, CAR and
+optimization of the mean pair number on the closed-form rates.  Every
+exact rate here is read from the series in ``polarization``."""
 
 from __future__ import annotations
 
@@ -8,18 +8,16 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .detection import DetectorModel, click_prob
-from .distributions import (PairSource, SourceKind, TruncationPolicy, _check_count, pmf_values,
-                            truncation_index)
+from .detection import DetectorModel
+from .distributions import PairSource, SourceKind, TruncationPolicy, _check_count, _check_member
 from .polarization import (
-    HplusModel,
     RateMethod,
     Setting,
+    _car_rates,
     _closed_form_mu,
     _require_entangled,
     closed_form_rates,
     coincidence_rate,
-    single_rate,
 )
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "visibility_approx",
     "car",
     "optimize_mu",
-    "series_rate",
 ]
 
 
@@ -145,43 +142,11 @@ def car(
         if source.kind is SourceKind.THERMAL_CORRELATED:
             matched += mu * mu * alpha_s * alpha_i
     elif method is RateMethod.EXACT_SERIES:
-        x_max = truncation_index(source, policy)
-        weights = pmf_values(source, x_max)
-        qs = [click_prob(det_s, x) for x in range(x_max + 1)]
-        qi = [click_prob(det_i, x) for x in range(x_max + 1)]
-        matched = math.fsum(w * a * b for w, a, b in zip(weights, qs, qi))
-        unmatched = math.fsum(w * a for w, a in zip(weights, qs)) * math.fsum(
-            w * b for w, b in zip(weights, qi)
-        )
+        matched, unmatched = _car_rates(source, det_s, det_i, policy)
     else:
         raise ValueError(f"unsupported CAR method {method}")
     ratio = matched / unmatched if unmatched > 0 else math.inf
     return CarResult(matched, unmatched, ratio, method)
-
-
-def series_rate(
-    source: PairSource,
-    setting: Setting,
-    det_s: DetectorModel,
-    det_i: DetectorModel,
-    policy: TruncationPolicy = TruncationPolicy(),
-    hplus_model: HplusModel = HplusModel.COHERENT,
-) -> float:
-    """The exact-series rate of any setting; the reference the oracles check.
-
-    A time-bin setting is its polarization twin through half-efficiency
-    detectors (see :meth:`Setting.resolve`), so its value equals that of
-    ``timebin_rate`` bit for bit.
-    """
-    setting, det_s, det_i = setting.resolve(source.kind, det_s, det_i)
-    if setting is Setting.SINGLE_S:
-        return single_rate(source, det_s, policy)
-    if setting is Setting.SINGLE_I:
-        return single_rate(source, det_i, policy)
-    if setting in (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED):
-        res = car(source, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark, policy)
-        return res.matched_rate if setting is Setting.CAR_MATCHED else res.unmatched_rate
-    return coincidence_rate(source, setting, det_s, det_i, policy, hplus_model).value
 
 
 def _objective_fn(
@@ -267,6 +232,7 @@ def optimize_mu(
     scan flat to within that allowance (1e-12 relative, plus 1e-14
     absolute for C and V), which evaluates nothing more.
     """
+    _check_member("objective", objective, Objective)
     lo, hi = mu_range
     if not (0 < lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"mu_range must satisfy 0 < lo < hi, got {mu_range}")

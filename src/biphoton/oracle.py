@@ -62,7 +62,7 @@ from functools import lru_cache
 import numpy as np
 
 from .detection import DetectorModel, _click, click_prob
-from .distributions import PairSource, SourceKind, _check_count, pmf_values
+from .distributions import PairSource, SourceKind, _check_count, _check_member, pmf_values
 from .polarization import HplusModel, Setting
 
 __all__ = [
@@ -252,6 +252,8 @@ def enumerate_rate(
     (every per-x probability is <= 1); that mass is reported as
     ``tail_bound`` so callers can fold it into comparisons.
     """
+    _check_member("setting", setting, Setting)
+    _check_member("hplus_model", hplus_model, HplusModel)
     _check_count("x_max", x_max)
     if x_max > X_MAX_LIMIT:
         raise XMaxTooLarge(f"x_max={x_max} exceeds the enumeration budget of {X_MAX_LIMIT}")
@@ -514,6 +516,8 @@ def mc_rate(
     number does not fit in int64 (thermal and indistinguishable kinds
     from mu ~ 1e18).
     """
+    _check_member("setting", setting, Setting)
+    _check_member("hplus_model", hplus_model, HplusModel)
     _check_count("trials", trials, 1)
     _check_count("seed", seed)
     if source.mu > MU_MAX:

@@ -6,12 +6,12 @@ polarizer is set either parallel (HH), crossed (HV), or to the diagonal
 
     R = sum_x P(x) * K(x)
 
-where P(x) is the source pmf and K(x) the per-x coincidence kernel for
-the chosen setting, truncated under a certified tail bound.  K(x)
-depends on the detectors and the setting but not on mu, so
-:func:`coincidence_rate` keeps K(0..x_max) and the click tables behind
-it in a small LRU of tables, one per kind, setting, detector pair and
-H+ model, and a mu sweep computes each K(x) once.
+where P(x) is the source pmf and K(x) the per-x kernel for the chosen
+setting, truncated under a certified tail bound.  Every exact rate, CAR's
+too, is one sum ``_series`` in this module.  K(x) does not depend on mu,
+so each detector pair keeps one store of both arms' click lists and its
+K(0..) by kind, setting and H+ model, and a mu sweep computes each click
+and each K(x) once.  SINGLE_S and SINGLE_I average one arm's clicks.
 
 The coherent H+ kernel of indistinguishable pairs costs O(x^2) per x.
 Its table grows only in whole blocks of 16 pair numbers, the last one
@@ -73,7 +73,7 @@ import numpy as np
 
 from .detection import DetectorModel, click_prob
 from .distributions import (CapExceeded, PairSource, SourceKind, TruncationPolicy,
-                            _check_count, pmf_values, truncation_index)
+                            _check_count, _check_member, pmf_values, truncation_index)
 
 __all__ = [
     "Setting",
@@ -86,6 +86,7 @@ __all__ = [
     "per_x_coincidence",
     "coincidence_rate",
     "single_rate",
+    "series_rate",
     "closed_form_rates",
     "TimebinPort",
     "timebin_rate",
@@ -211,8 +212,11 @@ def timebin_rate(
 
     The efficiencies are those of the detectors themselves and must lie
     in [0, 1]; the returned entry's ``setting`` is the polarization
-    twin the rate was computed for, at alpha/2.
+    twin the rate was computed for, at alpha/2.  A closed-form entry
+    records no H+ model: none enters the closed forms.
     """
+    _check_member("kind", kind, SourceKind)
+    _check_member("port", port, TimebinPort)
     setting, det_s, det_i = Setting(f"timebin-{port.value}").resolve(
         kind, DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
     )
@@ -220,10 +224,10 @@ def timebin_rate(
         return coincidence_rate(PairSource(kind, mu), setting, det_s, det_i, policy, hplus_model)
     if method is not RateMethod.CLOSED_FORM:
         raise ValueError(f"unsupported time-bin method {method}")
+    _check_member("hplus_model", hplus_model, HplusModel)
     rep = closed_form_rates(kind, mu, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark)
     value = getattr(rep, f"r_{setting.value}")  # r_hh, r_hv or r_hplus
-    model = hplus_model if setting is Setting.HPLUS else None
-    return RateEntry(value, setting, RateMethod.CLOSED_FORM, 0, model)
+    return RateEntry(value, setting, RateMethod.CLOSED_FORM, 0, None)
 
 
 # largest x that plus_port_distribution tabulates: TruncationPolicy's
@@ -383,13 +387,6 @@ def _float_binomials(x: int) -> tuple[float, ...]:
     return tuple(float(math.comb(x, y)) for y in range(x + 1))
 
 
-def _exact(det: DetectorModel) -> bool:
-    """True when :func:`click_prob` of this detector returns exact numbers
-    (int or Fraction), False when it returns floats, as it does for every
-    photon number once alpha or dark is a float."""
-    return float not in (type(det.alpha), type(det.dark))
-
-
 def _pattern_sum(kind: SourceKind, x: int, terms, exact: bool, factor=1):
     """``factor`` times the mean of ``terms[y]`` over the pattern of x pairs.
 
@@ -415,15 +412,16 @@ def _pattern_sum(kind: SourceKind, x: int, terms, exact: bool, factor=1):
 
 def _check_kernel(kind: SourceKind, setting: Setting) -> None:
     if setting not in (Setting.HH, Setting.HV, Setting.HPLUS):
+        _check_member("setting", setting, Setting)
         raise UnsupportedSetting(f"{setting.value} has no per-x kernel; use series_rate")
     if setting is Setting.HPLUS:
         _require_entangled(kind, setting.value)
 
 
-def _kernel(kind: SourceKind, setting: Setting, x: int, qs: list, qi: list, hplus_model,
-            exact_s: bool, exact_i: bool):
-    """K(x) from the click tables ``qs`` and ``qi``, each at least x+1 long,
-    whose values are exact or floats as ``exact_s`` and ``exact_i`` say."""
+def _kernel(kind: SourceKind, setting: Setting, x: int, qs: list, qi: list, hplus_model):
+    """K(x) from the click lists ``qs`` and ``qi``, each at least x+1 long;
+    :func:`click_prob` gives a list floats or exact numbers throughout."""
+    exact_s, exact_i = type(qs[0]) is not float, type(qi[0]) is not float
     # with y V-polarized pairs the signal H/V polarizer passes x-y photons;
     # grouping the two click factors first keeps the term multiset, and
     # with it the exactly rounded sum, invariant under a detector swap
@@ -431,6 +429,10 @@ def _kernel(kind: SourceKind, setting: Setting, x: int, qs: list, qi: list, hplu
         terms = map(operator.mul, qs[x::-1], qi[x::-1])
     elif setting is Setting.HV:
         terms = map(operator.mul, qs[x::-1], qi)
+    elif setting is Setting.SINGLE_S:
+        return _pattern_sum(kind, x, qs[x::-1], exact_s)
+    elif setting is Setting.SINGLE_I:
+        return _pattern_sum(kind, x, qi[x::-1], exact_i)
     elif kind is SourceKind.DIS_ENTANGLED or hplus_model is HplusModel.INDEPENDENT:
         # the idler + count is Binomial(x, 1/2) whatever the pattern, so
         # the kernel factorizes into the two marginal click probabilities
@@ -465,23 +467,24 @@ def per_x_coincidence(
     is rejected because no diagonal-basis structure is modelled.  Every
     other setting raises :class:`UnsupportedSetting`.
     """
+    _check_member("kind", kind, SourceKind)
+    _check_member("hplus_model", hplus_model, HplusModel)
     _check_count("x", x)
     _check_kernel(kind, setting)
     qs = [click_prob(det_s, n) for n in range(x + 1)]
     qi = [click_prob(det_i, n) for n in range(x + 1)]
-    return _kernel(kind, setting, x, qs, qi, hplus_model, _exact(det_s), _exact(det_i))
+    return _kernel(kind, setting, x, qs, qi, hplus_model)
 
 
 @lru_cache(maxsize=64)
-def _kernel_table(kind, setting, det_s, det_i, hplus_model, value_types) -> tuple:
-    """The click tables of both arms and K(0..) for one configuration,
-    empty until :func:`_kernels` grows them.  ``value_types`` is part of
-    the key because equal detectors of different number types (0.5 and
-    Fraction(1, 2)) compare and hash equal but do not compute alike."""
-    return [], [], []
+def _store(det_s, det_i, value_types) -> tuple[list, list, dict]:
+    """Both arms' click lists and K(0..) by (kind, setting, H+ model), grown
+    by :func:`_kernels`; keyed also by ``value_types``, as equal detectors of
+    other number types (0.5, Fraction(1, 2)) hash alike but compute apart."""
+    return [], [], {}
 
 
-# growing a table is check-then-act on lists shared by every thread
+# growing a store is check-then-act on lists shared by every thread
 _TABLE_LOCK = threading.Lock()
 
 
@@ -508,29 +511,45 @@ def _grow_coherent(qs: list, qi: list, ks: list, x_max: int) -> None:
         ks += [k / (x + 1) for x, k in enumerate(kernels, len(ks))]
 
 
-def _kernels(kind, setting, det_s, det_i, hplus_model, x_max: int) -> list:
-    """K(0..x_max) or more, from the shared table of this configuration."""
-    _check_kernel(kind, setting)
+def _kernels(kind, setting, det_s, det_i, hplus_model, x_max: int) -> tuple[list, list, list]:
+    """Both arms' click lists and K(0..x_max) or more (None for no setting)."""
     coherent = (setting is Setting.HPLUS and kind is SourceKind.INDIS_ENTANGLED
                 and hplus_model is HplusModel.COHERENT)
     if coherent:
         _check_plus_port_x(x_max)
     value_types = (type(det_s.alpha), type(det_s.dark), type(det_i.alpha), type(det_i.dark))
-    exact_s, exact_i = _exact(det_s), _exact(det_i)
-    # a coherent table grows in whole blocks, and its click lists with it
+    # a coherent table grows in whole blocks, and the click lists with it
     n_max = min((x_max // _BLOCK + 1) * _BLOCK - 1, _PLUS_PORT_X_CAP) if coherent else x_max
     with _TABLE_LOCK:
-        qs, qi, ks = _kernel_table(kind, setting, det_s, det_i, hplus_model, value_types)
+        qs, qi, tables = _store(det_s, det_i, value_types)
         for n in range(len(qs), n_max + 1):
             qs.append(click_prob(det_s, n))
             qi.append(click_prob(det_i, n))
+        if setting is None:
+            return qs, qi, None
+        ks = tables.setdefault((kind, setting, hplus_model), [])
         if coherent:
             _grow_coherent(qs, qi, ks, x_max)
         else:
             for x in range(len(ks), x_max + 1):
-                ks.append(_kernel(kind, setting, x, qs, qi, hplus_model, exact_s, exact_i))
+                ks.append(_kernel(kind, setting, x, qs, qi, hplus_model))
     # later growth only appends, so entries 0..x_max stay as they are
-    return ks
+    return qs, qi, ks
+
+
+def _series(weights: list[float], kind, setting, det_s, det_i, hplus_model=None) -> float:
+    """sum_x P(x) K(x) over the pmf ``weights`` for a resolved setting.  A
+    correlated pair is all H, so an arm's single kernel is its clicks: CAR
+    sums (P(x) q_s(x)) q_i(x) matched and the singles' product unmatched."""
+    x_max = len(weights) - 1
+    # map stops at the x_max+1 weights when a list is longer
+    if setting is Setting.CAR_MATCHED or setting is Setting.CAR_UNMATCHED:
+        qs, qi, _ = _kernels(kind, None, det_s, det_i, None, x_max)
+        if setting is Setting.CAR_MATCHED:
+            return math.fsum(map(operator.mul, map(operator.mul, weights, qs), qi))
+        return math.fsum(map(operator.mul, weights, qs)) * math.fsum(map(operator.mul, weights, qi))
+    ks = _kernels(kind, setting, det_s, det_i, hplus_model, x_max)[2]
+    return math.fsum(map(operator.mul, weights, ks))
 
 
 def coincidence_rate(
@@ -543,21 +562,21 @@ def coincidence_rate(
 ) -> RateEntry:
     """Pair-number series of the per-x kernel under certified truncation.
 
-    K(x) does not depend on mu, so it is read from a table shared by
-    every call with the same kind, setting, detector pair and H+ model,
-    and grown when a larger x_max needs more terms.  Tables of the
-    coherent H+ kernel on indistinguishable pairs sum their rows by
-    certified vectorized extraction with a ``math.fsum`` fallback (see
-    the module docstring and ``_row_sums``), bit-identical to
-    :func:`per_x_coincidence`.  That kernel is tabulated up to x = 200;
-    a larger x_max raises :class:`CapExceeded` before any table grows.
+    K(x) does not depend on mu, so it is read from the store of the
+    detector pair (an LRU of 64 pairs), grown when a larger x_max needs
+    more terms.  Tables of the coherent H+ kernel on indistinguishable
+    pairs sum their rows by certified vectorized extraction with a
+    ``math.fsum`` fallback (see the module docstring and ``_row_sums``),
+    bit-identical to :func:`per_x_coincidence`.  That kernel is
+    tabulated up to x = 200; a larger x_max raises :class:`CapExceeded`
+    before any table grows.
     """
+    _check_member("hplus_model", hplus_model, HplusModel)
     x_max = truncation_index(source, policy)
     weights = pmf_values(source, x_max)
+    _check_kernel(source.kind, setting)
     model = hplus_model if setting is Setting.HPLUS else None
-    kernels = _kernels(source.kind, setting, det_s, det_i, model, x_max)
-    # map stops at the x_max+1 weights when the table is longer
-    value = math.fsum(map(operator.mul, weights, kernels))
+    value = _series(weights, source.kind, setting, det_s, det_i, model)
     return RateEntry(value, setting, RateMethod.EXACT_SERIES, x_max, model)
 
 
@@ -572,12 +591,36 @@ def single_rate(
     the detector on average); correlated kinds are detected without a
     polarizer, as in the coincidence-to-accidental setup.
     """
-    x_max = truncation_index(source, policy)
-    weights = pmf_values(source, x_max)
-    q = [click_prob(det, n) for n in range(x_max + 1)]
-    exact = _exact(det)
-    return math.fsum(weights[x] * _pattern_sum(source.kind, x, q[x::-1], exact)
-                     for x in range(x_max + 1))
+    return series_rate(source, Setting.SINGLE_S, det, det, policy)
+
+
+def series_rate(
+    source: PairSource,
+    setting: Setting,
+    det_s: DetectorModel,
+    det_i: DetectorModel,
+    policy: TruncationPolicy = TruncationPolicy(),
+    hplus_model: HplusModel = HplusModel.COHERENT,
+) -> float:
+    """The exact-series rate of any setting; the reference the oracles check.
+
+    A time-bin setting is its polarization twin through half-efficiency
+    detectors (see :meth:`Setting.resolve`), so its value equals that of
+    ``timebin_rate`` bit for bit.
+    """
+    _check_member("setting", setting, Setting)
+    _check_member("hplus_model", hplus_model, HplusModel)
+    setting, det_s, det_i = setting.resolve(source.kind, det_s, det_i)
+    weights = pmf_values(source, truncation_index(source, policy))
+    model = hplus_model if setting is Setting.HPLUS else None
+    return _series(weights, source.kind, setting, det_s, det_i, model)
+
+
+def _car_rates(source, det_s, det_i, policy) -> tuple[float, float]:
+    """CAR's matched and unmatched rates under one truncation."""
+    weights = pmf_values(source, truncation_index(source, policy))
+    return tuple(_series(weights, source.kind, setting, det_s, det_i)
+                 for setting in (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED))
 
 
 def closed_form_rates(

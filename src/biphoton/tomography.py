@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import DetectorModel
-from .distributions import PairSource, SourceKind, TruncationPolicy
+from .distributions import PairSource, SourceKind, TruncationPolicy, _check_member
 from .polarization import (
     HplusModel,
     RateMethod,
@@ -154,6 +154,8 @@ def assemble_r(
     hplus_model: HplusModel = HplusModel.COHERENT,
 ) -> TomographyVector:
     """Fill the 16-entry rate vector from the model's three distinct rates."""
+    _check_member("kind", kind, SourceKind)
+    _check_member("hplus_model", hplus_model, HplusModel)
     _require_entangled(kind, "tomography")
     if method is RateMethod.CLOSED_FORM:
         rep = closed_form_rates(kind, mu, alpha_s, alpha_i, dark_s, dark_i)

@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 from biphoton import (
     CapExceeded,
     DetectorModel,
+    HplusModel,
     Objective,
     PairSource,
     Setting,
     SourceKind,
+    TimebinPort,
     TruncationPolicy,
+    assemble_r,
     click_prob,
     coincidence_rate,
     enumerate_rate,
@@ -29,6 +32,8 @@ from biphoton import (
     plus_port_distribution,
     pmf,
     pmf_values,
+    series_rate,
+    timebin_rate,
     truncation_index,
 )
 
@@ -321,3 +326,57 @@ def test_every_count_follows_one_int_rule(call, error, message):
     with pytest.raises(error) as exc:
         call()
     assert str(exc.value) == message
+
+
+_INDIS = PairSource(SourceKind.INDIS_ENTANGLED, 0.5)
+_ALPHA = DetectorModel(0.1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: coincidence_rate(_INDIS, Setting.HPLUS, _ALPHA, _ALPHA, hplus_model="independent"),
+     "hplus_model must be a HplusModel, got 'independent'"),
+    (lambda: coincidence_rate(_INDIS, "hh", _ALPHA, _ALPHA), "setting must be a Setting, got 'hh'"),
+    (lambda: series_rate(_INDIS, Setting.HPLUS, _ALPHA, _ALPHA, hplus_model="independent"),
+     "hplus_model must be a HplusModel, got 'independent'"),
+    (lambda: series_rate(_INDIS, "single-s", _ALPHA, _ALPHA),
+     "setting must be a Setting, got 'single-s'"),
+    (lambda: per_x_coincidence("indis-entangled", Setting.HH, 2, _ALPHA, _ALPHA),
+     "kind must be a SourceKind, got 'indis-entangled'"),
+    (lambda: per_x_coincidence(SourceKind.INDIS_ENTANGLED, "hh", 2, _ALPHA, _ALPHA),
+     "setting must be a Setting, got 'hh'"),
+    (lambda: per_x_coincidence(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, 2, _ALPHA, _ALPHA,
+                               "independent"),
+     "hplus_model must be a HplusModel, got 'independent'"),
+    (lambda: enumerate_rate(_INDIS, Setting.HPLUS, _ALPHA, _ALPHA, 14, "independent"),
+     "hplus_model must be a HplusModel, got 'independent'"),
+    (lambda: enumerate_rate(_INDIS, "hh", _ALPHA, _ALPHA, 14), "setting must be a Setting, got 'hh'"),
+    (lambda: mc_rate(_INDIS, Setting.HPLUS, _ALPHA, _ALPHA, 10, 1, "independent"),
+     "hplus_model must be a HplusModel, got 'independent'"),
+    (lambda: mc_rate(_INDIS, "hh", _ALPHA, _ALPHA, 10, 1), "setting must be a Setting, got 'hh'"),
+    (lambda: timebin_rate(SourceKind.INDIS_ENTANGLED, "aa", 0.5, 0.1, 0.1),
+     "port must be a TimebinPort, got 'aa'"),
+    (lambda: timebin_rate("indis-entangled", TimebinPort.AA, 0.5, 0.1, 0.1),
+     "kind must be a SourceKind, got 'indis-entangled'"),
+    (lambda: timebin_rate(SourceKind.INDIS_ENTANGLED, TimebinPort.APLUS, 0.5, 0.1, 0.1,
+                          hplus_model="independent"),
+     "hplus_model must be a HplusModel, got 'independent'"),
+    (lambda: optimize_mu(SourceKind.INDIS_ENTANGLED, 0.1, 0.1, 0.0, 0.0, "max-visibility",
+                         (0.01, 1.0)),
+     "objective must be a Objective, got 'max-visibility'"),
+    (lambda: assemble_r("indis-entangled", 0.5, 0.1, 0.1),
+     "kind must be a SourceKind, got 'indis-entangled'"),
+    (lambda: assemble_r(SourceKind.INDIS_ENTANGLED, 0.5, 0.1, 0.1, hplus_model="independent"),
+     "hplus_model must be a HplusModel, got 'independent'"),
+    (lambda: PairSource("indis-entangled", 0.5), "kind must be a SourceKind, got 'indis-entangled'"),
+], ids=["coincidence-model", "coincidence-setting", "series-model", "series-setting",
+        "per-x-kind", "per-x-setting", "per-x-model", "enumerate-model", "enumerate-setting",
+        "mc-model", "mc-setting", "timebin-port", "timebin-kind", "timebin-model",
+        "optimize-objective", "assemble-kind", "assemble-model", "pair-source-kind"])
+def test_every_enum_argument_follows_one_member_rule(call, message):
+    # an enum argument is a member, not its value string: "independent"
+    # once meant the coherent model to the series and the independent one
+    # to both oracles, and "max-visibility" optimized another objective
+    with pytest.raises(TypeError) as exc:
+        call()
+    assert str(exc.value) == message
+

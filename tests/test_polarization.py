@@ -22,15 +22,18 @@ from biphoton import (
     SourceKind,
     TruncationPolicy,
     UnsupportedSetting,
+    car,
     closed_form_rates,
     coincidence_rate,
     per_x_coincidence,
     plus_port_distribution,
     pmf_values,
+    series_rate,
     single_rate,
     truncation_index,
 )
 from biphoton import polarization
+from biphoton.cli import main
 from biphoton.detection import click_prob
 from biphoton.oracle import HPLUS_X_CAP
 from biphoton.polarization import _BLOCK, _row_sums
@@ -147,11 +150,11 @@ def test_plus_port_distribution_stops_at_the_hard_cap():
         plus_port_distribution(cap + 1)
     with pytest.raises(CapExceeded, match=advice):
         per_x_coincidence(src.kind, Setting.HPLUS, cap + 1, det, det)
-    table = polarization._kernel_table(src.kind, Setting.HPLUS, det, det, HplusModel.COHERENT,
-                                       (float,) * 4)
+    qs, qi, tables = polarization._store(det, det, (float,) * 4)
 
     def state():
-        return ([len(t) for t in table], plus_port_distribution.cache_info().currsize,
+        return (len(qs), len(qi), {key: len(ks) for key, ks in tables.items()},
+                plus_port_distribution.cache_info().currsize,
                 polarization._plus_port_block.cache_info().currsize)
 
     before = state()
@@ -473,7 +476,7 @@ def test_kernel_tables_match_the_per_x_series_in_any_mu_order(order):
     det_s, det_i = pairs[0]
     for x_max in x_maxes:
         ks = polarization._kernels(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, det_s, det_i,
-                                   HplusModel.COHERENT, x_max)
+                                   HplusModel.COHERENT, x_max)[2]
     for x in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 91, 199, 200):
         want = per_x_coincidence(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, x, det_s, det_i)
         assert ks[x].hex() == want.hex(), x
@@ -483,7 +486,7 @@ def test_kernel_tables_match_the_per_x_series_in_any_mu_order(order):
     unit = DetectorModel(1, 0)
     for det_s, det_i in ((third, third), (unit, unit), (third, det_i), (unit, det_i)):
         for kind, setting, model in _CONFIGS:
-            ks = polarization._kernels(kind, setting, det_s, det_i, model, 12)
+            ks = polarization._kernels(kind, setting, det_s, det_i, model, 12)[2]
             for x in range(13):
                 want = per_x_coincidence(kind, setting, x, det_s, det_i, model)
                 assert type(ks[x]) is type(want) and ks[x] == want, (kind, setting, x)
@@ -503,7 +506,7 @@ def test_coherent_tables_of_exact_clicks_equal_the_per_x_kernel():
     for det_s in dets:
         for det_i in dets:
             ks = polarization._kernels(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, det_s, det_i,
-                                       HplusModel.COHERENT, x_max)
+                                       HplusModel.COHERENT, x_max)[2]
             for x in range(x_max + 1):
                 want = per_x_coincidence(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, x,
                                          det_s, det_i)
@@ -536,17 +539,17 @@ def test_coherent_tables_grow_in_whole_blocks_along_any_x_max_sequence(arms, x_m
     # sequences stop mid-block, cross block edges, reach the cap, repeat
     # and descend; the table and its click lists end at a block's end or
     # at the cap, and every entry is the per-x kernel bit for bit
-    polarization._kernel_table.cache_clear()
+    polarization._store.cache_clear()
     det_s, det_i = (_GROWTH_ARMS[a] for a in arms)
     value_types = (type(det_s.alpha), type(det_s.dark), type(det_i.alpha), type(det_i.dark))
     reached = -1
     for x_max in x_maxes:
-        ks = polarization._kernels(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, det_s, det_i,
-                                   HplusModel.COHERENT, x_max)
+        qs, qi, ks = polarization._kernels(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, det_s,
+                                           det_i, HplusModel.COHERENT, x_max)
         reached = max(reached, x_max)
-        qs, qi, table = polarization._kernel_table(SourceKind.INDIS_ENTANGLED, Setting.HPLUS,
-                                                   det_s, det_i, HplusModel.COHERENT, value_types)
-        assert table is ks
+        store_qs, store_qi, tables = polarization._store(det_s, det_i, value_types)
+        assert store_qs is qs and store_qi is qi
+        assert tables[SourceKind.INDIS_ENTANGLED, Setting.HPLUS, HplusModel.COHERENT] is ks
         assert reached < len(ks) <= min(_BLOCK * math.ceil((reached + 1) / _BLOCK),
                                         HPLUS_X_CAP + 1)
         assert len(qs) == len(qi) == len(ks)
@@ -568,7 +571,7 @@ def test_growing_a_coherent_table_to_the_cap_stays_below_1_mb():
     tracemalloc.start()
     try:
         ks = polarization._kernels(SourceKind.INDIS_ENTANGLED, Setting.HPLUS, det_s, det_i,
-                                   HplusModel.COHERENT, HPLUS_X_CAP)
+                                   HplusModel.COHERENT, HPLUS_X_CAP)[2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -645,6 +648,121 @@ def test_kernel_tables_are_safe_to_share_between_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+def _count_clicks(monkeypatch) -> list:
+    """Every click_prob call the series makes from now on, one entry each."""
+    calls = []
+
+    def counted(det, n):
+        calls.append(n)
+        return click_prob(det, n)
+
+    monkeypatch.setattr(polarization, "click_prob", counted)
+    return calls
+
+
+_SWEEP_DETECTORS = ["--alpha-s", "0.31", "--alpha-i", "0.22", "--dark-s", "1e-4",
+                    "--dark-i", "2e-4"]
+
+
+def test_a_car_sweep_computes_each_click_once(monkeypatch, capsys):
+    # the matched and the two single series of all 12 points read one
+    # store: each arm's clicks up to the x_max of the largest mu, once
+    polarization._store.cache_clear()
+    calls = _count_clicks(monkeypatch)
+    assert main(["car", "--source", "thermal-correlated", "--mu-range", "0.01:3:12:log",
+                 *_SWEEP_DETECTORS]) == 0
+    x_max = truncation_index(PairSource(SourceKind.THERMAL_CORRELATED, 3.0), TruncationPolicy())
+    assert len(capsys.readouterr().out.splitlines()) > 12
+    assert len(calls) <= 2 * (x_max + 1)
+
+
+def test_a_visibility_sweep_shares_one_pair_of_click_lists(monkeypatch, capsys):
+    # HH and HV of both kinds: four K lists beside one pair of click lists
+    polarization._store.cache_clear()
+    calls = _count_clicks(monkeypatch)
+    assert main(["visibility-curve", "--mu-range", "0.01:5:12:log", *_SWEEP_DETECTORS]) == 0
+    policy = TruncationPolicy()
+    x_max = max(truncation_index(PairSource(kind, 5.0), policy) for kind in ENTANGLED)
+    assert len(calls) == 2 * (x_max + 1)
+    assert polarization._store.cache_info().currsize == 1
+    det_s, det_i = DetectorModel(0.31, 1e-4), DetectorModel(0.22, 2e-4)
+    qs, qi, tables = polarization._store(det_s, det_i, (float,) * 4)
+    assert len(qs) == len(qi) == x_max + 1
+    assert set(tables) == {(kind, setting, None) for kind in ENTANGLED
+                           for setting in (Setting.HH, Setting.HV)}
+
+
+def _fresh_single(source, det, policy):
+    """single_rate as a fresh click list summed per x, the store's reference."""
+    x_max = truncation_index(source, policy)
+    weights = pmf_values(source, x_max)
+    q = [click_prob(det, n) for n in range(x_max + 1)]
+    total = math.fsum if float in (type(det.alpha), type(det.dark)) else sum
+
+    def mean(x):
+        terms = q[x::-1]
+        if source.kind is SourceKind.DIS_ENTANGLED:
+            return total(math.comb(x, y) * t for y, t in enumerate(terms)) / (1 << x)
+        if source.kind is SourceKind.INDIS_ENTANGLED:
+            return total(terms) / (x + 1)
+        return terms[0]
+
+    return math.fsum(weights[x] * mean(x) for x in range(x_max + 1))
+
+
+def _fresh_car(source, det_s, det_i, policy):
+    """CAR's matched and unmatched rates and their ratio from fresh click lists."""
+    x_max = truncation_index(source, policy)
+    weights = pmf_values(source, x_max)
+    qs = [click_prob(det_s, x) for x in range(x_max + 1)]
+    qi = [click_prob(det_i, x) for x in range(x_max + 1)]
+    matched = math.fsum(w * a * b for w, a, b in zip(weights, qs, qi))
+    unmatched = math.fsum(w * a for w, a in zip(weights, qs)) * math.fsum(
+        w * b for w, b in zip(weights, qi)
+    )
+    return matched, unmatched, matched / unmatched if unmatched > 0 else math.inf
+
+
+_ARMS = st.one_of(
+    st.builds(DetectorModel, st.floats(min_value=0.0, max_value=1.0),
+              st.floats(min_value=0.0, max_value=0.01)),
+    st.builds(DetectorModel, st.integers(min_value=0, max_value=1), st.just(0)),
+    st.builds(DetectorModel, st.fractions(min_value=0, max_value=1, max_denominator=16),
+              st.fractions(min_value=0, max_value=Fraction(1, 100), max_denominator=1000)),
+    st.builds(DetectorModel, st.sampled_from([0, 1, Fraction(1, 3)]),
+              st.floats(min_value=0.0, max_value=0.01)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(list(SourceKind)), mu=st.floats(min_value=0.0, max_value=1.0),
+       det_s=_ARMS, det_i=_ARMS, model=st.sampled_from(list(HplusModel)))
+def test_stored_series_equal_fresh_click_lists(kind, mu, det_s, det_i, model):
+    # single_rate, car and series_rate read the stores; each equals its
+    # fresh-list formula bit for bit, whatever number types the arms hold
+    src, policy = PairSource(kind, mu), TruncationPolicy()
+    for det in (det_s, det_i):
+        assert single_rate(src, det, policy).hex() == _fresh_single(src, det, policy).hex()
+    for setting in Setting:
+        try:
+            twin, res_s, res_i = setting.resolve(kind, det_s, det_i)
+        except UnsupportedSetting:
+            continue
+        got = series_rate(src, setting, det_s, det_i, policy, model)
+        if twin is Setting.SINGLE_S or twin is Setting.SINGLE_I:
+            want = _fresh_single(src, res_s if twin is Setting.SINGLE_S else res_i, policy)
+        elif twin is Setting.CAR_MATCHED or twin is Setting.CAR_UNMATCHED:
+            want = _fresh_car(src, res_s, res_i, policy)[twin is Setting.CAR_UNMATCHED]
+        else:
+            want = _series_reference(src, twin, res_s, res_i, policy, model)
+        assert type(got) is float and got.hex() == want.hex(), (setting, got, want)
+    if kind.correlated:
+        res = car(src, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark, policy)
+        want = _fresh_car(src, det_s, det_i, policy)
+        assert [v.hex() for v in (res.matched_rate, res.unmatched_rate, res.car)] == [
+            v.hex() for v in want]
 
 
 _TERMS = st.one_of(

@@ -170,3 +170,17 @@ def test_timebin_setting_wrapper_and_validation():
         with pytest.raises(ValueError, match=r"dark must lie in \[0, 1\)"):
             timebin_rate(SourceKind.INDIS_ENTANGLED, TimebinPort.AB, 0.1, 0.1, 0.1,
                          dark_i=1.0, method=method)
+
+
+def test_a_closed_form_timebin_entry_records_no_hplus_model():
+    # no H+ model enters the closed forms, so none is recorded, as the
+    # closed-form TomographyVector records none
+    for model in HplusModel:
+        for port in TimebinPort:
+            entry = timebin_rate(SourceKind.INDIS_ENTANGLED, port, 0.3, 0.4, 0.4,
+                                 method=RateMethod.CLOSED_FORM, hplus_model=model)
+            assert entry.method is RateMethod.CLOSED_FORM
+            assert entry.hplus_model is None
+        exact = timebin_rate(SourceKind.INDIS_ENTANGLED, TimebinPort.APLUS, 0.3, 0.4, 0.4,
+                             hplus_model=model)
+        assert exact.hplus_model is model
