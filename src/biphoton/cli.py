@@ -30,7 +30,8 @@ from .detection import DetectorModel
 from .distributions import PairSource, SourceKind, TruncationPolicy
 from .metrics import Objective, car, optimize_mu, visibility_approx, visibility_exact
 from .oracle import X_MAX_LIMIT, enumerate_rate, mc_rate
-from .polarization import HplusModel, RateMethod, Setting, TimebinPort, series_rate, timebin_rate
+from .polarization import (HplusModel, RateMethod, Setting, TimebinPort, coincidence_rate,
+                           timebin_rate)
 from .tomography import (
     _concurrences,
     assemble_r,
@@ -374,7 +375,7 @@ def cmd_validate(args) -> int:
                                                           _VALIDATE_ALPHAS, _VALIDATE_DARKS):
             source = PairSource(kind, mu)
             det_s = det_i = DetectorModel(alpha, dark)
-            series = series_rate(source, setting, det_s, det_i, policy, hplus_model)
+            series = coincidence_rate(source, setting, det_s, det_i, policy, hplus_model).value
             ora = enumerate_rate(source, setting, det_s, det_i, X_MAX_LIMIT, hplus_model)
             tol = _VALIDATE_TOL + ora.tail_bound
             err = abs(series - ora.value)

@@ -182,6 +182,23 @@ def pmf_values(source: PairSource, x_max: int) -> list[float]:
     return list(islice(_pmfs(source), x_max + 1))
 
 
+def _certified_pmf(source: PairSource, policy: TruncationPolicy) -> list[float]:
+    """pmf(0..x_max), as :func:`pmf_values`, from the walk that certifies x_max."""
+    eps = policy.tail_epsilon
+    # p_next = pmf(x+1) and q = pmf(x+2)/pmf(x+1), walked side by side
+    pmfs, ratios = _pmfs(source), _ratios(source)
+    weights = [next(pmfs)]
+    next(ratios)
+    for p_next, q in zip(islice(pmfs, policy.hard_cap + 1), ratios):
+        if q < 1.0 and p_next / (1.0 - q) < eps:
+            return weights
+        weights.append(p_next)
+    raise CapExceeded(
+        f"no truncation index up to hard_cap={policy.hard_cap} certifies "
+        f"tail < {eps:g} for {source.kind.value} source with mu={source.mu:g}"
+    )
+
+
 def truncation_index(source: PairSource, policy: TruncationPolicy) -> int:
     """Smallest certified index ``x_max`` with tail mass below epsilon.
 
@@ -192,14 +209,4 @@ def truncation_index(source: PairSource, policy: TruncationPolicy) -> int:
     up to ``hard_cap`` is certified, :class:`CapExceeded` is raised;
     the series is never truncated silently.
     """
-    eps = policy.tail_epsilon
-    # p_next = pmf(x+1) and q = pmf(x+2)/pmf(x+1), walked side by side
-    pmfs, ratios = _pmfs(source), _ratios(source)
-    next(pmfs), next(ratios)
-    for x, p_next, q in zip(range(policy.hard_cap + 1), pmfs, ratios):
-        if q < 1.0 and p_next / (1.0 - q) < eps:
-            return x
-    raise CapExceeded(
-        f"no truncation index up to hard_cap={policy.hard_cap} certifies "
-        f"tail < {eps:g} for {source.kind.value} source with mu={source.mu:g}"
-    )
+    return len(_certified_pmf(source, policy)) - 1

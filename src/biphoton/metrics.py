@@ -13,11 +13,12 @@ from .distributions import PairSource, SourceKind, TruncationPolicy, _check_coun
 from .polarization import (
     RateMethod,
     Setting,
-    _car_rates,
+    _DEFAULT_POLICY,
+    _closed_form_defaults,
     _closed_form_mu,
+    _exact_rates,
     _require_entangled,
     closed_form_rates,
-    coincidence_rate,
 )
 
 __all__ = [
@@ -87,14 +88,12 @@ def visibility_exact(
     alpha_i: float,
     dark_s: float = 0.0,
     dark_i: float = 0.0,
-    policy: TruncationPolicy = TruncationPolicy(),
+    policy: TruncationPolicy = _DEFAULT_POLICY,
 ) -> VisibilityResult:
     """Visibility from the exact-series HH and HV rates."""
     _require_entangled(source.kind, "visibility")
-    det_s = DetectorModel(alpha_s, dark_s)
-    det_i = DetectorModel(alpha_i, dark_i)
-    hh = coincidence_rate(source, Setting.HH, det_s, det_i, policy).value
-    hv = coincidence_rate(source, Setting.HV, det_s, det_i, policy).value
+    _, (hh, hv) = _exact_rates(source, (Setting.HH, Setting.HV), DetectorModel(alpha_s, dark_s),
+                               DetectorModel(alpha_i, dark_i), policy, None)
     return _ratio_metrics(hh, hv, RateMethod.EXACT_SERIES)
 
 
@@ -121,7 +120,7 @@ def car(
     alpha_i: float,
     dark_s: float = 0.0,
     dark_i: float = 0.0,
-    policy: TruncationPolicy = TruncationPolicy(),
+    policy: TruncationPolicy = _DEFAULT_POLICY,
     method: RateMethod = RateMethod.EXACT_SERIES,
 ) -> CarResult:
     """Coincidence-to-accidental ratio of a correlated pair source.
@@ -129,20 +128,23 @@ def car(
     The matched rate pairs clicks produced by the same pulse; the
     unmatched (accidental) rate pairs clicks of two independent pulses,
     so it is the product of the two arms' single-count rates.  The
-    closed form raises :class:`CapExceeded` above mu = 1e150.
+    closed form refuses a non-default ``policy``, and raises
+    :class:`CapExceeded` above mu = 1e150.
     """
     mu = source.mu
     _, det_s, det_i = Setting.CAR_MATCHED.resolve(
         source.kind, DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
     )
     if method is RateMethod.CLOSED_FORM:
+        _closed_form_defaults(policy)
         _closed_form_mu(source.kind, mu)
         unmatched = (mu * alpha_s + dark_s) * (mu * alpha_i + dark_i)
         matched = mu * alpha_s * alpha_i + unmatched
         if source.kind is SourceKind.THERMAL_CORRELATED:
             matched += mu * mu * alpha_s * alpha_i
     elif method is RateMethod.EXACT_SERIES:
-        matched, unmatched = _car_rates(source, det_s, det_i, policy)
+        _, (matched, unmatched) = _exact_rates(
+            source, (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED), det_s, det_i, policy, None)
     else:
         raise ValueError(f"unsupported CAR method {method}")
     ratio = matched / unmatched if unmatched > 0 else math.inf

@@ -8,7 +8,8 @@ polarizer is set either parallel (HH), crossed (HV), or to the diagonal
 
 where P(x) is the source pmf and K(x) the per-x kernel for the chosen
 setting, truncated under a certified tail bound.  Every exact rate, CAR's
-too, is one sum ``_series`` in this module.  K(x) does not depend on mu,
+too, is summed by ``_exact_rates`` in this module, over one walk of the
+certified pmf per call.  K(x) does not depend on mu,
 so each detector pair keeps one store of both arms' click lists and its
 K(0..) by kind, setting and H+ model, and a mu sweep computes each click
 and each K(x) once.  SINGLE_S and SINGLE_I average one arm's clicks.
@@ -73,7 +74,7 @@ import numpy as np
 
 from .detection import DetectorModel, click_prob
 from .distributions import (CapExceeded, PairSource, SourceKind, TruncationPolicy,
-                            _check_count, _check_member, pmf_values, truncation_index)
+                            _certified_pmf, _check_count, _check_member)
 
 __all__ = [
     "Setting",
@@ -86,7 +87,6 @@ __all__ = [
     "per_x_coincidence",
     "coincidence_rate",
     "single_rate",
-    "series_rate",
     "closed_form_rates",
     "TimebinPort",
     "timebin_rate",
@@ -139,6 +139,16 @@ def _require_entangled(kind: SourceKind, what: str) -> None:
         raise UnsupportedSetting(f"{what} is undefined for correlated kind {kind.value}")
 
 
+class HplusModel(Enum):
+    COHERENT = "coherent"
+    INDEPENDENT = "independent"
+
+
+class RateMethod(Enum):
+    EXACT_SERIES = "exact-series"
+    CLOSED_FORM = "closed-form"
+
+
 # the closed forms are quadratic in mu: finite up to about 7e153 at unit efficiency
 _CLOSED_FORM_MU_MAX = 1e150
 
@@ -151,14 +161,17 @@ def _closed_form_mu(kind: SourceKind, mu) -> float:
     return mu
 
 
-class HplusModel(Enum):
-    COHERENT = "coherent"
-    INDEPENDENT = "independent"
+# every rate's default policy, which the closed forms compare against
+_DEFAULT_POLICY = TruncationPolicy()
 
 
-class RateMethod(Enum):
-    EXACT_SERIES = "exact-series"
-    CLOSED_FORM = "closed-form"
+def _closed_form_defaults(policy, hplus_model=HplusModel.COHERENT) -> None:
+    """The closed forms read no policy and no H+ model: refuse, not ignore, any but the default."""
+    if policy != _DEFAULT_POLICY:
+        raise ValueError(f"the closed forms read no policy, got policy={policy!r}")
+    if hplus_model is not HplusModel.COHERENT:
+        _check_member("hplus_model", hplus_model, HplusModel)
+        raise ValueError(f"the closed forms read no hplus_model, got hplus_model={hplus_model!r}")
 
 
 @dataclass(frozen=True)
@@ -205,26 +218,26 @@ def timebin_rate(
     dark_s: float = 0.0,
     dark_i: float = 0.0,
     method: RateMethod = RateMethod.EXACT_SERIES,
-    policy: TruncationPolicy = TruncationPolicy(),
+    policy: TruncationPolicy = _DEFAULT_POLICY,
     hplus_model: HplusModel = HplusModel.COHERENT,
 ) -> RateEntry:
     """Coincidence rate of a time-bin analyzer port pair.
 
     The efficiencies are those of the detectors themselves and must lie
     in [0, 1]; the returned entry's ``setting`` is the polarization
-    twin the rate was computed for, at alpha/2.  A closed-form entry
-    records no H+ model: none enters the closed forms.
+    twin the rate was computed for, at alpha/2.  The closed forms refuse
+    a non-default ``policy`` or ``hplus_model``, and record no H+ model.
     """
     _check_member("kind", kind, SourceKind)
     _check_member("port", port, TimebinPort)
-    setting, det_s, det_i = Setting(f"timebin-{port.value}").resolve(
-        kind, DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
-    )
+    setting = Setting(f"timebin-{port.value}")
+    det_s, det_i = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
     if method is RateMethod.EXACT_SERIES:
         return coincidence_rate(PairSource(kind, mu), setting, det_s, det_i, policy, hplus_model)
     if method is not RateMethod.CLOSED_FORM:
         raise ValueError(f"unsupported time-bin method {method}")
-    _check_member("hplus_model", hplus_model, HplusModel)
+    setting, det_s, det_i = setting.resolve(kind, det_s, det_i)
+    _closed_form_defaults(policy, hplus_model)
     rep = closed_form_rates(kind, mu, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark)
     value = getattr(rep, f"r_{setting.value}")  # r_hh, r_hv or r_hplus
     return RateEntry(value, setting, RateMethod.CLOSED_FORM, 0, None)
@@ -235,7 +248,7 @@ def timebin_rate(
 # like x^3 and holds about 28 MB for x = 0..200; the block arrays that
 # _plus_port_block caches for the tables hold about 12 MB more for
 # blocks 0-12 (tracemalloc).
-_PLUS_PORT_X_CAP = TruncationPolicy().hard_cap
+_PLUS_PORT_X_CAP = _DEFAULT_POLICY.hard_cap
 
 
 def _check_plus_port_x(x: int) -> None:
@@ -410,14 +423,6 @@ def _pattern_sum(kind: SourceKind, x: int, terms, exact: bool, factor=1):
     return next(iter(terms)) * factor
 
 
-def _check_kernel(kind: SourceKind, setting: Setting) -> None:
-    if setting not in (Setting.HH, Setting.HV, Setting.HPLUS):
-        _check_member("setting", setting, Setting)
-        raise UnsupportedSetting(f"{setting.value} has no per-x kernel; use series_rate")
-    if setting is Setting.HPLUS:
-        _require_entangled(kind, setting.value)
-
-
 def _kernel(kind: SourceKind, setting: Setting, x: int, qs: list, qi: list, hplus_model):
     """K(x) from the click lists ``qs`` and ``qi``, each at least x+1 long;
     :func:`click_prob` gives a list floats or exact numbers throughout."""
@@ -470,7 +475,11 @@ def per_x_coincidence(
     _check_member("kind", kind, SourceKind)
     _check_member("hplus_model", hplus_model, HplusModel)
     _check_count("x", x)
-    _check_kernel(kind, setting)
+    if setting not in (Setting.HH, Setting.HV, Setting.HPLUS):
+        _check_member("setting", setting, Setting)
+        raise UnsupportedSetting(f"{setting.value} has no per-x kernel; use coincidence_rate")
+    if setting is Setting.HPLUS:
+        _require_entangled(kind, setting.value)
     qs = [click_prob(det_s, n) for n in range(x + 1)]
     qi = [click_prob(det_i, n) for n in range(x + 1)]
     return _kernel(kind, setting, x, qs, qi, hplus_model)
@@ -537,19 +546,27 @@ def _kernels(kind, setting, det_s, det_i, hplus_model, x_max: int) -> tuple[list
     return qs, qi, ks
 
 
-def _series(weights: list[float], kind, setting, det_s, det_i, hplus_model=None) -> float:
-    """sum_x P(x) K(x) over the pmf ``weights`` for a resolved setting.  A
-    correlated pair is all H, so an arm's single kernel is its clicks: CAR
-    sums (P(x) q_s(x)) q_i(x) matched and the singles' product unmatched."""
-    x_max = len(weights) - 1
+def _exact_rates(source, settings, det_s, det_i, policy, hplus_model) -> tuple[int, list[float]]:
+    """x_max and sum_x P(x) K(x) of each resolved setting, all over one walk
+    of the certified pmf; ``hplus_model`` enters HPLUS alone.  A correlated
+    pair is all H, so an arm's single kernel is its clicks: CAR sums
+    (P(x) q_s(x)) q_i(x) matched and the singles' product unmatched."""
+    weights = _certified_pmf(source, policy)
+    x_max, rates = len(weights) - 1, []
     # map stops at the x_max+1 weights when a list is longer
-    if setting is Setting.CAR_MATCHED or setting is Setting.CAR_UNMATCHED:
-        qs, qi, _ = _kernels(kind, None, det_s, det_i, None, x_max)
-        if setting is Setting.CAR_MATCHED:
-            return math.fsum(map(operator.mul, map(operator.mul, weights, qs), qi))
-        return math.fsum(map(operator.mul, weights, qs)) * math.fsum(map(operator.mul, weights, qi))
-    ks = _kernels(kind, setting, det_s, det_i, hplus_model, x_max)[2]
-    return math.fsum(map(operator.mul, weights, ks))
+    for setting in settings:
+        if setting is Setting.CAR_MATCHED or setting is Setting.CAR_UNMATCHED:
+            qs, qi, _ = _kernels(source.kind, None, det_s, det_i, None, x_max)
+            if setting is Setting.CAR_MATCHED:
+                rates.append(math.fsum(map(operator.mul, map(operator.mul, weights, qs), qi)))
+            else:
+                rates.append(math.fsum(map(operator.mul, weights, qs))
+                             * math.fsum(map(operator.mul, weights, qi)))
+        else:
+            model = hplus_model if setting is Setting.HPLUS else None
+            ks = _kernels(source.kind, setting, det_s, det_i, model, x_max)[2]
+            rates.append(math.fsum(map(operator.mul, weights, ks)))
+    return x_max, rates
 
 
 def coincidence_rate(
@@ -557,33 +574,32 @@ def coincidence_rate(
     setting: Setting,
     det_s: DetectorModel,
     det_i: DetectorModel,
-    policy: TruncationPolicy = TruncationPolicy(),
+    policy: TruncationPolicy = _DEFAULT_POLICY,
     hplus_model: HplusModel = HplusModel.COHERENT,
 ) -> RateEntry:
-    """Pair-number series of the per-x kernel under certified truncation.
+    """The exact rate of any setting under certified truncation, checked
+    before one walk of the pmf; the entry records the setting as resolved
+    (a time-bin port is its twin at alpha/2, see :meth:`Setting.resolve`).
 
-    K(x) does not depend on mu, so it is read from the store of the
-    detector pair (an LRU of 64 pairs), grown when a larger x_max needs
-    more terms.  Tables of the coherent H+ kernel on indistinguishable
-    pairs sum their rows by certified vectorized extraction with a
-    ``math.fsum`` fallback (see the module docstring and ``_row_sums``),
-    bit-identical to :func:`per_x_coincidence`.  That kernel is
-    tabulated up to x = 200; a larger x_max raises :class:`CapExceeded`
-    before any table grows.
+    K(x) is read from the store of the detector pair (an LRU of 64 pairs),
+    grown when a larger x_max needs more terms.  The coherent H+ kernel of
+    indistinguishable pairs sums its rows by certified vectorized
+    extraction (see the module docstring and ``_row_sums``), bit-identical
+    to :func:`per_x_coincidence`, up to x = 200; a larger x_max raises
+    :class:`CapExceeded` before any table grows.
     """
+    _check_member("setting", setting, Setting)
     _check_member("hplus_model", hplus_model, HplusModel)
-    x_max = truncation_index(source, policy)
-    weights = pmf_values(source, x_max)
-    _check_kernel(source.kind, setting)
+    setting, det_s, det_i = setting.resolve(source.kind, det_s, det_i)
+    x_max, (value,) = _exact_rates(source, (setting,), det_s, det_i, policy, hplus_model)
     model = hplus_model if setting is Setting.HPLUS else None
-    value = _series(weights, source.kind, setting, det_s, det_i, model)
     return RateEntry(value, setting, RateMethod.EXACT_SERIES, x_max, model)
 
 
 def single_rate(
     source: PairSource,
     det: DetectorModel,
-    policy: TruncationPolicy = TruncationPolicy(),
+    policy: TruncationPolicy = _DEFAULT_POLICY,
 ) -> float:
     """Count rate of one arm alone.
 
@@ -591,36 +607,7 @@ def single_rate(
     the detector on average); correlated kinds are detected without a
     polarizer, as in the coincidence-to-accidental setup.
     """
-    return series_rate(source, Setting.SINGLE_S, det, det, policy)
-
-
-def series_rate(
-    source: PairSource,
-    setting: Setting,
-    det_s: DetectorModel,
-    det_i: DetectorModel,
-    policy: TruncationPolicy = TruncationPolicy(),
-    hplus_model: HplusModel = HplusModel.COHERENT,
-) -> float:
-    """The exact-series rate of any setting; the reference the oracles check.
-
-    A time-bin setting is its polarization twin through half-efficiency
-    detectors (see :meth:`Setting.resolve`), so its value equals that of
-    ``timebin_rate`` bit for bit.
-    """
-    _check_member("setting", setting, Setting)
-    _check_member("hplus_model", hplus_model, HplusModel)
-    setting, det_s, det_i = setting.resolve(source.kind, det_s, det_i)
-    weights = pmf_values(source, truncation_index(source, policy))
-    model = hplus_model if setting is Setting.HPLUS else None
-    return _series(weights, source.kind, setting, det_s, det_i, model)
-
-
-def _car_rates(source, det_s, det_i, policy) -> tuple[float, float]:
-    """CAR's matched and unmatched rates under one truncation."""
-    weights = pmf_values(source, truncation_index(source, policy))
-    return tuple(_series(weights, source.kind, setting, det_s, det_i)
-                 for setting in (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED))
+    return coincidence_rate(source, Setting.SINGLE_S, det, det, policy).value
 
 
 def closed_form_rates(

@@ -22,10 +22,12 @@ from .polarization import (
     HplusModel,
     RateMethod,
     Setting,
+    _DEFAULT_POLICY,
+    _closed_form_defaults,
     _closed_form_mu,
+    _exact_rates,
     _require_entangled,
     closed_form_rates,
-    coincidence_rate,
 )
 
 __all__ = [
@@ -149,25 +151,24 @@ def assemble_r(
     alpha_i: float,
     dark_s: float = 0.0,
     dark_i: float = 0.0,
-    policy: TruncationPolicy = TruncationPolicy(),
+    policy: TruncationPolicy = _DEFAULT_POLICY,
     method: RateMethod = RateMethod.CLOSED_FORM,
     hplus_model: HplusModel = HplusModel.COHERENT,
 ) -> TomographyVector:
-    """Fill the 16-entry rate vector from the model's three distinct rates."""
+    """Fill the 16-entry rate vector from the model's three distinct rates;
+    the closed forms refuse a non-default ``policy`` or ``hplus_model``."""
     _check_member("kind", kind, SourceKind)
     _check_member("hplus_model", hplus_model, HplusModel)
     _require_entangled(kind, "tomography")
     if method is RateMethod.CLOSED_FORM:
+        _closed_form_defaults(policy, hplus_model)
         rep = closed_form_rates(kind, mu, alpha_s, alpha_i, dark_s, dark_i)
         hh, hv, hp = rep.r_hh, rep.r_hv, rep.r_hplus
         model = None
     elif method is RateMethod.EXACT_SERIES:
-        source = PairSource(kind, mu)
-        det_s = DetectorModel(alpha_s, dark_s)
-        det_i = DetectorModel(alpha_i, dark_i)
-        hh = coincidence_rate(source, Setting.HH, det_s, det_i, policy).value
-        hv = coincidence_rate(source, Setting.HV, det_s, det_i, policy).value
-        hp = coincidence_rate(source, Setting.HPLUS, det_s, det_i, policy, hplus_model).value
+        _, (hh, hv, hp) = _exact_rates(
+            PairSource(kind, mu), (Setting.HH, Setting.HV, Setting.HPLUS),
+            DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i), policy, hplus_model)
         model = hplus_model
     else:
         raise ValueError(f"unsupported tomography method {method}")

@@ -31,7 +31,6 @@ from biphoton import (
     optimize_mu,
     pmf_values,
     reconstruct,
-    series_rate,
     timebin_rate,
     truncation_index,
     visibility_approx,
@@ -215,7 +214,7 @@ def test_acceptance_07_enumeration_oracle_grid():
     for kind, setting, mu, alpha, dark in _grid_cells():
         src = PairSource(kind, mu)
         det = DetectorModel(alpha, dark)
-        series = series_rate(src, setting, det, det, policy)
+        series = coincidence_rate(src, setting, det, det, policy).value
         ora = enumerate_rate(src, setting, det, det, 14)
         err = abs(series - ora.value)
         worst_ratio = max(worst_ratio, err / (1e-9 + ora.tail_bound))
@@ -247,7 +246,7 @@ def test_acceptance_08_monte_carlo_grid():
     for idx, (kind, setting, mu, alpha, dark) in enumerate(_grid_cells()):
         src = PairSource(kind, mu)
         det = DetectorModel(alpha, dark)
-        series = series_rate(src, setting, det, det, policy)
+        series = coincidence_rate(src, setting, det, det, policy).value
         est = mc_rate(src, setting, det, det, MC_TRIALS, MC_SEED_BASE + idx)
         se = max(est.std_error, math.sqrt(series * (1.0 - series) / MC_TRIALS))
         z = abs(est.mean - series) / se

@@ -455,17 +455,19 @@ def test_validate_refuses_a_negative_seed(capsys):
 
 def test_validate_fails_on_a_disagreement(capsys, monkeypatch):
     # the summary and the exit code follow the rows' status and mc_status
-    series_rate, mc_rate = cli.series_rate, cli.mc_rate
+    coincidence_rate, mc_rate = cli.coincidence_rate, cli.mc_rate
 
     def off_series(source, setting, *rest):
-        return series_rate(source, setting, *rest) + (1e-6 if setting is Setting.HV else 0.0)
+        entry = coincidence_rate(source, setting, *rest)
+        shift = 1e-6 if setting is Setting.HV else 0.0
+        return dataclasses.replace(entry, value=entry.value + shift)
 
     def off_mc(source, setting, *rest):
         est = mc_rate(source, setting, *rest)
         shift = 0.5 if setting is Setting.CAR_MATCHED else 0.0
         return dataclasses.replace(est, mean=est.mean + shift)
 
-    monkeypatch.setattr(cli, "series_rate", off_series)
+    monkeypatch.setattr(cli, "coincidence_rate", off_series)
     code, out, _ = _run(capsys, ["validate"])
     assert code == 1 and "# status=FAIL" in out
     _, rows = _rows(out)

@@ -84,6 +84,6 @@ def test_each_public_name_is_declared_in_one_module_all():
             owners.setdefault(name, []).append(path.stem)
     assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
     library = {name for name, (mod,) in owners.items() if mod != "cli"}
-    assert len(biphoton.__all__) == len(set(biphoton.__all__)) == 46
+    assert len(biphoton.__all__) == len(set(biphoton.__all__)) == 45
     assert set(biphoton.__all__) == {"__version__", *library}
     assert biphoton.OracleSetting is biphoton.Setting

@@ -32,10 +32,10 @@ from biphoton import (
     plus_port_distribution,
     pmf,
     pmf_values,
-    series_rate,
     timebin_rate,
     truncation_index,
 )
+from biphoton import distributions
 
 ALL_KINDS = list(SourceKind)
 
@@ -227,6 +227,52 @@ def test_truncation_index_certified_and_tight():
                 assert tail < mp.mpf(eps)
 
 
+def _walked_index(source, policy):
+    """truncation_index by its own walk of the pmf and its ratios, apart from
+    the weights: the reference for the one walk that yields both."""
+    eps = policy.tail_epsilon
+    pmfs, ratios = distributions._pmfs(source), distributions._ratios(source)
+    next(pmfs), next(ratios)
+    for x, p_next, q in zip(range(policy.hard_cap + 1), pmfs, ratios):
+        if q < 1.0 and p_next / (1.0 - q) < eps:
+            return x
+    raise CapExceeded(
+        f"no truncation index up to hard_cap={policy.hard_cap} certifies "
+        f"tail < {eps:g} for {source.kind.value} source with mu={source.mu:g}"
+    )
+
+
+def _outcome(call):
+    try:
+        return [v.hex() for v in call()]
+    except CapExceeded as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("hard_cap", [0, 1, 100, 200])
+@pytest.mark.parametrize("eps", [1e-3, 1e-12, 1e-25, 1e-40])
+def test_the_certified_pmf_is_the_pmf_to_the_truncation_index(kind, hard_cap, eps):
+    # one walk certifies x_max and yields pmf(0..x_max), bit for bit the
+    # values of pmf_values to truncation_index; past the cap, and where P(0)
+    # underflows, it raises the same CapExceeded
+    policy = TruncationPolicy(tail_epsilon=eps, hard_cap=hard_cap)
+    top = {SourceKind.INDIS_ENTANGLED: 2.0**512,
+           SourceKind.THERMAL_CORRELATED: 2.0**1022}.get(kind, 708.3964185322641)
+    outcomes = {}
+    for mu in (0.0, 1e-9, 0.05, 0.7, 5.0, 60.0, 500.0, math.nextafter(top, math.inf), 1e308):
+        src = PairSource(kind, mu)
+        got = outcomes[mu] = _outcome(lambda: distributions._certified_pmf(src, policy))
+        assert got == _outcome(lambda: pmf_values(src, _walked_index(src, policy))), mu
+        try:
+            assert truncation_index(src, policy) == len(got) - 1
+        except CapExceeded as exc:
+            assert str(exc) == got
+    # mu = 500 needs more than 200 terms, and P(0) underflows above top
+    assert outcomes[500.0].startswith("no truncation index up to hard_cap=")
+    assert "underflows" in outcomes[math.nextafter(top, math.inf)]
+
+
 def test_truncation_cap_exceeded():
     src = PairSource(SourceKind.INDIS_ENTANGLED, 10.0)
     with pytest.raises(CapExceeded):
@@ -336,9 +382,10 @@ _ALPHA = DetectorModel(0.1)
     (lambda: coincidence_rate(_INDIS, Setting.HPLUS, _ALPHA, _ALPHA, hplus_model="independent"),
      "hplus_model must be a HplusModel, got 'independent'"),
     (lambda: coincidence_rate(_INDIS, "hh", _ALPHA, _ALPHA), "setting must be a Setting, got 'hh'"),
-    (lambda: series_rate(_INDIS, Setting.HPLUS, _ALPHA, _ALPHA, hplus_model="independent"),
+    (lambda: coincidence_rate(_INDIS, Setting.HPLUS, _ALPHA, _ALPHA,
+                              hplus_model="independent").value,
      "hplus_model must be a HplusModel, got 'independent'"),
-    (lambda: series_rate(_INDIS, "single-s", _ALPHA, _ALPHA),
+    (lambda: coincidence_rate(_INDIS, "single-s", _ALPHA, _ALPHA).value,
      "setting must be a Setting, got 'single-s'"),
     (lambda: per_x_coincidence("indis-entangled", Setting.HH, 2, _ALPHA, _ALPHA),
      "kind must be a SourceKind, got 'indis-entangled'"),

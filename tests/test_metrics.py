@@ -29,7 +29,6 @@ from biphoton import (
     concurrence,
     optimize_mu,
     reconstruct,
-    series_rate,
     single_rate,
     timebin_rate,
     visibility_approx,
@@ -260,29 +259,29 @@ def test_series_rate_dispatches_each_setting():
     det_s, det_i = DetectorModel(0.3, 1e-3), DetectorModel(0.6, 2e-3)
     for kind in SourceKind:
         src = PairSource(kind, 0.2)
-        assert series_rate(src, Setting.SINGLE_S, det_s, det_i, policy) == single_rate(
+        assert coincidence_rate(src, Setting.SINGLE_S, det_s, det_i, policy).value == single_rate(
             src, det_s, policy
         )
-        assert series_rate(src, Setting.SINGLE_I, det_s, det_i, policy) == single_rate(
+        assert coincidence_rate(src, Setting.SINGLE_I, det_s, det_i, policy).value == single_rate(
             src, det_i, policy
         )
         for setting in (Setting.HH, Setting.HV, Setting.HPLUS):
             if kind.correlated and setting is Setting.HPLUS:
                 with pytest.raises(UnsupportedSetting):
-                    series_rate(src, setting, det_s, det_i, policy)
+                    coincidence_rate(src, setting, det_s, det_i, policy).value
                 continue
             for model in HplusModel:
                 want = coincidence_rate(src, setting, det_s, det_i, policy, model).value
-                assert series_rate(src, setting, det_s, det_i, policy, model) == want
+                assert coincidence_rate(src, setting, det_s, det_i, policy, model).value == want
         cars = (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED)
         if kind.entangled:
             for setting in cars:
                 with pytest.raises(UnsupportedSetting):
-                    series_rate(src, setting, det_s, det_i, policy)
+                    coincidence_rate(src, setting, det_s, det_i, policy).value
             continue
         res = car(src, 0.3, 0.6, 1e-3, 2e-3, policy)
-        assert series_rate(src, cars[0], det_s, det_i, policy) == res.matched_rate
-        assert series_rate(src, cars[1], det_s, det_i, policy) == res.unmatched_rate
+        assert coincidence_rate(src, cars[0], det_s, det_i, policy).value == res.matched_rate
+        assert coincidence_rate(src, cars[1], det_s, det_i, policy).value == res.unmatched_rate
 
 
 def test_optimize_returns_lower_endpoint_without_darks():

@@ -1,5 +1,6 @@
 """Polarization rates: per-pair-number kernels, series, closed forms."""
 
+import inspect
 import math
 import random
 import sys
@@ -18,25 +19,30 @@ from biphoton import (
     DetectorModel,
     HplusModel,
     PairSource,
+    RateMethod,
     Setting,
     SourceKind,
+    TimebinPort,
     TruncationPolicy,
     UnsupportedSetting,
+    assemble_r,
     car,
     closed_form_rates,
     coincidence_rate,
     per_x_coincidence,
     plus_port_distribution,
     pmf_values,
-    series_rate,
     single_rate,
+    timebin_rate,
     truncation_index,
+    visibility_exact,
 )
-from biphoton import polarization
+from biphoton import distributions, polarization
 from biphoton.cli import main
 from biphoton.detection import click_prob
 from biphoton.oracle import HPLUS_X_CAP
 from biphoton.polarization import _BLOCK, _row_sums
+from biphoton.tomography import CROSSED_INDICES, PARALLEL_INDICES
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
 CORRELATED = (SourceKind.DIS_CORRELATED, SourceKind.THERMAL_CORRELATED)
@@ -263,12 +269,10 @@ def test_correlated_kind_kernels():
 )
 def test_kernels_reject_settings_without_one(kind, setting):
     det = DetectorModel(0.3, 1e-3)
-    message = rf"^{setting.value} has no per-x kernel; use series_rate$"
+    message = rf"^{setting.value} has no per-x kernel; use coincidence_rate$"
     for x in (0, 1, 3):
         with pytest.raises(UnsupportedSetting, match=message):
             per_x_coincidence(kind, setting, x, det, det)
-    with pytest.raises(UnsupportedSetting, match=message):
-        coincidence_rate(PairSource(kind, 0.2), setting, det, det)
 
 
 def test_closed_forms_without_darks():
@@ -740,7 +744,7 @@ _ARMS = st.one_of(
 @given(kind=st.sampled_from(list(SourceKind)), mu=st.floats(min_value=0.0, max_value=1.0),
        det_s=_ARMS, det_i=_ARMS, model=st.sampled_from(list(HplusModel)))
 def test_stored_series_equal_fresh_click_lists(kind, mu, det_s, det_i, model):
-    # single_rate, car and series_rate read the stores; each equals its
+    # single_rate, car and coincidence_rate read the stores; each equals its
     # fresh-list formula bit for bit, whatever number types the arms hold
     src, policy = PairSource(kind, mu), TruncationPolicy()
     for det in (det_s, det_i):
@@ -750,7 +754,7 @@ def test_stored_series_equal_fresh_click_lists(kind, mu, det_s, det_i, model):
             twin, res_s, res_i = setting.resolve(kind, det_s, det_i)
         except UnsupportedSetting:
             continue
-        got = series_rate(src, setting, det_s, det_i, policy, model)
+        got = coincidence_rate(src, setting, det_s, det_i, policy, model).value
         if twin is Setting.SINGLE_S or twin is Setting.SINGLE_I:
             want = _fresh_single(src, res_s if twin is Setting.SINGLE_S else res_i, policy)
         elif twin is Setting.CAR_MATCHED or twin is Setting.CAR_UNMATCHED:
@@ -763,6 +767,139 @@ def test_stored_series_equal_fresh_click_lists(kind, mu, det_s, det_i, model):
         want = _fresh_car(src, det_s, det_i, policy)
         assert [v.hex() for v in (res.matched_rate, res.unmatched_rate, res.car)] == [
             v.hex() for v in want]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(list(SourceKind)), mu=st.floats(min_value=0.0, max_value=5.0),
+       det_s=_ARMS, det_i=_ARMS, model=st.sampled_from(list(HplusModel)))
+def test_coincidence_rate_is_the_one_exact_rate_of_every_setting(kind, mu, det_s, det_i, model):
+    # every setting resolves inside coincidence_rate, and its value is the
+    # bench replay's recomposition bit for bit: the pmf times the per-x
+    # kernel (time-bin twins at alpha/2), the click lists for singles, and
+    # CAR's (P q_s) q_i or its product of single sums
+    src, policy = PairSource(kind, mu), TruncationPolicy()
+    x_max = truncation_index(src, policy)
+    values = {}
+    for setting in Setting:
+        try:
+            twin, res_s, res_i = setting.resolve(kind, det_s, det_i)
+        except UnsupportedSetting as refused:
+            with pytest.raises(UnsupportedSetting) as got:
+                coincidence_rate(src, setting, det_s, det_i, policy, model)
+            assert str(got.value) == str(refused)
+            continue
+        entry = coincidence_rate(src, setting, det_s, det_i, policy, model)
+        if twin is Setting.SINGLE_S or twin is Setting.SINGLE_I:
+            want = _fresh_single(src, res_s if twin is Setting.SINGLE_S else res_i, policy)
+        elif twin is Setting.CAR_MATCHED or twin is Setting.CAR_UNMATCHED:
+            want = _fresh_car(src, res_s, res_i, policy)[twin is Setting.CAR_UNMATCHED]
+        else:
+            want = _series_reference(src, twin, res_s, res_i, policy, model)
+        assert type(entry.value) is float and entry.value.hex() == want.hex(), setting
+        assert entry.setting is twin and entry.method is RateMethod.EXACT_SERIES
+        assert entry.truncation_used == x_max
+        assert entry.hplus_model is (model if twin is Setting.HPLUS else None)
+        values[setting] = entry.value
+    # each multi-rate result holds its settings' entries, bit for bit
+    a_s, a_i, d_s, d_i = det_s.alpha, det_i.alpha, det_s.dark, det_i.dark
+    if kind.correlated:
+        res = car(src, a_s, a_i, d_s, d_i, policy, RateMethod.EXACT_SERIES)
+        assert [res.matched_rate.hex(), res.unmatched_rate.hex()] == [
+            values[Setting.CAR_MATCHED].hex(), values[Setting.CAR_UNMATCHED].hex()]
+        return
+    hh, hv, hp = values[Setting.HH], values[Setting.HV], values[Setting.HPLUS]
+    total = hh + hv
+    want = (hh - hv) / total if total > 0 else 1.0
+    assert visibility_exact(src, a_s, a_i, d_s, d_i, policy).visibility.hex() == want.hex()
+    vec = assemble_r(kind, mu, a_s, a_i, d_s, d_i, policy, RateMethod.EXACT_SERIES, model)
+    want = [hh if j in PARALLEL_INDICES else hv if j in CROSSED_INDICES else hp
+            for j in range(16)]
+    assert [v.hex() for v in vec.r] == [v.hex() for v in want]
+
+
+def _count_walks(monkeypatch) -> list:
+    """Record each start of a pmf walk: every walk begins at P(0)."""
+    calls = []
+    pmf0 = distributions._pmf0
+
+    def counted(source):
+        calls.append(source)
+        return pmf0(source)
+
+    monkeypatch.setattr(distributions, "_pmf0", counted)
+    return calls
+
+
+_ONE_WALK = {
+    "coincidence_rate": lambda kind, det: coincidence_rate(
+        PairSource(kind, 0.7), Setting.HH, det, det),
+    "single_rate": lambda kind, det: single_rate(PairSource(kind, 0.7), det),
+    "timebin_rate": lambda kind, det: timebin_rate(
+        kind, TimebinPort.APLUS, 0.7, det.alpha, det.alpha, det.dark, det.dark),
+    "visibility_exact": lambda kind, det: visibility_exact(
+        PairSource(kind, 0.7), det.alpha, det.alpha, det.dark, det.dark),
+    "car": lambda kind, det: car(PairSource(kind, 0.7), det.alpha, det.alpha, det.dark,
+                                 det.dark, method=RateMethod.EXACT_SERIES),
+    "assemble_r": lambda kind, det: assemble_r(kind, 0.7, det.alpha, det.alpha, det.dark,
+                                               det.dark, method=RateMethod.EXACT_SERIES),
+}
+
+
+@pytest.mark.parametrize("name", list(_ONE_WALK))
+def test_each_exact_call_walks_the_pmf_once(monkeypatch, name):
+    # one walk certifies x_max and yields the weights; the multi-rate
+    # results sum all their settings over it
+    kind = SourceKind.DIS_CORRELATED if name == "car" else SourceKind.INDIS_ENTANGLED
+    calls = _count_walks(monkeypatch)
+    for det in (DetectorModel(0.3, 1e-4), DetectorModel(0.3, 1e-4), DetectorModel(0.41)):
+        calls.clear()
+        _ONE_WALK[name](kind, det)
+        assert len(calls) == 1, (name, det)
+
+
+_CLOSED = {
+    "timebin_rate": lambda **kw: timebin_rate(
+        SourceKind.INDIS_ENTANGLED, TimebinPort.APLUS, 0.3, 0.2, 0.1,
+        method=RateMethod.CLOSED_FORM, **kw),
+    "assemble_r": lambda **kw: assemble_r(SourceKind.INDIS_ENTANGLED, 0.3, 0.2, 0.1, **kw),
+    "car": lambda **kw: car(PairSource(SourceKind.THERMAL_CORRELATED, 0.3), 0.2, 0.1,
+                            method=RateMethod.CLOSED_FORM, **kw),
+}
+
+
+@pytest.mark.parametrize("name, parameter, value", [
+    ("timebin_rate", "policy", TruncationPolicy(tail_epsilon=1e-15)),
+    ("timebin_rate", "policy", TruncationPolicy(hard_cap=3)),
+    ("timebin_rate", "hplus_model", HplusModel.INDEPENDENT),
+    ("assemble_r", "policy", TruncationPolicy(tail_epsilon=1e-15)),
+    ("assemble_r", "policy", TruncationPolicy(hard_cap=3)),
+    ("assemble_r", "hplus_model", HplusModel.INDEPENDENT),
+    ("car", "policy", TruncationPolicy(tail_epsilon=1e-15)),
+    ("car", "policy", TruncationPolicy(hard_cap=3)),
+])
+def test_the_closed_forms_refuse_the_series_parameters(name, parameter, value):
+    # the closed forms read neither parameter: a value other than the
+    # default is refused by name, where it used to be silently ignored
+    with pytest.raises(ValueError) as exc:
+        _CLOSED[name](**{parameter: value})
+    assert str(exc.value) == f"the closed forms read no {parameter}, got {parameter}={value!r}"
+    # the default, and an equal policy built apart (as the CLI builds one),
+    # are accepted; a string model is refused by the enum rule, as before
+    default = {"policy": polarization._DEFAULT_POLICY, "hplus_model": HplusModel.COHERENT}
+    assert _CLOSED[name](**{parameter: default[parameter]}) == _CLOSED[name]()
+    if parameter == "policy":
+        assert _CLOSED[name](policy=TruncationPolicy()) == _CLOSED[name]()
+    else:
+        with pytest.raises(TypeError, match="^hplus_model must be a HplusModel, got 'x'$"):
+            _CLOSED[name](hplus_model="x")
+
+
+@pytest.mark.parametrize("function", [coincidence_rate, single_rate, timebin_rate,
+                                      visibility_exact, car, assemble_r])
+def test_every_rate_defaults_to_the_one_policy_instance(function):
+    # the closed path compares against the default without building one
+    default = inspect.signature(function).parameters["policy"].default
+    assert default is polarization._DEFAULT_POLICY == TruncationPolicy()
 
 
 _TERMS = st.one_of(

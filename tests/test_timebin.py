@@ -19,7 +19,6 @@ from biphoton import (
     UnsupportedSetting,
     closed_form_rates,
     coincidence_rate,
-    series_rate,
     timebin_rate,
 )
 
@@ -75,7 +74,7 @@ def test_series_rate_of_a_timebin_setting_is_its_half_efficiency_twin(
     src = PairSource(kind, mu)
     policy = TruncationPolicy()
     det_s, det_i = DetectorModel(alphas[0], darks[0]), DetectorModel(alphas[1], darks[1])
-    got = series_rate(src, PORT_TO_TIMEBIN[port], det_s, det_i, policy, model)
+    got = coincidence_rate(src, PORT_TO_TIMEBIN[port], det_s, det_i, policy, model).value
     entry = timebin_rate(kind, port, mu, *alphas, *darks, policy=policy, hplus_model=model)
     twin = coincidence_rate(
         src, PORT_TO_SETTING[port], DetectorModel(alphas[0] / 2, darks[0]),
@@ -174,13 +173,14 @@ def test_timebin_setting_wrapper_and_validation():
 
 def test_a_closed_form_timebin_entry_records_no_hplus_model():
     # no H+ model enters the closed forms, so none is recorded, as the
-    # closed-form TomographyVector records none
+    # closed-form TomographyVector records none; they refuse any model
+    # but the default (test_the_closed_forms_refuse_the_series_parameters)
+    for port in TimebinPort:
+        entry = timebin_rate(SourceKind.INDIS_ENTANGLED, port, 0.3, 0.4, 0.4,
+                             method=RateMethod.CLOSED_FORM, hplus_model=HplusModel.COHERENT)
+        assert entry.method is RateMethod.CLOSED_FORM
+        assert entry.hplus_model is None
     for model in HplusModel:
-        for port in TimebinPort:
-            entry = timebin_rate(SourceKind.INDIS_ENTANGLED, port, 0.3, 0.4, 0.4,
-                                 method=RateMethod.CLOSED_FORM, hplus_model=model)
-            assert entry.method is RateMethod.CLOSED_FORM
-            assert entry.hplus_model is None
         exact = timebin_rate(SourceKind.INDIS_ENTANGLED, TimebinPort.APLUS, 0.3, 0.4, 0.4,
                              hplus_model=model)
         assert exact.hplus_model is model
