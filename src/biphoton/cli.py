@@ -33,7 +33,7 @@ from .oracle import X_MAX_LIMIT, enumerate_rate, mc_rate
 from .polarization import (HplusModel, RateMethod, Setting, TimebinPort, coincidence_rate,
                            timebin_rate)
 from .tomography import (
-    _concurrences,
+    _closed_form_concurrences,
     assemble_r,
     closed_form_concurrence,
     closed_form_rho,
@@ -253,14 +253,14 @@ def cmd_concurrence_curve(args) -> int:
     # all rates vanish at mu=0; the limit state is the pure Bell state
     bell = args.dark_s == 0.0 and args.dark_i == 0.0
 
-    def states():
-        for mu in mus:
-            if not (mu == 0.0 and bell):
-                _require_coincidences(args, mu)
-                yield from (assemble_r(kind, mu, *_detector_args(args)) for kind in kinds)
-
-    # every state reconstructed and graded in one stacked pass
-    graded = iter(_concurrences(states()).tolist())
+    stated = [mu for mu in mus if not (mu == 0.0 and bell)]
+    if 0.0 in stated:
+        # the sweep ascends, so only negative mus come before a 0: the first of
+        # them raises before a 0 without a state does, as one at a time
+        _closed_form_concurrences(kinds, stated[:stated.index(0.0)], *_detector_args(args))
+        _require_coincidences(args, 0.0)
+    # every state's rates formed, reconstructed and graded in one pass
+    graded = iter(_closed_form_concurrences(kinds, stated, *_detector_args(args)).tolist())
     rows = []
     for mu in mus:
         if mu == 0.0 and bell:

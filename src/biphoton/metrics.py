@@ -16,10 +16,11 @@ from .polarization import (
     Setting,
     _DEFAULT_POLICY,
     _closed_form_defaults,
+    _closed_form_inputs,
     _closed_form_mu,
+    _closed_forms,
     _exact_rates,
     _require_entangled,
-    closed_form_rates,
 )
 
 __all__ = [
@@ -76,11 +77,9 @@ class MuOptimum:
     objective: Objective
 
 
-def _ratio_metrics(r_hh: float, r_hv: float, method: RateMethod) -> VisibilityResult:
+def _visibility(r_hh: float, r_hv: float) -> float:
     total = r_hh + r_hv
-    visibility = (r_hh - r_hv) / total if total > 0 else 1.0
-    contrast = r_hh / r_hv if r_hv > 0 else math.inf
-    return VisibilityResult(visibility, contrast, method)
+    return (r_hh - r_hv) / total if total > 0 else 1.0
 
 
 def visibility_exact(
@@ -95,7 +94,8 @@ def visibility_exact(
     _require_entangled(source.kind, "visibility")
     _, (hh, hv) = _exact_rates(source, (Setting.HH, Setting.HV), DetectorModel(alpha_s, dark_s),
                                DetectorModel(alpha_i, dark_i), policy, None)
-    return _ratio_metrics(hh, hv, RateMethod.EXACT_SERIES)
+    contrast = hh / hv if hv > 0 else math.inf
+    return VisibilityResult(_visibility(hh, hv), contrast, RateMethod.EXACT_SERIES)
 
 
 def visibility_approx(kind: SourceKind, mu: float) -> VisibilityResult:
@@ -158,25 +158,23 @@ def _objective_fn(
     dark_s: float,
     dark_i: float,
     objective: Objective,
+    lo: float,
 ):
-    """The objective as a function of a list of mu: one value per mu."""
+    """The objective as a function of a list of mu: one value per mu.  The
+    visibility objectives check the arms once, with :func:`closed_form_rates`'
+    first error at the first mu, ``lo``."""
     if objective is Objective.MAX_CONCURRENCE:
         # late import keeps the module dependency one-way
-        from .tomography import _concurrences, assemble_r
+        from .tomography import _closed_form_concurrences
+        return lambda mus: _closed_form_concurrences(
+            (kind,), mus, alpha_s, alpha_i, dark_s, dark_i).tolist()
 
-        def scan(mus: list[float]) -> list[float]:
-            # every state reconstructed and graded in one stacked pass
-            states = (assemble_r(kind, mu, alpha_s, alpha_i, dark_s, dark_i) for mu in mus)
-            return _concurrences(states).tolist()
-
-        return scan
+    _, det_s, det_i = _closed_form_inputs(kind, lo, alpha_s, alpha_i, dark_s, dark_i)
 
     def f(mu: float) -> float:
-        rep = closed_form_rates(kind, mu, alpha_s, alpha_i, dark_s, dark_i)
-        v = _ratio_metrics(rep.r_hh, rep.r_hv, RateMethod.CLOSED_FORM).visibility
-        if objective is Objective.MAX_VISIBILITY:
-            return v
-        return rep.r_hh * v
+        r_hh, r_hv = _closed_forms(kind, _closed_form_mu(kind, mu), det_s, det_i)[:2]
+        v = _visibility(r_hh, r_hv)
+        return v if objective is Objective.MAX_VISIBILITY else r_hh * v
 
     return lambda mus: [f(mu) for mu in mus]
 
@@ -216,13 +214,13 @@ def optimize_mu(
 ) -> MuOptimum:
     """Maximize an objective over the mean pair number.
 
-    Every objective reads the closed-form rates: ``MAX_VISIBILITY`` and
-    ``MAX_COINCIDENCE_TIMES_VISIBILITY`` directly, ``MAX_CONCURRENCE``
-    through the states reconstructed from the rate vectors that
-    :func:`assemble_r` fills with them.
+    Every objective reads the closed-form rates, from arms checked once:
+    ``MAX_VISIBILITY`` and ``MAX_COINCIDENCE_TIMES_VISIBILITY`` directly,
+    ``MAX_CONCURRENCE`` through the states reconstructed from them.
     The bracket is first sampled on a log grid to test unimodality; for
-    ``MAX_CONCURRENCE`` the samples are reconstructed and graded in one
-    stacked pass, equal bit for bit to one state at a time.  A
+    ``MAX_CONCURRENCE`` the samples' rates are formed in one array pass
+    and their states reconstructed and graded in one stacked pass, equal
+    bit for bit to one state at a time.  A
     unimodal profile is refined by golden-section search on log(mu) to
     ``_LOG_MU_TOL`` = 1e-6 relative accuracy; endpoints are returned
     exactly when they win (monotone objectives).  A scan that peaks at an
@@ -239,10 +237,10 @@ def optimize_mu(
     if not (0 < lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"mu_range must satisfy 0 < lo < hi, got {mu_range}")
     _check_count("samples", samples, 3)
-    scan = _objective_fn(kind, alpha_s, alpha_i, dark_s, dark_i, objective)
     log_lo, log_hi = math.log(lo), math.log(hi)
     grid = [math.exp(log_lo + (log_hi - log_lo) * j / (samples - 1)) for j in range(samples)]
     grid[0], grid[-1] = lo, hi
+    scan = _objective_fn(kind, alpha_s, alpha_i, dark_s, dark_i, objective, lo)
     ys = scan(grid)
 
     peak = max(range(samples), key=lambda j: ys[j])

@@ -154,6 +154,8 @@ _CLOSED_FORM_MU_MAX = 1e150
 
 def _closed_form_mu(kind: SourceKind, mu) -> float:
     """mu as :class:`PairSource` checks and stores it, within the closed forms' domain."""
+    if isinstance(kind, SourceKind) and type(mu) is float and 0 <= mu <= _CLOSED_FORM_MU_MAX:
+        return mu  # what PairSource holds, without building one
     mu = PairSource(kind, mu).mu
     if mu > _CLOSED_FORM_MU_MAX:
         raise CapExceeded(f"the closed forms hold for mu <= {_CLOSED_FORM_MU_MAX:g}, got mu={mu!r}")
@@ -615,11 +617,25 @@ def closed_form_rates(
     floats; mu above the closed forms' finite domain raises
     :class:`CapExceeded`.
     """
+    return RateReport(*_closed_forms(kind, *_closed_form_inputs(kind, mu, alpha_s, alpha_i,
+                                                               dark_s, dark_i)))
+
+
+def _closed_form_inputs(kind: SourceKind, mu, alpha_s, alpha_i, dark_s, dark_i) -> tuple:
+    """(mu, det_s, det_i) checked in the order, and with the messages, of
+    :func:`closed_form_rates`."""
     mu = _closed_form_mu(kind, mu)
     det_s, det_i = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
-    alpha_s, dark_s, alpha_i, dark_i = det_s.alpha, det_s.dark, det_i.alpha, det_i.dark
     _require_entangled(kind, "closed-form polarization rates")
-    acc = (mu * alpha_s / 2 + dark_s) * (mu * alpha_i / 2 + dark_i)
+    return mu, det_s, det_i
+
+
+def _closed_forms(kind: SourceKind, mu, det_s: DetectorModel, det_i: DetectorModel) -> tuple:
+    """The fields of :func:`closed_form_rates` from checked inputs; ``mu`` a float or
+    a float64 array, whose every element gets the float's IEEE operations, bit for bit."""
+    alpha_s, dark_s, alpha_i, dark_i = det_s.alpha, det_s.dark, det_i.alpha, det_i.dark
+    single_s, single_i = mu * alpha_s / 2 + dark_s, mu * alpha_i / 2 + dark_i
+    acc = single_s * single_i
     if kind is SourceKind.DIS_ENTANGLED:
         r_hh = mu * alpha_s * alpha_i / 2 + acc
         r_hv = acc
@@ -629,10 +645,4 @@ def closed_form_rates(
         r_hh = alpha_s * alpha_i * (mu * mu / 2 + mu / 2) + dark
         r_hv = mu * mu * alpha_s * alpha_i / 4 + dark
         r_hplus = alpha_s * alpha_i * (3 * mu * mu / 8 + mu / 4) + dark
-    return RateReport(
-        r_hh=r_hh,
-        r_hv=r_hv,
-        r_hplus=r_hplus,
-        single_s=mu * alpha_s / 2 + dark_s,
-        single_i=mu * alpha_i / 2 + dark_i,
-    )
+    return r_hh, r_hv, r_hplus, single_s, single_i

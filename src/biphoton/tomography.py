@@ -25,6 +25,7 @@ from .polarization import (
     _DEFAULT_POLICY,
     _closed_form_defaults,
     _closed_form_mu,
+    _closed_forms,
     _exact_rates,
     _require_entangled,
     closed_form_rates,
@@ -95,12 +96,12 @@ class TomographyVector:
         object.__setattr__(self, "r", tuple(_checked_rates(self.r).tolist()))
 
 
-def _checked_rates(r) -> np.ndarray:
-    """The 16 projection rates as a float array, each finite and >= 0."""
+def _checked_rates(r, rows: int | None = None) -> np.ndarray:
+    """The 16 projection rates, or ``rows`` rows of them, as floats, each finite and >= 0."""
     rv = np.asarray(r, dtype=float)
-    if rv.shape != (16,):
+    if rv.shape != ((16,) if rows is None else (rows, 16)):
         raise ValueError(f"expected 16 rates, got shape {rv.shape}")
-    if not 0 <= rv.min() <= rv.max() < math.inf:  # False for NaN too
+    if not 0 <= rv.min(initial=0.0) <= rv.max(initial=0.0) < math.inf:  # False for NaN too
         raise ValueError("rates must be finite and >= 0")
     return rv
 
@@ -142,8 +143,8 @@ class DensityMatrix:
         """Serializable form: basis labels plus real/imaginary parts, row-major."""
         return {
             "basis": list(BASIS_LABELS),
-            "re": [[float(v.real) for v in row] for row in self.matrix],
-            "im": [[float(v.imag) for v in row] for row in self.matrix],
+            "re": self.matrix.real.tolist(),
+            "im": self.matrix.imag.tolist(),
         }
 
 
@@ -363,21 +364,37 @@ def _wootters(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.maximum(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0)
 
 
-def _concurrences(vectors) -> np.ndarray:
-    """C of each :class:`TomographyVector` of an iterable, in one stacked pass.
+# the column of (R_HH, R_HV, R_H+) that each table position takes
+_COLUMN = tuple(0 if j in PARALLEL_INDICES else 1 if j in CROSSED_INDICES else 2
+                for j in range(16))
 
-    As one state at a time: when building a vector fails, the states
-    built before it are reconstructed first, so one of them that is not
-    physical raises first.
+
+def _closed_form_concurrences(kinds: tuple, mus: list, alpha_s, alpha_i, dark_s=0.0, dark_i=0.0):
+    """C of the closed-form state of each of ``kinds`` at each mu, kinds innermost:
+    value by value and error by error, ``concurrence(reconstruct(assemble_r(kind,
+    mu, alpha_s, ...)))`` in a loop over mu, then kind.  The arms are checked once,
+    each state's kind and mu as ``assemble_r`` checks them; the rates are formed in
+    one array pass, the states graded in one more, and when a state's inputs fail,
+    the states before it are graded before the error raises.
     """
-    rates = []
+    arms, states, error = None, [], None  # states: the checked mu of each state
     try:
-        for vec in vectors:
-            rates.append(vec.r)
-    except Exception:
-        _states(rates)
-        raise
-    _, _, w, v = _states(rates)
+        for m in mus:
+            for kind in kinds:
+                _check_member("kind", kind, SourceKind)
+                _require_entangled(kind, "tomography")
+                checked = _closed_form_mu(kind, m)
+                arms = arms or (DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i))
+                states.append(checked)
+    except Exception as exc:
+        error = exc
+    mu, step = np.array(states, dtype=float), len(kinds)
+    rates = np.empty((3, len(mu)))
+    for j, kind in enumerate(kinds[: len(mu)]):
+        rates[:, j::step] = _closed_forms(kind, mu[j::step], *arms)[:3]
+    _, _, w, v = _states(_checked_rates(rates.T.take(_COLUMN, axis=1), len(mu)))
+    if error is not None:
+        raise error
     return _wootters(w, v)
 
 

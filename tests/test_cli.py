@@ -15,7 +15,6 @@ from biphoton import (
     RateMethod,
     Setting,
     SourceKind,
-    TomographyVector,
     TruncationPolicy,
     assemble_r,
     closed_form_rates,
@@ -23,7 +22,7 @@ from biphoton import (
     concurrence,
     reconstruct,
 )
-from biphoton import cli
+from biphoton import cli, tomography
 from biphoton.cli import _build_parser, main
 
 
@@ -217,7 +216,8 @@ def test_concurrence_curve_rows_equal_one_state_at_a_time(capsys, grid, dets):
     assert (float(rows[0][0]) == 0.0) == grid.startswith("0:")
 
 
-_NOT_PSD = TomographyVector((1.0,) + (0.0,) * 15, RateMethod.CLOSED_FORM)
+# R_HH = 1 with R_HV = R_H+ = 0 reconstructs to a state with eigenvalue -1
+_NOT_PSD = (1.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(("grid", "unphysical", "message"), [
@@ -231,12 +231,14 @@ _NOT_PSD = TomographyVector((1.0,) + (0.0,) * 15, RateMethod.CLOSED_FORM)
 def test_concurrence_curve_raises_the_error_of_the_first_failing_mu(
     capsys, monkeypatch, grid, unphysical, message
 ):
-    real = cli.assemble_r
+    real = tomography._closed_forms
 
-    def assemble(kind, mu, *dets):
-        return _NOT_PSD if mu == unphysical else real(kind, mu, *dets)
+    def forms(kind, mu, *arms):
+        rates = real(kind, mu, *arms)
+        bad = mu == unphysical
+        return (*(np.where(bad, x, r) for x, r in zip(_NOT_PSD, rates)), *rates[3:])
 
-    monkeypatch.setattr(cli, "assemble_r", assemble)
+    monkeypatch.setattr(tomography, "_closed_forms", forms)
     code, out, err = _run(capsys, ["concurrence-curve", "--mu-range", grid, "--dark-i", "1e-3"])
     assert code == 2 and not out
     assert message in err

@@ -427,12 +427,16 @@ def test_max_concurrence_search_equals_one_state_at_a_time(kind, dets, mu_range,
 def test_max_concurrence_search_of_a_bracket_that_is_not_unimodal(monkeypatch):
     # mu is folded back and forth onto [1e-3, 1e-1], where C falls with
     # mu, so the profile peaks at each return to 1e-3
-    real = tomography.assemble_r
+    real = polarization._closed_forms
+    fold = lambda mu: 10.0 ** (-3.0 + 2.0 * abs(math.sin(math.log(mu))))
 
-    def folded(kind, mu, *dets):
-        return real(kind, 10.0 ** (-3.0 + 2.0 * abs(math.sin(math.log(mu)))), *dets)
+    def folded(kind, mu, *arms):
+        mu = np.array([fold(m) for m in mu.tolist()]) if isinstance(mu, np.ndarray) else fold(mu)
+        return real(kind, mu, *arms)
 
-    monkeypatch.setattr(tomography, "assemble_r", folded)
+    # the search's stacked states and the reference's one-state rates
+    for module in (tomography, polarization):
+        monkeypatch.setattr(module, "_closed_forms", folded)
     dets = (0.1, 0.1, 1e-5, 1e-5)
     res = optimize_mu(SourceKind.INDIS_ENTANGLED, *dets, Objective.MAX_CONCURRENCE,
                       (1e-4, 1e4), 65)
@@ -470,18 +474,18 @@ def test_optimize_mu_equals_the_full_search_bit_for_bit(kind, objective, dets, l
     assert res == _full_search(kind, dets, objective, mu_range, samples)
 
 
-def _record_mus(monkeypatch, objective) -> list:
+def _record_mus(monkeypatch) -> list:
     """Every mu at which optimize_mu evaluates the objective, in order."""
     mus = []
-    module, name = ((tomography, "assemble_r") if objective is Objective.MAX_CONCURRENCE
-                    else (metrics, "closed_form_rates"))
-    real = getattr(module, name)
+    real = polarization._closed_forms
 
-    def recorded(kind, mu, *args):
-        mus.append(mu)
-        return real(kind, mu, *args)
+    def recorded(kind, mu, *arms):
+        mus.extend(mu.tolist() if isinstance(mu, np.ndarray) else [mu])
+        return real(kind, mu, *arms)
 
-    monkeypatch.setattr(module, name, recorded)
+    # the two modules whose objectives read the closed forms
+    for module in (metrics, tomography):
+        monkeypatch.setattr(module, "_closed_forms", recorded)
     return mus
 
 
@@ -493,7 +497,7 @@ def _record_mus(monkeypatch, objective) -> list:
 ])
 def test_a_monotone_profile_costs_the_scan_and_one_probe(monkeypatch, kind, dets, objective,
                                                         mu_range, samples):
-    mus = _record_mus(monkeypatch, objective)
+    mus = _record_mus(monkeypatch)
     res = optimize_mu(kind, *dets, objective, mu_range, samples)
     assert res.unimodal and res.mu in mu_range
     assert len(mus) == samples + 1
@@ -520,7 +524,7 @@ def test_the_probe_stays_inside_a_bracket_narrower_than_its_step(monkeypatch, ob
                                                                mu_range):
     # each bracket is 1e-9 wide in log(mu), below _LOG_MU_TOL; an unclamped
     # probe would read the objective outside it at one end or the other
-    mus = _record_mus(monkeypatch, objective)
+    mus = _record_mus(monkeypatch)
     res = optimize_mu(kind, 0.3, 0.2, 1e-3, 1e-2, objective, mu_range, 5)
     assert mu_range[0] <= res.mu <= mu_range[1]
     assert all(mu_range[0] <= mu <= mu_range[1] for mu in mus)
@@ -539,7 +543,7 @@ def test_a_profile_flat_to_rounding_returns_its_peak_sample_unconfirmed(monkeypa
     # unimodal False, and neither a probe nor a golden section runs
     kind, samples = SourceKind.INDIS_ENTANGLED, 3
     ref = _full_search(kind, dets, objective, mu_range, samples)
-    mus = _record_mus(monkeypatch, objective)
+    mus = _record_mus(monkeypatch)
     res = optimize_mu(kind, *dets, objective, mu_range, samples)
     assert res == ref
     assert not res.unimodal

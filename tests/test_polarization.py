@@ -335,6 +335,53 @@ def test_closed_form_rejects_unphysical_detectors():
         assert closed_form_rates(kind, 0.1, 0.0, 1.0, 0.0, 0.5).r_hv >= 0.0
 
 
+def _pair_source_mu(kind, mu):
+    """What _closed_form_mu returns or raises, from PairSource alone."""
+    try:
+        held = PairSource(kind, mu).mu
+        if held > polarization._CLOSED_FORM_MU_MAX:
+            return CapExceeded, f"the closed forms hold for mu <= 1e+150, got mu={held!r}"
+        return held.hex()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("kind", [*ENTANGLED, SourceKind.THERMAL_CORRELATED, "dis-entangled"])
+@pytest.mark.parametrize("mu", [0.0, -0.0, 5e-324, 0.3, 1e150, math.nextafter(1e150, math.inf),
+                                math.inf, math.nan, -1e-300, np.float64(0.3), np.float32(0.3), 2,
+                                Fraction(1, 3), True, "0.3"])
+def test_the_closed_forms_mu_is_what_pair_source_holds(kind, mu):
+    # the float shortcut returns what the PairSource path returns, -0.0 too
+    try:
+        got = polarization._closed_form_mu(kind, mu).hex()
+    except Exception as exc:
+        got = type(exc), str(exc)
+    assert got == _pair_source_mu(kind, mu)
+
+
+_CLOSED_DARK = st.one_of(st.just(0.0), st.floats(1e-9, 0.5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(ENTANGLED),
+    mus=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e150),
+                           st.floats(-9.0, 2.0).map(lambda e: 10.0**e)), min_size=1, max_size=20),
+    alphas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    darks=st.tuples(_CLOSED_DARK, _CLOSED_DARK),
+)
+def test_the_array_closed_forms_equal_closed_form_rates_bit_for_bit(kind, mus, alphas, darks):
+    # one float64 array pass gives each element the float that the scalar
+    # forms give, in every field, signed zeros included
+    det_s, det_i = DetectorModel(alphas[0], darks[0]), DetectorModel(alphas[1], darks[1])
+    columns = polarization._closed_forms(kind, np.array(mus), det_s, det_i)
+    fields = ("r_hh", "r_hv", "r_hplus", "single_s", "single_i")
+    for k, mu in enumerate(mus):
+        rep = closed_form_rates(kind, mu, alphas[0], alphas[1], *darks)
+        for field, column in zip(fields, columns):
+            assert column[k].item().hex() == getattr(rep, field).hex(), (field, mu)
+
+
 def test_series_limits():
     det = DetectorModel(0.1)
     rate = coincidence_rate(

@@ -35,7 +35,7 @@ from biphoton.tomography import (
     PAULI_BASIS,
     PROJECTION_STATES,
     _DUAL,
-    _concurrences,
+    _closed_form_concurrences,
     _states,
     _wootters,
 )
@@ -352,6 +352,26 @@ def test_density_matrix_json_round_trip():
     assert np.max(np.abs(back - rho.matrix)) == 0.0
 
 
+
+def test_density_matrix_json_parts_are_its_entries_with_the_sign_of_zero():
+    # the parts come from the arrays' tolist(): plain floats equal to each
+    # entry's real and imaginary part, a negative zero kept negative
+    states = [closed_form_rho(kind, mu) for kind in ENTANGLED for mu in (0.0, 0.4, 3.0)]
+    states += [reconstruct(assemble_r(kind, mu, 0.3, 0.1, 1e-5, 2e-4))
+               for kind in ENTANGLED for mu in (1e-6, 0.7)]
+    states.append(DensityMatrix(BELL.conj()))  # every imaginary part -0.0
+    signs = set()
+    for rho in states:
+        d = rho.to_json_dict()
+        for part, key in (("real", "re"), ("imag", "im")):
+            want = [[float(getattr(v, part)) for v in row] for row in rho.matrix]
+            assert all(type(v) is float for row in d[key] for v in row)
+            assert [[v.hex() for v in row] for row in d[key]] == [[v.hex() for v in row]
+                                                                 for row in want]
+            signs |= {math.copysign(1.0, v) for row in want for v in row if v == 0.0}
+    assert signs == {-1.0, 1.0}
+
+
 # ---------------------------------------------------- exact references
 
 def _fractions(z: complex) -> tuple[Fraction, Fraction]:
@@ -599,8 +619,6 @@ def _assert_rows_equal_one_at_a_time(rows) -> np.ndarray:
         assert np.array_equal(rho.matrix, m[k]), k
         assert rho.psd_clip == clip[k], k
         assert concurrence(rho) == c[k], k
-    vectors = (TomographyVector(r, RateMethod.CLOSED_FORM) for r in rows)
-    assert np.array_equal(_concurrences(vectors), c)
     return clip
 
 
@@ -620,7 +638,10 @@ def test_a_stack_with_clipped_rows_equals_its_rows_bit_for_bit():
 
 
 def test_an_empty_stack_grades_nothing():
-    assert _concurrences([]).shape == (0,)
+    assert _wootters(*_states([])[2:]).shape == (0,)
+    # an empty sweep checks no arm, as a loop over no state would
+    for kinds, mus in ((ENTANGLED, []), ((), [0.1])):
+        assert _closed_form_concurrences(kinds, mus, 1.5, 0.1).shape == (0,)
 
 
 _NOT_PSD = [1.0] + [0.0] * 15  # the first dual-frame element alone
@@ -643,24 +664,103 @@ def test_a_stack_raises_the_error_of_its_first_unphysical_row():
             with pytest.raises(NotPhysical) as stacked:
                 _states(rows)
             assert str(stacked.value) == str(alone.value), k
-            with pytest.raises(NotPhysical) as graded:
-                _concurrences(TomographyVector(r, RateMethod.CLOSED_FORM) for r in rows[:-1])
-            assert str(graded.value) == str(alone.value), k
     # a row that is not finite and >= 0 is refused before any stack holds it
     for refuse in (reconstruct, lambda r: TomographyVector(r, RateMethod.CLOSED_FORM)):
         with pytest.raises(ValueError, match="^rates must be finite and >= 0$"):
             refuse([math.nan] * 16)
 
 
-def test_a_failing_vector_grades_the_states_built_before_it_first():
-    def vectors(failing_mu):
-        for mu in (0.1, 0.2, 0.3):
-            if mu == failing_mu:
-                raise OverflowError(f"no vector at mu {mu}")
-            yield TomographyVector(_NOT_PSD if mu == 0.2 else assemble_r(
-                SourceKind.DIS_ENTANGLED, mu, 0.1, 0.1).r, RateMethod.CLOSED_FORM)
+# ------------------------------------------------------ closed-form sweeps
 
-    with pytest.raises(NotPhysical, match="positivity"):
-        _concurrences(vectors(0.3))
-    with pytest.raises(OverflowError, match="mu 0.2"):
-        _concurrences(vectors(0.2))
+def _one_state_at_a_time(kinds, mus, *arms) -> list[float]:
+    """C of each state of a sweep, mu outermost, from assemble_r one state at
+    a time; when building a state fails, those built before it are
+    reconstructed first."""
+    vectors = []
+    try:
+        for mu in mus:
+            for kind in kinds:
+                vectors.append(assemble_r(kind, mu, *arms))
+    except Exception:
+        for vec in vectors:
+            reconstruct(vec)
+        raise
+    return [concurrence(reconstruct(vec)) for vec in vectors]
+
+
+def _outcome(f):
+    """The floats f returns, as hex strings, or the type and message it raises."""
+    try:
+        return [v.hex() for v in f()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_sweep_is_one_state_at_a_time(kinds, mus, *arms):
+    want = _outcome(lambda: _one_state_at_a_time(kinds, mus, *arms))
+    assert _outcome(lambda: _closed_form_concurrences(kinds, mus, *arms).tolist()) == want
+    return want
+
+
+_SWEEP_KINDS = st.sampled_from([ENTANGLED, ENTANGLED[::-1], ENTANGLED[:1], ENTANGLED[1:]])
+_SWEEP_MU = st.one_of(st.floats(-9.0, math.log10(5.0)).map(lambda e: 10.0**e),
+                      st.sampled_from((0.0, 2.0, 1e150)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds=_SWEEP_KINDS, mus=st.lists(_SWEEP_MU, max_size=12),
+       alphas=st.tuples(_ALPHA, _ALPHA), darks=st.tuples(_DARK, _DARK))
+def test_a_closed_form_sweep_equals_its_states_one_at_a_time(kinds, mus, alphas, darks):
+    # each C of the one array pass is that of its state alone, bit for bit;
+    # a mu of 0 without darks has no state, and both raise its error
+    _assert_sweep_is_one_state_at_a_time(kinds, mus, *alphas, *darks)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, math.nextafter(1e150, math.inf), 1e200,
+                                 True, "0.5"])
+@pytest.mark.parametrize("k", range(4))
+def test_a_sweep_whose_kth_mu_fails_raises_what_the_loop_raises(bad, k):
+    mus = [0.01, 0.3, 1.0, 4.0]
+    mus[k] = bad
+    outcome = _assert_sweep_is_one_state_at_a_time(ENTANGLED, mus, 0.2, 0.1, 1e-5, 2e-4)
+    assert isinstance(outcome, tuple), outcome
+    # a state before the failing mu that is not physical raises first
+    mus = [0.0] + mus
+    outcome = _assert_sweep_is_one_state_at_a_time(ENTANGLED, mus, 0.2, 0.1)
+    assert outcome[0] is NotPhysical
+
+
+def test_a_sweep_of_other_real_types_equals_the_loop():
+    # an int, a Fraction or a numpy float is checked state by state and
+    # held as its float
+    mus = [1, Fraction(1, 3), np.float64(0.7), np.float32(0.25), 0.5]
+    outcome = _assert_sweep_is_one_state_at_a_time(ENTANGLED, mus, 0.2, 0.1, 1e-5, 2e-4)
+    assert len(outcome) == 10
+
+
+@pytest.mark.parametrize(("arms", "message"), [
+    ((1.5, 0.1, 0.0, 0.0), r"alpha must lie in \[0, 1\]"),
+    ((0.2, math.nan, 0.0, 0.0), r"alpha must lie in \[0, 1\]"),
+    ((0.2, 0.1, 1.0, 0.0), r"dark must lie in \[0, 1\)"),
+    ((0.2, True, 0.0, 0.0), "alpha must be a real number"),
+])
+def test_a_sweep_with_a_bad_arm_raises_what_the_loop_raises(arms, message):
+    for mus in ([0.01, 0.3], [-1.0, 0.3], [0.3, math.nan]):
+        outcome = _assert_sweep_is_one_state_at_a_time(ENTANGLED, mus, *arms)
+        assert isinstance(outcome, tuple), outcome
+    with pytest.raises((ValueError, TypeError), match=message):
+        _closed_form_concurrences(ENTANGLED, [0.01, 0.3], *arms)
+
+
+@pytest.mark.parametrize("kinds", [
+    (SourceKind.DIS_ENTANGLED, SourceKind.DIS_CORRELATED),
+    (SourceKind.THERMAL_CORRELATED,),
+    (SourceKind.INDIS_ENTANGLED, "dis-entangled"),
+])
+def test_a_sweep_of_a_kind_without_a_state_raises_what_the_loop_raises(kinds):
+    for mus, arms in (([0.3, 1.0], (0.2, 0.1, 1e-5, 0.0)), ([-1.0], (0.2, 0.1)),
+                      ([0.0, 0.3], (0.2, 0.1)), ([0.3], (1.5, 0.1))):
+        outcome = _assert_sweep_is_one_state_at_a_time(kinds, mus, *arms)
+        assert isinstance(outcome, tuple), outcome
+    with pytest.raises((UnsupportedSetting, TypeError), match="tomography is undefined|kind must"):
+        _closed_form_concurrences(kinds, [0.3], 0.2, 0.1)
