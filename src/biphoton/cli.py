@@ -255,11 +255,9 @@ def cmd_concurrence_curve(args) -> int:
 
     stated = [mu for mu in mus if not (mu == 0.0 and bell)]
     if 0.0 in stated:
-        # the sweep ascends, so only negative mus come before a 0: the first of
-        # them raises before a 0 without a state does, as one at a time
-        _closed_form_concurrences(kinds, stated[:stated.index(0.0)], *_detector_args(args))
         _require_coincidences(args, 0.0)
-    # every state's rates formed, reconstructed and graded in one pass
+    # every input checked, then every state's rates formed, reconstructed and
+    # graded in one pass; an empty sweep still checks the arms
     graded = iter(_closed_form_concurrences(kinds, stated, *_detector_args(args)).tolist())
     rows = []
     for mu in mus:

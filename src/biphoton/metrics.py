@@ -16,7 +16,6 @@ from .polarization import (
     Setting,
     _DEFAULT_POLICY,
     _closed_form_defaults,
-    _closed_form_inputs,
     _closed_form_mu,
     _closed_forms,
     _exact_rates,
@@ -158,25 +157,27 @@ def _objective_fn(
     dark_s: float,
     dark_i: float,
     objective: Objective,
-    lo: float,
 ):
-    """The objective as a function of a list of mu: one value per mu.  The
-    visibility objectives check the arms once, with :func:`closed_form_rates`'
-    first error at the first mu, ``lo``."""
+    """The objective as a function of a list of mu: one value per mu.  The arms,
+    then the kind, are checked before any mu: once, here, for the visibility
+    objectives, and for ``MAX_CONCURRENCE`` by each list's sweep; every mu of a
+    list is checked before any value."""
     if objective is Objective.MAX_CONCURRENCE:
         # late import keeps the module dependency one-way
         from .tomography import _closed_form_concurrences
         return lambda mus: _closed_form_concurrences(
             (kind,), mus, alpha_s, alpha_i, dark_s, dark_i).tolist()
 
-    _, det_s, det_i = _closed_form_inputs(kind, lo, alpha_s, alpha_i, dark_s, dark_i)
+    det_s, det_i = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
+    _check_member("kind", kind, SourceKind)
+    _require_entangled(kind, "closed-form polarization rates")
 
     def f(mu: float) -> float:
-        r_hh, r_hv = _closed_forms(kind, _closed_form_mu(kind, mu), det_s, det_i)[:2]
+        r_hh, r_hv = _closed_forms(kind, mu, det_s, det_i)[:2]
         v = _visibility(r_hh, r_hv)
         return v if objective is Objective.MAX_VISIBILITY else r_hh * v
 
-    return lambda mus: [f(mu) for mu in mus]
+    return lambda mus: [f(mu) for mu in [_closed_form_mu(kind, m) for m in mus]]
 
 
 _LOG_MU_TOL = 1e-6  # golden-section stop: a width in log(mu), so relative in mu
@@ -214,7 +215,10 @@ def optimize_mu(
 ) -> MuOptimum:
     """Maximize an objective over the mean pair number.
 
-    Every objective reads the closed-form rates, from arms checked once:
+    Every input is checked before anything is computed: the objective,
+    ``mu_range`` and ``samples``, then both arms, then the kind; the mus
+    of the scan, and each later point, before any of their values.
+    Every objective reads the closed-form rates:
     ``MAX_VISIBILITY`` and ``MAX_COINCIDENCE_TIMES_VISIBILITY`` directly,
     ``MAX_CONCURRENCE`` through the states reconstructed from them.
     The bracket is first sampled on a log grid to test unimodality; for
@@ -240,7 +244,7 @@ def optimize_mu(
     log_lo, log_hi = math.log(lo), math.log(hi)
     grid = [math.exp(log_lo + (log_hi - log_lo) * j / (samples - 1)) for j in range(samples)]
     grid[0], grid[-1] = lo, hi
-    scan = _objective_fn(kind, alpha_s, alpha_i, dark_s, dark_i, objective, lo)
+    scan = _objective_fn(kind, alpha_s, alpha_i, dark_s, dark_i, objective)
     ys = scan(grid)
 
     peak = max(range(samples), key=lambda j: ys[j])

@@ -617,17 +617,10 @@ def closed_form_rates(
     floats; mu above the closed forms' finite domain raises
     :class:`CapExceeded`.
     """
-    return RateReport(*_closed_forms(kind, *_closed_form_inputs(kind, mu, alpha_s, alpha_i,
-                                                               dark_s, dark_i)))
-
-
-def _closed_form_inputs(kind: SourceKind, mu, alpha_s, alpha_i, dark_s, dark_i) -> tuple:
-    """(mu, det_s, det_i) checked in the order, and with the messages, of
-    :func:`closed_form_rates`."""
     mu = _closed_form_mu(kind, mu)
     det_s, det_i = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
     _require_entangled(kind, "closed-form polarization rates")
-    return mu, det_s, det_i
+    return RateReport(*_closed_forms(kind, mu, det_s, det_i))
 
 
 def _closed_forms(kind: SourceKind, mu, det_s: DetectorModel, det_i: DetectorModel) -> tuple:

@@ -68,6 +68,9 @@ PROJECTION_STATES: tuple[tuple[str, str], ...] = (
 # every remaining position takes the mixed-basis rate.
 PARALLEL_INDICES: tuple[int, ...] = (0, 2, 9, 15)
 CROSSED_INDICES: tuple[int, ...] = (1, 3)
+# the column of (R_HH, R_HV, R_H+) that each table position takes
+_COLUMN = tuple(0 if j in PARALLEL_INDICES else 1 if j in CROSSED_INDICES else 2
+                for j in range(16))
 
 BASIS_LABELS: tuple[str, ...] = ("HH", "HV", "VH", "VV")
 
@@ -176,12 +179,7 @@ def assemble_r(
         model = hplus_model
     else:
         raise ValueError(f"unsupported tomography method {method}")
-    r = [hp] * 16
-    for j in PARALLEL_INDICES:
-        r[j] = hh
-    for j in CROSSED_INDICES:
-        r[j] = hv
-    return TomographyVector(tuple(r), method, model)
+    return TomographyVector(tuple((hh, hv, hp)[c] for c in _COLUMN), method, model)
 
 
 def _pauli_basis() -> list[np.ndarray]:
@@ -229,7 +227,8 @@ def _validated(m: np.ndarray) -> tuple[np.ndarray, ...]:
     ``eigh`` for all, a fresh one for clipped rows only.  Each check
     reduces the whole stack once, so one row costs about what one 4x4
     check costs, and reports the stack's worst value, which for one row
-    is that row's: :func:`_states` owns the error order of a stack.
+    is that row's.  A stack's inputs are all checked before it is formed,
+    so a failing check refuses the whole stack and grades no row.
     """
     if not np.isfinite(m).all():
         raise NotPhysical("matrix has non-finite entries")
@@ -274,23 +273,6 @@ def _reconstructed(rv: np.ndarray) -> tuple[np.ndarray, ...]:
     return _validated(rho / tr[:, None, None])
 
 
-def _states(rates) -> tuple[np.ndarray, ...]:
-    """:func:`_reconstructed` of a stack of checked 16-rate rows, failing as row by row.
-
-    A check of the whole stack reports its worst row, and a row before
-    that one can fail a later check, so on any error the rows run alone,
-    in order, and the first that fails raises its own error.
-    """
-    rv = np.asarray(rates, dtype=float).reshape(-1, 16)
-    try:
-        return _reconstructed(rv)
-    except ValueError:
-        if len(rv) > 1:
-            for k in range(len(rv)):
-                _reconstructed(rv[k : k + 1])
-        raise
-
-
 def reconstruct(r) -> DensityMatrix:
     """Linear-inversion tomography of the 16 projection rates.
 
@@ -304,7 +286,7 @@ def reconstruct(r) -> DensityMatrix:
     """
     rv = _checked_rates(r.r if isinstance(r, TomographyVector) else r)
     dm = DensityMatrix.__new__(DensityMatrix)
-    dm._keep(*_states(rv))
+    dm._keep(*_reconstructed(rv[None]))
     return dm
 
 
@@ -364,37 +346,22 @@ def _wootters(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.maximum(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0)
 
 
-# the column of (R_HH, R_HV, R_H+) that each table position takes
-_COLUMN = tuple(0 if j in PARALLEL_INDICES else 1 if j in CROSSED_INDICES else 2
-                for j in range(16))
-
-
 def _closed_form_concurrences(kinds: tuple, mus: list, alpha_s, alpha_i, dark_s=0.0, dark_i=0.0):
-    """C of the closed-form state of each of ``kinds`` at each mu, kinds innermost:
-    value by value and error by error, ``concurrence(reconstruct(assemble_r(kind,
-    mu, alpha_s, ...)))`` in a loop over mu, then kind.  The arms are checked once,
-    each state's kind and mu as ``assemble_r`` checks them; the rates are formed in
-    one array pass, the states graded in one more, and when a state's inputs fail,
-    the states before it are graded before the error raises.
+    """C of the closed-form state of each of ``kinds`` at each mu, kinds innermost,
+    each ``concurrence(reconstruct(assemble_r(kind, mu, alpha_s, ...)))`` bit for bit.
+    Every input is checked, with ``assemble_r``'s messages, before anything is
+    computed: both arms, then each kind, then each state's mu.  The rates are then
+    formed in one array pass and the states graded in one more.
     """
-    arms, states, error = None, [], None  # states: the checked mu of each state
-    try:
-        for m in mus:
-            for kind in kinds:
-                _check_member("kind", kind, SourceKind)
-                _require_entangled(kind, "tomography")
-                checked = _closed_form_mu(kind, m)
-                arms = arms or (DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i))
-                states.append(checked)
-    except Exception as exc:
-        error = exc
-    mu, step = np.array(states, dtype=float), len(kinds)
+    arms = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
+    for kind in kinds:
+        _check_member("kind", kind, SourceKind)
+        _require_entangled(kind, "tomography")
+    mu, step = np.array([_closed_form_mu(kind, m) for m in mus for kind in kinds]), len(kinds)
     rates = np.empty((3, len(mu)))
-    for j, kind in enumerate(kinds[: len(mu)]):
+    for j, kind in enumerate(kinds):
         rates[:, j::step] = _closed_forms(kind, mu[j::step], *arms)[:3]
-    _, _, w, v = _states(_checked_rates(rates.T.take(_COLUMN, axis=1), len(mu)))
-    if error is not None:
-        raise error
+    _, _, w, v = _reconstructed(_checked_rates(rates.T.take(_COLUMN, axis=1), len(mu)))
     return _wootters(w, v)
 
 

@@ -120,6 +120,10 @@ _CLOSED_TIMEBIN = ["timebin", "--source", "dis-entangled", "--method", "closed"]
     ["timebin", "--source", "dis-entangled", "--mu", "-1e-3"],
     ["car", "--source", "dis-correlated", "--mu", "0.1", "--dark-s", "-1e-4"],
     ["concurrence-curve", "--mu", "0.1", "--alpha-s", "-inf"],
+    # with both darks at 0 the mu = 0 row is the Bell limit, which reads no
+    # arm, but the arms are checked before any row
+    ["concurrence-curve", "--mu", "0", "--alpha-s", "nan"],
+    ["concurrence-curve", "--mu", "0", "--alpha-s", "1.5"],
 ])
 def test_invalid_mu_exits_2_with_nothing_on_stdout(argv):
     code, out, err = _capture(argv)
@@ -223,12 +227,13 @@ _NOT_PSD = (1.0, 0.0, 0.0)
 @pytest.mark.parametrize(("grid", "unphysical", "message"), [
     # mu = 0 with a zero dark count fails before a later unphysical state
     ("0:1:3", 0.5, "at mu = 0 with --dark-s 0 every coincidence rate is 0"),
-    # an unphysical state fails before a later mu outside the closed forms
-    ("1:1e200:3", 1.0, "below positivity tolerance"),
-    # and a mu outside the closed forms before a later unphysical state
+    # every mu is checked before any state is graded: a mu outside the
+    # closed forms fails before an earlier unphysical state
+    ("1:1e200:3", 1.0, "the closed forms hold for mu <= 1e+150, got mu=5e+199"),
+    # and before a later one
     ("1:1e200:3", 1e200, "the closed forms hold for mu <= 1e+150, got mu=5e+199"),
 ])
-def test_concurrence_curve_raises_the_error_of_the_first_failing_mu(
+def test_concurrence_curve_checks_every_mu_before_grading_a_state(
     capsys, monkeypatch, grid, unphysical, message
 ):
     real = tomography._closed_forms

@@ -365,6 +365,12 @@ def test_optimize_validation():
     with pytest.raises(ValueError):
         optimize_mu(SourceKind.DIS_ENTANGLED, 0.1, 0.1, 0, 0,
                     Objective.MAX_VISIBILITY, (0.1, 1.0), samples=2)
+    # every objective checks the arms before the kind, and both before any mu
+    for objective in Objective:
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.5$"):
+            optimize_mu(SourceKind.DIS_CORRELATED, 1.5, 0.1, 0, 0, objective, (1e200, 1e201))
+        with pytest.raises(UnsupportedSetting, match=" is undefined for correlated kind "):
+            optimize_mu(SourceKind.DIS_CORRELATED, 0.1, 0.1, 0, 0, objective, (1e200, 1e201))
 
 
 def _objective_at(kind, dets, objective):

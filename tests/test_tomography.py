@@ -2,12 +2,13 @@
 and concurrence."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import (
@@ -34,9 +35,10 @@ from biphoton.tomography import (
     PARALLEL_INDICES,
     PAULI_BASIS,
     PROJECTION_STATES,
+    _COLUMN,
     _DUAL,
     _closed_form_concurrences,
-    _states,
+    _reconstructed,
     _wootters,
 )
 
@@ -612,7 +614,7 @@ _ROWS = st.one_of(
 
 def _assert_rows_equal_one_at_a_time(rows) -> np.ndarray:
     """Check a stack against each row alone, bit for bit; its clipped magnitudes."""
-    m, clip, w, v = _states(rows)
+    m, clip, w, v = _reconstructed(np.array(rows, dtype=float))
     c = _wootters(w, v)
     for k, r in enumerate(rows):
         rho = reconstruct(r)
@@ -638,32 +640,38 @@ def test_a_stack_with_clipped_rows_equals_its_rows_bit_for_bit():
 
 
 def test_an_empty_stack_grades_nothing():
-    assert _wootters(*_states([])[2:]).shape == (0,)
-    # an empty sweep checks no arm, as a loop over no state would
+    assert _wootters(*_reconstructed(np.empty((0, 16)))[2:]).shape == (0,)
+    # an empty sweep grades no state, but still checks its arms and kinds
     for kinds, mus in ((ENTANGLED, []), ((), [0.1])):
-        assert _closed_form_concurrences(kinds, mus, 1.5, 0.1).shape == (0,)
+        assert _closed_form_concurrences(kinds, mus, 0.2, 0.1).shape == (0,)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.5$"):
+            _closed_form_concurrences(kinds, mus, 1.5, 0.1)
+    with pytest.raises(UnsupportedSetting, match="^tomography is undefined"):
+        _closed_form_concurrences((SourceKind.THERMAL_CORRELATED,), [], 0.2, 0.1)
 
 
 _NOT_PSD = [1.0] + [0.0] * 15  # the first dual-frame element alone
 _ZERO = [0.0] * 16
+_LESS_PSD = [(1.0, 0.0, 0.4)[c] for c in _COLUMN]  # R_HH = 1, R_HV = 0, R_H+ = 0.4
 
 
-def test_a_stack_raises_the_error_of_its_first_unphysical_row():
+def test_a_stack_with_an_unphysical_row_is_refused_whole():
     with pytest.raises(NotPhysical, match="^eigenvalue -5.000e-01 below positivity tolerance$"):
         reconstruct(_NOT_PSD)
+    with pytest.raises(NotPhysical, match="^eigenvalue -2.000e-01 below positivity tolerance$"):
+        reconstruct(_LESS_PSD)
     with pytest.raises(NotPhysical, match="^reconstructed trace 0.000e[+]00 is not positive$"):
         reconstruct(_ZERO)
     good = [assemble_r(kind, mu, 0.1, 0.2, 1e-5, 0.0).r for kind in ENTANGLED for mu in (0.01, 1.0)]
-    # the positivity check comes after the trace check: in a stack, a row
-    # that fails it still wins over a later row that fails the trace
-    for first, later in ((_NOT_PSD, _ZERO), (_ZERO, _NOT_PSD), (_NOT_PSD, [-1.0] * 16)):
-        with pytest.raises(ValueError) as alone:
-            reconstruct(first)
+    # a stack raises the first check that any of its rows fails, with the
+    # stack's worst value, wherever its rows stand
+    for bad, message in (((_LESS_PSD, _NOT_PSD), "eigenvalue -5.000e-01"),
+                         ((_NOT_PSD, _ZERO), "reconstructed trace 0.000e[+]00"),
+                         ((_ZERO, _NOT_PSD), "reconstructed trace 0.000e[+]00")):
         for k in range(len(good) + 1):
-            rows = good[:k] + [first] + good[k:] + [later]
-            with pytest.raises(NotPhysical) as stacked:
-                _states(rows)
-            assert str(stacked.value) == str(alone.value), k
+            rows = good[:k] + [bad[0]] + good[k:] + [bad[1]]
+            with pytest.raises(NotPhysical, match=f"^{message}"):
+                _reconstructed(np.array(rows))
     # a row that is not finite and >= 0 is refused before any stack holds it
     for refuse in (reconstruct, lambda r: TomographyVector(r, RateMethod.CLOSED_FORM)):
         with pytest.raises(ValueError, match="^rates must be finite and >= 0$"):
@@ -673,19 +681,8 @@ def test_a_stack_raises_the_error_of_its_first_unphysical_row():
 # ------------------------------------------------------ closed-form sweeps
 
 def _one_state_at_a_time(kinds, mus, *arms) -> list[float]:
-    """C of each state of a sweep, mu outermost, from assemble_r one state at
-    a time; when building a state fails, those built before it are
-    reconstructed first."""
-    vectors = []
-    try:
-        for mu in mus:
-            for kind in kinds:
-                vectors.append(assemble_r(kind, mu, *arms))
-    except Exception:
-        for vec in vectors:
-            reconstruct(vec)
-        raise
-    return [concurrence(reconstruct(vec)) for vec in vectors]
+    """C of each state of a sweep, mu outermost, from assemble_r one state at a time."""
+    return [concurrence(reconstruct(assemble_r(kind, mu, *arms))) for mu in mus for kind in kinds]
 
 
 def _outcome(f):
@@ -716,18 +713,55 @@ def test_a_closed_form_sweep_equals_its_states_one_at_a_time(kinds, mus, alphas,
     _assert_sweep_is_one_state_at_a_time(kinds, mus, *alphas, *darks)
 
 
+def _zero_or_log_uniform(zero_or_one, lo_exp, hi_exp):
+    return st.one_of(st.sampled_from(zero_or_one), st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e))
+
+
+_NO_TRACE = (NotPhysical, "reconstructed trace 0.000e+00 is not positive")
+
+
+@settings(max_examples=200, deadline=None)
+@given(kinds=_SWEEP_KINDS,
+       mus=st.lists(_zero_or_log_uniform((0.0,), -300.0, 149.0), min_size=1, max_size=8),
+       alphas=st.tuples(*[_zero_or_log_uniform((0.0, 1.0), -300.0, 0.0)] * 2),
+       darks=st.tuples(*[_zero_or_log_uniform((0.0,), -300.0, math.log10(0.5))] * 2))
+@example(kinds=ENTANGLED[1:], mus=[0.5, 1.6242279698862045e30],
+         alphas=(1.533180398779191e-196, 1.270267476307782e-156), darks=(3.8302665756678806e-257, 0.0))
+def test_a_sweep_of_normal_rates_fails_as_its_states_fail_alone(kinds, mus, alphas, darks):
+    # the premise of checking a sweep's inputs first and grading its states
+    # in one stack: when every rate is 0 or a normal float, a state grades or
+    # has no trace, so the stack raises what its first failing state raises
+    # alone.  Subnormal rates can fail the positivity check, and so can normal
+    # ones where alpha_s * alpha_i underflows but mu * mu * alpha_s * alpha_i
+    # does not; the stack is then refused as such a state is alone.
+    arms = (*alphas, *darks)
+    reps = [closed_form_rates(kind, mu, *arms) for mu in mus for kind in kinds]
+    assume(all(r == 0.0 or r >= sys.float_info.min
+               for rep in reps for r in (rep.r_hh, rep.r_hv, rep.r_hplus)))
+    alone = [_outcome(lambda: [concurrence(reconstruct(assemble_r(kind, mu, *arms)))])
+             for mu in mus for kind in kinds]
+    failed = [o for o in alone if isinstance(o, tuple)]
+    got = _outcome(lambda: _closed_form_concurrences(kinds, mus, *arms).tolist())
+    if not failed:
+        assert got == [c for o in alone for c in o]
+    elif set(failed) == {_NO_TRACE}:
+        assert got == _NO_TRACE
+    else:  # only where alpha_s * alpha_i underflows
+        assert min(alphas) > 0.0 and alphas[0] * alphas[1] < sys.float_info.min, failed
+        assert got[0] is NotPhysical, got
+
+
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, math.nextafter(1e150, math.inf), 1e200,
                                  True, "0.5"])
 @pytest.mark.parametrize("k", range(4))
-def test_a_sweep_whose_kth_mu_fails_raises_what_the_loop_raises(bad, k):
+def test_a_sweep_whose_kth_mu_fails_raises_its_error_first(bad, k):
     mus = [0.01, 0.3, 1.0, 4.0]
     mus[k] = bad
     outcome = _assert_sweep_is_one_state_at_a_time(ENTANGLED, mus, 0.2, 0.1, 1e-5, 2e-4)
     assert isinstance(outcome, tuple), outcome
-    # a state before the failing mu that is not physical raises first
-    mus = [0.0] + mus
-    outcome = _assert_sweep_is_one_state_at_a_time(ENTANGLED, mus, 0.2, 0.1)
-    assert outcome[0] is NotPhysical
+    # every mu is checked before any state is graded: a state at mu = 0
+    # without darks has no trace, but the bad mu after it raises first
+    assert _outcome(lambda: _closed_form_concurrences(ENTANGLED, [0.0] + mus, 0.2, 0.1)) == outcome
 
 
 def test_a_sweep_of_other_real_types_equals_the_loop():
@@ -744,12 +778,15 @@ def test_a_sweep_of_other_real_types_equals_the_loop():
     ((0.2, 0.1, 1.0, 0.0), r"dark must lie in \[0, 1\)"),
     ((0.2, True, 0.0, 0.0), "alpha must be a real number"),
 ])
-def test_a_sweep_with_a_bad_arm_raises_what_the_loop_raises(arms, message):
-    for mus in ([0.01, 0.3], [-1.0, 0.3], [0.3, math.nan]):
-        outcome = _assert_sweep_is_one_state_at_a_time(ENTANGLED, mus, *arms)
-        assert isinstance(outcome, tuple), outcome
-    with pytest.raises((ValueError, TypeError), match=message):
-        _closed_form_concurrences(ENTANGLED, [0.01, 0.3], *arms)
+def test_a_sweep_checks_its_arms_first(arms, message):
+    # alone, a bad arm raises as the loop does
+    outcome = _assert_sweep_is_one_state_at_a_time(ENTANGLED, [0.01, 0.3], *arms)
+    assert isinstance(outcome, tuple), outcome
+    # and before a bad kind, a bad mu or a state without a trace
+    for kinds in (ENTANGLED, (SourceKind.THERMAL_CORRELATED,), ("dis-entangled",)):
+        for mus in ([-1.0, 0.3], [0.3, math.nan], [0.0], []):
+            with pytest.raises((ValueError, TypeError), match=message):
+                _closed_form_concurrences(kinds, mus, *arms)
 
 
 @pytest.mark.parametrize("kinds", [
@@ -757,10 +794,12 @@ def test_a_sweep_with_a_bad_arm_raises_what_the_loop_raises(arms, message):
     (SourceKind.THERMAL_CORRELATED,),
     (SourceKind.INDIS_ENTANGLED, "dis-entangled"),
 ])
-def test_a_sweep_of_a_kind_without_a_state_raises_what_the_loop_raises(kinds):
-    for mus, arms in (([0.3, 1.0], (0.2, 0.1, 1e-5, 0.0)), ([-1.0], (0.2, 0.1)),
-                      ([0.0, 0.3], (0.2, 0.1)), ([0.3], (1.5, 0.1))):
-        outcome = _assert_sweep_is_one_state_at_a_time(kinds, mus, *arms)
-        assert isinstance(outcome, tuple), outcome
-    with pytest.raises((UnsupportedSetting, TypeError), match="tomography is undefined|kind must"):
-        _closed_form_concurrences(kinds, [0.3], 0.2, 0.1)
+def test_a_sweep_checks_its_kinds_after_its_arms(kinds):
+    # alone, a kind without a state raises as the loop does
+    outcome = _assert_sweep_is_one_state_at_a_time(kinds, [0.3, 1.0], 0.2, 0.1, 1e-5, 0.0)
+    assert isinstance(outcome, tuple), outcome
+    # and before a bad mu or a state without a trace
+    for mus in ([-1.0], [0.0, 0.3], [0.3, 1e200], []):
+        assert _outcome(lambda: _closed_form_concurrences(kinds, mus, 0.2, 0.1)) == outcome
+    with pytest.raises(ValueError, match=r"alpha must lie in \[0, 1\]"):
+        _closed_form_concurrences(kinds, [0.3], 1.5, 0.1)
