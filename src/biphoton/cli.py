@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .detection import DetectorModel
 from .distributions import PairSource, SourceKind, TruncationPolicy
-from .metrics import Objective, car, optimize_mu, visibility_approx, visibility_exact
+from .metrics import Objective, _mu_grid, car, optimize_mu, visibility_approx, visibility_exact
 from .oracle import X_MAX_LIMIT, enumerate_rate, mc_rate
 from .polarization import (HplusModel, RateMethod, Setting, TimebinPort, coincidence_rate,
                            timebin_rate)
@@ -51,6 +51,7 @@ class ConfigError(ValueError):
 _KINDS = {k.value: k for k in SourceKind}
 _OBJECTIVES = {o.value: o for o in Objective}
 _METHODS = {"exact": RateMethod.EXACT_SERIES, "closed": RateMethod.CLOSED_FORM}
+_SWEEP_MAX = 100_000  # the most points a --mu-range takes: its rows are held in memory
 
 # every option's argparse keywords, default included, in the order the
 # output header echoes them; _COMMANDS overrides some per subcommand
@@ -156,20 +157,15 @@ def _parse_sweep(text: str) -> list[float]:
         raise ConfigError(f"--mu-range scale must be 'lin' or 'log', got {scale!r}")
     if n < 2:
         raise ConfigError(f"--mu-range needs at least 2 points, got {n}")
+    if n > _SWEEP_MAX:
+        raise ConfigError(f"--mu-range takes at most {_SWEEP_MAX} points, got {n}")
     if not lo < hi:
         raise ConfigError(
             f"--mu-range needs at least 2 distinct points (LO < HI), got {lo} and {hi}"
         )
-    if scale == "log":
-        if lo <= 0:
-            raise ConfigError("log-scaled --mu-range needs LO > 0")
-        step = (math.log(hi) - math.log(lo)) / (n - 1)
-        vals = [math.exp(math.log(lo) + j * step) for j in range(n)]
-    else:
-        step = (hi - lo) / (n - 1)
-        vals = [lo + j * step for j in range(n)]
-    vals[0], vals[-1] = lo, hi
-    return vals
+    if scale == "log" and lo <= 0:
+        raise ConfigError("log-scaled --mu-range needs LO > 0")
+    return _mu_grid(lo, hi, n, scale == "log")
 
 
 def _detector_args(args) -> tuple[float, float, float, float]:

@@ -123,10 +123,10 @@ class TruncationPolicy:
     hard_cap: int = 200
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.tail_epsilon < 1.0):
-            raise ValueError(
-                f"tail_epsilon must lie in (0, 1), got {self.tail_epsilon}"
-            )
+        eps = _check_real("tail_epsilon", self.tail_epsilon)
+        if not (0.0 < eps < 1.0):
+            raise ValueError(f"tail_epsilon must lie in (0, 1), got {self.tail_epsilon}")
+        object.__setattr__(self, "tail_epsilon", eps)
         _check_count("hard_cap", self.hard_cap)
 
 

@@ -180,6 +180,19 @@ def _objective_fn(
     return lambda mus: [f(mu) for mu in [_closed_form_mu(kind, m) for m in mus]]
 
 
+def _mu_grid(lo: float, hi: float, n: int, log: bool) -> list[float]:
+    """n >= 2 points from lo to hi, evenly spaced in mu or in log(mu), with
+    both ends exact: every ``--mu-range`` sweep and the scan of :func:`optimize_mu`."""
+    if log:
+        step = (math.log(hi) - math.log(lo)) / (n - 1)
+        vals = [math.exp(math.log(lo) + j * step) for j in range(n)]
+    else:
+        step = (hi - lo) / (n - 1)
+        vals = [lo + j * step for j in range(n)]
+    vals[0], vals[-1] = lo, hi
+    return vals
+
+
 _LOG_MU_TOL = 1e-6  # golden-section stop: a width in log(mu), so relative in mu
 
 
@@ -242,8 +255,7 @@ def optimize_mu(
         raise ValueError(f"mu_range must satisfy 0 < lo < hi, got {mu_range}")
     _check_count("samples", samples, 3)
     log_lo, log_hi = math.log(lo), math.log(hi)
-    grid = [math.exp(log_lo + (log_hi - log_lo) * j / (samples - 1)) for j in range(samples)]
-    grid[0], grid[-1] = lo, hi
+    grid = _mu_grid(lo, hi, samples, True)
     scan = _objective_fn(kind, alpha_s, alpha_i, dark_s, dark_i, objective)
     ys = scan(grid)
 

@@ -44,8 +44,8 @@ rate modules:
 Each law is held once: the coin rows of x = 0..14, the coherent ladder's
 squared rows of x = 0..``HPLUS_X_CAP`` in one list filled in increasing
 x (about 22 MB when full; only the walk's head amplitudes are kept), one
-enumeration table per configuration and one binned pair law per kind,
-mu and top.
+click list per detector, one enumeration table per configuration and one
+binned pair law per kind, mu and top.
 
 Both oracles take a :class:`Setting` and let :meth:`Setting.resolve`
 turn a time-bin setting into its polarization twin at half efficiency,
@@ -179,6 +179,17 @@ def _plus_law(x: int, coherent: bool) -> np.ndarray | tuple:
     return _LADDER[x]
 
 
+# the one arm rule of both oracles: the arms that must click under each setting,
+# signal first, as (detector, photons): detector 0 signal, 1 idler; photons 0 the
+# x - y H photons of pattern y (its y pairs are V-polarized), 1 its y V photons,
+# and None the + photons of the H+ idler (see `_plus_law`)
+_ARMS = {Setting.HH: ((0, 0), (1, 0)), Setting.CAR_MATCHED: ((0, 0), (1, 0)),
+         Setting.HV: ((0, 0), (1, 1)), Setting.HPLUS: ((0, 0), (1, None)),
+         Setting.SINGLE_S: ((0, 0),), Setting.SINGLE_I: ((1, 0),)}
+# CAR_UNMATCHED multiplies SINGLE_S and SINGLE_I, read on separate pulses
+_DRAWS = {Setting.CAR_UNMATCHED: (Setting.SINGLE_S, Setting.SINGLE_I)}
+
+
 def _pattern_law(kind: SourceKind, x: int) -> tuple[float, ...]:
     """Law of the pattern variable y at x pairs, as :func:`sample_patterns`
     draws it; correlated pairs are all H."""
@@ -200,35 +211,35 @@ def _per_x_probability(
     """Detection probability at x pairs, given each arm's click
     probabilities ``qs``/``qi`` at 0, 1, ... photons."""
     law = _pattern_law(kind, x)
-    # y pairs are V-polarized, so x - y photons pass each H polarizer
     ys = range(len(law))
     if setting is Setting.HPLUS:
         coherent = kind is SourceKind.INDIS_ENTANGLED and hplus_model is HplusModel.COHERENT
         w = _plus_law(x, coherent) * np.asarray(qi[: x + 1])
         plus = [math.fsum(row) for row in w.tolist()]
         terms = [qs[x - y] * plus[y if coherent else 0] for y in ys]
-    elif setting is Setting.HV:
-        terms = [qs[x - y] * qi[y] for y in ys]
-    elif setting is Setting.SINGLE_S:
-        terms = [qs[x - y] for y in ys]
-    elif setting is Setting.SINGLE_I:
-        terms = [qi[x - y] for y in ys]
-    else:  # HH and CAR_MATCHED
-        terms = [qs[x - y] * qi[x - y] for y in ys]
+    else:  # the product of each arm's clicks at the H or V photons it reads, signal first
+        q, photons = (qs, qi), (range(x, x - len(law), -1), ys)
+        (d, p), *more = _ARMS[setting]
+        terms = [q[d][n] for n in photons[p]]
+        for d, p in more:
+            terms = [t * q[d][n] for t, n in zip(terms, photons[p])]
     return math.fsum(p * t for p, t in zip(law, terms))
 
 
-# the 64 tables of `biphoton validate` or an oracle-grid pass hold 67 KB
-# (tracemalloc, cache included)
+@lru_cache(maxsize=256)
+def _clicks(det: DetectorModel) -> tuple[float, ...]:
+    """One arm's click probabilities at 0..X_MAX_LIMIT photons."""
+    return tuple(click_prob(det, n) for n in range(X_MAX_LIMIT + 1))
+
+
+# the 72 tables of `biphoton validate` or an oracle-grid pass and their 8
+# click lists hold 69 KB (tracemalloc, caches and coin rows included)
 @lru_cache(maxsize=256)
 def _per_x_table(kind, setting, det_s, det_i, hplus_model) -> tuple:
-    """Detection probabilities at x = 0..X_MAX_LIMIT, or both arms' click
-    tuples for CAR_UNMATCHED."""
-    xs = range(X_MAX_LIMIT + 1)
-    qs, qi = (tuple(click_prob(det, n) for n in xs) for det in (det_s, det_i))
-    if setting is Setting.CAR_UNMATCHED:
-        return qs, qi
-    return tuple(_per_x_probability(kind, setting, x, qs, qi, hplus_model) for x in xs)
+    """Detection probabilities at x = 0..X_MAX_LIMIT."""
+    qs, qi = _clicks(det_s), _clicks(det_i)
+    return tuple(_per_x_probability(kind, setting, x, qs, qi, hplus_model)
+                 for x in range(X_MAX_LIMIT + 1))
 
 
 def enumerate_rate(
@@ -244,8 +255,9 @@ def enumerate_rate(
     Every x_max reads a prefix of one immutable table of x = 0..14 per
     resolved setting and detector pair (a time-bin setting shares its
     twin's at alpha/2), kind and H+ model (H+ only), in an ``lru_cache``
-    of 256, built from no series code.  A call then costs the pmf, one
-    ``math.fsum`` and the tail.
+    of 256, built from no series code; CAR_UNMATCHED is the product of
+    the SINGLE_S and SINGLE_I rates.  A call then costs the pmf, one
+    ``math.fsum`` per table and the tail.
 
     The neglected contribution is at most the pmf mass beyond x_max
     (every per-x probability is <= 1); that mass is reported as
@@ -258,15 +270,16 @@ def enumerate_rate(
         raise XMaxTooLarge(f"x_max={x_max} exceeds the enumeration budget of {X_MAX_LIMIT}")
     setting, det_s, det_i = setting.resolve(source.kind, det_s, det_i)
     model = hplus_model if setting is Setting.HPLUS else None
-    table = _per_x_table(source.kind, setting, det_s, det_i, model)
+    draws = _DRAWS.get(setting, (setting,))
+    tables = [_per_x_table(source.kind, arm, det_s, det_i, model) for arm in draws]
     weights = pmf_values(source, x_max)
     tail = max(0.0, 1.0 - math.fsum(weights))
-
+    rates = [math.fsum(w * p for w, p in zip(weights, table)) for table in tables]
     if setting is Setting.CAR_UNMATCHED:
-        a, b = (math.fsum(w * q for w, q in zip(weights, qs)) for qs in table)
+        a, b = rates
         # |A'B' - AB| <= tail*(A + B + tail) when each factor gains <= tail
         return EnumeratedRate(a * b, tail * (a + b + tail), x_max)
-    return EnumeratedRate(math.fsum(w * p for w, p in zip(weights, table)), tail, x_max)
+    return EnumeratedRate(rates[0], tail, x_max)
 
 
 # 32 laws of at most 202 bins hold about 64 KB (tracemalloc, cache included)
@@ -414,9 +427,8 @@ def _photon_classes(
         small = _plus_classes(rng, xy, coherent)
         big = _classes(tail - v, rng.binomial(tail, 0.5) if tail.size else tail)
     else:
-        def arms(h, v):  # y pairs are V-polarized: x - y photons pass each H polarizer
-            return {Setting.HV: (h, v), Setting.SINGLE_S: (h,),
-                    Setting.SINGLE_I: (h,)}.get(setting, (h, h))
+        def arms(h, v):  # the photons that each arm of `_ARMS` reads
+            return tuple((h, v)[p] for _, p in _ARMS[setting])
 
         xs, ys = np.nonzero(xy)
         small = arms(xs - ys, ys), xy[xs, ys]
@@ -436,15 +448,11 @@ def _mc_block(
 ) -> int:
     coherent = setting is Setting.HPLUS and hplus_model is HplusModel.COHERENT and (
         source.kind is SourceKind.INDIS_ENTANGLED)
-    # (setting, detectors) per draw; CAR_UNMATCHED draws the idler from
-    # other pulses, only as many as there were signal clicks
-    steps = {
-        Setting.SINGLE_S: [(setting, (det_s,))],
-        Setting.SINGLE_I: [(setting, (det_i,))],
-        Setting.CAR_UNMATCHED: [(Setting.SINGLE_S, (det_s,)), (Setting.SINGLE_I, (det_i,))],
-    }.get(setting, [(setting, (det_s, det_i))])
     top = HPLUS_X_CAP if coherent else X_MAX_LIMIT
-    for arm, dets in steps:
+    # CAR_UNMATCHED draws the idler from other pulses, only as many as
+    # there were signal clicks
+    for arm in _DRAWS.get(setting, (setting,)):
+        dets = tuple((det_s, det_i)[d] for d, _ in _ARMS[arm])
         counts, tail = _draw_pairs(rng, source, n, top)
         if coherent and tail.size:
             raise XMaxTooLarge(

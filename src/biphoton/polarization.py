@@ -635,7 +635,8 @@ def _closed_forms(kind: SourceKind, mu, det_s: DetectorModel, det_i: DetectorMod
         r_hplus = mu * alpha_s * alpha_i / 4 + acc
     else:
         dark = mu * alpha_s * dark_i / 2 + mu * alpha_i * dark_s / 2 + dark_s * dark_i
-        r_hh = alpha_s * alpha_i * (mu * mu / 2 + mu / 2) + dark
+        # the largest factor first: with alphas <= 1 no partial product underflows the term
+        r_hh = (mu * mu / 2 + mu / 2) * alpha_s * alpha_i + dark
         r_hv = mu * mu * alpha_s * alpha_i / 4 + dark
-        r_hplus = alpha_s * alpha_i * (3 * mu * mu / 8 + mu / 4) + dark
+        r_hplus = (3 * mu * mu / 8 + mu / 4) * alpha_s * alpha_i + dark
     return r_hh, r_hv, r_hplus, single_s, single_i

@@ -5,8 +5,8 @@ H/V/diagonal/circular set) maps onto the three distinct rates the model
 produces: settings whose single-pair projection overlaps the Bell state
 with probability 1/2 take the parallel rate, settings orthogonal to it
 take the crossed rate, and every mixed-basis setting takes the diagonal
-rate.  Linear inversion over a Hermitian operator basis then recovers
-the effective density matrix, which is trace-normalized.
+rate.  Linear inversion by the table's dual frame then recovers the
+effective density matrix, which is trace-normalized.
 """
 
 from __future__ import annotations
@@ -182,41 +182,20 @@ def assemble_r(
     return TomographyVector(tuple((hh, hv, hp)[c] for c in _COLUMN), method, model)
 
 
-def _pauli_basis() -> list[np.ndarray]:
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    one = np.eye(2, dtype=complex)
-    return [np.kron(a, b) for a in (one, sx, sy, sz) for b in (one, sx, sy, sz)]
-
-
-def _design_matrix(basis: list[np.ndarray]) -> np.ndarray:
-    """A[nu, j] = tr(Pi_nu B_j): the table's rates as a map from basis coefficients.
-
-    Each entry is a product of two Bloch components of the table's kets,
-    so it is exactly 0 or +-1; rounding removes the noise of 1/sqrt(2).
-    """
-    return np.einsum("nab,jba->nj", np.array(projectors()), np.array(basis)).real.round()
-
-
-# the table is fixed, so the basis and the design matrix are built once;
-# the table is complete (rank 16), which a test checks
-PAULI_BASIS: tuple[np.ndarray, ...] = tuple(_pauli_basis())
-DESIGN_MATRIX: np.ndarray = _design_matrix(list(PAULI_BASIS))
-# the dual frame: row nu is M_nu = sum_j (A^-1)[j, nu] B_j of rho = sum_nu
-# r_nu M_nu (James, Kwiat, Munro & White, PRA 64, 052312, 2001), flattened;
-# its exact entries are halves, so snapping to them removes the rounding
-# of the inverse (einsum rather than @ keeps a BLAS product out of import)
-_DUAL: np.ndarray = np.round(2.0 * np.einsum(
-    "jn,jk->nk", np.linalg.inv(DESIGN_MATRIX), np.array([b.ravel() for b in PAULI_BASIS])
-)) / 2.0
+# the dual frame: row nu is M_nu of rho = sum_nu r_nu M_nu, flattened, with
+# tr(Pi_mu M_nu) = [mu = nu] (James, Kwiat, Munro & White, PRA 64, 052312,
+# 2001).  With P[mu] the flattened Pi_mu, tr(Pi_mu M) = P[mu] . vec(M^T), so
+# vec(M_nu^T) is column nu of P^-1; the table is complete (rank 16), which a
+# test checks.  The exact entries are halves, so snapping to them removes the
+# rounding of the inverse.
+_DUAL: np.ndarray = np.round(2.0 * np.linalg.inv(np.array([p.ravel() for p in projectors()]))
+                             .reshape(4, 4, 16).transpose(2, 1, 0).reshape(16, 16)) / 2.0
+_DUAL.setflags(write=False)
 # rv @ _DUAL.view(float) holds Re and Im of each entry of rho, row-major;
 # entry (j, i) is read from (i, j), conjugated, so rho is exactly Hermitian
 _I, _J, _PART = np.indices((4, 4, 2)).reshape(3, -1)
 _GATHER = 2 * (4 * np.minimum(_I, _J) + np.maximum(_I, _J)) + _PART
 _SIGN = np.where((_PART == 1) & (_I > _J), -1.0, 1.0)
-for _m in (*PAULI_BASIS, DESIGN_MATRIX, _DUAL):
-    _m.setflags(write=False)
 
 
 def _validated(m: np.ndarray) -> tuple[np.ndarray, ...]:

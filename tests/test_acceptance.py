@@ -275,9 +275,9 @@ def test_acceptance_09_timebin():
         }
         dark = mu * a_s * d_i / 4 + mu * a_i * d_s / 4 + d_s * d_i
         indis = {
-            TimebinPort.AA: a_s * a_i * (mu * mu / 8 + mu / 8) + dark,
+            TimebinPort.AA: (mu * mu / 8 + mu / 8) * a_s * a_i + dark,
             TimebinPort.AB: mu * mu * a_s * a_i / 16 + dark,
-            TimebinPort.APLUS: a_s * a_i * (3 * mu * mu / 32 + mu / 16) + dark,
+            TimebinPort.APLUS: (3 * mu * mu / 32 + mu / 16) * a_s * a_i + dark,
         }
         for kind, table in ((SourceKind.DIS_ENTANGLED, dis), (SourceKind.INDIS_ENTANGLED, indis)):
             for port, want in table.items():

@@ -23,7 +23,7 @@ from biphoton import (
     reconstruct,
 )
 from biphoton import cli, tomography
-from biphoton.cli import _build_parser, main
+from biphoton.cli import _SWEEP_MAX, _build_parser, _parse_sweep, main
 
 
 def _rows(csv_text: str) -> tuple[list[str], list[list[str]]]:
@@ -95,6 +95,18 @@ def test_sweep_validation_errors(capsys):
         code, _, err = _run(capsys, [*command, "--mu-range", "1:0:3", "--tail-eps", "0"])
         assert code == 2
         assert "--mu-range needs at least 2 distinct points" in err, err
+
+
+def test_a_sweep_takes_at_most_its_bound_of_points(capsys):
+    # one point more is refused by name before any row is built; a closed-form
+    # mode, so a missing bound costs seconds, not memory
+    argv = ["car", "--source", "dis-correlated", "--method", "closed",
+            "--mu-range", f"0:1:{_SWEEP_MAX + 1}"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert "--mu-range takes at most 100000 points, got 100001" in err
+    # the bound itself is a sweep
+    assert len(_parse_sweep(f"0:1:{_SWEEP_MAX}")) == _SWEEP_MAX == 100_000
 
 
 _CLOSED_TIMEBIN = ["timebin", "--source", "dis-entangled", "--method", "closed"]

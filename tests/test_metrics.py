@@ -36,7 +36,7 @@ from biphoton import (
     visibility_exact,
 )
 from biphoton import metrics, polarization, tomography
-from biphoton.metrics import _golden_max
+from biphoton.metrics import _golden_max, _mu_grid
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
 CORRELATED = (SourceKind.DIS_CORRELATED, SourceKind.THERMAL_CORRELATED)
@@ -394,8 +394,7 @@ def _full_search(kind, dets, objective, mu_range, samples=65) -> MuOptimum:
     f = _objective_at(kind, dets, objective)
     lo, hi = mu_range
     log_lo, log_hi = math.log(lo), math.log(hi)
-    grid = [math.exp(log_lo + (log_hi - log_lo) * j / (samples - 1)) for j in range(samples)]
-    grid[0], grid[-1] = lo, hi
+    grid = _mu_grid(lo, hi, samples, True)
     ys = [f(mu) for mu in grid]
     peak = max(range(samples), key=lambda j: ys[j])
     floor = 1e-300 if objective is Objective.MAX_COINCIDENCE_TIMES_VISIBILITY else 1e-14

@@ -204,9 +204,35 @@ def test_every_real_input_computes_as_its_float_twin(entry):
     lambda: PairSource(SourceKind.DIS_ENTANGLED, Fraction(10**400)),
     lambda: optimize_mu(SourceKind.DIS_ENTANGLED, 0.1, 0.1, 0.0, 0.0, Objective.MAX_VISIBILITY,
                         (1e-3, 10**400)),
-], ids=["alpha", "dark", "negative-alpha", "mu", "bracket"])
+    lambda: TruncationPolicy(Fraction(10**400)),
+], ids=["alpha", "dark", "negative-alpha", "mu", "bracket", "tail_epsilon"])
 def test_reals_beyond_the_float_range_are_refused_by_range(make):
     # float() of such a value overflows; the rule holds it as an infinity,
     # which the range check refuses by name
     with pytest.raises(ValueError, match="must lie in|must be finite|must satisfy"):
         make()
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10**12), np.float64(1e-12), np.float32(1e-6),
+                                 Fraction(1, 3)])
+def test_a_tail_epsilon_is_held_as_its_float(eps):
+    policy = TruncationPolicy(eps)
+    assert type(policy.tail_epsilon) is float
+    assert policy == TruncationPolicy(float(eps))
+    for kind in SourceKind:
+        src = PairSource(kind, 2.5)
+        assert truncation_index(src, policy) == truncation_index(src, TruncationPolicy(float(eps)))
+
+
+def test_the_default_tail_epsilon_as_a_fraction_is_the_default_policy():
+    # so the closed forms, which refuse any other policy, take it
+    policy = TruncationPolicy(Fraction(1, 10**12))
+    assert policy == TruncationPolicy()
+    got = assemble_r(SourceKind.INDIS_ENTANGLED, 0.3, 0.2, 0.1, policy=policy)
+    assert got == assemble_r(SourceKind.INDIS_ENTANGLED, 0.3, 0.2, 0.1)
+
+
+@pytest.mark.parametrize("eps", ["a", None, True, 1e-12j])
+def test_a_tail_epsilon_that_is_not_real_is_refused_by_name(eps):
+    with pytest.raises(TypeError, match=f"tail_epsilon must be a real number, got {eps!r}"):
+        TruncationPolicy(eps)

@@ -31,9 +31,7 @@ from biphoton import (
 from biphoton.tomography import (
     BASIS_LABELS,
     CROSSED_INDICES,
-    DESIGN_MATRIX,
     PARALLEL_INDICES,
-    PAULI_BASIS,
     PROJECTION_STATES,
     _COLUMN,
     _DUAL,
@@ -67,7 +65,7 @@ def test_projector_table_properties():
             want = 0.25
         assert overlap == pytest.approx(want, abs=1e-15), j
     # the table is tomographically complete, so reconstruct can solve
-    assert np.linalg.matrix_rank(DESIGN_MATRIX, tol=1e-10) == 16
+    assert np.linalg.matrix_rank(np.array([pi.ravel() for pi in pis]), tol=1e-10) == 16
 
 
 def test_assemble_r_places_the_three_rates():
@@ -380,11 +378,10 @@ def _fractions(z: complex) -> tuple[Fraction, Fraction]:
     return Fraction(z.real), Fraction(z.imag)
 
 
-def _exact_inverse(a: np.ndarray) -> list[list[Fraction]]:
-    """Gauss-Jordan inverse of a float matrix, its entries taken as exact rationals."""
+def _exact_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse of a matrix of exact rationals."""
     n = len(a)
-    rows = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a.tolist())]
+    rows = [[*row, *(Fraction(int(i == j)) for j in range(n))] for i, row in enumerate(a)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if rows[r][col] != 0)
         rows[col], rows[pivot] = rows[pivot], rows[col]
@@ -396,32 +393,87 @@ def _exact_inverse(a: np.ndarray) -> list[list[Fraction]]:
     return [row[n:] for row in rows]
 
 
-_EXACT_INVERSE = _exact_inverse(DESIGN_MATRIX)
-_EXACT_BASIS = [[_fractions(z) for z in b.ravel()] for b in PAULI_BASIS]
+def _kron(a: list, b: list) -> list[tuple[Fraction, Fraction]]:
+    """a (x) b of two row-major 2x2 matrices of exact (re, im) pairs, row-major."""
+    out = []
+    for row in range(4):
+        for col in range(4):
+            (ar, ai), (br, bi) = a[2 * (row // 2) + col // 2], b[2 * (row % 2) + col % 2]
+            out.append((ar * br - ai * bi, ar * bi + ai * br))
+    return out
+
+
+def _trace_product(a: list, b: list) -> tuple[Fraction, Fraction]:
+    """tr(A B) of two row-major 4x4 matrices of exact (re, im) pairs."""
+    re = im = Fraction(0)
+    for row in range(4):
+        for k in range(4):
+            (ar, ai), (br, bi) = a[4 * row + k], b[4 * k + row]
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+    return re, im
+
+
+_H2 = Fraction(1, 2)
+# |k><k| of the table's single-photon states, exactly: L = (H + iV)/sqrt(2),
+# R = (H - iV)/sqrt(2); each two-photon entry is 0, +-1/4, +-i/4, +-1/2, +-i/2 or 1
+_QUBIT = {
+    "H": [(1, 0), (0, 0), (0, 0), (0, 0)],
+    "V": [(0, 0), (0, 0), (0, 0), (1, 0)],
+    "+": [(_H2, 0), (_H2, 0), (_H2, 0), (_H2, 0)],
+    "L": [(_H2, 0), (0, -_H2), (0, _H2), (_H2, 0)],
+    "R": [(_H2, 0), (0, _H2), (0, -_H2), (_H2, 0)],
+}
+_EXACT_PROJECTORS = [_kron(_QUBIT[s], _QUBIT[i]) for s, i in PROJECTION_STATES]
+# a Pauli-basis reference of the tests' own, B_j = s_a (x) s_b, with the
+# table's design matrix A[nu, j] = tr(Pi_nu B_j), whose entries are 0 or +-1
+_PAULI = {
+    "1": [(1, 0), (0, 0), (0, 0), (1, 0)],
+    "x": [(0, 0), (1, 0), (1, 0), (0, 0)],
+    "y": [(0, 0), (0, -1), (0, 1), (0, 0)],
+    "z": [(1, 0), (0, 0), (0, 0), (-1, 0)],
+}
+_EXACT_BASIS = [_kron(_PAULI[a], _PAULI[b]) for a in "1xyz" for b in "1xyz"]
+_DESIGN = [[_trace_product(pi, b) for b in _EXACT_BASIS] for pi in _EXACT_PROJECTORS]
+_EXACT_INVERSE = _exact_inverse([[re for re, _ in row] for row in _DESIGN])
+
+
+def test_exact_references_are_the_table():
+    # the exact projectors are the float table's to its 1/sqrt(2) rounding
+    for pi, exact in zip(projectors(), _EXACT_PROJECTORS):
+        assert max(abs(z - complex(re, im)) for z, (re, im) in zip(pi.ravel(), exact)) <= 1e-15
+    assert all(im == 0 and re in (-1, 0, 1) for row in _DESIGN for re, im in row)
+
+
+def test_dual_frame_is_the_inverse_of_the_table_in_fractions():
+    # the defining identity tr(Pi_mu M_nu) = [mu = nu], exactly; 16 such M_nu
+    # exist only if the table has rank 16, so it is complete
+    duals = [[_fractions(z) for z in _DUAL[nu]] for nu in range(16)]
+    for mu, pi in enumerate(_EXACT_PROJECTORS):
+        for nu, m in enumerate(duals):
+            assert _trace_product(pi, m) == (int(mu == nu), 0), (mu, nu)
+    # and each M_nu is Hermitian
+    for m in duals:
+        assert all(m[4 * j + i] == (m[4 * i + j][0], -m[4 * i + j][1])
+                   for i in range(4) for j in range(4))
 
 
 def test_dual_frame_is_exact_in_fractions():
     # the entries of M_nu are halves, so every product with a rate is exact
     assert all((2 * q).denominator == 1 for z in _DUAL.ravel() for q in _fractions(z))
-    assert all(Fraction(a).denominator == 1 for a in DESIGN_MATRIX.ravel())
     # coefficients of M_nu over the Pauli basis: c[j][nu] = tr(B_j M_nu) / 4
     coeff = [[Fraction(0)] * 16 for _ in range(16)]
     for nu in range(16):
         m = [_fractions(z) for z in _DUAL[nu]]
         for j, b in enumerate(_EXACT_BASIS):
-            re = im = Fraction(0)
-            for row in range(4):
-                for k in range(4):
-                    (br, bi), (mr, mi) = b[4 * row + k], m[4 * k + row]
-                    re += br * mr - bi * mi
-                    im += br * mi + bi * mr
+            re, im = _trace_product(b, m)
             assert im == 0, (nu, j)
             coeff[j][nu] = re / 4
     # the design matrix applied to those coefficients is the identity: the
     # 16 rates of M_nu are the unit vector e_nu, exactly
     for row in range(16):
         for nu in range(16):
-            got = sum(Fraction(DESIGN_MATRIX[row, j]) * coeff[j][nu] for j in range(16))
+            got = sum(_DESIGN[row][j][0] * coeff[j][nu] for j in range(16))
             assert got == (row == nu), (row, nu)
 
 
@@ -433,7 +485,7 @@ K_RECON = 80
 
 
 def _exact_reconstruction(r) -> tuple[list[tuple[Fraction, Fraction]], Fraction]:
-    """Solve DESIGN_MATRIX c = r and sum c_j B_j, all in Fractions: the 16
+    """Solve A c = r and sum c_j B_j, all in Fractions: the 16
     entries of the unnormalized state and its trace."""
     rq = [Fraction(v) for v in r]
     c = [sum(a * v for a, v in zip(row, rq)) for row in _EXACT_INVERSE]
@@ -731,9 +783,7 @@ def test_a_sweep_of_normal_rates_fails_as_its_states_fail_alone(kinds, mus, alph
     # the premise of checking a sweep's inputs first and grading its states
     # in one stack: when every rate is 0 or a normal float, a state grades or
     # has no trace, so the stack raises what its first failing state raises
-    # alone.  Subnormal rates can fail the positivity check, and so can normal
-    # ones where alpha_s * alpha_i underflows but mu * mu * alpha_s * alpha_i
-    # does not; the stack is then refused as such a state is alone.
+    # alone.  Subnormal rates can fail the positivity check.
     arms = (*alphas, *darks)
     reps = [closed_form_rates(kind, mu, *arms) for mu in mus for kind in kinds]
     assume(all(r == 0.0 or r >= sys.float_info.min
@@ -744,11 +794,25 @@ def test_a_sweep_of_normal_rates_fails_as_its_states_fail_alone(kinds, mus, alph
     got = _outcome(lambda: _closed_form_concurrences(kinds, mus, *arms).tolist())
     if not failed:
         assert got == [c for o in alone for c in o]
-    elif set(failed) == {_NO_TRACE}:
+    else:
+        assert set(failed) == {_NO_TRACE}, failed
         assert got == _NO_TRACE
-    else:  # only where alpha_s * alpha_i underflows
-        assert min(alphas) > 0.0 and alphas[0] * alphas[1] < sys.float_info.min, failed
-        assert got[0] is NotPhysical, got
+
+
+def test_closed_forms_multiply_the_largest_factor_first():
+    # alpha_s * alpha_i underflows to 0 here, but the terms do not: each
+    # partial product of (mu^2/2 + mu/2) alpha_s alpha_i is at least the term
+    mu, alpha_s, alpha_i = 1.6242279698862045e30, 1.533180398779191e-196, 1.270267476307782e-156
+    assert alpha_s * alpha_i == 0.0
+    args = SourceKind.INDIS_ENTANGLED, mu, alpha_s, alpha_i, 3.8302665756678806e-257, 0.0
+    rep = closed_form_rates(*args)
+    assert rep.r_hv >= sys.float_info.min
+    assert rep.r_hh == 2 * rep.r_hv
+    assert rep.r_hplus >= rep.r_hv
+    rho = reconstruct(assemble_r(*args))
+    want = closed_form_rho(SourceKind.INDIS_ENTANGLED, mu)
+    assert np.max(np.abs(rho.matrix - want.matrix)) <= 1e-10
+    assert rho.psd_clip == 0.0
 
 
 @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, math.nextafter(1e150, math.inf), 1e200,
