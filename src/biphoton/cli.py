@@ -128,10 +128,10 @@ def _config(args, mode: str = "") -> dict:
 
 
 def _fmt(v) -> str:
+    if isinstance(v, float):
+        return "%.17g" % v  # the digits of format(v, ".17g"), with no spec to parse per call
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return format(v, ".17g")
     return str(v)
 
 
@@ -176,9 +176,30 @@ def _json_fields(fields: dict) -> dict:
     return {k: _fmt(v) if isinstance(v, float) else v for k, v in fields.items()}
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses
+
+
+def _json(v, pad: str) -> str:
+    """``v`` laid out as ``json.dumps(v, indent=2)`` lays it out at indent
+    ``pad``, without the pure-Python encoder that ``indent`` selects: dicts
+    with str keys, lists and tuples here, every other value by json.dumps."""
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    if isinstance(v, str):
+        return _encode_str(v)
+    if isinstance(v, (list, tuple, dict)) and v:
+        inner = pad + "  "
+        sep = ",\n" + inner
+        if isinstance(v, dict):
+            body = sep.join([_encode_str(k) + ": " + _json(x, inner) for k, x in v.items()])
+            return "{\n" + inner + body + "\n" + pad + "}"
+        return "[\n" + inner + sep.join([_json(x, inner) for x in v]) + "\n" + pad + "]"
+    return json.dumps(v)
+
+
 def _emit_json(args, config: dict, body: dict) -> None:
     doc = {"library": "biphoton", "version": __version__, "config": _json_fields(config), **body}
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    _write_text(args.out, _json(doc, "") + "\n")
 
 
 def _emit_table(
@@ -503,8 +524,22 @@ def _attach_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)`` in one pass when argv starts with a
+    subcommand: the top level would only hand the rest on to its parser."""
+    parser = _parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices.get(argv[0]) if argv else None
+    if sub is None:  # --version, --help, an unknown command or no argv
+        return parser.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
+    args = _parse(_attach_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, OSError, OverflowError) as exc:  # ConfigError is a ValueError

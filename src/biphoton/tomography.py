@@ -186,10 +186,18 @@ def assemble_r(
 # tr(Pi_mu M_nu) = [mu = nu] (James, Kwiat, Munro & White, PRA 64, 052312,
 # 2001).  With P[mu] the flattened Pi_mu, tr(Pi_mu M) = P[mu] . vec(M^T), so
 # vec(M_nu^T) is column nu of P^-1; the table is complete (rank 16), which a
-# test checks.  The exact entries are halves, so snapping to them removes the
-# rounding of the inverse.
-_DUAL: np.ndarray = np.round(2.0 * np.linalg.inv(np.array([p.ravel() for p in projectors()]))
-                             .reshape(4, 4, 16).transpose(2, 1, 0).reshape(16, 16)) / 2.0
+# test checks.  P^-1 is read off the inverse of the real block form
+# [[Re P, -Im P], [Im P, Re P]], so the import calls no complex LAPACK.  The
+# exact entries are halves, so snapping to them removes the rounding of the
+# inverse, and + 0.0 turns the zeros the snap leaves at -0.0 into 0.0.
+def _dual_frame() -> np.ndarray:
+    p = np.array([pi.ravel() for pi in projectors()])
+    b = np.linalg.inv(np.block([[p.real, -p.imag], [p.imag, p.real]]))
+    inverse = b[:16, :16] + 1j * b[16:, :16]
+    return np.round(2.0 * inverse.reshape(4, 4, 16).transpose(2, 1, 0).reshape(16, 16)) / 2.0 + 0.0
+
+
+_DUAL: np.ndarray = _dual_frame()
 _DUAL.setflags(write=False)
 # rv @ _DUAL.view(float) holds Re and Im of each entry of rho, row-major;
 # entry (j, i) is read from (i, j), conjugated, so rho is exactly Hermitian

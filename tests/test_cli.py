@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from biphoton import (
     RateMethod,
@@ -538,15 +540,139 @@ def test_repeated_main_calls_match_a_fresh_parser(monkeypatch):
         ["density-matrix", "--source", "dis-entangled", "--mu", "0.3", "--method", "exact"],
         ["no-such-command"],
         ["car", "--source", "thermal-correlated", "--mu", "0.2", "--method", "closed"],
+        ["car", "--source", "dis-correlated", "--mu", "0.3", "--bogus"],  # unrecognized
+        ["car", "--version"],  # --version is a top-level flag
+        ["car", "-h"],
+        ["car", "--sou", "dis-correlated", "--mu", "0.3"],  # abbreviated
+        ["car", "--source", "dis-correlated", "--mu", "-1"],  # ConfigError
+        ["--", "car", "--source", "dis-correlated", "--mu", "0.3"],
+        [],
         ["visibility-curve", "--mu", "0.3", "--dark-s", "1e-3"],
     ]
     reused = [_capture(argv) for argv in argvs]
     monkeypatch.setattr(cli, "_parser", _build_parser)
     fresh = [_capture(argv) for argv in argvs]
     assert reused == fresh
-    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0, 0, 2, 0, 0]
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 2, 0, 0, 2, 0, 2, 2, 0, 2, 2, 2, 2, 0]
     assert reused[0] == reused[-1]
     assert reused[1][1] == f"biphoton {cli.__version__}\n"
+
+
+_RATES = {"r": [0.5, 0.2] + [0.25] * 14}
+_CAR_MU = ["car", "--source", "dis-correlated", "--mu", "0.3"]
+# argvs whose parse ends every way it can: a result, help, or an error
+# from the top level, a subcommand's parser or the command itself
+_PARSE_CORPUS = [
+    ["visibility-curve", "--mu", "0.3"],
+    ["concurrence-curve", "--mu-range", "0:1:3", "--dark-s", "1e-3"],
+    ["density-matrix", "--source", "indis-entangled", "--mu", "0.3", "--method", "exact"],
+    ["density-matrix", "--from-r", "{tmp}/rates.json"],
+    [*_CAR_MU, "--method", "closed"],
+    ["timebin", "--source", "dis-entangled", "--port", "ab", "--mu-range", "0.1:0.3:3"],
+    ["optimize-mu", "--source", "dis-entangled", "--mu-range", "1e-3:1:9:log"],
+    ["validate", "--format", "json"],
+    *([command, "-h"] for command in cli._COMMANDS),
+    ["car", "--help", "--bogus"],
+    [*_CAR_MU, "--bogus"],
+    [*_CAR_MU, "--bogus", "1", "extra"],
+    [*_CAR_MU, "--", "extra"],
+    [*_CAR_MU, "--version"],
+    ["car", "--version"],
+    ["car", "--mu", "0.3"],  # --source is required
+    ["car", "--sou", "dis-correlated", "--mu", "0.3"],
+    [*_CAR_MU, "--meth", "closed"],
+    [*_CAR_MU, "--method", "bogus"],
+    ["car", "--source", "dis-correlated", "--mu", "abc"],
+    ["car", "--source", "dis-correlated", "--mu", "-1"],
+    ["car", "--source", "dis-correlated", "--mu=-1"],
+    ["visibility-curve", "--mu-range", "-1:1:3"],
+    ["--", *_CAR_MU],
+    ["--version"],
+    ["--help"],
+    ["--version", *_CAR_MU],
+    ["no-such-command"],
+    ["-x"],
+    [],
+]
+
+
+def test_the_direct_parse_matches_the_two_level_parse(tmp_path, monkeypatch):
+    # main() hands argv after a subcommand straight to that subcommand's
+    # parser; the whole tree's parse_args must give the same exit code,
+    # stdout and stderr, usage and error text included
+    (tmp_path / "rates.json").write_text(json.dumps(_RATES))
+    corpus = [[a.format(tmp=tmp_path) for a in argv] for argv in _PARSE_CORPUS]
+    direct = [_capture(argv) for argv in corpus]
+    monkeypatch.setattr(cli, "_parse", lambda argv: _build_parser().parse_args(argv))
+    two_level = [_capture(argv) for argv in corpus]
+    for argv, got, want in zip(corpus, direct, two_level):
+        assert got == want, argv
+    assert {code for code, _, _ in direct} == {0, 2}
+    bogus = direct[_PARSE_CORPUS.index([*_CAR_MU, "--bogus"])]
+    assert bogus[0] == 2 and bogus[2].startswith("usage: biphoton [-h]")
+    assert "biphoton: error: unrecognized arguments: --bogus" in bogus[2]
+
+
+# documents of every value kind json.dumps takes, well beyond what the CLI prints
+_JSON_TEXT = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\n\t\x7f", "é ü", "\u2028", "\U0001f600", "\ud800"])
+_JSON_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308 / 3])
+_JSON_INTS = st.integers(-2**70, 2**70) | st.sampled_from([2**63, -2**63 - 1, 10**40])
+_JSON_DOCS = st.recursive(
+    _JSON_TEXT | _JSON_FLOATS | _JSON_INTS | st.booleans() | st.none(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400)
+@given(_JSON_DOCS)
+@example({})
+@example([])
+@example(())
+@example({"": [[], {}, ()], "a": {"b": [[1.5, -0.0], ["x"]]}, "\u00e9": None})
+def test_the_json_writer_gives_the_bytes_of_json_dumps_with_indent_2(doc):
+    assert cli._json(doc, "") == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["density-matrix", "--source", "dis-entangled", "--mu", "0.3"],  # --method closed
+    ["density-matrix", "--source", "indis-entangled", "--mu", "0.3", "--method", "exact",
+     "--dark-s", "1e-4"],
+    ["density-matrix", "--source", "indis-entangled", "--mu", "0.3", "--method", "closed-rho"],
+    ["density-matrix", "--from-r", "{tmp}/rates.json"],
+    ["visibility-curve", "--mu-range", "0:1:4", "--format", "json"],
+    ["concurrence-curve", "--mu-range", "0:1:4", "--format", "json"],
+    ["car", "--source", "thermal-correlated", "--mu-range", "0.1:1:4", "--format", "json"],
+    ["timebin", "--source", "indis-entangled", "--port", "aplus", "--mu-range", "0.1:1:4",
+     "--format", "json"],
+    ["optimize-mu", "--source", "dis-entangled", "--mu-range", "1e-3:1:9:log", "--format", "json"],
+    ["validate", "--format", "json"],
+    ["validate", "--trials", "1000", "--format", "json"],
+])
+def test_every_json_output_is_laid_out_as_json_dumps_with_indent_2(argv, tmp_path):
+    (tmp_path / "rates.json").write_text(json.dumps(_RATES))
+    code, out, err = _capture([a.format(tmp=tmp_path) for a in argv])
+    assert code == 0 and not err, err
+    doc = json.loads(out)
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert ("summary" in doc) == (argv[0] == "validate")
+
+
+@settings(max_examples=1000)
+@given(_JSON_FLOATS)
+@example(math.nan)
+@example(-math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(-0.0)
+@example(5e-324)
+@example(1.7976931348623157e308)
+def test_fmt_writes_a_float_as_format_17g(v):
+    assert cli._fmt(v) == format(v, ".17g")
+    assert cli._fmt(np.float64(v)) == format(np.float64(v), ".17g")
 
 
 # stdout digests of sweeps up to mu = 5, recorded before the series kept

@@ -458,6 +458,18 @@ def test_dual_frame_is_the_inverse_of_the_table_in_fractions():
                    for i in range(4) for j in range(4))
 
 
+def test_dual_frame_from_the_real_block_inverse_is_the_complex_inverse_bit_for_bit():
+    # _DUAL inverts the real block form of the table; snapped to halves it
+    # holds the bits of the complex inverse snapped the same way, zero signs
+    # included
+    table = np.array([p.ravel() for p in projectors()])
+    complex_inverse = np.linalg.inv(table).reshape(4, 4, 16).transpose(2, 1, 0).reshape(16, 16)
+    want = np.round(2.0 * complex_inverse) / 2.0
+    assert _DUAL.dtype == want.dtype
+    assert np.array_equal(_DUAL.view(np.uint64), want.view(np.uint64))
+    assert not np.signbit(_DUAL.view(float)[_DUAL.view(float) == 0.0]).any()
+
+
 def test_dual_frame_is_exact_in_fractions():
     # the entries of M_nu are halves, so every product with a rate is exact
     assert all((2 * q).denominator == 1 for z in _DUAL.ravel() for q in _fractions(z))
