@@ -54,6 +54,7 @@ so neither knows about time bins.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -542,3 +543,37 @@ def mc_rate(
     p = successes / trials
     se = math.sqrt(p * (1.0 - p) / (trials - 1)) if trials > 1 else 0.0
     return McEstimate(p, se, trials, seed)
+
+
+# the cross-check grid of `biphoton validate`: kind -> the settings it
+# checks, in output order, each at every mu, alpha and dark below
+_ENTANGLED_CHECKS = (Setting.HH, Setting.HV, Setting.HPLUS, Setting.SINGLE_S,
+                     Setting.TIMEBIN_AA, Setting.TIMEBIN_AB)
+_CAR_CHECKS = (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED)
+_VALIDATE_SETTINGS: dict[SourceKind, tuple[Setting, ...]] = {
+    SourceKind.DIS_ENTANGLED: _ENTANGLED_CHECKS,
+    SourceKind.INDIS_ENTANGLED: _ENTANGLED_CHECKS,
+    SourceKind.DIS_CORRELATED: _CAR_CHECKS,
+    SourceKind.THERMAL_CORRELATED: _CAR_CHECKS,
+}
+_VALIDATE_MUS = (0.05, 0.2)
+_VALIDATE_ALPHAS = (0.05, 0.5)
+_VALIDATE_DARKS = (0.0, 1e-3)
+# (kind, setting, mu, alpha, dark) of every cell, in output order
+_VALIDATE_CELLS = tuple(
+    (kind, *cell) for kind, settings in _VALIDATE_SETTINGS.items()
+    for cell in itertools.product(settings, _VALIDATE_MUS, _VALIDATE_ALPHAS, _VALIDATE_DARKS)
+)
+# a series rate passes when it is within this of the enumeration plus its tail bound
+_VALIDATE_TOL = 1e-9
+# and a Monte-Carlo estimate when it is within this many standard errors of the series
+_MC_Z_LIMIT = 4.0
+
+
+def _mc_z(est: McEstimate, rate: float) -> float:
+    """|mean - rate| in standard errors: the larger of the estimate's and
+    the binomial one at ``rate``, so that a run with no successes still
+    counts against a nonzero rate."""
+    se0 = math.sqrt(max(rate * (1.0 - rate), 0.0) / est.trials)
+    se = max(est.std_error, se0)
+    return abs(est.mean - rate) / se if se > 0 else 0.0

@@ -68,12 +68,14 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .detection import DetectorModel, click_prob
 from .distributions import (CapExceeded, PairSource, SourceKind, TruncationPolicy,
                             _certified_pmf, _check_count, _check_member)
+
+if TYPE_CHECKING:  # numpy is imported by the three functions that use it
+    import numpy as np
 
 __all__ = [
     "Setting",
@@ -318,6 +320,7 @@ def _plus_port_block(b: int) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]
     the signal clicks, and ``row`` the index of row min(k, x-k) of x in
     the block, or one past the last row where k > x.
     Built from the rows themselves, not through the tuple cache."""
+    import numpy as np
     xs = range(b * _BLOCK, min((b + 1) * _BLOCK, _PLUS_PORT_X_CAP + 1))
     starts = list(accumulate((x // 2 + 1 for x in xs), initial=0))
     block = np.zeros((starts[-1], xs[-1] + 1))
@@ -368,6 +371,7 @@ def _row_sums(terms: np.ndarray, top: float, factors=1.0) -> list[float]:
     rounded sum, which ``math.fsum`` returns, is s; every other row, a
     near tie, is summed by ``math.fsum``.
     """
+    import numpy as np
     n = terms.shape[1]
     # frexp's exponent e gives top < 2^e, and 2^bit_length(n+1) >= n+2
     sigma = math.ldexp(1.0, math.frexp(top)[1] + (n + 1).bit_length())
@@ -499,6 +503,7 @@ def _grow_coherent(qs: list, qi: list, ks: list, x_max: int) -> None:
     ``qs[x-k] * S[min(k, x-k)]`` of the signal clicks and the row sums S
     of x, summed by :func:`_row_sums` again and divided by x+1, as
     :func:`per_x_coincidence` forms them."""
+    import numpy as np
     while len(ks) <= x_max:
         block, top, signal, row = _plus_port_block(len(ks) // _BLOCK)
         q = np.array(qi[: block.shape[1]])

@@ -24,7 +24,7 @@ from biphoton import (
     concurrence,
     reconstruct,
 )
-from biphoton import cli, tomography
+from biphoton import cli, oracle, tomography
 from biphoton.cli import _SWEEP_MAX, _build_parser, _parse_sweep, main
 
 
@@ -476,7 +476,7 @@ def test_validate_refuses_a_negative_seed(capsys):
 
 def test_validate_fails_on_a_disagreement(capsys, monkeypatch):
     # the summary and the exit code follow the rows' status and mc_status
-    coincidence_rate, mc_rate = cli.coincidence_rate, cli.mc_rate
+    coincidence_rate, mc_rate = cli.coincidence_rate, oracle.mc_rate
 
     def off_series(source, setting, *rest):
         entry = coincidence_rate(source, setting, *rest)
@@ -495,7 +495,7 @@ def test_validate_fails_on_a_disagreement(capsys, monkeypatch):
     assert {row[1] for row in rows if row[9] == "FAIL"} == {"hv"}
     assert f"# max_abs_err={max(float(row[7]) for row in rows):.17g}" in out
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "mc_rate", off_mc)
+    monkeypatch.setattr(oracle, "mc_rate", off_mc)
     code, out, _ = _run(capsys, ["validate", "--trials", "20000"])
     assert code == 1 and "# status=FAIL" in out
     _, rows = _rows(out)
