@@ -16,9 +16,7 @@ Exit codes: 0 on success, 1 when ``validate`` finds a disagreement,
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -37,15 +35,13 @@ class ConfigError(ValueError):
     """Bad command-line configuration or input data."""
 
 
-_KINDS = {k.value: k for k in SourceKind}
-_OBJECTIVES = {o.value: o for o in Objective}
 _METHODS = {"exact": RateMethod.EXACT_SERIES, "closed": RateMethod.CLOSED_FORM}
 _SWEEP_MAX = 100_000  # the most points a --mu-range takes: its rows are held in memory
 
 # every option's argparse keywords, default included, in the order the
 # output header echoes them; _COMMANDS overrides some per subcommand
 _OPTIONS = {
-    "source": {"required": True, "choices": [k for k, v in _KINDS.items() if v.entangled]},
+    "source": {"required": True, "choices": [k.value for k in SourceKind if k.entangled]},
     "mu": {"type": float, "help": "single mean pair number"},
     "mu_range": {"help": "sweep LO:HI:N or LO:HI:N:log"},
     "alpha_s": {"type": float, "default": 0.1, "help": "signal efficiency (default 0.1)"},
@@ -62,7 +58,7 @@ _OPTIONS = {
         "help": "diagonal-basis interference model (default coherent)",
     },
     "method": {"choices": list(_METHODS), "default": "exact"},
-    "objective": {"choices": list(_OBJECTIVES), "default": Objective.MAX_VISIBILITY.value},
+    "objective": {"choices": [o.value for o in Objective], "default": Objective.MAX_VISIBILITY.value},
     "port": {"choices": [t.value for t in TimebinPort], "default": TimebinPort.AA.value},
     "trials": {"type": int, "default": 0, "help": "Monte-Carlo trials per cell (0 disables)"},
     "seed": {"type": int, "default": 1},
@@ -129,10 +125,10 @@ def _parse_mu_values(args) -> list[float]:
         raise ConfigError("exactly one of --mu and --mu-range is required")
     if args.mu is not None:
         return [args.mu]
-    return _parse_sweep(args.mu_range)
+    return _mu_grid(*_parse_sweep(args.mu_range))
 
 
-def _parse_sweep(text: str) -> list[float]:
+def _parse_sweep(text: str) -> tuple[float, float, int, bool]:
     parts = text.split(":")
     if len(parts) not in (3, 4):
         raise ConfigError(f"--mu-range must be LO:HI:N or LO:HI:N:log, got {text!r}")
@@ -154,7 +150,7 @@ def _parse_sweep(text: str) -> list[float]:
         )
     if scale == "log" and lo <= 0:
         raise ConfigError("log-scaled --mu-range needs LO > 0")
-    return _mu_grid(lo, hi, n, scale == "log")
+    return lo, hi, n, scale == "log"
 
 
 def _detector_args(args) -> tuple[float, float, float, float]:
@@ -204,12 +200,9 @@ def _emit_table(
     lines.extend(f"# {k}={_fmt(v)}" for k, v in config.items())
     if summary is not None:
         lines.extend(f"# {k}={_fmt(v)}" for k, v in summary.items())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    _write_text(args.out, "\n".join(lines) + "\n" + buf.getvalue())
+    # no field holds a comma, a double quote or a line break: csv.writer would quote none
+    lines.extend(",".join([_fmt(v) for v in row]) for row in [columns, *rows])
+    _write_text(args.out, "\n".join(lines) + "\n")
 
 
 def _write_text(out: str, text: str) -> None:
@@ -301,7 +294,7 @@ def cmd_density_matrix(args) -> int:
             raise ConfigError("--source is required")
         if args.mu is None:
             raise ConfigError("--mu is required unless --from-r is given")
-        kind = _KINDS[args.source]
+        kind = SourceKind(args.source)
         if args.method == "closed-rho":
             rho = closed_form_rho(kind, args.mu)
         else:
@@ -319,9 +312,10 @@ def cmd_density_matrix(args) -> int:
 
 
 def cmd_car(args) -> int:
+    kind, method = SourceKind(args.source), _METHODS[args.method]
+
     def row(mu, policy):
-        res = car(PairSource(_KINDS[args.source], mu), *_detector_args(args), policy,
-                  _METHODS[args.method])
+        res = car(PairSource(kind, mu), *_detector_args(args), policy, method)
         return [res.matched_rate, res.unmatched_rate, res.car]
 
     return _sweep(args, f"--method {args.method}", ["mu", "matched", "unmatched", "car"], row)
@@ -331,21 +325,21 @@ def cmd_timebin(args) -> int:
     mode = f"--method {args.method}"
     if args.method == "exact":
         mode += f" --port {args.port}"
+    kind, port, model = SourceKind(args.source), TimebinPort(args.port), HplusModel(args.hplus_model)
     return _sweep(args, mode, ["mu", "rate"], lambda mu, policy: [timebin_rate(
-        _KINDS[args.source], TimebinPort(args.port), mu, *_detector_args(args),
-        _METHODS[args.method], policy, HplusModel(args.hplus_model)).value])
+        kind, port, mu, *_detector_args(args), _METHODS[args.method], policy, model).value])
 
 
 def cmd_optimize_mu(args) -> int:
     config = _config(args)
-    mus = _parse_sweep(args.mu_range)
+    lo, hi, n, log = _parse_sweep(args.mu_range)
     # optimize_mu samples its bracket on a log grid of N points
-    if not args.mu_range.endswith(":log") or len(mus) < 3:
+    if not log or n < 3:
         raise ConfigError(
             f"optimize-mu needs --mu-range LO:HI:N:log with N >= 3, got {args.mu_range!r}"
         )
-    result = optimize_mu(_KINDS[args.source], *_detector_args(args), _OBJECTIVES[args.objective],
-                         (mus[0], mus[-1]), samples=len(mus))
+    result = optimize_mu(SourceKind(args.source), *_detector_args(args), Objective(args.objective),
+                         (lo, hi), samples=n)
     _emit_table(
         args, config, ["mu_star", "value", "unimodal"], [[result.mu, result.value, result.unimodal]]
     )
@@ -427,7 +421,7 @@ _COMMANDS = {
     "car": _Command(
         cmd_car,
         "coincidence-to-accidental ratio vs mu",
-        {"source": {"choices": [k for k, v in _KINDS.items() if v.correlated]}},
+        {"source": {"choices": [k.value for k in SourceKind if k.correlated]}},
         {
             "--method closed": ("source", *_SWEEP, "method", *_DETECTORS),
             "--method exact": ("source", *_SWEEP, "method", *_DETECTORS, *_SERIES),

@@ -131,6 +131,7 @@ def car(
     closed form refuses a non-default ``policy``, and raises
     :class:`CapExceeded` above mu = 1e150.
     """
+    _check_member("method", method, RateMethod)
     _, det_s, det_i = Setting.CAR_MATCHED.resolve(
         source.kind, DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
     )
@@ -141,11 +142,9 @@ def car(
         matched = mu * det_s.alpha * det_i.alpha + unmatched
         if source.kind is SourceKind.THERMAL_CORRELATED:
             matched += mu * mu * det_s.alpha * det_i.alpha
-    elif method is RateMethod.EXACT_SERIES:
+    else:
         _, (matched, unmatched) = _exact_rates(
             source, (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED), det_s, det_i, policy, None)
-    else:
-        raise ValueError(f"unsupported CAR method {method}")
     ratio = matched / unmatched if unmatched > 0 else math.inf
     return CarResult(matched, unmatched, ratio, method)
 
@@ -250,7 +249,11 @@ def optimize_mu(
     absolute for C and V), which evaluates nothing more.
     """
     _check_member("objective", objective, Objective)
-    lo, hi = (_check_real("mu_range", end) for end in mu_range)
+    try:
+        lo, hi = mu_range
+    except (TypeError, ValueError):
+        raise ValueError(f"mu_range must be a pair (lo, hi), got {mu_range!r}") from None
+    lo, hi = _check_real("mu_range", lo), _check_real("mu_range", hi)
     if not (0 < lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"mu_range must satisfy 0 < lo < hi, got {mu_range}")
     _check_count("samples", samples, 3)

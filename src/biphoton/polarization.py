@@ -122,6 +122,7 @@ class Setting(Enum):
     ) -> tuple[Setting, DetectorModel, DetectorModel]:
         """Reject a setting the kind does not define; map a time-bin setting
         onto its polarization twin seen through DetectorModel(alpha/2, dark)."""
+        _check_member("kind", kind, SourceKind)
         if self is Setting.HPLUS or self in _TIMEBIN_TWIN:
             _require_entangled(kind, self.value)
         if kind.entangled and self in (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED):
@@ -233,12 +234,11 @@ def timebin_rate(
     """
     _check_member("kind", kind, SourceKind)
     _check_member("port", port, TimebinPort)
+    _check_member("method", method, RateMethod)
     setting = Setting(f"timebin-{port.value}")
     det_s, det_i = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
     if method is RateMethod.EXACT_SERIES:
         return coincidence_rate(PairSource(kind, mu), setting, det_s, det_i, policy, hplus_model)
-    if method is not RateMethod.CLOSED_FORM:
-        raise ValueError(f"unsupported time-bin method {method}")
     setting, det_s, det_i = setting.resolve(kind, det_s, det_i)
     _closed_form_defaults(policy, hplus_model)
     rep = closed_form_rates(kind, mu, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark)

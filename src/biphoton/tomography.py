@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import DetectorModel
-from .distributions import PairSource, SourceKind, TruncationPolicy, _check_member
+from .distributions import PairSource, SourceKind, TruncationPolicy, _check_member, _check_real
 from .polarization import (
     HplusModel,
     RateMethod,
@@ -99,11 +99,12 @@ class TomographyVector:
         object.__setattr__(self, "r", tuple(_checked_rates(self.r).tolist()))
 
 
-def _checked_rates(r, rows: int | None = None) -> np.ndarray:
-    """The 16 projection rates, or ``rows`` rows of them, as floats, each finite and >= 0."""
-    rv = np.asarray(r, dtype=float)
-    if rv.shape != ((16,) if rows is None else (rows, 16)):
-        raise ValueError(f"expected 16 rates, got shape {rv.shape}")
+def _checked_rates(r) -> np.ndarray:
+    """The 16 projection rates, each any real but a bool, as floats, each finite and >= 0."""
+    shape = np.shape(r)
+    if shape != (16,):
+        raise ValueError(f"expected 16 rates, got shape {shape}")
+    rv = np.array([_check_real("r", v) for v in r])  # numpy would take True or "1" as 1.0
     if not 0 <= rv.min(initial=0.0) <= rv.max(initial=0.0) < math.inf:  # False for NaN too
         raise ValueError("rates must be finite and >= 0")
     return rv
@@ -166,19 +167,18 @@ def assemble_r(
     the closed forms refuse a non-default ``policy`` or ``hplus_model``."""
     _check_member("kind", kind, SourceKind)
     _check_member("hplus_model", hplus_model, HplusModel)
+    _check_member("method", method, RateMethod)
     _require_entangled(kind, "tomography")
     if method is RateMethod.CLOSED_FORM:
         _closed_form_defaults(policy, hplus_model)
         rep = closed_form_rates(kind, mu, alpha_s, alpha_i, dark_s, dark_i)
         hh, hv, hp = rep.r_hh, rep.r_hv, rep.r_hplus
         model = None
-    elif method is RateMethod.EXACT_SERIES:
+    else:
         _, (hh, hv, hp) = _exact_rates(
             PairSource(kind, mu), (Setting.HH, Setting.HV, Setting.HPLUS),
             DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i), policy, hplus_model)
         model = hplus_model
-    else:
-        raise ValueError(f"unsupported tomography method {method}")
     return TomographyVector(tuple((hh, hv, hp)[c] for c in _COLUMN), method, model)
 
 
@@ -271,7 +271,7 @@ def reconstruct(r) -> DensityMatrix:
     One state is the one-row case of the stacked reconstruction that
     ``concurrence-curve`` and ``optimize_mu`` run, bit for bit.
     """
-    rv = _checked_rates(r.r if isinstance(r, TomographyVector) else r)
+    rv = np.array(r.r) if isinstance(r, TomographyVector) else _checked_rates(r)
     dm = DensityMatrix.__new__(DensityMatrix)
     dm._keep(*_reconstructed(rv[None]))
     return dm
@@ -348,7 +348,8 @@ def _closed_form_concurrences(kinds: tuple, mus: list, alpha_s, alpha_i, dark_s=
     rates = np.empty((3, len(mu)))
     for j, kind in enumerate(kinds):
         rates[:, j::step] = _closed_forms(kind, mu[j::step], *arms)[:3]
-    _, _, w, v = _reconstructed(_checked_rates(rates.T.take(_COLUMN, axis=1), len(mu)))
+    # rates of checked inputs are finite and >= 0: no state needs _checked_rates
+    _, _, w, v = _reconstructed(rates.T.take(_COLUMN, axis=1))
     return _wootters(w, v)
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -108,7 +109,8 @@ def test_a_sweep_takes_at_most_its_bound_of_points(capsys):
     assert code == 2 and out == ""
     assert "--mu-range takes at most 100000 points, got 100001" in err
     # the bound itself is a sweep
-    assert len(_parse_sweep(f"0:1:{_SWEEP_MAX}")) == _SWEEP_MAX == 100_000
+    assert _parse_sweep(f"0:1:{_SWEEP_MAX}") == (0.0, 1.0, _SWEEP_MAX, False)
+    assert _SWEEP_MAX == 100_000
 
 
 _CLOSED_TIMEBIN = ["timebin", "--source", "dis-entangled", "--method", "closed"]
@@ -345,8 +347,9 @@ def test_density_matrix_errors(tmp_path, capsys):
     assert code == 2
     code, _, err = _run(capsys, ["density-matrix", "--from-r", str(tmp_path / "missing.json")])
     assert code == 2
+    # an int beyond the float range is held as an infinity, by the number rule
     for rates, message in (([math.nan] * 16, "finite"), ([-1.0] + [1.0] * 15, "finite"),
-                           ([None] * 16, "16 numbers"), ([10**400] + [1] * 15, "float")):
+                           ([None] * 16, "16 numbers"), ([10**400] + [1] * 15, "finite")):
         bad.write_text(json.dumps({"r": rates}))
         code, _, err = _run(capsys, ["density-matrix", "--from-r", str(bad)])
         assert code == 2 and message in err, err
@@ -659,6 +662,44 @@ def test_every_json_output_is_laid_out_as_json_dumps_with_indent_2(argv, tmp_pat
     doc = json.loads(out)
     assert out == json.dumps(doc, indent=2) + "\n"
     assert ("summary" in doc) == (argv[0] == "validate")
+
+
+_TB = ["--source", "indis-entangled", "--mu-range", "0.1:1:4"]
+# (subcommand, mode) -> the argv after the subcommand, for every mode that
+# prints a CSV table: density-matrix prints JSON only
+_CSV_MODES = {
+    ("visibility-curve", ""): ["--mu-range", "0:1:4", "--dark-s", "1e-4"],
+    ("concurrence-curve", ""): ["--mu-range", "0:1:4"],
+    ("car", "--method closed"): ["--source", "dis-correlated", "--method", "closed",
+                                 "--mu-range", "0:1:4"],
+    ("car", "--method exact"): ["--source", "thermal-correlated", "--mu-range", "0.1:1:4"],
+    ("timebin", "--method closed"): [*_TB, "--method", "closed"],
+    ("timebin", "--method exact --port aa"): [*_TB, "--port", "aa"],
+    ("timebin", "--method exact --port ab"): [*_TB, "--port", "ab"],
+    ("timebin", "--method exact --port aplus"): [*_TB, "--port", "aplus"],
+    ("optimize-mu", ""): ["--source", "dis-entangled", "--mu-range", "1e-3:1:9:log"],
+    ("validate", "without --trials"): [],
+    ("validate", "with --trials"): ["--trials", "1000"],
+}
+
+
+def test_the_csv_cases_cover_every_table_mode():
+    assert set(_CSV_MODES) == {(command, mode) for command, spec in cli._COMMANDS.items()
+                               if command != "density-matrix" for mode in spec.modes}
+
+
+@pytest.mark.parametrize("command, mode", list(_CSV_MODES))
+def test_every_csv_table_reads_back_as_its_comma_split(command, mode):
+    # rows are joined by commas and never quoted, which is exact CSV only
+    # while no field holds a comma, a double quote or a line break
+    out = _stdout([command, *_CSV_MODES[command, mode]])
+    lines = out.split("\n")
+    assert lines.pop() == "" and all(lines)
+    comments = [ln for ln in lines if ln.startswith("#")]
+    table = lines[len(comments):]
+    assert comments and table, out
+    assert list(csv.reader(table)) == [ln.split(",") for ln in table]
+    assert {len(ln.split(",")) for ln in table} == {len(table[0].split(","))}
 
 
 @settings(max_examples=1000)

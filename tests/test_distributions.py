@@ -18,11 +18,13 @@ from biphoton import (
     HplusModel,
     Objective,
     PairSource,
+    RateMethod,
     Setting,
     SourceKind,
     TimebinPort,
     TruncationPolicy,
     assemble_r,
+    car,
     click_prob,
     coincidence_rate,
     enumerate_rate,
@@ -415,10 +417,20 @@ _ALPHA = DetectorModel(0.1)
     (lambda: assemble_r(SourceKind.INDIS_ENTANGLED, 0.5, 0.1, 0.1, hplus_model="independent"),
      "hplus_model must be a HplusModel, got 'independent'"),
     (lambda: PairSource("indis-entangled", 0.5), "kind must be a SourceKind, got 'indis-entangled'"),
+    (lambda: car(PairSource(SourceKind.DIS_CORRELATED, 0.1), 0.1, 0.1, method="closed-form"),
+     "method must be a RateMethod, got 'closed-form'"),
+    (lambda: timebin_rate(SourceKind.INDIS_ENTANGLED, TimebinPort.AA, 0.5, 0.1, 0.1,
+                          method="closed-form"),
+     "method must be a RateMethod, got 'closed-form'"),
+    (lambda: assemble_r(SourceKind.INDIS_ENTANGLED, 0.5, 0.1, 0.1, method=None),
+     "method must be a RateMethod, got None"),
+    (lambda: Setting.HH.resolve("dis-entangled", _ALPHA, _ALPHA),
+     "kind must be a SourceKind, got 'dis-entangled'"),
 ], ids=["coincidence-model", "coincidence-setting", "series-model", "series-setting",
         "per-x-kind", "per-x-setting", "per-x-model", "enumerate-model", "enumerate-setting",
         "mc-model", "mc-setting", "timebin-port", "timebin-kind", "timebin-model",
-        "optimize-objective", "assemble-kind", "assemble-model", "pair-source-kind"])
+        "optimize-objective", "assemble-kind", "assemble-model", "pair-source-kind",
+        "car-method", "timebin-method", "assemble-method", "resolve-kind"])
 def test_every_enum_argument_follows_one_member_rule(call, message):
     # an enum argument is a member, not its value string: "independent"
     # once meant the coherent model to the series and the independent one

@@ -1,6 +1,7 @@
 """Visibility, contrast, CAR, and mean-pair-number optimization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ def test_car_floor_and_validation():
                 assert res.car >= 1.0
     with pytest.raises(ValueError):
         car(PairSource(SourceKind.DIS_ENTANGLED, 0.1), 0.1, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="^method must be a RateMethod, got 'oracle'$"):
         car(PairSource(SourceKind.DIS_CORRELATED, 0.1), 0.1, 0.1, 0, 0,
             policy, "oracle")
 
@@ -365,6 +366,12 @@ def test_optimize_validation():
     with pytest.raises(ValueError):
         optimize_mu(SourceKind.DIS_ENTANGLED, 0.1, 0.1, 0, 0,
                     Objective.MAX_VISIBILITY, (0.1, 1.0), samples=2)
+    # the bracket is a pair before its ends are read as reals
+    for bracket in ((1e-3, 1.0, 2.0), 5, ("a",)):
+        message = re.escape(f"mu_range must be a pair (lo, hi), got {bracket!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            optimize_mu(SourceKind.DIS_ENTANGLED, 0.1, 0.1, 0, 0,
+                        Objective.MAX_VISIBILITY, bracket)
     # every objective checks the arms before the kind, and both before any mu
     for objective in Objective:
         with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.5$"):

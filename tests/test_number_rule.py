@@ -122,7 +122,8 @@ def _tomography(v):
     for j in CROSSED_INDICES:
         r[j] = hv
     rho = reconstruct(r)
-    return [TomographyVector(tuple(r), RateMethod.CLOSED_FORM), rho, concurrence(rho)]
+    return [TomographyVector(tuple(r), RateMethod.CLOSED_FORM), rho, concurrence(rho),
+            reconstruct(np.array(r))]
 
 
 _ENTRY_POINTS = {
@@ -205,7 +206,8 @@ def test_every_real_input_computes_as_its_float_twin(entry):
     lambda: optimize_mu(SourceKind.DIS_ENTANGLED, 0.1, 0.1, 0.0, 0.0, Objective.MAX_VISIBILITY,
                         (1e-3, 10**400)),
     lambda: TruncationPolicy(Fraction(10**400)),
-], ids=["alpha", "dark", "negative-alpha", "mu", "bracket", "tail_epsilon"])
+    lambda: reconstruct([10**400] + [1] * 15),
+], ids=["alpha", "dark", "negative-alpha", "mu", "bracket", "tail_epsilon", "rates"])
 def test_reals_beyond_the_float_range_are_refused_by_range(make):
     # float() of such a value overflows; the rule holds it as an infinity,
     # which the range check refuses by name
@@ -236,3 +238,21 @@ def test_the_default_tail_epsilon_as_a_fraction_is_the_default_policy():
 def test_a_tail_epsilon_that_is_not_real_is_refused_by_name(eps):
     with pytest.raises(TypeError, match=f"tail_epsilon must be a real number, got {eps!r}"):
         TruncationPolicy(eps)
+
+
+@pytest.mark.parametrize("make, entry", [
+    (lambda: reconstruct(["1"] * 16), "1"),
+    (lambda: reconstruct([True] * 16), True),
+    (lambda: reconstruct(np.array([True] * 16)), np.True_),
+    (lambda: reconstruct([0.5] * 15 + [True]), True),
+    (lambda: reconstruct([None] * 16), None),
+    (lambda: reconstruct(np.full(16, 0.5 + 0j)), np.complex128(0.5 + 0j)),
+    (lambda: TomographyVector(("1",) * 16, RateMethod.CLOSED_FORM), "1"),
+    (lambda: TomographyVector((0.5,) * 15 + (False,), RateMethod.CLOSED_FORM), False),
+], ids=["str", "bool", "bool-array", "bool-among-floats", "none", "complex-array",
+        "vector-str", "vector-bool"])
+def test_a_rate_that_is_not_real_is_refused_by_name(make, entry):
+    # numpy would take each of these as a float, a bool among floats included
+    with pytest.raises(TypeError) as exc:
+        make()
+    assert str(exc.value) == f"r must be a real number, got {entry!r}"

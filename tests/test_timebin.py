@@ -155,7 +155,7 @@ def test_same_slot_rate_is_quarter_of_polarization():
 def test_timebin_setting_wrapper_and_validation():
     with pytest.raises(UnsupportedSetting):
         timebin_rate(SourceKind.THERMAL_CORRELATED, TimebinPort.AA, 0.2, 0.1, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="^method must be a RateMethod, got 'oracle'$"):
         timebin_rate(
             SourceKind.DIS_ENTANGLED, TimebinPort.AA, 0.2, 0.1, 0.1,
             method="oracle",

@@ -95,7 +95,7 @@ def test_exact_series_vector_is_labeled():
     )
     assert vec.method is RateMethod.EXACT_SERIES
     assert vec.hplus_model is HplusModel.INDEPENDENT
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="^method must be a RateMethod, got 'oracle'$"):
         assemble_r(SourceKind.DIS_ENTANGLED, 0.1, 0.1, 0.1, method="oracle")
     with pytest.raises(UnsupportedSetting):
         assemble_r(SourceKind.DIS_CORRELATED, 0.1, 0.1, 0.1)
