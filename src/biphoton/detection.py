@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .distributions import _check_count, _check_real
+from .distributions import _check_count, _check_member, _check_real
 
 __all__ = ["DetectorModel", "click_prob"]
 
@@ -42,6 +42,7 @@ def click_prob(det: DetectorModel, x: int) -> float:
     1 - (1 - dark) * (1 - alpha)^x, the complement of "no photon fires
     and no dark count fires".
     """
+    _check_member("det", det, DetectorModel)
     if type(x) is not int or x < 0:  # a plain int passes without a call
         _check_count("x", x)
     return _click(det.alpha, det.dark, x)

@@ -67,11 +67,11 @@ def _check_real(name: str, value) -> float:
         return math.inf
 
 
-def _check_member(name: str, value, enum: type[Enum]) -> None:
-    """The one rule for an enum argument: a member of ``enum``; its value
-    string (``"independent"``) is refused, not looked up."""
-    if not isinstance(value, enum):
-        raise TypeError(f"{name} must be a {enum.__name__}, got {value!r}")
+def _check_member(name: str, value, cls: type) -> None:
+    """The one rule for an enum or object argument: an instance of ``cls``;
+    an enum's value string (``"independent"``) is refused, not looked up."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 class SourceKind(Enum):
@@ -170,6 +170,7 @@ def _ratios(source: PairSource) -> Iterator[float]:
 def _pmfs(source: PairSource) -> Iterator[float]:
     """pmf(0), pmf(1), ...: the multiplicative recurrence from P(0), in
     which no factorials or large powers appear, so every value is finite."""
+    _check_member("source", source, PairSource)
     return accumulate(_ratios(source), operator.mul, initial=_pmf0(source))
 
 
@@ -191,6 +192,7 @@ def pmf_values(source: PairSource, x_max: int) -> list[float]:
 
 def _certified_pmf(source: PairSource, policy: TruncationPolicy) -> list[float]:
     """pmf(0..x_max), as :func:`pmf_values`, from the walk that certifies x_max."""
+    _check_member("policy", policy, TruncationPolicy)
     eps = policy.tail_epsilon
     # p_next = pmf(x+1) and q = pmf(x+2)/pmf(x+1), walked side by side
     pmfs, ratios = _pmfs(source), _ratios(source)

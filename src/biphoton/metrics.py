@@ -40,7 +40,6 @@ class VisibilityResult:
 
     visibility: float
     contrast: float
-    method: RateMethod
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class CarResult:
     matched_rate: float
     unmatched_rate: float
     car: float
-    method: RateMethod
 
 
 class Objective(Enum):
@@ -73,7 +71,6 @@ class MuOptimum:
     mu: float
     value: float
     unimodal: bool
-    objective: Objective
 
 
 def _visibility(r_hh: float, r_hv: float) -> float:
@@ -90,11 +87,12 @@ def visibility_exact(
     policy: TruncationPolicy = _DEFAULT_POLICY,
 ) -> VisibilityResult:
     """Visibility from the exact-series HH and HV rates."""
+    _check_member("source", source, PairSource)
     _require_entangled(source.kind, "visibility")
     _, (hh, hv) = _exact_rates(source, (Setting.HH, Setting.HV), DetectorModel(alpha_s, dark_s),
                                DetectorModel(alpha_i, dark_i), policy, None)
     contrast = hh / hv if hv > 0 else math.inf
-    return VisibilityResult(_visibility(hh, hv), contrast, RateMethod.EXACT_SERIES)
+    return VisibilityResult(_visibility(hh, hv), contrast)
 
 
 def visibility_approx(kind: SourceKind, mu: float) -> VisibilityResult:
@@ -111,7 +109,7 @@ def visibility_approx(kind: SourceKind, mu: float) -> VisibilityResult:
     else:
         v = (mu + 2.0) / (3.0 * mu + 2.0)
         contrast = 2.0 + 2.0 / mu if mu > 0 else math.inf
-    return VisibilityResult(v, contrast, RateMethod.CLOSED_FORM)
+    return VisibilityResult(v, contrast)
 
 
 def car(
@@ -132,6 +130,7 @@ def car(
     :class:`CapExceeded` above mu = 1e150.
     """
     _check_member("method", method, RateMethod)
+    _check_member("source", source, PairSource)
     _, det_s, det_i = Setting.CAR_MATCHED.resolve(
         source.kind, DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
     )
@@ -146,7 +145,7 @@ def car(
         _, (matched, unmatched) = _exact_rates(
             source, (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED), det_s, det_i, policy, None)
     ratio = matched / unmatched if unmatched > 0 else math.inf
-    return CarResult(matched, unmatched, ratio, method)
+    return CarResult(matched, unmatched, ratio)
 
 
 def _objective_fn(
@@ -271,7 +270,7 @@ def optimize_mu(
     rising = all(ys[j + 1] >= ys[j] - tol(ys[j]) for j in range(peak))
     falling = all(ys[j + 1] <= ys[j] + tol(ys[j]) for j in range(peak, samples - 1))
     if flat or not (rising and falling):
-        return MuOptimum(grid[peak], ys[peak], False, objective)
+        return MuOptimum(grid[peak], ys[peak], False)
 
     a = log_lo if peak == 0 else math.log(grid[peak - 1])
     b = log_hi if peak == samples - 1 else math.log(grid[peak + 1])
@@ -287,4 +286,4 @@ def optimize_mu(
     for m, y in ((lo, ys[0]), (hi, ys[-1])):
         if y >= best_val:
             best_mu, best_val = m, y
-    return MuOptimum(best_mu, best_val, True, objective)
+    return MuOptimum(best_mu, best_val, True)

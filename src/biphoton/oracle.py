@@ -1,7 +1,10 @@
 """Independent validation oracles for the rate series.
 
-Two cross-checks that deliberately avoid the analytic machinery of the
-rate modules:
+Two cross-checks that avoid the analytic machinery of the rate modules,
+with one exception: :func:`enumerate_rate` weights its per-x tables by
+``distributions.pmf_values``, the pmf recurrence that the series sums,
+while :func:`mc_rate` states its pair law apart (``_pair_law``).  Stating
+each law once is an open item of ROADMAP.md ("The oracles' two inputs"):
 
 * :func:`enumerate_rate` sums the exact detection probability over the
   law of the generation pattern that :func:`sample_patterns` draws
@@ -102,7 +105,6 @@ class EnumeratedRate:
 
     value: float
     tail_bound: float
-    x_max: int
 
 
 @dataclass(frozen=True)
@@ -269,6 +271,7 @@ def enumerate_rate(
     _check_count("x_max", x_max)
     if x_max > X_MAX_LIMIT:
         raise XMaxTooLarge(f"x_max={x_max} exceeds the enumeration budget of {X_MAX_LIMIT}")
+    _check_member("source", source, PairSource)
     setting, det_s, det_i = setting.resolve(source.kind, det_s, det_i)
     model = hplus_model if setting is Setting.HPLUS else None
     draws = _DRAWS.get(setting, (setting,))
@@ -279,8 +282,8 @@ def enumerate_rate(
     if setting is Setting.CAR_UNMATCHED:
         a, b = rates
         # |A'B' - AB| <= tail*(A + B + tail) when each factor gains <= tail
-        return EnumeratedRate(a * b, tail * (a + b + tail), x_max)
-    return EnumeratedRate(rates[0], tail, x_max)
+        return EnumeratedRate(a * b, tail * (a + b + tail))
+    return EnumeratedRate(rates[0], tail)
 
 
 # 32 laws of at most 202 bins hold about 64 KB (tracemalloc, cache included)
@@ -526,6 +529,7 @@ def mc_rate(
     _check_member("hplus_model", hplus_model, HplusModel)
     _check_count("trials", trials, 1)
     _check_count("seed", seed)
+    _check_member("source", source, PairSource)
     if source.mu > MU_MAX:
         raise XMaxTooLarge(
             f"mu={source.mu:g} is above the Monte-Carlo's MU_MAX = 2^62, where int64 "

@@ -127,6 +127,8 @@ class Setting(Enum):
             _require_entangled(kind, self.value)
         if kind.entangled and self in (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED):
             raise UnsupportedSetting(f"{self.value} requires a correlated kind")
+        _check_member("det_s", det_s, DetectorModel)
+        _check_member("det_i", det_i, DetectorModel)
         if self not in _TIMEBIN_TWIN:
             return self, det_s, det_i
         # the matching interferometer arm passes a slot with amplitude 1/2
@@ -180,13 +182,11 @@ def _closed_form_defaults(policy, hplus_model=HplusModel.COHERENT) -> None:
 
 @dataclass(frozen=True)
 class RateEntry:
-    """One computed rate with its provenance."""
+    """A rate, its setting as resolved and its truncation index x_max (0 for the closed forms)."""
 
     value: float
     setting: Setting
-    method: RateMethod
     truncation_used: int
-    hplus_model: HplusModel | None = None
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def timebin_rate(
     The efficiencies are those of the detectors themselves and must lie
     in [0, 1]; the returned entry's ``setting`` is the polarization
     twin the rate was computed for, at alpha/2.  The closed forms refuse
-    a non-default ``policy`` or ``hplus_model``, and record no H+ model.
+    a non-default ``policy`` or ``hplus_model``.
     """
     _check_member("kind", kind, SourceKind)
     _check_member("port", port, TimebinPort)
@@ -243,7 +243,7 @@ def timebin_rate(
     _closed_form_defaults(policy, hplus_model)
     rep = closed_form_rates(kind, mu, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark)
     value = getattr(rep, f"r_{setting.value}")  # r_hh, r_hv or r_hplus
-    return RateEntry(value, setting, RateMethod.CLOSED_FORM, 0, None)
+    return RateEntry(value, setting, 0)
 
 
 # largest x that plus_port_distribution tabulates: TruncationPolicy's
@@ -475,6 +475,8 @@ def per_x_coincidence(
         raise UnsupportedSetting(f"{setting.value} has no per-x kernel; use coincidence_rate")
     if setting is Setting.HPLUS:
         _require_entangled(kind, setting.value)
+    _check_member("det_s", det_s, DetectorModel)
+    _check_member("det_i", det_i, DetectorModel)
     qs = [click_prob(det_s, n) for n in range(x + 1)]
     qi = [click_prob(det_i, n) for n in range(x + 1)]
     return _kernel(kind, setting, x, qs, qi, hplus_model)
@@ -584,10 +586,10 @@ def coincidence_rate(
     """
     _check_member("setting", setting, Setting)
     _check_member("hplus_model", hplus_model, HplusModel)
+    _check_member("source", source, PairSource)
     setting, det_s, det_i = setting.resolve(source.kind, det_s, det_i)
     x_max, (value,) = _exact_rates(source, (setting,), det_s, det_i, policy, hplus_model)
-    model = hplus_model if setting is Setting.HPLUS else None
-    return RateEntry(value, setting, RateMethod.EXACT_SERIES, x_max, model)
+    return RateEntry(value, setting, x_max)
 
 
 def single_rate(

@@ -86,7 +86,7 @@ def projectors() -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class TomographyVector:
-    """The 16 projection rates in table order, stored as floats, with provenance."""
+    """The 16 projection rates in table order, as floats, tagged with a method and an H+ model."""
 
     r: tuple[float, ...]
     method: RateMethod

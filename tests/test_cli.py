@@ -349,10 +349,29 @@ def test_density_matrix_errors(tmp_path, capsys):
     assert code == 2
     # an int beyond the float range is held as an infinity, by the number rule
     for rates, message in (([math.nan] * 16, "finite"), ([-1.0] + [1.0] * 15, "finite"),
-                           ([None] * 16, "16 numbers"), ([10**400] + [1] * 15, "finite")):
+                           ([None] * 16, "real number"), ([10**400] + [1] * 15, "finite")):
         bad.write_text(json.dumps({"r": rates}))
         code, _, err = _run(capsys, ["density-matrix", "--from-r", str(bad)])
         assert code == 2 and message in err, err
+
+
+@pytest.mark.parametrize("rates, message", [
+    ([0.1] * 15 + [True], "r must be a real number, got True"),
+    ([0.1] * 15 + [None], "r must be a real number, got None"),
+    ([0.1] * 15, "expected 16 rates, got shape (15,)"),
+    ([[0.1] * 16], "expected 16 rates, got shape (1, 16)"),
+], ids=["bool", "null", "fifteen", "nested"])
+def test_from_r_rates_follow_the_library_number_rule(tmp_path, capsys, rates, message):
+    # the CLI checks only that the file holds {"r": ...}; the rates meet
+    # reconstruct's own rule, and a refused file exits 2 with no stdout
+    path = tmp_path / "rates.json"
+    path.write_text(json.dumps({"r": rates}))
+    with pytest.raises((TypeError, ValueError)) as lib:
+        tomography.reconstruct(rates)
+    assert str(lib.value) == message
+    code, out, err = _run(capsys, ["density-matrix", "--from-r", str(path)])
+    named = f"{path}: {message}" if lib.type is TypeError else message
+    assert (code, out, err) == (2, "", f"biphoton: {named}\n")
 
 
 def test_car_command(capsys):

@@ -1,6 +1,7 @@
 """Design checks over the package source."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -87,3 +88,22 @@ def test_each_public_name_is_declared_in_one_module_all():
     assert len(biphoton.__all__) == len(set(biphoton.__all__)) == 45
     assert set(biphoton.__all__) == {"__version__", *library}
     assert biphoton.OracleSetting is biphoton.Setting
+
+
+def test_each_result_holds_only_what_its_call_computed():
+    # a field that repeats an argument of the call (the method, the H+
+    # model, the objective or x_max the caller passed) says nothing new;
+    # TomographyVector keeps its method and H+ model: the benchmark
+    # adapter builds one itself
+    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in (
+        biphoton.RateEntry, biphoton.VisibilityResult, biphoton.CarResult, biphoton.MuOptimum,
+        biphoton.EnumeratedRate, biphoton.McEstimate, biphoton.TomographyVector)}
+    assert fields == {
+        "RateEntry": ["value", "setting", "truncation_used"],
+        "VisibilityResult": ["visibility", "contrast"],
+        "CarResult": ["matched_rate", "unmatched_rate", "car"],
+        "MuOptimum": ["mu", "value", "unimodal"],
+        "EnumeratedRate": ["value", "tail_bound"],
+        "McEstimate": ["mean", "std_error", "trials", "seed"],
+        "TomographyVector": ["r", "method", "hplus_model"],
+    }

@@ -34,8 +34,10 @@ from biphoton import (
     plus_port_distribution,
     pmf,
     pmf_values,
+    single_rate,
     timebin_rate,
     truncation_index,
+    visibility_exact,
 )
 from biphoton import distributions
 
@@ -426,11 +428,44 @@ _ALPHA = DetectorModel(0.1)
      "method must be a RateMethod, got None"),
     (lambda: Setting.HH.resolve("dis-entangled", _ALPHA, _ALPHA),
      "kind must be a SourceKind, got 'dis-entangled'"),
+    # a source, detector or policy argument is an instance of its class too
+    (lambda: car("dis-correlated", 0.1, 0.1), "source must be a PairSource, got 'dis-correlated'"),
+    (lambda: visibility_exact("dis-entangled", 0.1, 0.1),
+     "source must be a PairSource, got 'dis-entangled'"),
+    (lambda: coincidence_rate("x", Setting.HH, _ALPHA, _ALPHA),
+     "source must be a PairSource, got 'x'"),
+    (lambda: coincidence_rate(_INDIS, Setting.HH, 0.1, _ALPHA),
+     "det_s must be a DetectorModel, got 0.1"),
+    (lambda: coincidence_rate(_INDIS, Setting.HH, _ALPHA, _ALPHA, 1e-12),
+     "policy must be a TruncationPolicy, got 1e-12"),
+    (lambda: single_rate("x", _ALPHA), "source must be a PairSource, got 'x'"),
+    (lambda: truncation_index("x", TruncationPolicy()), "source must be a PairSource, got 'x'"),
+    (lambda: truncation_index(_INDIS, 1e-12), "policy must be a TruncationPolicy, got 1e-12"),
+    (lambda: pmf("x", 3), "source must be a PairSource, got 'x'"),
+    (lambda: pmf_values("x", 3), "source must be a PairSource, got 'x'"),
+    (lambda: click_prob(0.1, 3), "det must be a DetectorModel, got 0.1"),
+    (lambda: enumerate_rate("x", Setting.HH, _ALPHA, _ALPHA, 5),
+     "source must be a PairSource, got 'x'"),
+    (lambda: enumerate_rate(_INDIS, Setting.HH, 0.1, _ALPHA, 5),
+     "det_s must be a DetectorModel, got 0.1"),
+    (lambda: mc_rate("x", Setting.HH, _ALPHA, _ALPHA, 10, 1),
+     "source must be a PairSource, got 'x'"),
+    (lambda: per_x_coincidence(SourceKind.DIS_ENTANGLED, Setting.HH, 2, 0.1, _ALPHA),
+     "det_s must be a DetectorModel, got 0.1"),
+    (lambda: assemble_r(SourceKind.DIS_ENTANGLED, 0.1, 0.1, 0.1, 0, 0, 1e-12,
+                        RateMethod.EXACT_SERIES),
+     "policy must be a TruncationPolicy, got 1e-12"),
+    (lambda: Setting.HH.resolve(SourceKind.DIS_ENTANGLED, _ALPHA, 0.1),
+     "det_i must be a DetectorModel, got 0.1"),
 ], ids=["coincidence-model", "coincidence-setting", "series-model", "series-setting",
         "per-x-kind", "per-x-setting", "per-x-model", "enumerate-model", "enumerate-setting",
         "mc-model", "mc-setting", "timebin-port", "timebin-kind", "timebin-model",
         "optimize-objective", "assemble-kind", "assemble-model", "pair-source-kind",
-        "car-method", "timebin-method", "assemble-method", "resolve-kind"])
+        "car-method", "timebin-method", "assemble-method", "resolve-kind",
+        "car-source", "visibility-source", "coincidence-source", "coincidence-det",
+        "coincidence-policy", "single-source", "truncation-source", "truncation-policy",
+        "pmf-source", "pmf-values-source", "click-det", "enumerate-source", "enumerate-det",
+        "mc-source", "per-x-det", "assemble-policy", "resolve-det"])
 def test_every_enum_argument_follows_one_member_rule(call, message):
     # an enum argument is a member, not its value string: "independent"
     # once meant the coherent model to the series and the independent one
