@@ -47,8 +47,9 @@ each law once is an open item of ROADMAP.md ("The oracles' two inputs"):
 Each law is held once: the coin rows of x = 0..14, the coherent ladder's
 squared rows of x = 0..``HPLUS_X_CAP`` in one list filled in increasing
 x (about 22 MB when full; only the walk's head amplitudes are kept), one
-click list per detector, one enumeration table per configuration and one
-binned pair law per kind, mu and top.
+click list per detector (and per top, for the Monte-Carlo), one
+enumeration table per configuration and one binned pair law per kind, mu
+and top.
 
 Both oracles take a :class:`Setting` and let :meth:`Setting.resolve`
 turn a time-bin setting into its polarization twin at half efficiency,
@@ -385,60 +386,63 @@ def _classes(*photons: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return tuple(v + m for v, m in zip(np.unravel_index(keys, shape), lo)), counts
 
 
-def _plus_classes(
-    rng: np.random.Generator, xy: np.ndarray, coherent: bool
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """(signal H photons, idler + photons) classes of the (x, y) bins ``xy``:
-    one multinomial per row x over the + count (:func:`_plus_law`), in increasing x."""
-    counts = np.zeros_like(xy)
-    for xv in np.flatnonzero(xy.any(axis=1)).tolist():
-        law = _plus_law(xv, coherent)
-        counts[xv - np.arange(xv + 1), : xv + 1] += rng.multinomial(xy[xv, : xv + 1], law)
-    occupied = np.nonzero(counts)
-    return occupied, counts[occupied]
+@lru_cache(maxsize=64)
+def _click_list(det: DetectorModel, top: int) -> tuple[float, ...]:
+    """One arm's click law at 0..top photons, as numpy computes it on an array, like the
+    tail classes' law: its pow and Python's differ in the last bit on about 2% of entries."""
+    return tuple(_click(det.alpha, det.dark, np.arange(top + 1)).tolist())
 
 
 def _hits(
-    rng: np.random.Generator,
-    dets: tuple[DetectorModel, ...],
-    photons: tuple[np.ndarray, ...],
-    counts: np.ndarray,
+    rng: np.random.Generator, dets: list[DetectorModel], top: int, bins: tuple,
+    tail: tuple, none: int,
 ) -> int:
-    """Pulses on which every arm clicks: one binomial draw per class, in
-    the order given; a class of 0 photons clicks on dark counts alone."""
-    p = np.ones(counts.shape)
-    for det, n in zip(dets, photons):
-        p *= _click(det.alpha, det.dark, n)
-    return int(rng.binomial(counts, p).sum())
+    """Pulses on which every arm clicks: one binomial call, one draw per
+    class, in the order of :func:`_photon_classes`; the ``none`` pulses
+    without pairs click on dark counts alone."""
+    (photons, counts), (tail_photons, tail_counts) = bins, tail
+    p, p_none = [1.0] * len(counts), 1.0
+    for det, ns in zip(dets, photons):
+        q = _click_list(det, top)
+        p, p_none = [a * q[k] for a, k in zip(p, ns)], p_none * q[0]
+    if not tail_counts.size:
+        return sum(rng.binomial([*counts, none], [*p, p_none]).tolist())
+    p_tail = np.ones(tail_counts.shape)
+    for det, ns in zip(dets, tail_photons):
+        p_tail *= _click(det.alpha, det.dark, ns)
+    counts = np.concatenate((np.asarray(counts, np.int64), tail_counts, [none]))
+    return int(rng.binomial(counts, np.concatenate((p, p_tail, [p_none]))).sum())
 
 
 def _photon_classes(
     rng: np.random.Generator, kind: SourceKind, setting: Setting, counts: np.ndarray,
     tail: np.ndarray, coherent: bool,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+) -> tuple[tuple, tuple, int]:
     """(photons per arm, pulse count) classes of every pulse, given the
     pulse counts ``counts`` of x = 0..top pairs and the pair numbers
-    ``tail`` beyond: by (x, pattern) bin for x >= 1, by `_classes` for
-    ``tail``, then the ``counts[0]`` pulses without pairs, 0 photons in
-    every arm."""
-    occupied = (np.flatnonzero(counts[1:]) + 1).tolist()  # pair numbers
-    xy = np.zeros((max(occupied, default=0) + 1,) * 2, dtype=np.int64)
-    for xv in occupied:
-        law = _pattern_law(kind, xv)
-        xy[xv, : len(law)] = rng.multinomial(counts[xv], law) if len(law) > 1 else counts[xv]
+    ``tail`` beyond: in lists, the (x, pattern) bins of x >= 1 in
+    increasing order (for H+, their (signal H, idler +) classes merged
+    across x); in arrays, the classes of ``tail`` by `_classes`; then the
+    number of pulses without pairs."""
+    counts = counts.tolist()
+    occupied = [x for x in range(1, len(counts)) if counts[x]]
+    rows = []  # per occupied x, the pulse counts of patterns y = 0, 1, ...
+    for x in occupied:
+        law = _pattern_law(kind, x)
+        rows.append(rng.multinomial(counts[x], law).tolist() if len(law) > 1 else [counts[x]])
     v = sample_patterns(kind, tail, rng) if tail.size else tail
+    h = tail - v if tail.size else tail
     if setting is Setting.HPLUS:
-        small = _plus_classes(rng, xy, coherent)
-        big = _classes(tail - v, rng.binomial(tail, 0.5) if tail.size else tail)
-    else:
-        def arms(h, v):  # the photons that each arm of `_ARMS` reads
-            return tuple((h, v)[p] for _, p in _ARMS[setting])
-
-        xs, ys = np.nonzero(xy)
-        small = arms(xs - ys, ys), xy[xs, ys]
-        big = _classes(*arms(tail - v, v))
-    photons = tuple(np.concatenate((*p, [0])) for p in zip(small[0], big[0]))
-    return photons, np.concatenate((small[1], big[1], counts[:1]))
+        plus = np.zeros((occupied[-1] + 1 if occupied else 0,) * 2, np.int64)
+        for x, row in zip(occupied, rows):  # the draw's row y holds x - y H photons
+            plus[x::-1, : x + 1] += rng.multinomial(row, _plus_law(x, coherent))
+        hs, ps = np.nonzero(plus)
+        small = (hs.tolist(), ps.tolist()), plus[hs, ps].tolist()
+        return small, _classes(h, rng.binomial(tail, 0.5) if tail.size else tail), counts[0]
+    arms = [p for _, p in _ARMS[setting]]  # the photons each arm reads: 0 H, 1 V
+    bins = [(x - y, y, c) for x, row in zip(occupied, rows) for y, c in enumerate(row) if c]
+    small = tuple([b[p] for b in bins] for p in arms), [b[2] for b in bins]
+    return small, _classes(*((h, v)[p] for p in arms)), counts[0]
 
 
 def _mc_block(
@@ -456,7 +460,7 @@ def _mc_block(
     # CAR_UNMATCHED draws the idler from other pulses, only as many as
     # there were signal clicks
     for arm in _DRAWS.get(setting, (setting,)):
-        dets = tuple((det_s, det_i)[d] for d, _ in _ARMS[arm])
+        dets = [(det_s, det_i)[d] for d, _ in _ARMS[arm]]
         counts, tail = _draw_pairs(rng, source, n, top)
         if coherent and tail.size:
             raise XMaxTooLarge(
@@ -464,7 +468,7 @@ def _mc_block(
                 f"mu={source.mu:g}, above its ladder cap of {HPLUS_X_CAP}; use a "
                 f"smaller mu or HplusModel.INDEPENDENT"
             )
-        n = _hits(rng, dets, *_photon_classes(rng, source.kind, arm, counts, tail, coherent))
+        n = _hits(rng, dets, top, *_photon_classes(rng, source.kind, arm, counts, tail, coherent))
     return n
 
 
@@ -499,7 +503,11 @@ def mc_rate(
        with the click law of :mod:`.detection` in floats: each occupied
        bin of steps 2-3, then each (signal photons, idler photons) class
        of the other pulses, each in increasing order, then the pulses
-       without pairs.
+       without pairs.  Each arm reads its law for the bins and the
+       pulses without pairs from one list per detector and top, which
+       numpy computes on 0..top photons, and computes it on the other
+       pulses' photon arrays, so every class gets the float of numpy's
+       array law.
 
     CAR_UNMATCHED runs steps 1, 2 and 4 for the signal arm over the n
     pulses, then again for the idler arm over as many fresh pulses as
@@ -508,13 +516,15 @@ def mc_rate(
     So for a fixed seed, trial count and configuration the result is
     reproducible bit for bit; the per-block success counts are
     integers, so their sum is exact in any order.  A block costs its
-    draws: the binned law of step 1 is cached per kind, mu and top (32
-    laws), the + count reads the coin rows or the coherent ladder rows,
-    each filled once (all 201 ladder rows hold about 22 MB), and a call
-    with nothing to draw (an empty tail, a one-bin pattern law) is
-    skipped.  numpy advances no state for such a call and draws an array
-    binomial element by element, nothing for n = 0 or p = 0, so neither
-    the skipped calls nor the pulses without pairs change the stream.
+    draws: the bins' classes are kept in Python lists, the binned law of
+    step 1 is cached per kind, mu and top (32 laws), the click lists of
+    step 4 per detector and top (64), the + count reads the coin rows or
+    the coherent ladder rows, each filled once (all 201 ladder rows hold
+    about 22 MB), and a call with nothing to draw (an empty tail, a
+    one-bin pattern law) is skipped.  numpy advances no state for such a
+    call and draws an array binomial element by element, nothing for n =
+    0 or p = 0, so neither the skipped calls nor the pulses without pairs
+    change the stream.
 
     ``trials`` and ``seed`` must be ints, not bools: at least 1 and 0.
 

@@ -603,6 +603,7 @@ def single_rate(
     the detector on average); correlated kinds are detected without a
     polarizer, as in the coincidence-to-accidental setup.
     """
+    _check_member("det", det, DetectorModel)
     return coincidence_rate(source, Setting.SINGLE_S, det, det, policy).value
 
 

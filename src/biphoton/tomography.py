@@ -101,7 +101,10 @@ class TomographyVector:
 
 def _checked_rates(r) -> np.ndarray:
     """The 16 projection rates, each any real but a bool, as floats, each finite and >= 0."""
-    shape = np.shape(r)
+    try:
+        shape = np.shape(r)
+    except ValueError:  # ragged: an entry is a sequence, which the number rule refuses
+        shape = (len(r),)
     if shape != (16,):
         raise ValueError(f"expected 16 rates, got shape {shape}")
     rv = np.array([_check_real("r", v) for v in r])  # numpy would take True or "1" as 1.0

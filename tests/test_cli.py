@@ -360,7 +360,8 @@ def test_density_matrix_errors(tmp_path, capsys):
     ([0.1] * 15 + [None], "r must be a real number, got None"),
     ([0.1] * 15, "expected 16 rates, got shape (15,)"),
     ([[0.1] * 16], "expected 16 rates, got shape (1, 16)"),
-], ids=["bool", "null", "fifteen", "nested"])
+    ([0.1] * 15 + [[0.1]], "r must be a real number, got [0.1]"),
+], ids=["bool", "null", "fifteen", "nested", "ragged"])
 def test_from_r_rates_follow_the_library_number_rule(tmp_path, capsys, rates, message):
     # the CLI checks only that the file holds {"r": ...}; the rates meet
     # reconstruct's own rule, and a refused file exits 2 with no stdout

@@ -439,6 +439,7 @@ _ALPHA = DetectorModel(0.1)
     (lambda: coincidence_rate(_INDIS, Setting.HH, _ALPHA, _ALPHA, 1e-12),
      "policy must be a TruncationPolicy, got 1e-12"),
     (lambda: single_rate("x", _ALPHA), "source must be a PairSource, got 'x'"),
+    (lambda: single_rate(_INDIS, 0.1), "det must be a DetectorModel, got 0.1"),
     (lambda: truncation_index("x", TruncationPolicy()), "source must be a PairSource, got 'x'"),
     (lambda: truncation_index(_INDIS, 1e-12), "policy must be a TruncationPolicy, got 1e-12"),
     (lambda: pmf("x", 3), "source must be a PairSource, got 'x'"),
@@ -463,7 +464,7 @@ _ALPHA = DetectorModel(0.1)
         "optimize-objective", "assemble-kind", "assemble-model", "pair-source-kind",
         "car-method", "timebin-method", "assemble-method", "resolve-kind",
         "car-source", "visibility-source", "coincidence-source", "coincidence-det",
-        "coincidence-policy", "single-source", "truncation-source", "truncation-policy",
+        "coincidence-policy", "single-source", "single-det", "truncation-source", "truncation-policy",
         "pmf-source", "pmf-values-source", "click-det", "enumerate-source", "enumerate-det",
         "mc-source", "per-x-det", "assemble-policy", "resolve-det"])
 def test_every_enum_argument_follows_one_member_rule(call, message):

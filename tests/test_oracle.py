@@ -37,13 +37,20 @@ from biphoton import (
     timebin_rate,
     truncation_index,
 )
-from biphoton.detection import click_prob
+from biphoton.detection import _click, click_prob
 from biphoton.oracle import (
     HPLUS_X_CAP,
     X_MAX_LIMIT,
+    _ARMS,
+    _BLOCK,
+    _DRAWS,
+    _classes,
+    _click_list,
     _coin_weights,
     _draw_pairs,
+    _mc_block,
     _pair_law,
+    _pattern_law,
     _per_x_probability,
     _per_x_table,
     _photon_classes,
@@ -872,10 +879,11 @@ def test_class_wise_draws_match_their_laws(x, kind, coherent):
         pattern = np.full(x + 1, 1.0 / (x + 1))
 
     def classes(setting, coherent):
-        # the last class is the pulses without pairs: 0 photons, none here
-        photons, counts = _photon_classes(rng, kind, setting, pulses, none, coherent)
-        assert [p[-1] for p in photons] == [0, 0] and counts[-1] == 0
-        return tuple(p[:-1] for p in photons), counts[:-1]
+        # every pulse falls in a bin: no tail class and no pulse without pairs
+        (photons, counts), (_, tail_counts), empty = _photon_classes(
+            rng, kind, setting, pulses, none, coherent)
+        assert tail_counts.size == 0 and empty == 0
+        return tuple(np.array(p) for p in photons), np.array(counts)
 
     if not coherent:
         (h, v), counts = classes(Setting.HV, False)
@@ -892,6 +900,102 @@ def test_class_wise_draws_match_their_laws(x, kind, coherent):
     observed = np.zeros((x + 1, x + 1))
     np.add.at(observed, (x - h, p), counts)
     assert _pooled_chisquare(observed, n * pattern[:, None] * plus) > 1e-3
+
+
+# The Monte-Carlo's class bookkeeping done in numpy arrays, a test-only
+# reference that `_mc_block` must match draw for draw: the same Generator
+# calls in the same order, and each class's click law computed on arrays
+# of photon numbers.
+def _reference_photon_classes(rng, kind, setting, counts, tail, coherent):
+    occupied = (np.flatnonzero(counts[1:]) + 1).tolist()  # pair numbers
+    xy = np.zeros((max(occupied, default=0) + 1,) * 2, dtype=np.int64)
+    for xv in occupied:
+        law = _pattern_law(kind, xv)
+        xy[xv, : len(law)] = rng.multinomial(counts[xv], law) if len(law) > 1 else counts[xv]
+    v = sample_patterns(kind, tail, rng) if tail.size else tail
+    if setting is Setting.HPLUS:
+        plus = np.zeros_like(xy)
+        for xv in np.flatnonzero(xy.any(axis=1)).tolist():
+            law = biphoton.oracle._plus_law(xv, coherent)
+            plus[xv - np.arange(xv + 1), : xv + 1] += rng.multinomial(xy[xv, : xv + 1], law)
+        occupied = np.nonzero(plus)
+        small = occupied, plus[occupied]
+        big = _classes(tail - v, rng.binomial(tail, 0.5) if tail.size else tail)
+    else:
+        def arms(h, v):  # the photons that each arm of `_ARMS` reads
+            return tuple((h, v)[p] for _, p in _ARMS[setting])
+
+        xs, ys = np.nonzero(xy)
+        small = arms(xs - ys, ys), xy[xs, ys]
+        big = _classes(*arms(tail - v, v))
+    photons = tuple(np.concatenate((*p, [0])) for p in zip(small[0], big[0]))
+    return photons, np.concatenate((small[1], big[1], counts[:1]))
+
+
+def _reference_block(rng, source, setting, det_s, det_i, n, hplus_model):
+    coherent = setting is Setting.HPLUS and hplus_model is HplusModel.COHERENT and (
+        source.kind is SourceKind.INDIS_ENTANGLED)
+    top = HPLUS_X_CAP if coherent else X_MAX_LIMIT
+    for arm in _DRAWS.get(setting, (setting,)):
+        dets = tuple((det_s, det_i)[d] for d, _ in _ARMS[arm])
+        counts, tail = _draw_pairs(rng, source, n, top)
+        if coherent and tail.size:
+            raise XMaxTooLarge("above the ladder cap")
+        photons, counts = _reference_photon_classes(rng, source.kind, arm, counts, tail, coherent)
+        p = np.ones(counts.shape)
+        for det, ns in zip(dets, photons):
+            p *= _click(det.alpha, det.dark, ns)
+        n = int(rng.binomial(counts, p).sum())
+    return n
+
+
+def _block_outcome(block, seed, source, setting, det_s, det_i, n, model):
+    """A block's successes (or the error it raised) and its generator's final state."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(0,))))
+    try:
+        hits = block(rng, source, setting, det_s, det_i, n, model)
+    except XMaxTooLarge:
+        hits = XMaxTooLarge
+    return hits, rng.bit_generator.state
+
+
+# every kind and setting (time-bin and CAR_UNMATCHED included), both H+
+# models; mu 0 (no pairs), the binned range, pulses beyond top (mu 2-4) and
+# the per-pulse Poisson (mu > 1 on Poisson kinds, 12 with a wide tail); a
+# few pulses, the oracle grid's block of 500,000 and a full block
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.sampled_from(SUPPORTED),
+    model=st.sampled_from(HplusModel),
+    mu=st.sampled_from([0.0, 2.0, 3.0, 4.0, 12.0]) | st.floats(0.05, 0.9),
+    arms=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.05),
+                   st.floats(0.0, 1.0), st.floats(0.0, 0.05)),
+    n=st.integers(0, 2000) | st.sampled_from([500_000, _BLOCK]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_mc_blocks_match_their_array_reference_draw_for_draw(case, model, mu, arms, n, seed):
+    (kind, setting), source = case, PairSource(case[0], mu)
+    setting, det_s, det_i = setting.resolve(
+        kind, DetectorModel(*arms[:2]), DetectorModel(*arms[2:]))
+    want = _block_outcome(_reference_block, seed, source, setting, det_s, det_i, n, model)
+    got = _block_outcome(_mc_block, seed, source, setting, det_s, det_i, n, model)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+
+
+@pytest.mark.parametrize("top", [X_MAX_LIMIT, HPLUS_X_CAP])
+def test_each_click_list_entry_is_the_law_numpy_computes_on_an_array(top):
+    # numpy's pow and Python's can differ in the last bit, so the list is
+    # numpy's; here each entry equals the law on arrays of 1-64 photon
+    # numbers, in any position, as the tail classes compute it
+    rng = random.Random(top)
+    for length in range(1, 65):
+        for _ in range(8):
+            det = DetectorModel(rng.random(), rng.choice([0.0, rng.random() * 0.1]))
+            photons = [rng.randrange(top + 1) for _ in range(length)]
+            q = _click_list(det, top)
+            assert _click(det.alpha, det.dark, np.array(photons)).tolist() == [q[k] for k in photons]
+    assert _click_list.cache_info().maxsize == 64  # bounded: user detectors cannot grow it
 
 
 @pytest.mark.parametrize(

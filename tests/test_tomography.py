@@ -2,6 +2,7 @@
 and concurrence."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -161,6 +162,17 @@ def test_raw_rates_keep_their_messages_with_one_value_check():
             reconstruct(rates)
         with pytest.raises(ValueError, match="rates must be finite and >= 0"):
             TomographyVector(tuple(rates), RateMethod.CLOSED_FORM)
+
+
+def test_a_ragged_rate_list_meets_the_library_rules():
+    # numpy finds no shape for a list with a nested entry; 16 entries meet
+    # the number rule, any other count the shape rule
+    with pytest.raises(TypeError, match=re.escape("r must be a real number, got [0.1]")):
+        reconstruct([0.1] * 15 + [[0.1]])
+    with pytest.raises(TypeError, match=re.escape("r must be a real number, got [0.1, 0.2]")):
+        TomographyVector([0.1] * 15 + [[0.1, 0.2]], RateMethod.CLOSED_FORM)
+    with pytest.raises(ValueError, match=re.escape("expected 16 rates, got shape (2,)")):
+        reconstruct([0.1, [0.1]])
 
 
 def test_exact_series_reconstructions_stay_physical():
