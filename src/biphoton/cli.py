@@ -233,41 +233,17 @@ def cmd_visibility_curve(args) -> int:
     ])
 
 
-def _require_coincidences(args, mu: float) -> None:
-    """At mu = 0 only dark counts click, so a zero dark count leaves every
-    coincidence rate at 0 and no state to reconstruct."""
-    zero = [_flag(d) + " 0" for d in ("dark_s", "dark_i") if getattr(args, d) == 0.0]
-    if mu == 0.0 and zero:
-        fix = "start --mu-range above 0" if getattr(args, "mu_range", None) else "set --mu above 0"
-        raise ConfigError(
-            f"at mu = 0 with {' and '.join(zero)} every coincidence rate is 0, "
-            f"so no state can be reconstructed; {fix}"
-        )
-
-
 def cmd_concurrence_curve(args) -> int:
-    from .tomography import (_closed_form_concurrences, closed_form_concurrence, closed_form_rho,
-                             concurrence)
+    from .tomography import _closed_form_concurrences, closed_form_concurrence
 
     config = _config(args)
     mus = _parse_mu_values(args)
     kinds = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
-    # all rates vanish at mu=0; the limit state is the pure Bell state
-    bell = args.dark_s == 0.0 and args.dark_i == 0.0
-
-    stated = [mu for mu in mus if not (mu == 0.0 and bell)]
-    if 0.0 in stated:
-        _require_coincidences(args, 0.0)
     # every input checked, then every state's rates formed, reconstructed and
-    # graded in one pass; an empty sweep still checks the arms
-    graded = iter(_closed_form_concurrences(kinds, stated, *_detector_args(args)).tolist())
-    rows = []
-    for mu in mus:
-        if mu == 0.0 and bell:
-            conc = [concurrence(closed_form_rho(kind, 0.0)) for kind in kinds]
-        else:
-            conc = [next(graded) for _ in kinds]
-        rows.append([mu, *conc, *(closed_form_concurrence(kind, mu) for kind in kinds)])
+    # graded in one pass: two Cs per mu, kinds innermost
+    graded = iter(_closed_form_concurrences(kinds, mus, *_detector_args(args)).tolist())
+    rows = [[mu, *conc, *(closed_form_concurrence(kind, mu) for kind in kinds)]
+            for mu, *conc in zip(mus, graded, graded)]
     _emit_table(
         args, config, ["mu", "conc_dis", "conc_indis", "conc_closed_dis", "conc_closed_indis"], rows
     )
@@ -300,7 +276,6 @@ def cmd_density_matrix(args) -> int:
         else:
             # closed mode reads neither the policy nor the H+ model: _config
             # refuses them, so the defaults it passes are never read
-            _require_coincidences(args, args.mu)
             rho = reconstruct(assemble_r(
                 kind, args.mu, *_detector_args(args), TruncationPolicy(args.tail_eps, args.cap),
                 _METHODS[args.method], HplusModel(args.hplus_model),
@@ -347,13 +322,12 @@ def cmd_optimize_mu(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .oracle import (_MC_Z_LIMIT, _VALIDATE_CELLS, _VALIDATE_TOL, X_MAX_LIMIT, _mc_z,
-                         enumerate_rate, mc_rate)
+    from .oracle import (_MC_Z_LIMIT, _VALIDATE_CELLS, _VALIDATE_POLICY, _VALIDATE_TOL, X_MAX_LIMIT,
+                         _mc_z, enumerate_rate, mc_rate)
 
     if args.trials < 0:
         raise ConfigError(f"--trials must be >= 0, got {args.trials}")
     config = _config(args, "with --trials" if args.trials > 0 else "without --trials")
-    policy = TruncationPolicy(tail_epsilon=1e-13)
     hplus_model = HplusModel(args.hplus_model)
     columns = ["kind", "setting", "mu", "alpha", "dark", "series", "oracle", "abs_err", "tol", "status"]
     if args.trials > 0:
@@ -362,7 +336,7 @@ def cmd_validate(args) -> int:
     for kind, setting, mu, alpha, dark in _VALIDATE_CELLS:
         source = PairSource(kind, mu)
         det_s = det_i = DetectorModel(alpha, dark)
-        series = coincidence_rate(source, setting, det_s, det_i, policy, hplus_model).value
+        series = coincidence_rate(source, setting, det_s, det_i, _VALIDATE_POLICY, hplus_model).value
         ora = enumerate_rate(source, setting, det_s, det_i, X_MAX_LIMIT, hplus_model)
         tol = _VALIDATE_TOL + ora.tail_bound
         err = abs(series - ora.value)

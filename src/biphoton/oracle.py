@@ -67,7 +67,8 @@ from functools import lru_cache
 import numpy as np
 
 from .detection import DetectorModel, _click, click_prob
-from .distributions import PairSource, SourceKind, _check_count, _check_member, pmf_values
+from .distributions import (PairSource, SourceKind, TruncationPolicy, _check_count, _check_member,
+                            pmf_values)
 from .polarization import HplusModel, Setting
 
 __all__ = [
@@ -578,6 +579,8 @@ _VALIDATE_CELLS = tuple(
     (kind, *cell) for kind, settings in _VALIDATE_SETTINGS.items()
     for cell in itertools.product(settings, _VALIDATE_MUS, _VALIDATE_ALPHAS, _VALIDATE_DARKS)
 )
+# the series policy of every cell's rate
+_VALIDATE_POLICY = TruncationPolicy(tail_epsilon=1e-13)
 # a series rate passes when it is within this of the enumeration plus its tail bound
 _VALIDATE_TOL = 1e-9
 # and a Monte-Carlo estimate when it is within this many standard errors of the series

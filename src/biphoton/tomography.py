@@ -259,7 +259,9 @@ def _reconstructed(rv: np.ndarray) -> tuple[np.ndarray, ...]:
     rho = flat.view(complex).reshape(-1, 4, 4)
     tr = rho.trace(axis1=1, axis2=2).real
     if not tr.min(initial=1.0) > 0:
-        raise NotPhysical(f"reconstructed trace {tr.min():.3e} is not positive")
+        raise NotPhysical(f"reconstructed trace {tr.min():.3e} is not positive: the trace is the "
+                          "sum of the HH, HV, VV and VH rates, so one must be above 0; at mu = 0 "
+                          "give each arm a dark count, and give no arm alpha = dark = 0")
     return _validated(rho / tr[:, None, None])
 
 
@@ -338,19 +340,29 @@ def _wootters(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _closed_form_concurrences(kinds: tuple, mus: list, alpha_s, alpha_i, dark_s=0.0, dark_i=0.0):
     """C of the closed-form state of each of ``kinds`` at each mu, kinds innermost,
-    each ``concurrence(reconstruct(assemble_r(kind, mu, alpha_s, ...)))`` bit for bit.
-    Every input is checked, with ``assemble_r``'s messages, before anything is
-    computed: both arms, then each kind, then each state's mu.  The rates are then
-    formed in one array pass and the states graded in one more.
+    each ``concurrence(reconstruct(assemble_r(kind, mu, alpha_s, ...)))`` bit for bit
+    where those rates are 0 or normal.  Every input is checked, with ``assemble_r``'s
+    messages, before anything is computed: both arms, then each kind, then each state's
+    mu.  Each arm's (alpha, dark) is then scaled by the power of two that brings their
+    maximum into [0.5, 1]: every rate has degree one in each arm, so a state's rates
+    scale by a power of two, which the reconstruction's row rescale takes back, and tiny
+    arms leave no rate subnormal, which ``reconstruct(assemble_r(...))`` can refuse.
+    The rates are formed in one array pass and the states graded in one more; at mu = 0
+    without darks, where every rate is 0, the state is the mu -> 0 limit, of rate ratio
+    (1, 0, 1/2), the Bell state's, if both arms can click.
     """
     arms = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
     for kind in kinds:
         _check_member("kind", kind, SourceKind)
         _require_entangled(kind, "tomography")
     mu, step = np.array([_closed_form_mu(kind, m) for m in mus for kind in kinds]), len(kinds)
+    arms = [DetectorModel(*(math.ldexp(x, max(0, -math.frexp(max(d.alpha, d.dark))[1]))
+                            for x in (d.alpha, d.dark))) for d in arms]
     rates = np.empty((3, len(mu)))
     for j, kind in enumerate(kinds):
         rates[:, j::step] = _closed_forms(kind, mu[j::step], *arms)[:3]
+    if not any(d.dark for d in arms) and all(d.alpha for d in arms):
+        rates[:, mu == 0.0] = [[1.0], [0.0], [0.5]]
     # rates of checked inputs are finite and >= 0: no state needs _checked_rates
     _, _, w, v = _reconstructed(rates.T.take(_COLUMN, axis=1))
     return _wootters(w, v)

@@ -153,20 +153,42 @@ def test_invalid_mu_exits_2_with_nothing_on_stdout(argv):
 _DM_CLOSED = ["density-matrix", "--source", "dis-entangled", "--format", "json", "--mu", "0"]
 
 
+# the reconstruction's refusal of a state whose H/V rates are all 0: it
+# names the cause and what to change
+_NO_TRACE = ("reconstructed trace 0.000e+00 is not positive: the trace is the sum of the HH, HV, "
+             "VV and VH rates, so one must be above 0; at mu = 0 give each arm a dark count, and "
+             "give no arm alpha = dark = 0")
+
+
 # at mu = 0 only dark counts click: one zero dark count leaves every rate
 # at 0, and the limit state is not the Bell state of the both-zero row
-@pytest.mark.parametrize(("argv", "zero", "fix"), [
-    (["concurrence-curve", "--mu-range", "0:1e-6:3", "--dark-i", "1e-3"],
-     "--dark-s 0", "start --mu-range above 0"),
-    (["concurrence-curve", "--mu", "0", "--dark-s", "1e-3"], "--dark-i 0", "set --mu above 0"),
-    ([*_DM_CLOSED, "--method", "closed"], "--dark-s 0 and --dark-i 0", "set --mu above 0"),
-    ([*_DM_CLOSED, "--method", "exact", "--dark-s", "1e-3"], "--dark-i 0", "set --mu above 0"),
+@pytest.mark.parametrize("argv", [
+    ["concurrence-curve", "--mu-range", "0:1e-6:3", "--dark-i", "1e-3"],
+    ["concurrence-curve", "--mu", "0", "--dark-s", "1e-3"],
+    [*_DM_CLOSED, "--method", "closed"],
+    [*_DM_CLOSED, "--method", "exact", "--dark-s", "1e-3"],
 ])
-def test_mu_zero_with_a_zero_dark_count_is_a_config_error(argv, zero, fix):
+def test_mu_zero_with_a_zero_dark_count_is_a_config_error(argv):
     code, out, err = _capture(argv)
     assert code == 2 and not out, (argv, out)
-    assert f"at mu = 0 with {zero} every coincidence rate is 0" in err, err
-    assert fix in err, err
+    assert err == f"biphoton: {_NO_TRACE}\n", err
+
+
+# an arm with alpha = dark = 0 never clicks, at mu = 0 as at any other mu
+@pytest.mark.parametrize("argv", [
+    ["concurrence-curve", "--mu", "0", "--alpha-s", "0"],
+    ["concurrence-curve", "--mu", "0.5", "--alpha-s", "0"],
+    ["concurrence-curve", "--mu-range", "0:1:3", "--alpha-i", "0"],
+    ["density-matrix", "--source", "indis-entangled", "--mu", "0.3", "--alpha-s", "0"],
+    ["density-matrix", "--source", "dis-entangled", "--mu", "0.3", "--method", "exact",
+     "--alpha-i", "0"],
+    ["density-matrix", "--from-r", "{tmp}/zero.json"],
+])
+def test_a_state_without_coincidences_is_refused_by_the_reconstruction(tmp_path, argv):
+    (tmp_path / "zero.json").write_text(json.dumps({"r": [0.0] * 16}))
+    code, out, err = _capture([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert code == 2 and not out, (argv, out)
+    assert err == f"biphoton: {_NO_TRACE}\n", err
 
 
 def test_json_output_is_self_describing(capsys):
@@ -242,7 +264,7 @@ _NOT_PSD = (1.0, 0.0, 0.0)
 
 @pytest.mark.parametrize(("grid", "unphysical", "message"), [
     # mu = 0 with a zero dark count fails before a later unphysical state
-    ("0:1:3", 0.5, "at mu = 0 with --dark-s 0 every coincidence rate is 0"),
+    ("0:1:3", 0.5, _NO_TRACE),
     # every mu is checked before any state is graded: a mu outside the
     # closed forms fails before an earlier unphysical state
     ("1:1e200:3", 1.0, "the closed forms hold for mu <= 1e+150, got mu=5e+199"),

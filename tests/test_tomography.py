@@ -728,6 +728,9 @@ def test_an_empty_stack_grades_nothing():
 
 _NOT_PSD = [1.0] + [0.0] * 15  # the first dual-frame element alone
 _ZERO = [0.0] * 16
+_NO_TRACE = (NotPhysical, "reconstructed trace 0.000e+00 is not positive: the trace is the sum of "
+             "the HH, HV, VV and VH rates, so one must be above 0; at mu = 0 give each arm a "
+             "dark count, and give no arm alpha = dark = 0")
 _LESS_PSD = [(1.0, 0.0, 0.4)[c] for c in _COLUMN]  # R_HH = 1, R_HV = 0, R_H+ = 0.4
 
 
@@ -736,7 +739,7 @@ def test_a_stack_with_an_unphysical_row_is_refused_whole():
         reconstruct(_NOT_PSD)
     with pytest.raises(NotPhysical, match="^eigenvalue -2.000e-01 below positivity tolerance$"):
         reconstruct(_LESS_PSD)
-    with pytest.raises(NotPhysical, match="^reconstructed trace 0.000e[+]00 is not positive$"):
+    with pytest.raises(NotPhysical, match=f"^{re.escape(_NO_TRACE[1])}$"):
         reconstruct(_ZERO)
     good = [assemble_r(kind, mu, 0.1, 0.2, 1e-5, 0.0).r for kind in ENTANGLED for mu in (0.01, 1.0)]
     # a stack raises the first check that any of its rows fails, with the
@@ -756,9 +759,18 @@ def test_a_stack_with_an_unphysical_row_is_refused_whole():
 
 # ------------------------------------------------------ closed-form sweeps
 
+def _one_state(kind, mu, *arms) -> float:
+    """C of one state from assemble_r alone; at mu = 0 without darks, where every
+    rate is 0, that of the mu -> 0 limit, the Bell state, if both arms can click."""
+    r = assemble_r(kind, mu, *arms)
+    if mu == 0 and not any(arms[2:]) and all(arms[:2]):
+        return concurrence(closed_form_rho(kind, 0.0))
+    return concurrence(reconstruct(r))
+
+
 def _one_state_at_a_time(kinds, mus, *arms) -> list[float]:
-    """C of each state of a sweep, mu outermost, from assemble_r one state at a time."""
-    return [concurrence(reconstruct(assemble_r(kind, mu, *arms))) for mu in mus for kind in kinds]
+    """C of each state of a sweep, mu outermost, one state at a time."""
+    return [_one_state(kind, mu, *arms) for mu in mus for kind in kinds]
 
 
 def _outcome(f):
@@ -785,7 +797,7 @@ _SWEEP_MU = st.one_of(st.floats(-9.0, math.log10(5.0)).map(lambda e: 10.0**e),
        alphas=st.tuples(_ALPHA, _ALPHA), darks=st.tuples(_DARK, _DARK))
 def test_a_closed_form_sweep_equals_its_states_one_at_a_time(kinds, mus, alphas, darks):
     # each C of the one array pass is that of its state alone, bit for bit;
-    # a mu of 0 without darks has no state, and both raise its error
+    # a mu of 0 without darks is the Bell limit in both
     _assert_sweep_is_one_state_at_a_time(kinds, mus, *alphas, *darks)
 
 
@@ -793,34 +805,81 @@ def _zero_or_log_uniform(zero_or_one, lo_exp, hi_exp):
     return st.one_of(st.sampled_from(zero_or_one), st.floats(lo_exp, hi_exp).map(lambda e: 10.0**e))
 
 
-_NO_TRACE = (NotPhysical, "reconstructed trace 0.000e+00 is not positive")
+def _scaled(alpha, dark):
+    """An arm's (alpha, dark) times the power of two that brings their maximum into [0.5, 1]."""
+    k = 0
+    while 0 < math.ldexp(max(alpha, dark), k) < 0.5:
+        k += 1
+    return math.ldexp(alpha, k), math.ldexp(dark, k)
+
+
+def _normal_or_zero(kind, mu, *arms) -> bool:
+    rep = closed_form_rates(kind, mu, *arms)
+    return all(r == 0.0 or r >= sys.float_info.min for r in (rep.r_hh, rep.r_hv, rep.r_hplus))
+
+
+_WIDE_MU = _zero_or_log_uniform((0.0,), -300.0, 149.0)
+_WIDE_ALPHA = _zero_or_log_uniform((0.0, 1.0), -300.0, 0.0)
+_WIDE_DARK = _zero_or_log_uniform((0.0,), -300.0, math.log10(0.5))
 
 
 @settings(max_examples=200, deadline=None)
-@given(kinds=_SWEEP_KINDS,
-       mus=st.lists(_zero_or_log_uniform((0.0,), -300.0, 149.0), min_size=1, max_size=8),
-       alphas=st.tuples(*[_zero_or_log_uniform((0.0, 1.0), -300.0, 0.0)] * 2),
-       darks=st.tuples(*[_zero_or_log_uniform((0.0,), -300.0, math.log10(0.5))] * 2))
+@given(kinds=_SWEEP_KINDS, mus=st.lists(_WIDE_MU, min_size=1, max_size=8),
+       alphas=st.tuples(_WIDE_ALPHA, _WIDE_ALPHA), darks=st.tuples(_WIDE_DARK, _WIDE_DARK))
 @example(kinds=ENTANGLED[1:], mus=[0.5, 1.6242279698862045e30],
          alphas=(1.533180398779191e-196, 1.270267476307782e-156), darks=(3.8302665756678806e-257, 0.0))
 def test_a_sweep_of_normal_rates_fails_as_its_states_fail_alone(kinds, mus, alphas, darks):
     # the premise of checking a sweep's inputs first and grading its states
-    # in one stack: when every rate is 0 or a normal float, a state grades or
-    # has no trace, so the stack raises what its first failing state raises
-    # alone.  Subnormal rates can fail the positivity check.
-    arms = (*alphas, *darks)
-    reps = [closed_form_rates(kind, mu, *arms) for mu in mus for kind in kinds]
-    assume(all(r == 0.0 or r >= sys.float_info.min
-               for rep in reps for r in (rep.r_hh, rep.r_hv, rep.r_hplus)))
-    alone = [_outcome(lambda: [concurrence(reconstruct(assemble_r(kind, mu, *arms)))])
-             for mu in mus for kind in kinds]
+    # in one stack: the sweep scales each arm by a power of two, and when
+    # every scaled rate is 0 or a normal float, a state grades or has no
+    # trace, so the stack raises what its first failing state raises alone
+    (alpha_s, dark_s), (alpha_i, dark_i) = map(_scaled, alphas, darks)
+    scaled = alpha_s, alpha_i, dark_s, dark_i
+    assume(all(_normal_or_zero(kind, mu, *scaled) for mu in mus for kind in kinds))
+    alone = [_outcome(lambda: [_one_state(kind, mu, *scaled)]) for mu in mus for kind in kinds]
     failed = [o for o in alone if isinstance(o, tuple)]
-    got = _outcome(lambda: _closed_form_concurrences(kinds, mus, *arms).tolist())
+    got = _outcome(lambda: _closed_form_concurrences(kinds, mus, *alphas, *darks).tolist())
     if not failed:
         assert got == [c for o in alone for c in o]
     else:
         assert set(failed) == {_NO_TRACE}, failed
         assert got == _NO_TRACE
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(ENTANGLED), mu=_WIDE_MU,
+       alphas=st.tuples(_WIDE_ALPHA, _WIDE_ALPHA), darks=st.tuples(_WIDE_DARK, _WIDE_DARK))
+def test_the_sweep_scaling_changes_no_bit_of_a_state_with_normal_rates(kind, mu, alphas, darks):
+    # every rate has degree one in each arm: where the unscaled rates are 0
+    # or normal and their state grades alone, the sweep grades it bit for bit
+    arms = (*alphas, *darks)
+    assume(_normal_or_zero(kind, mu, *arms))
+    alone = _outcome(lambda: [_one_state(kind, mu, *arms)])
+    assume(not isinstance(alone, tuple))
+    assert _outcome(lambda: _closed_form_concurrences((kind,), [mu], *arms).tolist()) == alone
+
+
+def test_a_sweep_grades_a_state_whose_unscaled_rates_are_subnormal():
+    # its rates are 2.5e-315 and 5.0e-315 unscaled, and the reconstruction
+    # of those refuses the state; scaled, they are normal, and their ratio
+    # (1, 0, 1/2) is the Bell state's, graded to concurrence's accuracy
+    args = 4.1117398881572345e-297, 1.3326553478461716e-06, 1.8393591323287817e-12, 0.0, 5e-324
+    kind = SourceKind.INDIS_ENTANGLED
+    with pytest.raises(NotPhysical, match="^eigenvalue -9.804e-10 below positivity tolerance$"):
+        reconstruct(assemble_r(kind, *args))
+    assert _closed_form_concurrences((kind,), [args[0]], *args[1:]).tolist() == [
+        pytest.approx(1.0, abs=1e-14)]
+
+
+@pytest.mark.parametrize("arms", [(0.0, 0.1), (0.2, 0.0), (0.0, 0.0), (0.0, 0.1, 0.0, 1e-3)])
+def test_the_mu_zero_limit_needs_both_arms_to_click(arms):
+    # an arm with alpha = dark = 0 never clicks: every rate of every state
+    # is 0, the mu = 0 row's included, and the sweep refuses its first state
+    for mus in ([0.0], [0.5], [0.0, 0.5], [0.5, 0.0]):
+        assert _outcome(lambda: _closed_form_concurrences(ENTANGLED, mus, *arms).tolist()) == _NO_TRACE
+    # both arms clicking, the limit is the Bell state's C
+    bell = [concurrence(closed_form_rho(kind, 0.0)) for kind in ENTANGLED]
+    assert _closed_form_concurrences(ENTANGLED, [0.0], 0.2, 0.1).tolist() == bell
 
 
 def test_closed_forms_multiply_the_largest_factor_first():
