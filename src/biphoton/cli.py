@@ -25,7 +25,8 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .detection import DetectorModel
 from .distributions import PairSource, SourceKind, TruncationPolicy
-from .metrics import Objective, _mu_grid, car, optimize_mu, visibility_approx, visibility_exact
+from .metrics import (Objective, _SWEEP_MAX, _mu_grid, car, optimize_mu, visibility_approx,
+                      visibility_exact)
 from .polarization import HplusModel, RateMethod, TimebinPort, coincidence_rate, timebin_rate
 
 __all__ = ["main"]
@@ -36,7 +37,6 @@ class ConfigError(ValueError):
 
 
 _METHODS = {"exact": RateMethod.EXACT_SERIES, "closed": RateMethod.CLOSED_FORM}
-_SWEEP_MAX = 100_000  # the most points a --mu-range takes: its rows are held in memory
 
 # every option's argparse keywords, default included, in the order the
 # output header echoes them; _COMMANDS overrides some per subcommand

@@ -63,9 +63,19 @@ class MuOptimum:
 
     ``unimodal`` is False when the coarse scan saw more than one local
     maximum, or was flat to rounding; the returned point is then the best
-    sample, not a certified optimum.  When True, ``mu`` is within 1e-6
-    relative of the optimum: a golden-section point, or an endpoint that
-    one probe confirmed.
+    sample, not a certified optimum.  When True, ``mu`` is the closed
+    forms' optimum, clamped to the bracket.  With r = sqrt(d_s d_i) and
+    A = a_s a_i - (a_s d_i + a_i d_s):
+
+    - ``MAX_VISIBILITY``: dV/dmu has the sign of 4 d_s d_i - a_s a_i mu^2
+      for distinguishable pairs, so mu* = 2 r / sqrt(a_s a_i), and of
+      4 d_s d_i (mu + 1) - A mu^2 for indistinguishable pairs, so
+      mu* = 2 r (r + sqrt(r^2 + A)) / A if A > 0 and the bracket's top if not.
+    - ``MAX_CONCURRENCE``: the same mu.  Each closed-form state has
+      R_H+ = (R_HH + R_HV) / 2, so its concurrence is max(0, (3V - 1) / 2),
+      which rises with V (Wootters, PRL 80, 2245, 1998).
+    - ``MAX_COINCIDENCE_TIMES_VISIBILITY``: the bracket's top; the
+      numerator of d(R_HH V)/dmu has no negative coefficient.
     """
 
     mu: float
@@ -148,25 +158,18 @@ def car(
     return CarResult(matched, unmatched, ratio)
 
 
-def _objective_fn(
-    kind: SourceKind,
-    alpha_s: float,
-    alpha_i: float,
-    dark_s: float,
-    dark_i: float,
-    objective: Objective,
-):
-    """The objective as a function of a list of mu: one value per mu.  The arms,
-    then the kind, are checked before any mu: once, here, for the visibility
-    objectives, and for ``MAX_CONCURRENCE`` by each list's sweep; every mu of a
-    list is checked before any value."""
+def _objective_fn(kind: SourceKind, det_s: DetectorModel, det_i: DetectorModel,
+                  objective: Objective):
+    """The objective as a function of a list of mu: one value per mu.  The kind
+    is checked before any mu: once, here, for the visibility objectives, and for
+    ``MAX_CONCURRENCE`` by each list's sweep; every mu of a list is checked
+    before any value."""
     if objective is Objective.MAX_CONCURRENCE:
         # late import keeps the module dependency one-way
         from .tomography import _closed_form_concurrences
         return lambda mus: _closed_form_concurrences(
-            (kind,), mus, alpha_s, alpha_i, dark_s, dark_i).tolist()
+            (kind,), mus, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark).tolist()
 
-    det_s, det_i = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
     _check_member("kind", kind, SourceKind)
     _require_entangled(kind, "closed-form polarization rates")
 
@@ -176,6 +179,9 @@ def _objective_fn(
         return v if objective is Objective.MAX_VISIBILITY else r_hh * v
 
     return lambda mus: [f(mu) for mu in [_closed_form_mu(kind, m) for m in mus]]
+
+
+_SWEEP_MAX = 100_000  # the most points a mu grid takes: its values are held in memory
 
 
 def _mu_grid(lo: float, hi: float, n: int, log: bool) -> list[float]:
@@ -191,27 +197,20 @@ def _mu_grid(lo: float, hi: float, n: int, log: bool) -> list[float]:
     return vals
 
 
-_LOG_MU_TOL = 1e-6  # golden-section stop: a width in log(mu), so relative in mu
-
-
-def _golden_max(f, log_lo: float, log_hi: float):
-    """Golden-section maximization of f(exp(t)) on [log_lo, log_hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = log_lo, log_hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = f(math.exp(c))
-    fd = f(math.exp(d))
-    while (b - a) > _LOG_MU_TOL:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(math.exp(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(math.exp(d))
-    return (c, fc) if fc >= fd else (d, fd)
+def _peak_mu(kind: SourceKind, det_s: DetectorModel, det_i: DetectorModel,
+             objective: Objective, lo: float, hi: float) -> float:
+    """The mu of [lo, hi] where the objective of a unimodal profile peaks, from
+    the closed forms (see :class:`MuOptimum`); r = sqrt(d_s d_i) takes no
+    product of two darks, which could underflow."""
+    if objective is Objective.MAX_COINCIDENCE_TIMES_VISIBILITY:
+        return hi
+    r = math.sqrt(det_s.dark) * math.sqrt(det_i.dark)
+    if kind is SourceKind.DIS_ENTANGLED:
+        mu = 2 * r / (math.sqrt(det_s.alpha) * math.sqrt(det_i.alpha))
+    else:
+        a = det_s.alpha * det_i.alpha - (det_s.alpha * det_i.dark + det_i.alpha * det_s.dark)
+        mu = 2 * r * (r + math.sqrt(r * r + a)) / a if a > 0 else hi
+    return min(max(mu, lo), hi)
 
 
 def optimize_mu(
@@ -227,25 +226,20 @@ def optimize_mu(
     """Maximize an objective over the mean pair number.
 
     Every input is checked before anything is computed: the objective,
-    ``mu_range`` and ``samples``, then both arms, then the kind; the mus
-    of the scan, and each later point, before any of their values.
+    ``mu_range`` and ``samples`` (3 to 100,000), then
+    both arms, then the kind; the mus of the scan before any of their values.
     Every objective reads the closed-form rates:
     ``MAX_VISIBILITY`` and ``MAX_COINCIDENCE_TIMES_VISIBILITY`` directly,
     ``MAX_CONCURRENCE`` through the states reconstructed from them.
-    The bracket is first sampled on a log grid to test unimodality; for
+    The bracket is sampled on a log grid to test unimodality; for
     ``MAX_CONCURRENCE`` the samples' rates are formed in one array pass
     and their states reconstructed and graded in one stacked pass, equal
-    bit for bit to one state at a time.  A
-    unimodal profile is refined by golden-section search on log(mu) to
-    ``_LOG_MU_TOL`` = 1e-6 relative accuracy; endpoints are returned
-    exactly when they win (monotone objectives).  A scan that peaks at an
-    endpoint costs one probe more, ``_LOG_MU_TOL`` inside it and clamped
-    to the next sample, so no objective is read outside ``mu_range``; if
-    the probe falls by more than the scan's noise allowance, the endpoint
-    is returned, as the search would return it.  A non-unimodal profile
-    sets the warning flag and returns the best sample as-is; so does a
-    scan flat to within that allowance (1e-12 relative, plus 1e-14
-    absolute for C and V), which evaluates nothing more.
+    bit for bit to one state at a time.  A unimodal profile returns the
+    explicit optimum of :class:`MuOptimum`, clamped to ``mu_range``: an
+    endpoint with its scan value, an inner mu with one value more.  A
+    non-unimodal profile sets the warning flag and returns the best
+    sample as-is; so does a scan flat to within the scan's noise
+    allowance (1e-12 relative, plus 1e-14 absolute for C and V).
     """
     _check_member("objective", objective, Objective)
     try:
@@ -256,9 +250,11 @@ def optimize_mu(
     if not (0 < lo < hi) or not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"mu_range must satisfy 0 < lo < hi, got {mu_range}")
     _check_count("samples", samples, 3)
-    log_lo, log_hi = math.log(lo), math.log(hi)
+    if samples > _SWEEP_MAX:
+        raise ValueError(f"samples must be <= {_SWEEP_MAX}, got {samples}")
     grid = _mu_grid(lo, hi, samples, True)
-    scan = _objective_fn(kind, alpha_s, alpha_i, dark_s, dark_i, objective)
+    det_s, det_i = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
+    scan = _objective_fn(kind, det_s, det_i, objective)
     ys = scan(grid)
 
     peak = max(range(samples), key=lambda j: ys[j])
@@ -271,19 +267,5 @@ def optimize_mu(
     falling = all(ys[j + 1] <= ys[j] + tol(ys[j]) for j in range(peak, samples - 1))
     if flat or not (rising and falling):
         return MuOptimum(grid[peak], ys[peak], False)
-
-    a = log_lo if peak == 0 else math.log(grid[peak - 1])
-    b = log_hi if peak == samples - 1 else math.log(grid[peak + 1])
-    f = lambda mu: scan([mu])[0]
-    # an endpoint peak that falls at one probe inside [a, b] is the optimum
-    probe = min(max(log_lo + _LOG_MU_TOL if peak == 0 else log_hi - _LOG_MU_TOL, a), b)
-    if peak in (0, samples - 1) and f(math.exp(probe)) < ys[peak] - tol(ys[peak]):
-        best_mu, best_val = grid[peak], ys[peak]
-    else:
-        t, best_val = _golden_max(f, a, b)
-        best_mu = math.exp(t)
-    # prefer an exact endpoint when it is at least as good (monotone case)
-    for m, y in ((lo, ys[0]), (hi, ys[-1])):
-        if y >= best_val:
-            best_mu, best_val = m, y
-    return MuOptimum(best_mu, best_val, True)
+    mu = _peak_mu(kind, det_s, det_i, objective, lo, hi)
+    return MuOptimum(mu, ys[0] if mu == lo else ys[-1] if mu == hi else scan([mu])[0], True)

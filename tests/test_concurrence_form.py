@@ -12,17 +12,27 @@ sqrt(S - 2|Q|)) / 2, and C = max(0, 2 max - sum) / (2 (a + b)) needs no
 eigensolver.  The factorizations are checked in exact rational
 arithmetic on the dual frame itself, and the form against the
 reconstruction's concurrence in floats.
+
+Every closed-form state has c = (a + b) / 2, so its values are b, b, b
+and 2a - b and its concurrence is max(0, (a - 2b) / (a + b)) =
+max(0, (3V - 1) / 2): C rises with the visibility V.  That fact, and the
+signs of dV/dmu and d(R_HH V)/dmu that ``optimize_mu``'s explicit optima
+rest on, are checked here on the closed forms themselves, in exact
+arithmetic and symbolically.
 """
 
 import itertools
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from biphoton import RateMethod, SourceKind, assemble_r, concurrence, reconstruct
+from biphoton.polarization import _closed_forms
 from biphoton.tomography import _COLUMN, _DUAL
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
@@ -148,3 +158,80 @@ def test_the_root_form_matches_the_reconstruction_of_model_states(method, n):
         r = vec.r
         got = _root_form(r[a_at], r[b_at], r[c_at])
         assert abs(got - concurrence(reconstruct(vec))) <= 1e-14, (kind, mu, alphas, darks)
+
+
+def _closed_rates(kind, mu, alpha_s, alpha_i, dark_s, dark_i):
+    """R_HH, R_HV and R_H+ of the closed forms, in the arithmetic of the inputs."""
+    arms = SimpleNamespace(alpha=alpha_s, dark=dark_s), SimpleNamespace(alpha=alpha_i, dark=dark_i)
+    return _closed_forms(kind, mu, *arms)[:3]
+
+
+def _model_inputs(n, seed):
+    rng = random.Random(seed)
+    return [(ENTANGLED[j % 2], Fraction(rng.randint(1, 400), rng.randint(1, 100)),
+             *(Fraction(rng.randint(1, 100), 100) for _ in range(2)),
+             *(Fraction(rng.randint(0, 9), 10 ** rng.randint(1, 6)) for _ in range(2)))
+            for j in range(n)]
+
+
+@pytest.mark.parametrize(("kind", "mu", "alpha_s", "alpha_i", "dark_s", "dark_i"),
+                         _model_inputs(12, 11))
+def test_every_closed_form_state_has_the_concurrence_of_its_visibility(kind, mu, alpha_s, alpha_i,
+                                                                       dark_s, dark_i):
+    a, b, c = _closed_rates(kind, mu, alpha_s, alpha_i, dark_s, dark_i)
+    assert c == (a + b) / 2
+    assert a >= b >= 0
+    # rho rho~ has the eigenvalue b^2 three times and (2a - b)^2 once: Wootters'
+    # values are b, b, b and 2a - b >= b, and the trace is 2 (a + b)
+    product = _matmul(_state(a, b, c), _flipped(_state(a, b, c)))
+    for x in range(-2, 3):
+        assert _char(product, x) == ((x - b * b) ** 3 * (x - (2 * a - b) ** 2), 0)
+    values = (b, b, b, 2 * a - b)
+    want = max(0, 2 * max(values) - sum(values)) / (2 * (a + b))
+    assert want == max(0, (a - 2 * b) / (a + b)) == max(0, (3 * (a - b) / (a + b) - 1) / 2)
+    assert abs(_root_form(float(a), float(b), float(c)) - float(want)) <= 1e-15
+
+
+_MU, _A_S, _A_I, _D_S, _D_I = _SYMBOLS = sp.symbols("mu alpha_s alpha_i d_s d_i", positive=True)
+_A = _A_S * _A_I - (_A_S * _D_I + _A_I * _D_S)
+# dV/dmu has the sign of these: optimize_mu's optima are their roots (MuOptimum)
+_SLOPE_SIGN = {
+    SourceKind.DIS_ENTANGLED: 4 * _D_S * _D_I - _A_S * _A_I * _MU**2,
+    SourceKind.INDIS_ENTANGLED: 4 * _D_S * _D_I * (_MU + 1) - _A * _MU**2,
+}
+
+
+def _has_sign_of(expr, sign) -> bool:
+    """Whether expr / sign reduces to polynomials whose every coefficient is
+    positive, so that expr has the sign of ``sign`` at every positive input."""
+    ratio = sp.fraction(sp.cancel(sp.together(expr / sign)))
+    return all(coeff > 0 for part in ratio for coeff in sp.Poly(part, *_SYMBOLS).coeffs())
+
+
+def _visibility_and_rate(kind):
+    r_hh, r_hv, r_hplus = _closed_rates(kind, _MU, _A_S, _A_I, _D_S, _D_I)
+    assert sp.expand(2 * r_hplus - r_hh - r_hv) == 0  # c = (a + b) / 2 symbolically too
+    return (r_hh - r_hv) / (r_hh + r_hv), r_hh
+
+
+@pytest.mark.parametrize("kind", ENTANGLED)
+def test_the_visibility_slope_and_the_rate_times_visibility_slope_have_their_signs(kind):
+    v, r_hh = _visibility_and_rate(kind)
+    assert _has_sign_of(sp.diff(v, _MU), _SLOPE_SIGN[kind])
+    # d(R_HH V)/dmu: a numerator and a denominator with no negative coefficient
+    assert _has_sign_of(sp.diff(r_hh * v, _MU), 1)
+
+
+@pytest.mark.parametrize(("kind", "sign"), [
+    (SourceKind.DIS_ENTANGLED, 3 * _D_S * _D_I - _A_S * _A_I * _MU**2),
+    (SourceKind.DIS_ENTANGLED, 4 * _D_S * _D_I - 2 * _A_S * _A_I * _MU**2),
+    (SourceKind.INDIS_ENTANGLED, 4 * _D_S * _D_I * (_MU + 2) - _A * _MU**2),
+    (SourceKind.INDIS_ENTANGLED, 4 * _D_S * _D_I * (2 * _MU + 1) - _A * _MU**2),
+    (SourceKind.INDIS_ENTANGLED, 4 * _D_S * _D_I * (_MU + 1) - (_A + _A_S * _D_I) * _MU**2),
+    # V peaks inside: it has no one sign
+    (SourceKind.DIS_ENTANGLED, 1),
+    (SourceKind.INDIS_ENTANGLED, 1),
+])
+def test_a_sign_with_one_coefficient_changed_is_refused(kind, sign):
+    v, _ = _visibility_and_rate(kind)
+    assert not _has_sign_of(sp.diff(v, _MU), sign)

@@ -2,7 +2,9 @@
 
 import math
 import re
+from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -36,8 +38,8 @@ from biphoton import (
     visibility_approx,
     visibility_exact,
 )
-from biphoton import metrics, polarization, tomography
-from biphoton.metrics import _golden_max, _mu_grid
+from biphoton import cli, metrics, polarization, tomography
+from biphoton.metrics import _SWEEP_MAX, _mu_grid
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
 CORRELATED = (SourceKind.DIS_CORRELATED, SourceKind.THERMAL_CORRELATED)
@@ -391,31 +393,72 @@ def _objective_at(kind, dets, objective):
     return f
 
 
-def _full_search(kind, dets, objective, mu_range, samples=65) -> MuOptimum:
-    """optimize_mu's search without the endpoint probe, one mu at a time:
-    the sample scan, its flatness and unimodality tests, then the golden
-    section, with an exact endpoint preferred when it is at least as good."""
+def _scan(kind, dets, objective, mu_range, samples):
+    """optimize_mu's scan one mu at a time: the grid, its values, the peak
+    sample, and whether the profile is unimodal: not flat to rounding,
+    rising to the peak and falling after it."""
     f = _objective_at(kind, dets, objective)
-    lo, hi = mu_range
-    log_lo, log_hi = math.log(lo), math.log(hi)
-    grid = _mu_grid(lo, hi, samples, True)
+    grid = _mu_grid(*mu_range, samples, True)
     ys = [f(mu) for mu in grid]
     peak = max(range(samples), key=lambda j: ys[j])
     floor = 1e-300 if objective is Objective.MAX_COINCIDENCE_TIMES_VISIBILITY else 1e-14
     tol = lambda v: 1e-12 * abs(v) + floor
-    if all(ys[peak] - y <= tol(ys[peak]) for y in ys):
-        return MuOptimum(grid[peak], ys[peak], False)
-    if not (all(ys[j + 1] >= ys[j] - tol(ys[j]) for j in range(peak))
-            and all(ys[j + 1] <= ys[j] + tol(ys[j]) for j in range(peak, samples - 1))):
-        return MuOptimum(grid[peak], ys[peak], False)
-    a = log_lo if peak == 0 else math.log(grid[peak - 1])
-    b = log_hi if peak == samples - 1 else math.log(grid[peak + 1])
-    t, best_val = _golden_max(f, a, b)
-    best_mu = math.exp(t)
-    for mu, y in ((lo, ys[0]), (hi, ys[-1])):
-        if y >= best_val:
-            best_mu, best_val = mu, y
-    return MuOptimum(best_mu, best_val, True)
+    unimodal = (not all(ys[peak] - y <= tol(ys[peak]) for y in ys)
+                and all(ys[j + 1] >= ys[j] - tol(ys[j]) for j in range(peak))
+                and all(ys[j + 1] <= ys[j] + tol(ys[j]) for j in range(peak, samples - 1)))
+    return grid, ys, peak, unimodal
+
+
+def _mp_optimum(kind, dets, objective, mu_range) -> float:
+    """The objective's maximum over the bracket in 50-digit mpmath: an end
+    where the derivative points out of the bracket, else its root.  The rates
+    are the closed forms' own, and C is (R_HH - 2 R_HV) / (R_HH + R_HV), which
+    tests/test_concurrence_form.py proves for every closed-form state."""
+    with mp.workdps(50):
+        a_s, a_i, d_s, d_i = (mp.mpf(x) for x in dets)
+        arms = SimpleNamespace(alpha=a_s, dark=d_s), SimpleNamespace(alpha=a_i, dark=d_i)
+
+        def f(mu):
+            r_hh, r_hv = polarization._closed_forms(kind, mu, *arms)[:2]
+            if objective is Objective.MAX_CONCURRENCE:
+                return (r_hh - 2 * r_hv) / (r_hh + r_hv)
+            v = (r_hh - r_hv) / (r_hh + r_hv)
+            return v if objective is Objective.MAX_VISIBILITY else r_hh * v
+
+        slope = lambda mu: mp.diff(f, mu)
+        lo, hi = (mp.mpf(m) for m in mu_range)
+        if slope(lo) <= 0:
+            return mu_range[0]
+        if slope(hi) >= 0:
+            return mu_range[1]
+        for _ in range(60):  # bisection in log(mu), to 1e-17 relative or less
+            mid = mp.sqrt(lo * hi)
+            lo, hi = (mid, hi) if slope(mid) > 0 else (lo, mid)
+        return float(lo)
+
+
+def _check_search(kind, dets, objective, mu_range, samples) -> MuOptimum:
+    """optimize_mu against its scan one state at a time: the verdict, and an
+    uncertified profile's peak sample, bit for bit.  A certified optimum is
+    within 1e-12 relative of the 50-digit one, its value is the objective
+    there graded alone, and no sample of the scan or of a dense scan beats it
+    by more than rounding."""
+    res = optimize_mu(kind, *dets, objective, mu_range, samples)
+    grid, ys, peak, unimodal = _scan(kind, dets, objective, mu_range, samples)
+    assert res.unimodal == unimodal
+    if not unimodal:
+        assert res == MuOptimum(grid[peak], ys[peak], False)
+        return res
+    f = _objective_at(kind, dets, objective)
+    ref = _mp_optimum(kind, dets, objective, mu_range)
+    assert mu_range[0] <= res.mu <= mu_range[1]
+    assert abs(res.mu - ref) <= 1e-12 * ref, (res.mu, ref)
+    assert res.value == f(res.mu)
+    best = max(ys + [f(mu) for mu in _mu_grid(*mu_range, 129, True)])
+    # C is graded to 3.7e-15 absolute at worst
+    floor = 4e-15 if objective is Objective.MAX_CONCURRENCE else 0.0
+    assert res.value >= best - 1e-14 * abs(best) - floor, (res.value, best)
+    return res
 
 
 @pytest.mark.parametrize(("kind", "dets", "mu_range", "samples", "where"), [
@@ -425,10 +468,9 @@ def _full_search(kind, dets, objective, mu_range, samples=65) -> MuOptimum:
     (SourceKind.INDIS_ENTANGLED, (0.1, 0.1, 1e-5, 1e-5), (1e-6, 1e-4), 5, "endpoint"),
 ])
 def test_max_concurrence_search_equals_one_state_at_a_time(kind, dets, mu_range, samples, where):
-    # the scan grades its samples in one stacked pass; the result is the
-    # per-point search's, bit for bit
-    res = optimize_mu(kind, *dets, Objective.MAX_CONCURRENCE, mu_range, samples)
-    assert res == _full_search(kind, dets, Objective.MAX_CONCURRENCE, mu_range, samples)
+    # the scan grades its samples in one stacked pass; its verdict is the
+    # per-point scan's, and the optimum's value is its state graded alone
+    res = _check_search(kind, dets, Objective.MAX_CONCURRENCE, mu_range, samples)
     assert res.unimodal
     assert (res.mu in mu_range) == (where == "endpoint")
 
@@ -449,9 +491,10 @@ def test_max_concurrence_search_of_a_bracket_that_is_not_unimodal(monkeypatch):
     dets = (0.1, 0.1, 1e-5, 1e-5)
     res = optimize_mu(SourceKind.INDIS_ENTANGLED, *dets, Objective.MAX_CONCURRENCE,
                       (1e-4, 1e4), 65)
-    assert not res.unimodal
-    assert res == _full_search(
+    grid, ys, peak, unimodal = _scan(
         SourceKind.INDIS_ENTANGLED, dets, Objective.MAX_CONCURRENCE, (1e-4, 1e4), 65)
+    assert not res.unimodal and not unimodal
+    assert res == MuOptimum(grid[peak], ys[peak], False)
 
 
 def _log_uniform(lo_exp, hi_exp):
@@ -475,12 +518,59 @@ _DARKS = st.one_of(st.just(0.0), _log_uniform(-7.0, -1.0))
          dets=(0.01, 0.01, 1e-5, 1e-5), lo=1e-4, decades=5.0, samples=65)
 def test_optimize_mu_equals_the_full_search_bit_for_bit(kind, objective, dets, lo, decades,
                                                         samples):
-    # the endpoint probe only skips a golden section whose result the
-    # endpoint preference would throw away; a profile flat to rounding (C
-    # of a separable state, V at alpha 1) returns its peak sample in both
-    mu_range = (lo, lo * 10.0 ** decades)
-    res = optimize_mu(kind, *dets, objective, mu_range, samples)
-    assert res == _full_search(kind, dets, objective, mu_range, samples)
+    # the scan's verdict is the per-point scan's; a profile flat to rounding
+    # (C of a separable state, V at alpha 1) returns its peak sample, and a
+    # unimodal one the closed forms' optimum
+    _check_search(kind, dets, objective, (lo, lo * 10.0 ** decades), samples)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(ENTANGLED),
+    dets=st.tuples(_log_uniform(-3.0, 0.0), _log_uniform(-3.0, 0.0), _log_uniform(-7.0, -1.0),
+                   _log_uniform(-7.0, -1.0)),
+    below=st.floats(0.0, 2.0),
+    above=st.floats(1e-3, 2.0),
+    samples=st.integers(3, 65),
+)
+def test_visibility_and_concurrence_peak_at_one_mu(kind, dets, below, above, samples):
+    # brackets about the dark-limited scale 2 sqrt(d_s d_i / (a_s a_i)), which
+    # hold most optima inside.  C = max(0, (3 V - 1) / 2) rises with V: where
+    # both profiles are certified, both optima are the one mu
+    scale = 2 * math.sqrt(dets[2] * dets[3] / (dets[0] * dets[1]))
+    mu_range = (scale * 10.0 ** -below, scale * 10.0 ** above)
+    v, c = (_check_search(kind, dets, objective, mu_range, samples)
+            for objective in (Objective.MAX_VISIBILITY, Objective.MAX_CONCURRENCE))
+    if v.unimodal and c.unimodal:
+        assert v.mu == c.mu
+
+
+def test_the_indistinguishable_optimum_of_equal_arms():
+    # 2 d / (alpha - 2 d) for both objectives, which a search to a tolerance
+    # put 1e-7 apart
+    a, d = 0.1, 1e-5
+    for objective in (Objective.MAX_VISIBILITY, Objective.MAX_CONCURRENCE):
+        res = optimize_mu(SourceKind.INDIS_ENTANGLED, a, a, d, d, objective, (1e-5, 1.0))
+        assert res.unimodal
+        assert res.mu == pytest.approx(2 * d / (a - 2 * d), rel=1e-14)
+
+
+def test_samples_above_the_sweep_bound_are_refused_before_any_grid(monkeypatch):
+    class Built(Exception):
+        pass
+
+    def refuse(*args):
+        raise Built
+
+    monkeypatch.setattr(metrics, "_mu_grid", refuse)
+    assert cli._SWEEP_MAX is _SWEEP_MAX == 100_000
+    with pytest.raises(ValueError, match=r"^samples must be <= 100000, got 100001$"):
+        optimize_mu(SourceKind.DIS_ENTANGLED, 0.1, 0.1, 0.0, 0.0, Objective.MAX_CONCURRENCE,
+                    (1e-3, 1.0), _SWEEP_MAX + 1)
+    # the bound itself is taken: the grid is the next step
+    with pytest.raises(Built):
+        optimize_mu(SourceKind.DIS_ENTANGLED, 0.1, 0.1, 0.0, 0.0, Objective.MAX_CONCURRENCE,
+                    (1e-3, 1.0), _SWEEP_MAX)
 
 
 def _record_mus(monkeypatch) -> list:
@@ -498,29 +588,36 @@ def _record_mus(monkeypatch) -> list:
     return mus
 
 
-@pytest.mark.parametrize(("kind", "dets", "objective", "mu_range", "samples"), [
-    (SourceKind.DIS_ENTANGLED, (0.1, 0.2, 0.0, 0.0), Objective.MAX_CONCURRENCE, (1e-3, 1.0), 40),
-    (SourceKind.INDIS_ENTANGLED, (0.01, 0.01, 0.0, 0.0), Objective.MAX_VISIBILITY, (1e-3, 1.0), 9),
+@pytest.mark.parametrize(("kind", "dets", "objective", "mu_range", "samples", "extra"), [
+    (SourceKind.DIS_ENTANGLED, (0.1, 0.2, 0.0, 0.0), Objective.MAX_CONCURRENCE, (1e-3, 1.0), 40,
+     0),
+    (SourceKind.INDIS_ENTANGLED, (0.01, 0.01, 0.0, 0.0), Objective.MAX_VISIBILITY, (1e-3, 1.0), 9,
+     0),
     (SourceKind.DIS_ENTANGLED, (0.01, 0.01, 1e-5, 1e-5),
-     Objective.MAX_COINCIDENCE_TIMES_VISIBILITY, (1e-4, 10.0), 65),
+     Objective.MAX_COINCIDENCE_TIMES_VISIBILITY, (1e-4, 10.0), 65, 0),
+    (SourceKind.INDIS_ENTANGLED, (0.1, 0.1, 1e-5, 1e-5), Objective.MAX_CONCURRENCE, (1e-4, 1.0),
+     65, 1),
+    (SourceKind.DIS_ENTANGLED, (0.01, 0.01, 1e-5, 1e-5), Objective.MAX_VISIBILITY, (1e-5, 1.0), 9,
+     1),
 ])
-def test_a_monotone_profile_costs_the_scan_and_one_probe(monkeypatch, kind, dets, objective,
-                                                        mu_range, samples):
+def test_an_end_optimum_costs_the_scan_and_an_inner_one_one_value_more(
+        monkeypatch, kind, dets, objective, mu_range, samples, extra):
     mus = _record_mus(monkeypatch)
     res = optimize_mu(kind, *dets, objective, mu_range, samples)
-    assert res.unimodal and res.mu in mu_range
-    assert len(mus) == samples + 1
+    assert res.unimodal and (res.mu in mu_range) == (extra == 0)
+    assert len(mus) == samples + extra
+    assert mus[samples:] == [res.mu] * extra
 
 
-def test_an_endpoint_peak_with_the_optimum_just_inside_runs_the_golden_section():
+def test_an_endpoint_peak_with_the_optimum_just_inside_returns_that_optimum():
     # the 3-sample scan peaks at lo, but V peaks at 2 d / alpha = 2e-3 just
-    # above it: the probe rises, so the search goes on
+    # above it
     a, d, lo = 0.01, 1e-5, 1.9e-3
     res = optimize_mu(SourceKind.DIS_ENTANGLED, a, a, d, d, Objective.MAX_VISIBILITY,
                       (lo, 1.0), 3)
     assert res.unimodal
     assert res.mu > lo
-    assert res.mu == pytest.approx(2 * d / a, rel=1e-4)
+    assert res.mu == pytest.approx(2 * d / a, rel=1e-14)
 
 
 @pytest.mark.parametrize("objective", list(Objective))
@@ -529,10 +626,9 @@ def test_an_endpoint_peak_with_the_optimum_just_inside_runs_the_golden_section()
     (SourceKind.INDIS_ENTANGLED, (1e150 * (1 - 1e-9), 1e150)),
     (SourceKind.DIS_ENTANGLED, (1.0, 1.0 + 1e-9)),
 ])
-def test_the_probe_stays_inside_a_bracket_narrower_than_its_step(monkeypatch, objective, kind,
-                                                               mu_range):
-    # each bracket is 1e-9 wide in log(mu), below _LOG_MU_TOL; an unclamped
-    # probe would read the objective outside it at one end or the other
+def test_no_objective_is_read_outside_a_narrow_bracket(monkeypatch, objective, kind, mu_range):
+    # each bracket is 1e-9 wide in log(mu): the optimum is clamped to it, so
+    # neither it nor a sample reads the objective outside
     mus = _record_mus(monkeypatch)
     res = optimize_mu(kind, 0.3, 0.2, 1e-3, 1e-2, objective, mu_range, 5)
     assert mu_range[0] <= res.mu <= mu_range[1]
@@ -549,12 +645,12 @@ def test_the_probe_stays_inside_a_bracket_narrower_than_its_step(monkeypatch, ob
 def test_a_profile_flat_to_rounding_returns_its_peak_sample_unconfirmed(monkeypatch, dets,
                                                                         objective, mu_range):
     # a flat scan has no optimum to find: the peak sample comes back with
-    # unimodal False, and neither a probe nor a golden section runs
+    # unimodal False, and nothing more is evaluated
     kind, samples = SourceKind.INDIS_ENTANGLED, 3
-    ref = _full_search(kind, dets, objective, mu_range, samples)
+    grid, ys, peak, _ = _scan(kind, dets, objective, mu_range, samples)
     mus = _record_mus(monkeypatch)
     res = optimize_mu(kind, *dets, objective, mu_range, samples)
-    assert res == ref
+    assert res == MuOptimum(grid[peak], ys[peak], False)
     assert not res.unimodal
     assert res.mu == mu_range[1]
     assert len(mus) == samples
