@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
-from typing import Callable, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable
 
 from . import __version__
 from .detection import DetectorModel
@@ -72,11 +72,9 @@ _DETECTORS = ("alpha_s", "alpha_i", "dark_s", "dark_i")
 _SERIES = ("tail_eps", "cap")
 
 
-class _Command(NamedTuple):
-    func: Callable[[argparse.Namespace], int]
-    help: str
-    keywords: dict  # option -> the argparse keywords that differ from _OPTIONS
-    modes: dict  # mode -> the options the mode reads besides _OUTPUT
+# func: args -> exit code; keywords: option -> the argparse keywords that
+# differ from _OPTIONS; modes: mode -> the options it reads besides _OUTPUT
+_Command = namedtuple("_Command", "func help keywords modes")
 
 
 def _flag(option: str) -> str:
@@ -161,25 +159,29 @@ def _json_fields(fields: dict) -> dict:
     return {k: _fmt(v) if isinstance(v, float) else v for k, v in fields.items()}
 
 
-_encode_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses
-
-
 def _json(v, pad: str) -> str:
     """``v`` laid out as ``json.dumps(v, indent=2)`` lays it out at indent
     ``pad``, without the pure-Python encoder that ``indent`` selects: dicts
     with str keys, lists and tuples here, every other value by json.dumps."""
-    if isinstance(v, float) and math.isfinite(v):
-        return float.__repr__(v)
-    if isinstance(v, str):
-        return _encode_str(v)
-    if isinstance(v, (list, tuple, dict)) and v:
-        inner = pad + "  "
-        sep = ",\n" + inner
-        if isinstance(v, dict):
-            body = sep.join([_encode_str(k) + ": " + _json(x, inner) for k, x in v.items()])
-            return "{\n" + inner + body + "\n" + pad + "}"
-        return "[\n" + inner + sep.join([_json(x, inner) for x in v]) + "\n" + pad + "]"
-    return json.dumps(v)
+    import json  # only JSON output and --from-r load it
+
+    encode_str = json.encoder.encode_basestring_ascii  # the C encoder json.dumps uses
+
+    def layout(v, pad: str) -> str:
+        if isinstance(v, float) and math.isfinite(v):
+            return float.__repr__(v)
+        if isinstance(v, str):
+            return encode_str(v)
+        if isinstance(v, (list, tuple, dict)) and v:
+            inner = pad + "  "
+            sep = ",\n" + inner
+            if isinstance(v, dict):
+                body = sep.join([encode_str(k) + ": " + layout(x, inner) for k, x in v.items()])
+                return "{\n" + inner + body + "\n" + pad + "}"
+            return "[\n" + inner + sep.join([layout(x, inner) for x in v]) + "\n" + pad + "]"
+        return json.dumps(v)
+
+    return layout(v, pad)
 
 
 def _emit_json(args, config: dict, body: dict) -> None:
@@ -257,6 +259,7 @@ def cmd_density_matrix(args) -> int:
     if args.format == "csv":
         raise ConfigError("density-matrix output is a JSON document; use --format json")
     if args.from_r is not None:
+        import json
         with open(args.from_r) as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict) or "r" not in payload:

@@ -7,15 +7,12 @@ It cannot resolve photon number: it either clicks or it does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .distributions import _check_count, _check_member, _check_real
+from .distributions import _check_count, _check_member, _check_real, _record
 
 __all__ = ["DetectorModel", "click_prob"]
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+class DetectorModel(_record("alpha dark")):
     """Threshold detector with efficiency ``alpha`` and dark probability ``dark``.
 
     Each may be any real number type but bool and is held as a float, so
@@ -23,17 +20,15 @@ class DetectorModel:
     its float twin, in double precision, on every path.
     """
 
-    alpha: float
-    dark: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        alpha, dark = _check_real("alpha", self.alpha), _check_real("dark", self.dark)
-        if not (0 <= alpha <= 1):
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not (0 <= dark < 1):
-            raise ValueError(f"dark must lie in [0, 1), got {self.dark}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "dark", dark)
+    def __new__(cls, alpha: float, dark: float = 0.0):
+        a, d = _check_real("alpha", alpha), _check_real("dark", dark)
+        if not (0 <= a <= 1):
+            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        if not (0 <= d < 1):
+            raise ValueError(f"dark must lie in [0, 1), got {dark}")
+        return tuple.__new__(cls, (a, d))
 
 
 def click_prob(det: DetectorModel, x: int) -> float:

@@ -24,8 +24,8 @@ import math
 import numbers
 import operator
 import sys
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, count, islice, repeat
 
@@ -74,11 +74,36 @@ def _check_member(name: str, value, cls: type) -> None:
         raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
+def _record(fields: str) -> type:
+    """The one base of every value type: a named tuple of ``fields`` that
+    equals only a value of its own type, never a plain tuple or another
+    type with the same fields, hashed as the tuple of its fields.
+    ``_replace`` builds through the type, so a checked type checks it."""
+    eq, ne = tuple.__eq__, tuple.__ne__
+
+    class Record(namedtuple("Record", fields)):
+        __slots__ = ()
+        __hash__ = tuple.__hash__
+
+        def __eq__(self, other):
+            return other.__class__ is self.__class__ and eq(self, other)
+
+        def __ne__(self, other):
+            return other.__class__ is not self.__class__ or ne(self, other)
+
+        @classmethod
+        def _make(cls, iterable):
+            return cls(*iterable)
+
+    return Record
+
+
 class SourceKind(Enum):
     INDIS_ENTANGLED = "indis-entangled"
     DIS_ENTANGLED = "dis-entangled"
     DIS_CORRELATED = "dis-correlated"
     THERMAL_CORRELATED = "thermal-correlated"
+    __hash__ = object.__hash__  # members are singletons: hash them by identity, in C
 
     @property
     def entangled(self) -> bool:
@@ -93,25 +118,22 @@ class SourceKind(Enum):
         return self in (SourceKind.DIS_ENTANGLED, SourceKind.DIS_CORRELATED)
 
 
-@dataclass(frozen=True)
-class PairSource:
+class PairSource(_record("kind mu")):
     """A photon-pair source of a given kind with mean pair number ``mu``.
 
     ``mu`` may be any real number type but bool; it is held as a float."""
 
-    kind: SourceKind
-    mu: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_member("kind", self.kind, SourceKind)
-        mu = _check_real("mu", self.mu)
-        if not 0 <= mu < math.inf:
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu!r}")
-        object.__setattr__(self, "mu", mu)
+    def __new__(cls, kind: SourceKind, mu: float):
+        _check_member("kind", kind, SourceKind)
+        value = _check_real("mu", mu)
+        if not 0 <= value < math.inf:
+            raise ValueError(f"mu must be finite and >= 0, got {mu!r}")
+        return tuple.__new__(cls, (kind, value))
 
 
-@dataclass(frozen=True)
-class TruncationPolicy:
+class TruncationPolicy(_record("tail_epsilon hard_cap")):
     """Tail requirement for pair-number series.
 
     ``tail_epsilon`` bounds the total probability mass allowed beyond the
@@ -119,15 +141,14 @@ class TruncationPolicy:
     cap raises :class:`CapExceeded` rather than truncating silently.
     """
 
-    tail_epsilon: float = 1e-12
-    hard_cap: int = 200
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        eps = _check_real("tail_epsilon", self.tail_epsilon)
+    def __new__(cls, tail_epsilon: float = 1e-12, hard_cap: int = 200):
+        eps = _check_real("tail_epsilon", tail_epsilon)
         if not (0.0 < eps < 1.0):
-            raise ValueError(f"tail_epsilon must lie in (0, 1), got {self.tail_epsilon}")
-        object.__setattr__(self, "tail_epsilon", eps)
-        _check_count("hard_cap", self.hard_cap)
+            raise ValueError(f"tail_epsilon must lie in (0, 1), got {tail_epsilon}")
+        _check_count("hard_cap", hard_cap)
+        return tuple.__new__(cls, (eps, hard_cap))
 
 
 def _pmf0(source: PairSource) -> float:

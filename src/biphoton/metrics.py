@@ -5,12 +5,11 @@ exact rate here is read from the series in ``polarization``."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .detection import DetectorModel
 from .distributions import (PairSource, SourceKind, TruncationPolicy, _check_count, _check_member,
-                            _check_real)
+                            _check_real, _record)
 from .polarization import (
     RateMethod,
     Setting,
@@ -34,31 +33,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VisibilityResult:
+class VisibilityResult(_record("visibility contrast")):
     """Two-photon interference visibility and HH/HV contrast."""
 
-    visibility: float
-    contrast: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CarResult:
+class CarResult(_record("matched_rate unmatched_rate car")):
     """Coincidence-to-accidental ratio with its two ingredient rates."""
 
-    matched_rate: float
-    unmatched_rate: float
-    car: float
+    __slots__ = ()
 
 
 class Objective(Enum):
     MAX_VISIBILITY = "max-visibility"
     MAX_CONCURRENCE = "max-concurrence"
     MAX_COINCIDENCE_TIMES_VISIBILITY = "max-coincidence-times-visibility"
+    __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class MuOptimum:
+class MuOptimum(_record("mu value unimodal")):
     """Result of a mean-pair-number optimization.
 
     ``unimodal`` is False when the coarse scan saw more than one local
@@ -78,9 +72,7 @@ class MuOptimum:
       numerator of d(R_HH V)/dmu has no negative coefficient.
     """
 
-    mu: float
-    value: float
-    unimodal: bool
+    __slots__ = ()
 
 
 def _visibility(r_hh: float, r_hv: float) -> float:

@@ -61,14 +61,13 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .detection import DetectorModel, _click, click_prob
 from .distributions import (PairSource, SourceKind, TruncationPolicy, _check_count, _check_member,
-                            pmf_values)
+                            _record, pmf_values)
 from .polarization import HplusModel, Setting
 
 __all__ = [
@@ -101,22 +100,16 @@ class XMaxTooLarge(ValueError):
     pair counts of the Monte-Carlo sampler."""
 
 
-@dataclass(frozen=True)
-class EnumeratedRate:
+class EnumeratedRate(_record("value tail_bound")):
     """Exhaustively enumerated rate plus the pmf mass beyond x_max."""
 
-    value: float
-    tail_bound: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(_record("mean std_error trials seed")):
     """Monte-Carlo estimate of a click or coincidence probability."""
 
-    mean: float
-    std_error: float
-    trials: int
-    seed: int
+    __slots__ = ()
 
 
 @lru_cache(maxsize=X_MAX_LIMIT + 1)
@@ -435,8 +428,11 @@ def _photon_classes(
     h = tail - v if tail.size else tail
     if setting is Setting.HPLUS:
         plus = np.zeros((occupied[-1] + 1 if occupied else 0,) * 2, np.int64)
-        for x, row in zip(occupied, rows):  # the draw's row y holds x - y H photons
-            plus[x::-1, : x + 1] += rng.multinomial(row, _plus_law(x, coherent))
+        for x, row in zip(occupied, rows):  # the pulses of pattern y hold x - y H photons
+            law = _plus_law(x, coherent)
+            for y, n in enumerate(row):
+                if n:  # one 1-D draw per pattern: the stream of one 2-D draw, with less overhead
+                    plus[x - y, : x + 1] += rng.multinomial(n, law[y if coherent else 0])
         hs, ps = np.nonzero(plus)
         small = (hs.tolist(), ps.tolist()), plus[hs, ps].tolist()
         return small, _classes(h, rng.binomial(tail, 0.5) if tail.size else tail), counts[0]

@@ -64,16 +64,15 @@ import math
 import operator
 import threading
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import TYPE_CHECKING
 
 from .detection import DetectorModel, click_prob
 from .distributions import (CapExceeded, PairSource, SourceKind, TruncationPolicy,
-                            _certified_pmf, _check_count, _check_member)
+                            _certified_pmf, _check_count, _check_member, _record)
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:  # numpy is imported by the three functions that use it
     import numpy as np
 
@@ -116,6 +115,7 @@ class Setting(Enum):
     TIMEBIN_AA = "timebin-aa"
     TIMEBIN_AB = "timebin-ab"
     TIMEBIN_APLUS = "timebin-aplus"
+    __hash__ = object.__hash__
 
     def resolve(
         self, kind: SourceKind, det_s: DetectorModel, det_i: DetectorModel
@@ -146,11 +146,13 @@ def _require_entangled(kind: SourceKind, what: str) -> None:
 class HplusModel(Enum):
     COHERENT = "coherent"
     INDEPENDENT = "independent"
+    __hash__ = object.__hash__
 
 
 class RateMethod(Enum):
     EXACT_SERIES = "exact-series"
     CLOSED_FORM = "closed-form"
+    __hash__ = object.__hash__
 
 
 # the closed forms are quadratic in mu: finite up to about 7e153 at unit efficiency
@@ -180,24 +182,16 @@ def _closed_form_defaults(policy, hplus_model=HplusModel.COHERENT) -> None:
         raise ValueError(f"the closed forms read no hplus_model, got hplus_model={hplus_model!r}")
 
 
-@dataclass(frozen=True)
-class RateEntry:
+class RateEntry(_record("value setting truncation_used")):
     """A rate, its setting as resolved and its truncation index x_max (0 for the closed forms)."""
 
-    value: float
-    setting: Setting
-    truncation_used: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(_record("r_hh r_hv r_hplus single_s single_i")):
     """The full set of polarization rates for one configuration."""
 
-    r_hh: float
-    r_hv: float
-    r_hplus: float
-    single_s: float
-    single_i: float
+    __slots__ = ()
 
 
 _TIMEBIN_TWIN = {
@@ -211,6 +205,7 @@ class TimebinPort(Enum):
     AA = "aa"
     AB = "ab"
     APLUS = "aplus"
+    __hash__ = object.__hash__
 
 
 def timebin_rate(

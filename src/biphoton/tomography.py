@@ -12,12 +12,12 @@ effective density matrix, which is trace-normalized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .detection import DetectorModel
-from .distributions import PairSource, SourceKind, TruncationPolicy, _check_member, _check_real
+from .distributions import (PairSource, SourceKind, TruncationPolicy, _check_member, _check_real,
+                            _record)
 from .polarization import (
     HplusModel,
     RateMethod,
@@ -84,19 +84,17 @@ def projectors() -> list[np.ndarray]:
     return out
 
 
-@dataclass(frozen=True)
-class TomographyVector:
+class TomographyVector(_record("r method hplus_model")):
     """The 16 projection rates in table order, as floats, tagged with a method and an H+ model."""
 
-    r: tuple[float, ...]
-    method: RateMethod
-    hplus_model: HplusModel | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_member("method", self.method, RateMethod)
-        if self.hplus_model is not None:
-            _check_member("hplus_model", self.hplus_model, HplusModel)
-        object.__setattr__(self, "r", tuple(_checked_rates(self.r).tolist()))
+    def __new__(cls, r: tuple[float, ...], method: RateMethod,
+                hplus_model: HplusModel | None = None):
+        _check_member("method", method, RateMethod)
+        if hplus_model is not None:
+            _check_member("hplus_model", hplus_model, HplusModel)
+        return tuple.__new__(cls, (tuple(_checked_rates(r).tolist()), method, hplus_model))
 
 
 def _checked_rates(r) -> np.ndarray:

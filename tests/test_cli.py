@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -526,12 +525,12 @@ def test_validate_fails_on_a_disagreement(capsys, monkeypatch):
     def off_series(source, setting, *rest):
         entry = coincidence_rate(source, setting, *rest)
         shift = 1e-6 if setting is Setting.HV else 0.0
-        return dataclasses.replace(entry, value=entry.value + shift)
+        return entry._replace(value=entry.value + shift)
 
     def off_mc(source, setting, *rest):
         est = mc_rate(source, setting, *rest)
         shift = 0.5 if setting is Setting.CAR_MATCHED else 0.0
-        return dataclasses.replace(est, mean=est.mean + shift)
+        return est._replace(mean=est.mean + shift)
 
     monkeypatch.setattr(cli, "coincidence_rate", off_series)
     code, out, _ = _run(capsys, ["validate"])

@@ -1,7 +1,6 @@
 """Design checks over the package source."""
 
 import ast
-import dataclasses
 import importlib
 from pathlib import Path
 
@@ -95,7 +94,7 @@ def test_each_result_holds_only_what_its_call_computed():
     # model, the objective or x_max the caller passed) says nothing new;
     # TomographyVector keeps its method and H+ model: the benchmark
     # adapter builds one itself
-    fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)] for cls in (
+    fields = {cls.__name__: list(cls._fields) for cls in (
         biphoton.RateEntry, biphoton.VisibilityResult, biphoton.CarResult, biphoton.MuOptimum,
         biphoton.EnumeratedRate, biphoton.McEstimate, biphoton.TomographyVector)}
     assert fields == {

@@ -1,7 +1,6 @@
 """The number rule: every real input is held as a float, so an int, a
 Fraction or a numpy real computes as its float twin on every path."""
 
-import dataclasses
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -174,9 +173,11 @@ _ENTRY_POINTS = {
 
 
 def _leaves(value) -> list:
-    """A result as a flat list of (type, value) leaves, each float by its bits."""
-    if dataclasses.is_dataclass(value):
-        return [leaf for f in dataclasses.fields(value) for leaf in _leaves(getattr(value, f.name))]
+    """A result as a flat list of (type, value) leaves, each float by its bits;
+    a value type (a named tuple) leads its fields with its type and field names."""
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        fields = [_leaves(getattr(value, name)) for name in value._fields]
+        return [(type(value), value._fields), *(leaf for leaves in fields for leaf in leaves)]
     if isinstance(value, (tuple, list)):
         return [leaf for v in value for leaf in _leaves(v)]
     if isinstance(value, DensityMatrix):

@@ -27,24 +27,27 @@ _ALL = [
 ]
 
 
-def _fresh(code: str) -> dict:
+def _fresh(code: str, cwd=None) -> dict:
     """Run ``code`` in a fresh interpreter that imports biphoton from this
     tree; it prints one JSON document, returned parsed."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)}
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                           text=True, timeout=120)
+                           text=True, timeout=120, cwd=cwd)
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout)
 
 
+# json is imported after main returns, so the document says whether main loaded it
 _MAIN = """
-import contextlib, hashlib, io, json, sys
+import contextlib, hashlib, io, sys
 from biphoton.cli import main
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
     code = main({argv!r})
-print(json.dumps({{"code": code, "numpy": "numpy" in sys.modules,
+loaded = {{"numpy": "numpy" in sys.modules, "json": "json" in sys.modules}}
+import json
+print(json.dumps({{"code": code, **loaded,
                   "sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}}))
 """
 
@@ -80,10 +83,44 @@ def test_importing_the_package_and_cli_loads_no_numpy():
                       "biphoton.metrics", "biphoton.polarization"]
 
 
+def test_importing_the_package_and_cli_loads_no_heavy_stdlib_module():
+    # modules loaded before the import (a site hook may preload typing) are
+    # not counted; the value types are named tuples, JSON loads on use
+    new = _fresh("import sys\n"
+                 "before = set(sys.modules)\n"
+                 "import biphoton, biphoton.cli\n"
+                 "new = set(sys.modules) - before\n"
+                 "import json\n"
+                 "print(json.dumps(sorted(new)))")
+    assert {"biphoton", "biphoton.cli", "argparse"} <= set(new)
+    assert set(new).isdisjoint({"dataclasses", "inspect", "json", "typing", "numpy"})
+
+
 @pytest.mark.parametrize("argv", list(_MODES), ids=" ".join)
 def test_a_one_shot_mode_loads_numpy_only_where_it_computes_with_it(argv):
     numpy, digest = _MODES[argv]
-    assert _fresh(_MAIN.format(argv=list(argv))) == {"code": 0, "numpy": numpy, "sha256": digest}
+    # only the JSON document of density-matrix loads json
+    assert _fresh(_MAIN.format(argv=list(argv))) == {
+        "code": 0, "numpy": numpy, "json": argv[0] == "density-matrix", "sha256": digest}
+
+
+# density-matrix as a JSON document, the format given, and from 16 rates read from
+# a JSON file: the digests recorded when cli.py imported json at start-up
+_JSON_MODES = {
+    ("density-matrix", "--source", "dis-entangled", "--mu", "0.3", "--format", "json"):
+        "0a784ae30f800117b218188e43c41dba0583a4677352b843a635852b346ef1f9",
+    ("density-matrix", "--from-r", "rates.json"):
+        "8c90df1e50b895e935ca5a56be306834f2365dd70416ea118e32b4c7e02404bd",
+}
+
+
+@pytest.mark.parametrize("argv", list(_JSON_MODES), ids=" ".join)
+def test_json_output_and_from_r_print_their_frozen_bytes(argv, tmp_path):
+    # the rates of a closed-form state: R_HH 0.5, R_HV 0.1 and R_H+ their mean
+    r = [0.5 if j in (0, 2, 9, 15) else 0.1 if j in (1, 3) else 0.3 for j in range(16)]
+    (tmp_path / "rates.json").write_text(json.dumps({"r": r}))
+    assert _fresh(_MAIN.format(argv=list(argv)), cwd=tmp_path) == {
+        "code": 0, "numpy": True, "json": True, "sha256": _JSON_MODES[argv]}
 
 
 def test_all_keeps_its_names_and_order():
