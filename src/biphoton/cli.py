@@ -20,14 +20,15 @@ import functools
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from . import __version__
 from .detection import DetectorModel
 from .distributions import PairSource, SourceKind, TruncationPolicy
-from .metrics import (Objective, _SWEEP_MAX, _mu_grid, car, optimize_mu, visibility_approx,
-                      visibility_exact)
-from .polarization import HplusModel, RateMethod, TimebinPort, coincidence_rate, timebin_rate
+from .metrics import (Objective, _SWEEP_MAX, _car_result, _mu_grid, _visibility, car, optimize_mu,
+                      visibility_approx, visibility_exact)
+from .polarization import (HplusModel, RateMethod, Setting, TimebinPort, _exact_sweep,
+                           coincidence_rate, timebin_rate)
 
 __all__ = ["main"]
 
@@ -215,24 +216,36 @@ def _write_text(out: str, text: str) -> None:
             fh.write(text)
 
 
-def _sweep(args, mode: str, columns: list[str], row: Callable[..., list]) -> int:
-    """A mu sweep's table, a row ``[mu, *row(mu, policy)]`` per mu: the options
-    are checked first, then --mu/--mu-range, then the series policy."""
+def _sweep(args, mode: str, columns: list[str], table: Callable[..., Iterable]) -> int:
+    """A row ``[mu, *tail]`` per tail of ``table(mus, policy)``, once the options, the
+    mus and the policy are checked.  An exact column is one library sweep, which checks
+    its inputs once and sums nothing if one is refused; a --mu row is its one-mu case."""
     config = _config(args, mode)
     mus = _parse_mu_values(args)
-    policy = TruncationPolicy(args.tail_eps, args.cap)
-    _emit_table(args, config, columns, [[mu, *row(mu, policy)] for mu in mus])
+    tails = table(mus, TruncationPolicy(args.tail_eps, args.cap))
+    _emit_table(args, config, columns, [[mu, *tail] for mu, tail in zip(mus, tails)])
     return 0
+
+
+def _arms(args) -> tuple[DetectorModel, DetectorModel]:
+    return DetectorModel(args.alpha_s, args.dark_s), DetectorModel(args.alpha_i, args.dark_i)
 
 
 def cmd_visibility_curve(args) -> int:
     kinds = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
     columns = ["mu", "v_exact_dis", "v_exact_indis", "v_approx_dis", "v_approx_indis"]
-    det = _detector_args(args)
-    return _sweep(args, "", columns, lambda mu, policy: [
-        *(visibility_exact(PairSource(kind, mu), *det, policy).visibility for kind in kinds),
-        *(visibility_approx(kind, mu).visibility for kind in kinds),
-    ])
+
+    def table(mus, policy):
+        if args.mu is not None:  # the one-mu case, through the public call
+            exact = [[visibility_exact(PairSource(kind, args.mu), *_detector_args(args),
+                                       policy).visibility] for kind in kinds]
+        else:
+            exact = [[_visibility(*rates) for _, rates in _exact_sweep(
+                kind, (Setting.HH, Setting.HV), mus, *_arms(args), policy)[1]] for kind in kinds]
+        return zip(*exact, *([visibility_approx(kind, mu).visibility for mu in mus]
+                             for kind in kinds))
+
+    return _sweep(args, "", columns, table)
 
 
 def cmd_concurrence_curve(args) -> int:
@@ -292,11 +305,13 @@ def cmd_density_matrix(args) -> int:
 def cmd_car(args) -> int:
     kind, method = SourceKind(args.source), _METHODS[args.method]
 
-    def row(mu, policy):
-        res = car(PairSource(kind, mu), *_detector_args(args), policy, method)
-        return [res.matched_rate, res.unmatched_rate, res.car]
+    def table(mus, policy):
+        if method is RateMethod.CLOSED_FORM:
+            return [car(PairSource(kind, mu), *_detector_args(args), policy, method) for mu in mus]
+        return [_car_result(*rates) for _, rates in _exact_sweep(
+            kind, (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED), mus, *_arms(args), policy)[1]]
 
-    return _sweep(args, f"--method {args.method}", ["mu", "matched", "unmatched", "car"], row)
+    return _sweep(args, f"--method {args.method}", ["mu", "matched", "unmatched", "car"], table)
 
 
 def cmd_timebin(args) -> int:
@@ -304,8 +319,15 @@ def cmd_timebin(args) -> int:
     if args.method == "exact":
         mode += f" --port {args.port}"
     kind, port, model = SourceKind(args.source), TimebinPort(args.port), HplusModel(args.hplus_model)
-    return _sweep(args, mode, ["mu", "rate"], lambda mu, policy: [timebin_rate(
-        kind, port, mu, *_detector_args(args), _METHODS[args.method], policy, model).value])
+
+    def table(mus, policy):
+        if args.method == "closed":
+            return [[timebin_rate(kind, port, mu, *_detector_args(args), RateMethod.CLOSED_FORM,
+                                  policy, model).value] for mu in mus]
+        return [rates for _, rates in _exact_sweep(
+            kind, (Setting(f"timebin-{port.value}"),), mus, *_arms(args), policy, model)[1]]
+
+    return _sweep(args, mode, ["mu", "rate"], table)
 
 
 def cmd_optimize_mu(args) -> int:

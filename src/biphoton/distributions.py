@@ -91,6 +91,10 @@ def _record(fields: str) -> type:
         def __ne__(self, other):
             return other.__class__ is not self.__class__ or ne(self, other)
 
+        def __lt__(self, other):  # no order or tuple arithmetic, a tuple on either side
+            raise TypeError(f"{self.__class__.__name__} values have no order and no arithmetic")
+        __le__ = __gt__ = __ge__ = __add__ = __radd__ = __mul__ = __rmul__ = __lt__
+
         @classmethod
         def _make(cls, iterable):
             return cls(*iterable)

@@ -17,7 +17,7 @@ from .polarization import (
     _closed_form_defaults,
     _closed_form_mu,
     _closed_forms,
-    _exact_rates,
+    _exact_sweep,
     _require_entangled,
 )
 
@@ -91,8 +91,9 @@ def visibility_exact(
     """Visibility from the exact-series HH and HV rates."""
     _check_member("source", source, PairSource)
     _require_entangled(source.kind, "visibility")
-    _, (hh, hv) = _exact_rates(source, (Setting.HH, Setting.HV), DetectorModel(alpha_s, dark_s),
-                               DetectorModel(alpha_i, dark_i), policy, None)
+    det_s, det_i = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
+    _, [(_, (hh, hv))] = _exact_sweep(source.kind, (Setting.HH, Setting.HV), (source.mu,), det_s,
+                                      det_i, policy)
     contrast = hh / hv if hv > 0 else math.inf
     return VisibilityResult(_visibility(hh, hv), contrast)
 
@@ -133,21 +134,23 @@ def car(
     """
     _check_member("method", method, RateMethod)
     _check_member("source", source, PairSource)
-    _, det_s, det_i = Setting.CAR_MATCHED.resolve(
-        source.kind, DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
-    )
-    if method is RateMethod.CLOSED_FORM:
-        _closed_form_defaults(policy)
-        mu = _closed_form_mu(source.kind, source.mu)
-        unmatched = (mu * det_s.alpha + det_s.dark) * (mu * det_i.alpha + det_i.dark)
-        matched = mu * det_s.alpha * det_i.alpha + unmatched
-        if source.kind is SourceKind.THERMAL_CORRELATED:
-            matched += mu * mu * det_s.alpha * det_i.alpha
-    else:
-        _, (matched, unmatched) = _exact_rates(
-            source, (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED), det_s, det_i, policy, None)
-    ratio = matched / unmatched if unmatched > 0 else math.inf
-    return CarResult(matched, unmatched, ratio)
+    det_s, det_i = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
+    if method is RateMethod.EXACT_SERIES:
+        _, [(_, rates)] = _exact_sweep(source.kind, (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED),
+                                       (source.mu,), det_s, det_i, policy)
+        return _car_result(*rates)
+    Setting.CAR_MATCHED.resolve(source.kind, det_s, det_i)
+    _closed_form_defaults(policy)
+    mu = _closed_form_mu(source.kind, source.mu)
+    unmatched = (mu * det_s.alpha + det_s.dark) * (mu * det_i.alpha + det_i.dark)
+    matched = mu * det_s.alpha * det_i.alpha + unmatched
+    if source.kind is SourceKind.THERMAL_CORRELATED:
+        matched += mu * mu * det_s.alpha * det_i.alpha
+    return _car_result(matched, unmatched)
+
+
+def _car_result(matched: float, unmatched: float) -> CarResult:
+    return CarResult(matched, unmatched, matched / unmatched if unmatched > 0 else math.inf)
 
 
 def _objective_fn(kind: SourceKind, det_s: DetectorModel, det_i: DetectorModel,

@@ -7,13 +7,13 @@ polarizer is set either parallel (HH), crossed (HV), or to the diagonal
     R = sum_x P(x) * K(x)
 
 where P(x) is the source pmf and K(x) the per-x kernel for the chosen
-setting, truncated under a certified tail bound.  Every exact rate, CAR's
-too, is summed by ``_exact_rates`` in this module, over one walk of the
-certified pmf per call.  :class:`DetectorModel` holds floats, so every
-click, K(x) and rate is a float.  K(x) does not depend on mu, so each
-detector pair keeps one store of both arms' click lists and its K(0..)
-by kind, setting and H+ model, and a mu sweep computes each click and
-each K(x) once.  SINGLE_S and SINGLE_I average one arm's clicks.
+setting, truncated under a certified tail bound.  ``_exact_rates`` sums
+every exact rate, CAR's too, in one walk of the certified pmf per mu,
+after ``_exact_sweep``'s checks.  :class:`DetectorModel` holds floats, so
+every click, K(x) and rate is a float.  K(x) does not depend on mu, so
+each detector pair keeps one store of both arms' click lists and its
+K(0..) by kind, setting and H+ model, and a mu sweep computes each click
+and each K(x) once.  SINGLE_S and SINGLE_I average one arm's clicks.
 
 The coherent H+ kernel of indistinguishable pairs costs O(x^2) per x.
 Its table grows only in whole blocks of 16 pair numbers, the last one
@@ -560,6 +560,18 @@ def _exact_rates(source, settings, det_s, det_i, policy, hplus_model) -> tuple[i
     return x_max, rates
 
 
+def _exact_sweep(kind, settings, mus, det_s, det_i, policy, model=HplusModel.COHERENT):
+    """The settings as resolved and, per mu, x_max and their ``_exact_rates``, every input
+    checked first: the kind, each setting against it (time-bin ports all or none, each its
+    twin at alpha/2), both arms, the policy, the H+ model, then every mu via PairSource."""
+    resolved = [setting.resolve(kind, det_s, det_i) for setting in settings]
+    _check_member("policy", policy, TruncationPolicy)
+    _check_member("hplus_model", model, HplusModel)
+    sources = [PairSource(kind, mu) for mu in mus]
+    (_, det_s, det_i), settings = resolved[0], [setting for setting, _, _ in resolved]
+    return settings, [_exact_rates(src, settings, det_s, det_i, policy, model) for src in sources]
+
+
 def coincidence_rate(
     source: PairSource,
     setting: Setting,
@@ -580,10 +592,9 @@ def coincidence_rate(
     :class:`CapExceeded` before any table grows.
     """
     _check_member("setting", setting, Setting)
-    _check_member("hplus_model", hplus_model, HplusModel)
     _check_member("source", source, PairSource)
-    setting, det_s, det_i = setting.resolve(source.kind, det_s, det_i)
-    x_max, (value,) = _exact_rates(source, (setting,), det_s, det_i, policy, hplus_model)
+    (setting,), [(x_max, (value,))] = _exact_sweep(source.kind, (setting,), (source.mu,), det_s,
+                                                   det_i, policy, hplus_model)
     return RateEntry(value, setting, x_max)
 
 

@@ -16,8 +16,7 @@ import math
 import numpy as np
 
 from .detection import DetectorModel
-from .distributions import (PairSource, SourceKind, TruncationPolicy, _check_member, _check_real,
-                            _record)
+from .distributions import SourceKind, TruncationPolicy, _check_member, _check_real, _record
 from .polarization import (
     HplusModel,
     RateMethod,
@@ -26,7 +25,7 @@ from .polarization import (
     _closed_form_defaults,
     _closed_form_mu,
     _closed_forms,
-    _exact_rates,
+    _exact_sweep,
     _require_entangled,
     closed_form_rates,
 )
@@ -176,8 +175,8 @@ def assemble_r(
         hh, hv, hp = rep.r_hh, rep.r_hv, rep.r_hplus
         model = None
     else:
-        _, (hh, hv, hp) = _exact_rates(
-            PairSource(kind, mu), (Setting.HH, Setting.HV, Setting.HPLUS),
+        _, [(_, (hh, hv, hp))] = _exact_sweep(
+            kind, (Setting.HH, Setting.HV, Setting.HPLUS), (mu,),
             DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i), policy, hplus_model)
         model = hplus_model
     return TomographyVector(tuple((hh, hv, hp)[c] for c in _COLUMN), method, model)

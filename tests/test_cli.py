@@ -14,17 +14,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biphoton import (
+    HplusModel,
+    PairSource,
     RateMethod,
     Setting,
     SourceKind,
+    TimebinPort,
     TruncationPolicy,
     assemble_r,
+    car,
     closed_form_rates,
     closed_form_rho,
     concurrence,
     reconstruct,
+    timebin_rate,
+    visibility_exact,
 )
-from biphoton import cli, oracle, tomography
+from biphoton import cli, oracle, polarization, tomography
 from biphoton.cli import _SWEEP_MAX, _build_parser, _parse_sweep, main
 
 
@@ -822,6 +828,112 @@ def test_validate_output_is_frozen():
     digests = {model: hashlib.sha256(_stdout(["validate", "--hplus-model", model]).encode())
                .hexdigest() for model in _FROZEN_VALIDATE}
     assert digests == _FROZEN_VALIDATE
+
+
+_DIS, _INDIS = SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED
+
+
+def _timebin_row(port: str, model: str):
+    return lambda kind, mu, det, policy: [timebin_rate(
+        kind, TimebinPort(port), mu, *det, RateMethod.EXACT_SERIES, policy, HplusModel(model)).value]
+
+
+def _car_row(kind: SourceKind):
+    return lambda _, mu, det, policy: [*car(PairSource(kind, mu), *det, policy)]
+
+
+# an exact sweep -> (its argv without kind and grid, whether it takes an
+# entangled --source, the columns of a row that the scalar calls give, from
+# (kind, mu, (alpha_s, alpha_i, dark_s, dark_i), policy))
+_EXACT_SWEEPS = {
+    "visibility-curve": (["visibility-curve"], False, lambda kind, mu, det, policy: [
+        visibility_exact(PairSource(k, mu), *det, policy).visibility for k in (_DIS, _INDIS)]),
+    "timebin aa": (["timebin", "--port", "aa"], True, _timebin_row("aa", "coherent")),
+    "timebin ab": (["timebin", "--port", "ab"], True, _timebin_row("ab", "coherent")),
+    "timebin aplus coherent": (["timebin", "--port", "aplus"], True,
+                               _timebin_row("aplus", "coherent")),
+    "timebin aplus independent": (["timebin", "--port", "aplus", "--hplus-model", "independent"],
+                                  True, _timebin_row("aplus", "independent")),
+    "car dis-correlated": (["car", "--source", "dis-correlated"], False,
+                           _car_row(SourceKind.DIS_CORRELATED)),
+    "car thermal-correlated": (["car", "--source", "thermal-correlated"], False,
+                               _car_row(SourceKind.THERMAL_CORRELATED)),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXACT_SWEEPS))
+@settings(max_examples=40)
+@given(kind=st.sampled_from([_DIS, _INDIS]), lo=st.floats(0.0, 1.0), width=st.floats(1e-3, 1.0),
+       n=st.integers(2, 5), log=st.booleans(), alphas=st.tuples(*[st.floats(0.0, 1.0)] * 2),
+       darks=st.tuples(*[st.floats(0.0, 0.05)] * 2))
+def test_every_exact_sweep_row_is_the_scalar_call_at_its_mu(name, kind, lo, width, n, log, alphas,
+                                                            darks):
+    argv, entangled, scalar = _EXACT_SWEEPS[name]
+    grid = f"{lo!r}:{lo + width!r}:{n}" + (":log" if log and lo > 0 else "")
+    det = (*alphas, *darks)
+    flags = [f"--{arm}={v!r}" for arm, v in zip(("alpha-s", "alpha-i", "dark-s", "dark-i"), det)]
+    source = ["--source", kind.value] if entangled else []
+    rows = _rows(_stdout([*argv, *source, "--mu-range", grid, *flags]))[1]
+    assert len(rows) == n
+    for row in rows:
+        mu = float(row[0])
+        want = scalar(kind, mu, det, TruncationPolicy())
+        # the exact columns, bit for bit: 17 digits give back each float
+        assert [float(v).hex() for v in row[1: 1 + len(want)]] == [v.hex() for v in want], (mu, row)
+
+
+# a refused input of an exact sweep, and the rule that names it
+_REFUSED = {
+    "--alpha-i 1.5": (["--alpha-i", "1.5"], "alpha must lie in [0, 1], got 1.5"),
+    "--dark-s nan": (["--dark-s", "nan"], "dark must lie in [0, 1), got nan"),
+    # the mu = 0 row is valid: a sweep that computed row by row would sum it
+    "--mu-range 0:inf:3": (["--mu-range", "0:inf:3"], "mu must be finite and >= 0, got inf"),
+}
+
+
+@pytest.mark.parametrize("name", list(_EXACT_SWEEPS))
+@pytest.mark.parametrize("refused", list(_REFUSED))
+def test_a_refused_sweep_input_computes_no_rate(monkeypatch, name, refused):
+    argv, entangled, _ = _EXACT_SWEEPS[name]
+    argv = [*argv, *(["--source", "indis-entangled"] if entangled else [])]
+    calls = []
+    exact_rates = polarization._exact_rates
+    monkeypatch.setattr(polarization, "_exact_rates",
+                        lambda *a: calls.append(a) or exact_rates(*a))
+    # the spy sees every row of a valid sweep: one call per mu and kind
+    _stdout([*argv, "--mu-range", "0:1:3"])
+    assert len(calls) == (6 if name == "visibility-curve" else 3)
+    calls.clear()
+    flags, rule = _REFUSED[refused]
+    grid = [] if flags[0] == "--mu-range" else ["--mu-range", "0:1:3"]
+    code, out, err = _capture([*argv, *grid, *flags])
+    assert code == 2 and out == "", (code, out)
+    assert rule in err, err
+    assert calls == []
+
+
+# of a refused mu and a refused arm, which one is named: an exact rate checks
+# both arms before any mu; a closed-form row and a visibility-curve --mu row,
+# the public scalar call, check the mu first
+@pytest.mark.parametrize("argv, rule", [
+    (["density-matrix", "--source", "dis-entangled", "--method", "exact", "--mu", "-1"],
+     "alpha must lie in [0, 1]"),
+    (["density-matrix", "--source", "dis-entangled", "--method", "closed", "--mu", "-1"],
+     "mu must be finite and >= 0"),
+    (["car", "--source", "dis-correlated", "--mu", "-1"], "alpha must lie in [0, 1]"),
+    (["car", "--source", "dis-correlated", "--mu-range", "-1:1:3"], "alpha must lie in [0, 1]"),
+    (["timebin", "--source", "dis-entangled", "--mu", "-1"], "alpha must lie in [0, 1]"),
+    (["visibility-curve", "--mu-range", "-1:1:3"], "alpha must lie in [0, 1]"),
+    (["visibility-curve", "--mu", "-1"], "mu must be finite and >= 0"),
+    (["car", "--source", "dis-correlated", "--method", "closed", "--mu", "-1"],
+     "mu must be finite and >= 0"),
+    (["timebin", "--source", "dis-entangled", "--method", "closed", "--mu", "-1"],
+     "alpha must lie in [0, 1]"),
+])
+def test_which_of_a_refused_mu_and_arm_is_named(argv, rule):
+    code, out, err = _capture([*argv, "--alpha-s", "2"])
+    assert code == 2 and out == "", (code, out)
+    assert rule in err, err
 
 
 _MU = ["--mu", "0.3"]

@@ -1,10 +1,12 @@
 """The value types' contract: each of the 11 is an immutable named tuple
 that equals only a value of its own type, hashes as its fields, pickles
-and copies, and prints as the frozen dataclasses it replaced printed; the
-enum members hash by identity."""
+and copies, prints as the frozen dataclasses it replaced printed, and, as
+they did, has no order and no tuple arithmetic; the enum members hash by
+identity."""
 
 import copy
 import inspect
+import operator
 import pickle
 
 import pytest
@@ -90,6 +92,28 @@ def test_a_value_equals_only_a_value_of_its_own_type(cls):
         assert not value == other and value != other
         assert not other == value and other != value
     assert {value: 1}.get(plain) is None and {plain: 1}.get(value) is None
+
+
+@pytest.mark.parametrize("cls", list(_TYPES), ids=lambda cls: cls.__name__)
+def test_a_value_has_no_order_and_no_tuple_arithmetic(cls):
+    # as the dataclasses had none: each operator raises with the value on
+    # either side, against a plain tuple and against its own type
+    value = _value(cls)
+    ops = [operator.lt, operator.le, operator.gt, operator.ge, operator.add]
+    for other in (tuple(value), _value(cls)):
+        for op in ops:
+            for left, right in ((value, other), (other, value)):
+                with pytest.raises(TypeError, match=f"^{cls.__name__} values have no order"):
+                    op(left, right)
+    for left, right in ((value, 2), (2, value), (value, 0)):
+        with pytest.raises(TypeError):
+            left * right
+    with pytest.raises(TypeError):
+        sorted([value, _value(cls)])
+    with pytest.raises(TypeError):
+        value += (1,)
+    with pytest.raises(TypeError):
+        value *= 1
 
 
 def test_two_result_types_with_equal_fields_are_unequal():
