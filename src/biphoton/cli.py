@@ -25,10 +25,10 @@ from collections.abc import Callable, Iterable
 from . import __version__
 from .detection import DetectorModel
 from .distributions import PairSource, SourceKind, TruncationPolicy
-from .metrics import (Objective, _SWEEP_MAX, _car_result, _mu_grid, _visibility, car, optimize_mu,
+from .metrics import (Objective, _SWEEP_MAX, _car_result, _mu_grid, _visibility, optimize_mu,
                       visibility_approx, visibility_exact)
-from .polarization import (HplusModel, RateMethod, Setting, TimebinPort, _exact_sweep,
-                           coincidence_rate, timebin_rate)
+from .polarization import (HplusModel, RateMethod, Setting, TimebinPort, _rate_sweep,
+                           coincidence_rate)
 
 __all__ = ["main"]
 
@@ -240,7 +240,7 @@ def cmd_visibility_curve(args) -> int:
             exact = [[visibility_exact(PairSource(kind, args.mu), *_detector_args(args),
                                        policy).visibility] for kind in kinds]
         else:
-            exact = [[_visibility(*rates) for _, rates in _exact_sweep(
+            exact = [[_visibility(*rates) for _, rates in _rate_sweep(
                 kind, (Setting.HH, Setting.HV), mus, *_arms(args), policy)[1]] for kind in kinds]
         return zip(*exact, *([visibility_approx(kind, mu).visibility for mu in mus]
                              for kind in kinds))
@@ -303,13 +303,10 @@ def cmd_density_matrix(args) -> int:
 
 
 def cmd_car(args) -> int:
-    kind, method = SourceKind(args.source), _METHODS[args.method]
-
     def table(mus, policy):
-        if method is RateMethod.CLOSED_FORM:
-            return [car(PairSource(kind, mu), *_detector_args(args), policy, method) for mu in mus]
-        return [_car_result(*rates) for _, rates in _exact_sweep(
-            kind, (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED), mus, *_arms(args), policy)[1]]
+        return [_car_result(*rates) for _, rates in _rate_sweep(
+            SourceKind(args.source), (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED), mus,
+            *_arms(args), policy, method=_METHODS[args.method])[1]]
 
     return _sweep(args, f"--method {args.method}", ["mu", "matched", "unmatched", "car"], table)
 
@@ -318,14 +315,11 @@ def cmd_timebin(args) -> int:
     mode = f"--method {args.method}"
     if args.method == "exact":
         mode += f" --port {args.port}"
-    kind, port, model = SourceKind(args.source), TimebinPort(args.port), HplusModel(args.hplus_model)
 
     def table(mus, policy):
-        if args.method == "closed":
-            return [[timebin_rate(kind, port, mu, *_detector_args(args), RateMethod.CLOSED_FORM,
-                                  policy, model).value] for mu in mus]
-        return [rates for _, rates in _exact_sweep(
-            kind, (Setting(f"timebin-{port.value}"),), mus, *_arms(args), policy, model)[1]]
+        return [rates for _, rates in _rate_sweep(
+            SourceKind(args.source), (Setting(f"timebin-{args.port}"),), mus, *_arms(args),
+            policy, HplusModel(args.hplus_model), _METHODS[args.method])[1]]
 
     return _sweep(args, mode, ["mu", "rate"], table)
 

@@ -1,6 +1,6 @@
 """Quality metrics derived from the rates: visibility, contrast, CAR and
 optimization of the mean pair number on the closed-form rates.  Every
-exact rate here is read from the series in ``polarization``."""
+rate of ``car`` and ``visibility_exact`` is read from ``polarization``'s entry."""
 
 from __future__ import annotations
 
@@ -14,10 +14,9 @@ from .polarization import (
     RateMethod,
     Setting,
     _DEFAULT_POLICY,
-    _closed_form_defaults,
     _closed_form_mu,
     _closed_forms,
-    _exact_sweep,
+    _rate_sweep,
     _require_entangled,
 )
 
@@ -92,8 +91,8 @@ def visibility_exact(
     _check_member("source", source, PairSource)
     _require_entangled(source.kind, "visibility")
     det_s, det_i = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
-    _, [(_, (hh, hv))] = _exact_sweep(source.kind, (Setting.HH, Setting.HV), (source.mu,), det_s,
-                                      det_i, policy)
+    _, [(_, (hh, hv))] = _rate_sweep(source.kind, (Setting.HH, Setting.HV), (source.mu,), det_s,
+                                     det_i, policy)
     contrast = hh / hv if hv > 0 else math.inf
     return VisibilityResult(_visibility(hh, hv), contrast)
 
@@ -134,19 +133,10 @@ def car(
     """
     _check_member("method", method, RateMethod)
     _check_member("source", source, PairSource)
-    det_s, det_i = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
-    if method is RateMethod.EXACT_SERIES:
-        _, [(_, rates)] = _exact_sweep(source.kind, (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED),
-                                       (source.mu,), det_s, det_i, policy)
-        return _car_result(*rates)
-    Setting.CAR_MATCHED.resolve(source.kind, det_s, det_i)
-    _closed_form_defaults(policy)
-    mu = _closed_form_mu(source.kind, source.mu)
-    unmatched = (mu * det_s.alpha + det_s.dark) * (mu * det_i.alpha + det_i.dark)
-    matched = mu * det_s.alpha * det_i.alpha + unmatched
-    if source.kind is SourceKind.THERMAL_CORRELATED:
-        matched += mu * mu * det_s.alpha * det_i.alpha
-    return _car_result(matched, unmatched)
+    _, [(_, rates)] = _rate_sweep(source.kind, (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED),
+                                  (source.mu,), DetectorModel(alpha_s, dark_s),
+                                  DetectorModel(alpha_i, dark_i), policy, method=method)
+    return _car_result(*rates)
 
 
 def _car_result(matched: float, unmatched: float) -> CarResult:

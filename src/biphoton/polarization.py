@@ -7,9 +7,10 @@ polarizer is set either parallel (HH), crossed (HV), or to the diagonal
     R = sum_x P(x) * K(x)
 
 where P(x) is the source pmf and K(x) the per-x kernel for the chosen
-setting, truncated under a certified tail bound.  ``_exact_rates`` sums
-every exact rate, CAR's too, in one walk of the certified pmf per mu,
-after ``_exact_sweep``'s checks.  :class:`DetectorModel` holds floats, so
+setting, truncated under a certified tail bound.  ``_rate_sweep``, every
+rate's entry, checks all inputs; then per mu ``_exact_rates`` sums every exact
+rate, CAR's too, in one walk of the certified pmf, or ``_closed_row`` forms
+the closed forms.  :class:`DetectorModel` holds floats, so
 every click, K(x) and rate is a float.  K(x) does not depend on mu, so
 each detector pair keeps one store of both arms' click lists and its
 K(0..) by kind, setting and H+ model, and a mu sweep computes each click
@@ -173,12 +174,11 @@ def _closed_form_mu(kind: SourceKind, mu) -> float:
 _DEFAULT_POLICY = TruncationPolicy()
 
 
-def _closed_form_defaults(policy, hplus_model=HplusModel.COHERENT) -> None:
+def _closed_form_defaults(policy, hplus_model) -> None:
     """The closed forms read no policy and no H+ model: refuse, not ignore, any but the default."""
     if policy != _DEFAULT_POLICY:
         raise ValueError(f"the closed forms read no policy, got policy={policy!r}")
     if hplus_model is not HplusModel.COHERENT:
-        _check_member("hplus_model", hplus_model, HplusModel)
         raise ValueError(f"the closed forms read no hplus_model, got hplus_model={hplus_model!r}")
 
 
@@ -230,15 +230,10 @@ def timebin_rate(
     _check_member("kind", kind, SourceKind)
     _check_member("port", port, TimebinPort)
     _check_member("method", method, RateMethod)
-    setting = Setting(f"timebin-{port.value}")
-    det_s, det_i = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
-    if method is RateMethod.EXACT_SERIES:
-        return coincidence_rate(PairSource(kind, mu), setting, det_s, det_i, policy, hplus_model)
-    setting, det_s, det_i = setting.resolve(kind, det_s, det_i)
-    _closed_form_defaults(policy, hplus_model)
-    rep = closed_form_rates(kind, mu, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark)
-    value = getattr(rep, f"r_{setting.value}")  # r_hh, r_hv or r_hplus
-    return RateEntry(value, setting, 0)
+    (setting,), [(x_max, (value,))] = _rate_sweep(
+        kind, (Setting(f"timebin-{port.value}"),), (mu,), DetectorModel(alpha_s, dark_s),
+        DetectorModel(alpha_i, dark_i), policy, hplus_model, method)
+    return RateEntry(value, setting, x_max)
 
 
 # largest x that plus_port_distribution tabulates: TruncationPolicy's
@@ -560,16 +555,22 @@ def _exact_rates(source, settings, det_s, det_i, policy, hplus_model) -> tuple[i
     return x_max, rates
 
 
-def _exact_sweep(kind, settings, mus, det_s, det_i, policy, model=HplusModel.COHERENT):
-    """The settings as resolved and, per mu, x_max and their ``_exact_rates``, every input
-    checked first: the kind, each setting against it (time-bin ports all or none, each its
-    twin at alpha/2), both arms, the policy, the H+ model, then every mu via PairSource."""
+def _rate_sweep(kind, settings, mus, det_s, det_i, policy, model=HplusModel.COHERENT,
+                method=RateMethod.EXACT_SERIES):
+    """The settings as resolved and, per mu, x_max and their rates, every input checked
+    first: the kind, each setting against it (time-bin ports all or none, each its twin at
+    alpha/2), both arms, the policy, the H+ model, then every mu: via PairSource, or by
+    ``_closed_form_mu`` once the closed forms have refused what they do not read."""
     resolved = [setting.resolve(kind, det_s, det_i) for setting in settings]
     _check_member("policy", policy, TruncationPolicy)
     _check_member("hplus_model", model, HplusModel)
-    sources = [PairSource(kind, mu) for mu in mus]
     (_, det_s, det_i), settings = resolved[0], [setting for setting, _, _ in resolved]
-    return settings, [_exact_rates(src, settings, det_s, det_i, policy, model) for src in sources]
+    if method is RateMethod.EXACT_SERIES:
+        sources = [PairSource(kind, mu) for mu in mus]
+        return settings, [_exact_rates(s, settings, det_s, det_i, policy, model) for s in sources]
+    _closed_form_defaults(policy, model)
+    mus = [_closed_form_mu(kind, mu) for mu in mus]
+    return settings, [(0, _closed_row(kind, settings, mu, det_s, det_i)) for mu in mus]
 
 
 def coincidence_rate(
@@ -593,8 +594,8 @@ def coincidence_rate(
     """
     _check_member("setting", setting, Setting)
     _check_member("source", source, PairSource)
-    (setting,), [(x_max, (value,))] = _exact_sweep(source.kind, (setting,), (source.mu,), det_s,
-                                                   det_i, policy, hplus_model)
+    (setting,), [(x_max, (value,))] = _rate_sweep(source.kind, (setting,), (source.mu,), det_s,
+                                                  det_i, policy, hplus_model)
     return RateEntry(value, setting, x_max)
 
 
@@ -654,3 +655,21 @@ def _closed_forms(kind: SourceKind, mu, det_s: DetectorModel, det_i: DetectorMod
         r_hv = mu * mu * alpha_s * alpha_i / 4 + dark
         r_hplus = (3 * mu * mu / 8 + mu / 4) * alpha_s * alpha_i + dark
     return r_hh, r_hv, r_hplus, single_s, single_i
+
+
+_CLOSED_FIELDS = (Setting.HH, Setting.HV, Setting.HPLUS, Setting.SINGLE_S, Setting.SINGLE_I)
+_CAR_FORMS = (Setting.CAR_MATCHED, Setting.CAR_UNMATCHED)
+
+
+def _closed_row(kind: SourceKind, settings: list, mu: float, det_s, det_i) -> list[float]:
+    """The closed form of each resolved setting at one checked mu: CAR's pair where every
+    setting is CAR's, else the fields of :func:`closed_form_rates`, one per
+    ``_CLOSED_FIELDS``, which refuses a correlated kind before any form."""
+    if all(setting in _CAR_FORMS for setting in settings):
+        unmatched = (mu * det_s.alpha + det_s.dark) * (mu * det_i.alpha + det_i.dark)
+        matched = mu * det_s.alpha * det_i.alpha + unmatched
+        if kind is SourceKind.THERMAL_CORRELATED:
+            matched += mu * mu * det_s.alpha * det_i.alpha
+        return [(matched, unmatched)[_CAR_FORMS.index(setting)] for setting in settings]
+    rep = closed_form_rates(kind, mu, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark)
+    return [rep[_CLOSED_FIELDS.index(setting)] for setting in settings]

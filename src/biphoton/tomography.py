@@ -22,12 +22,10 @@ from .polarization import (
     RateMethod,
     Setting,
     _DEFAULT_POLICY,
-    _closed_form_defaults,
     _closed_form_mu,
     _closed_forms,
-    _exact_sweep,
+    _rate_sweep,
     _require_entangled,
-    closed_form_rates,
 )
 
 __all__ = [
@@ -169,17 +167,11 @@ def assemble_r(
     _check_member("hplus_model", hplus_model, HplusModel)
     _check_member("method", method, RateMethod)
     _require_entangled(kind, "tomography")
-    if method is RateMethod.CLOSED_FORM:
-        _closed_form_defaults(policy, hplus_model)
-        rep = closed_form_rates(kind, mu, alpha_s, alpha_i, dark_s, dark_i)
-        hh, hv, hp = rep.r_hh, rep.r_hv, rep.r_hplus
-        model = None
-    else:
-        _, [(_, (hh, hv, hp))] = _exact_sweep(
-            kind, (Setting.HH, Setting.HV, Setting.HPLUS), (mu,),
-            DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i), policy, hplus_model)
-        model = hplus_model
-    return TomographyVector(tuple((hh, hv, hp)[c] for c in _COLUMN), method, model)
+    _, [(_, rates)] = _rate_sweep(kind, (Setting.HH, Setting.HV, Setting.HPLUS), (mu,),
+                                  DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i),
+                                  policy, hplus_model, method)
+    model = None if method is RateMethod.CLOSED_FORM else hplus_model  # the closed forms read none
+    return TomographyVector(tuple(rates[c] for c in _COLUMN), method, model)
 
 
 # the dual frame: row nu is M_nu of rho = sum_nu r_nu M_nu, flattened, with

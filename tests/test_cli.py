@@ -833,13 +833,13 @@ def test_validate_output_is_frozen():
 _DIS, _INDIS = SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED
 
 
-def _timebin_row(port: str, model: str):
+def _timebin_row(port: str, model: str, method=RateMethod.EXACT_SERIES):
     return lambda kind, mu, det, policy: [timebin_rate(
-        kind, TimebinPort(port), mu, *det, RateMethod.EXACT_SERIES, policy, HplusModel(model)).value]
+        kind, TimebinPort(port), mu, *det, method, policy, HplusModel(model)).value]
 
 
-def _car_row(kind: SourceKind):
-    return lambda _, mu, det, policy: [*car(PairSource(kind, mu), *det, policy)]
+def _car_row(kind: SourceKind, method=RateMethod.EXACT_SERIES):
+    return lambda _, mu, det, policy: [*car(PairSource(kind, mu), *det, policy, method)]
 
 
 # an exact sweep -> (its argv without kind and grid, whether it takes an
@@ -882,24 +882,70 @@ def test_every_exact_sweep_row_is_the_scalar_call_at_its_mu(name, kind, lo, widt
         assert [float(v).hex() for v in row[1: 1 + len(want)]] == [v.hex() for v in want], (mu, row)
 
 
-# a refused input of an exact sweep, and the rule that names it
+_CLOSED = RateMethod.CLOSED_FORM
+
+# a closed-form sweep, as _EXACT_SWEEPS gives an exact one
+_CLOSED_SWEEPS = {
+    "timebin closed aa": (["timebin", "--method", "closed", "--port", "aa"], True,
+                          _timebin_row("aa", "coherent", _CLOSED)),
+    "timebin closed ab": (["timebin", "--method", "closed", "--port", "ab"], True,
+                          _timebin_row("ab", "coherent", _CLOSED)),
+    "timebin closed aplus": (["timebin", "--method", "closed", "--port", "aplus"], True,
+                             _timebin_row("aplus", "coherent", _CLOSED)),
+    "car closed dis-correlated": (["car", "--method", "closed", "--source", "dis-correlated"],
+                                  False, _car_row(SourceKind.DIS_CORRELATED, _CLOSED)),
+    "car closed thermal-correlated": (
+        ["car", "--method", "closed", "--source", "thermal-correlated"], False,
+        _car_row(SourceKind.THERMAL_CORRELATED, _CLOSED)),
+}
+
+
+@pytest.mark.parametrize("name", list(_CLOSED_SWEEPS))
+@settings(max_examples=40)
+@given(kind=st.sampled_from([_DIS, _INDIS]), lo=st.floats(0.0, 1.0), width=st.floats(1e-3, 1.0),
+       n=st.integers(2, 5), log=st.booleans(), alphas=st.tuples(*[st.floats(0.0, 1.0)] * 2),
+       darks=st.tuples(*[st.floats(0.0, 0.05)] * 2))
+def test_every_closed_sweep_row_is_the_scalar_call_at_its_mu(name, kind, lo, width, n, log,
+                                                             alphas, darks):
+    # the closed columns come from the same entry as the exact ones: each
+    # row is the public closed-form call at its printed mu, bit for bit
+    argv, entangled, scalar = _CLOSED_SWEEPS[name]
+    grid = f"{lo!r}:{lo + width!r}:{n}" + (":log" if log and lo > 0 else "")
+    det = (*alphas, *darks)
+    flags = [f"--{arm}={v!r}" for arm, v in zip(("alpha-s", "alpha-i", "dark-s", "dark-i"), det)]
+    source = ["--source", kind.value] if entangled else []
+    rows = _rows(_stdout([*argv, *source, "--mu-range", grid, *flags]))[1]
+    assert len(rows) == n
+    for row in rows:
+        want = scalar(kind, float(row[0]), det, TruncationPolicy())
+        assert [float(v).hex() for v in row[1:]] == [v.hex() for v in want], row
+
+
+# a refused input of a sweep, and the rule that names it
 _REFUSED = {
     "--alpha-i 1.5": (["--alpha-i", "1.5"], "alpha must lie in [0, 1], got 1.5"),
+    "--alpha-s 1.5": (["--alpha-s", "1.5"], "alpha must lie in [0, 1], got 1.5"),
     "--dark-s nan": (["--dark-s", "nan"], "dark must lie in [0, 1), got nan"),
     # the mu = 0 row is valid: a sweep that computed row by row would sum it
     "--mu-range 0:inf:3": (["--mu-range", "0:inf:3"], "mu must be finite and >= 0, got inf"),
 }
 
 
-@pytest.mark.parametrize("name", list(_EXACT_SWEEPS))
+def _spy_rows(monkeypatch, name: str) -> list:
+    """The calls of the helper that computes one row of the sweep ``name``."""
+    calls = []
+    helper = "_closed_row" if name in _CLOSED_SWEEPS else "_exact_rates"
+    real = getattr(polarization, helper)
+    monkeypatch.setattr(polarization, helper, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("name", [*_EXACT_SWEEPS, *_CLOSED_SWEEPS])
 @pytest.mark.parametrize("refused", list(_REFUSED))
 def test_a_refused_sweep_input_computes_no_rate(monkeypatch, name, refused):
-    argv, entangled, _ = _EXACT_SWEEPS[name]
+    argv, entangled, _ = {**_EXACT_SWEEPS, **_CLOSED_SWEEPS}[name]
     argv = [*argv, *(["--source", "indis-entangled"] if entangled else [])]
-    calls = []
-    exact_rates = polarization._exact_rates
-    monkeypatch.setattr(polarization, "_exact_rates",
-                        lambda *a: calls.append(a) or exact_rates(*a))
+    calls = _spy_rows(monkeypatch, name)
     # the spy sees every row of a valid sweep: one call per mu and kind
     _stdout([*argv, "--mu-range", "0:1:3"])
     assert len(calls) == (6 if name == "visibility-curve" else 3)
@@ -912,21 +958,36 @@ def test_a_refused_sweep_input_computes_no_rate(monkeypatch, name, refused):
     assert calls == []
 
 
-# of a refused mu and a refused arm, which one is named: an exact rate checks
-# both arms before any mu; a closed-form row and a visibility-curve --mu row,
-# the public scalar call, check the mu first
+@pytest.mark.parametrize("name", list(_CLOSED_SWEEPS))
+def test_a_closed_sweep_checks_every_mu_before_any_row(monkeypatch, name):
+    # mu = 1 and 1e100 are inside the closed forms' domain and 1e200 is not:
+    # a sweep that formed row by row would form two rows before refusing it
+    argv, entangled, _ = _CLOSED_SWEEPS[name]
+    calls = _spy_rows(monkeypatch, name)
+    code, out, err = _capture([*argv, *(["--source", "indis-entangled"] if entangled else []),
+                               "--mu-range", "1:1e200:3:log"])
+    assert code == 2 and out == "", (code, out)
+    assert "the closed forms hold for mu <= 1e+150, got mu=1e+200" in err, err
+    assert calls == []
+
+
+# of a refused mu and a refused arm, which one is named: every rate mode
+# checks both arms before any mu, except a visibility-curve --mu row, the
+# public visibility_exact, which checks the mu first
 @pytest.mark.parametrize("argv, rule", [
     (["density-matrix", "--source", "dis-entangled", "--method", "exact", "--mu", "-1"],
      "alpha must lie in [0, 1]"),
     (["density-matrix", "--source", "dis-entangled", "--method", "closed", "--mu", "-1"],
-     "mu must be finite and >= 0"),
+     "alpha must lie in [0, 1]"),
     (["car", "--source", "dis-correlated", "--mu", "-1"], "alpha must lie in [0, 1]"),
     (["car", "--source", "dis-correlated", "--mu-range", "-1:1:3"], "alpha must lie in [0, 1]"),
     (["timebin", "--source", "dis-entangled", "--mu", "-1"], "alpha must lie in [0, 1]"),
     (["visibility-curve", "--mu-range", "-1:1:3"], "alpha must lie in [0, 1]"),
     (["visibility-curve", "--mu", "-1"], "mu must be finite and >= 0"),
     (["car", "--source", "dis-correlated", "--method", "closed", "--mu", "-1"],
-     "mu must be finite and >= 0"),
+     "alpha must lie in [0, 1]"),
+    (["car", "--source", "dis-correlated", "--method", "closed", "--mu-range", "-1:1:3"],
+     "alpha must lie in [0, 1]"),
     (["timebin", "--source", "dis-entangled", "--method", "closed", "--mu", "-1"],
      "alpha must lie in [0, 1]"),
 ])

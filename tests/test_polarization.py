@@ -910,14 +910,31 @@ def test_the_closed_forms_refuse_the_series_parameters(name, parameter, value):
         _CLOSED[name](**{parameter: value})
     assert str(exc.value) == f"the closed forms read no {parameter}, got {parameter}={value!r}"
     # the default, and an equal policy built apart (as the CLI builds one),
-    # are accepted; a string model is refused by the enum rule, as before
+    # are accepted; a string policy or model is refused by the member rule,
+    # as the exact series refuses it
     default = {"policy": polarization._DEFAULT_POLICY, "hplus_model": HplusModel.COHERENT}
     assert _CLOSED[name](**{parameter: default[parameter]}) == _CLOSED[name]()
     if parameter == "policy":
         assert _CLOSED[name](policy=TruncationPolicy()) == _CLOSED[name]()
+        with pytest.raises(TypeError, match="^policy must be a TruncationPolicy, got 'x'$"):
+            _CLOSED[name](policy="x")
     else:
         with pytest.raises(TypeError, match="^hplus_model must be a HplusModel, got 'x'$"):
             _CLOSED[name](hplus_model="x")
+
+
+@pytest.mark.parametrize("settings", [(Setting.HH,), (Setting.SINGLE_S,),
+                                      (Setting.CAR_MATCHED, Setting.HV)])
+def test_the_closed_entry_refuses_a_polarization_setting_of_a_correlated_kind(settings):
+    # a correlated kind has CAR's closed forms alone: a polarization setting,
+    # alone or beside CAR's, is refused by name, never read off CAR's pair
+    det = DetectorModel(0.3, 1e-4)
+    args = (SourceKind.DIS_CORRELATED, settings, (0.3,), det, det, TruncationPolicy())
+    with pytest.raises(UnsupportedSetting, match="^closed-form polarization rates is undefined "
+                                                 "for correlated kind dis-correlated$"):
+        polarization._rate_sweep(*args, method=RateMethod.CLOSED_FORM)
+    # the exact series defines them: every pair of a correlated kind is H
+    assert polarization._rate_sweep(*args)[1][0][0] > 0
 
 
 @pytest.mark.parametrize("function", [coincidence_rate, single_rate, timebin_rate,
