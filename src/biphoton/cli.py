@@ -27,8 +27,7 @@ from .detection import DetectorModel
 from .distributions import PairSource, SourceKind, TruncationPolicy
 from .metrics import (Objective, _SWEEP_MAX, _car_result, _mu_grid, _visibility, optimize_mu,
                       visibility_approx, visibility_exact)
-from .polarization import (HplusModel, RateMethod, Setting, TimebinPort, _rate_sweep,
-                           coincidence_rate)
+from .polarization import HplusModel, RateMethod, Setting, TimebinPort, _rate_sweep
 
 __all__ = ["main"]
 
@@ -236,12 +235,13 @@ def cmd_visibility_curve(args) -> int:
     columns = ["mu", "v_exact_dis", "v_exact_indis", "v_approx_dis", "v_approx_indis"]
 
     def table(mus, policy):
+        arms = _arms(args)  # both arms checked before any mu, as in every rate mode
         if args.mu is not None:  # the one-mu case, through the public call
             exact = [[visibility_exact(PairSource(kind, args.mu), *_detector_args(args),
                                        policy).visibility] for kind in kinds]
         else:
             exact = [[_visibility(*rates) for _, rates in _rate_sweep(
-                kind, (Setting.HH, Setting.HV), mus, *_arms(args), policy)[1]] for kind in kinds]
+                kind, (Setting.HH, Setting.HV), mus, *arms, policy)[1]] for kind in kinds]
         return zip(*exact, *([visibility_approx(kind, mu).visibility for mu in mus]
                              for kind in kinds))
 
@@ -341,39 +341,14 @@ def cmd_optimize_mu(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .oracle import (_MC_Z_LIMIT, _VALIDATE_CELLS, _VALIDATE_POLICY, _VALIDATE_TOL, X_MAX_LIMIT,
-                         _mc_z, enumerate_rate, mc_rate)
+    from .oracle import _validate
 
     if args.trials < 0:
         raise ConfigError(f"--trials must be >= 0, got {args.trials}")
     config = _config(args, "with --trials" if args.trials > 0 else "without --trials")
-    hplus_model = HplusModel(args.hplus_model)
-    columns = ["kind", "setting", "mu", "alpha", "dark", "series", "oracle", "abs_err", "tol", "status"]
-    if args.trials > 0:
-        columns += ["mc_mean", "mc_z", "mc_status"]
-    rows: list[list] = []
-    for kind, setting, mu, alpha, dark in _VALIDATE_CELLS:
-        source = PairSource(kind, mu)
-        det_s = det_i = DetectorModel(alpha, dark)
-        series = coincidence_rate(source, setting, det_s, det_i, _VALIDATE_POLICY, hplus_model).value
-        ora = enumerate_rate(source, setting, det_s, det_i, X_MAX_LIMIT, hplus_model)
-        tol = _VALIDATE_TOL + ora.tail_bound
-        err = abs(series - ora.value)
-        row = [kind.value, setting.value, mu, alpha, dark,
-               series, ora.value, err, tol, "pass" if err <= tol else "FAIL"]
-        if args.trials > 0:
-            est = mc_rate(source, setting, det_s, det_i, args.trials, args.seed, hplus_model)
-            z = _mc_z(est, series)
-            row += [est.mean, z, "pass" if z <= _MC_Z_LIMIT else "FAIL"]
-        rows.append(row)
-    # the summary reads the rows: a FAIL status or mc_status, abs_err (7) and mc_z (11)
-    failed = any("FAIL" in row for row in rows)
-    summary = {"cells": len(rows), "max_abs_err": max(row[7] for row in rows),
-               "status": "FAIL" if failed else "pass"}
-    if args.trials > 0:
-        summary["max_mc_z"] = max(row[11] for row in rows)
+    columns, rows, summary = _validate(HplusModel(args.hplus_model), args.trials, args.seed)
     _emit_table(args, config, columns, rows, summary)
-    return 1 if failed else 0
+    return 1 if summary["status"] == "FAIL" else 0
 
 
 _TIMEBIN = ("source", *_SWEEP, "port", "method", *_DETECTORS)

@@ -223,7 +223,7 @@ def _certified_pmf(source: PairSource, policy: TruncationPolicy) -> list[float]:
     pmfs, ratios = _pmfs(source), _ratios(source)
     weights = [next(pmfs)]
     next(ratios)
-    for p_next, q in zip(islice(pmfs, policy.hard_cap + 1), ratios):
+    for p_next, q in zip(islice(pmfs, min(policy.hard_cap, sys.maxsize - 1) + 1), ratios):
         if q < 1.0 and p_next / (1.0 - q) < eps:
             return weights
         weights.append(p_next)

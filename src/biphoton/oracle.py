@@ -53,7 +53,9 @@ and top.
 
 Both oracles take a :class:`Setting` and let :meth:`Setting.resolve`
 turn a time-bin setting into its polarization twin at half efficiency,
-so neither knows about time bins.
+so neither knows about time bins.  Neither calls the series: the harness
+of `biphoton validate`, ``_validate``, compares it with both and closes
+this module, beside the grid, policy, tolerance and z rule it applies.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ import numpy as np
 from .detection import DetectorModel, _click, click_prob
 from .distributions import (PairSource, SourceKind, TruncationPolicy, _check_count, _check_member,
                             _record, pmf_values)
-from .polarization import HplusModel, Setting
+from .polarization import HplusModel, Setting, coincidence_rate
 
 __all__ = [
     "XMaxTooLarge",
@@ -570,11 +572,6 @@ _VALIDATE_SETTINGS: dict[SourceKind, tuple[Setting, ...]] = {
 _VALIDATE_MUS = (0.05, 0.2)
 _VALIDATE_ALPHAS = (0.05, 0.5)
 _VALIDATE_DARKS = (0.0, 1e-3)
-# (kind, setting, mu, alpha, dark) of every cell, in output order
-_VALIDATE_CELLS = tuple(
-    (kind, *cell) for kind, settings in _VALIDATE_SETTINGS.items()
-    for cell in itertools.product(settings, _VALIDATE_MUS, _VALIDATE_ALPHAS, _VALIDATE_DARKS)
-)
 # the series policy of every cell's rate
 _VALIDATE_POLICY = TruncationPolicy(tail_epsilon=1e-13)
 # a series rate passes when it is within this of the enumeration plus its tail bound
@@ -590,3 +587,33 @@ def _mc_z(est: McEstimate, rate: float) -> float:
     se0 = math.sqrt(max(rate * (1.0 - rate), 0.0) / est.trials)
     se = max(est.std_error, se0)
     return abs(est.mean - rate) / se if se > 0 else 0.0
+
+
+def _validate(hplus_model: HplusModel, trials: int, seed: int) -> tuple[list, list, dict]:
+    """The columns, rows and summary of `biphoton validate`: per grid cell, in output order,
+    the series rate under ``_VALIDATE_POLICY`` against the enumeration to ``X_MAX_LIMIT`` and,
+    for ``trials`` > 0, against a Monte-Carlo estimate of that many trials from ``seed``."""
+    columns = ["kind", "setting", "mu", "alpha", "dark", "series", "oracle", "abs_err", "tol",
+               "status", *(["mc_mean", "mc_z", "mc_status"] if trials > 0 else [])]
+    rows, errs, zs = [], [], []
+    for kind, settings in _VALIDATE_SETTINGS.items():
+        for setting, mu, alpha, dark in itertools.product(
+                settings, _VALIDATE_MUS, _VALIDATE_ALPHAS, _VALIDATE_DARKS):
+            source, det = PairSource(kind, mu), DetectorModel(alpha, dark)
+            series = coincidence_rate(source, setting, det, det, _VALIDATE_POLICY,
+                                      hplus_model).value
+            ora = enumerate_rate(source, setting, det, det, X_MAX_LIMIT, hplus_model)
+            tol, err = _VALIDATE_TOL + ora.tail_bound, abs(series - ora.value)
+            errs.append(err)
+            row = [kind.value, setting.value, mu, alpha, dark, series, ora.value, err, tol,
+                   "pass" if err <= tol else "FAIL"]
+            if trials > 0:
+                est = mc_rate(source, setting, det, det, trials, seed, hplus_model)
+                zs.append(_mc_z(est, series))
+                row += [est.mean, zs[-1], "pass" if zs[-1] <= _MC_Z_LIMIT else "FAIL"]
+            rows.append(row)
+    failed = any("FAIL" in row for row in rows)
+    summary = {"cells": len(rows), "max_abs_err": max(errs), "status": "FAIL" if failed else "pass"}
+    if zs:
+        summary["max_mc_z"] = max(zs)
+    return columns, rows, summary

@@ -395,6 +395,14 @@ def _float_binomials(x: int) -> tuple[float, ...]:
     return tuple(float(math.comb(x, y)) for y in range(x + 1))
 
 
+def _check_binomial_x(kind, setting, hplus_model, x: int) -> None:
+    # the binomial weights of a distinguishable pattern or an independent + count sum to 2^x
+    if x > 1023 and (kind is SourceKind.DIS_ENTANGLED or (
+            setting is Setting.HPLUS and hplus_model is HplusModel.INDEPENDENT)):
+        raise CapExceeded(f"the binomial kernels, whose weights sum to 2^x in floats, hold up to "
+                          f"x=1023 pairs, got x={x}; lower hard_cap or mu, or raise tail_epsilon")
+
+
 def _pattern_sum(kind: SourceKind, x: int, terms, factor=1):
     """``factor`` times the mean of ``terms[y]`` over the pattern of x pairs.
 
@@ -467,6 +475,7 @@ def per_x_coincidence(
         _require_entangled(kind, setting.value)
     _check_member("det_s", det_s, DetectorModel)
     _check_member("det_i", det_i, DetectorModel)
+    _check_binomial_x(kind, setting, hplus_model, x)
     qs = [click_prob(det_s, n) for n in range(x + 1)]
     qi = [click_prob(det_i, n) for n in range(x + 1)]
     return _kernel(kind, setting, x, qs, qi, hplus_model)
@@ -509,6 +518,7 @@ def _grow_coherent(qs: list, qi: list, ks: list, x_max: int) -> None:
 
 def _kernels(kind, setting, det_s, det_i, hplus_model, x_max: int) -> tuple[list, list, list]:
     """Both arms' click lists and K(0..x_max) or more (None for no setting)."""
+    _check_binomial_x(kind, setting, hplus_model, x_max)
     coherent = (setting is Setting.HPLUS and kind is SourceKind.INDIS_ENTANGLED
                 and hplus_model is HplusModel.COHERENT)
     if coherent:

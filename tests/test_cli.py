@@ -526,7 +526,7 @@ def test_validate_refuses_a_negative_seed(capsys):
 
 def test_validate_fails_on_a_disagreement(capsys, monkeypatch):
     # the summary and the exit code follow the rows' status and mc_status
-    coincidence_rate, mc_rate = cli.coincidence_rate, oracle.mc_rate
+    coincidence_rate, mc_rate = oracle.coincidence_rate, oracle.mc_rate
 
     def off_series(source, setting, *rest):
         entry = coincidence_rate(source, setting, *rest)
@@ -538,7 +538,7 @@ def test_validate_fails_on_a_disagreement(capsys, monkeypatch):
         shift = 0.5 if setting is Setting.CAR_MATCHED else 0.0
         return est._replace(mean=est.mean + shift)
 
-    monkeypatch.setattr(cli, "coincidence_rate", off_series)
+    monkeypatch.setattr(oracle, "coincidence_rate", off_series)
     code, out, _ = _run(capsys, ["validate"])
     assert code == 1 and "# status=FAIL" in out
     _, rows = _rows(out)
@@ -972,8 +972,7 @@ def test_a_closed_sweep_checks_every_mu_before_any_row(monkeypatch, name):
 
 
 # of a refused mu and a refused arm, which one is named: every rate mode
-# checks both arms before any mu, except a visibility-curve --mu row, the
-# public visibility_exact, which checks the mu first
+# checks both arms before any mu
 @pytest.mark.parametrize("argv, rule", [
     (["density-matrix", "--source", "dis-entangled", "--method", "exact", "--mu", "-1"],
      "alpha must lie in [0, 1]"),
@@ -983,7 +982,7 @@ def test_a_closed_sweep_checks_every_mu_before_any_row(monkeypatch, name):
     (["car", "--source", "dis-correlated", "--mu-range", "-1:1:3"], "alpha must lie in [0, 1]"),
     (["timebin", "--source", "dis-entangled", "--mu", "-1"], "alpha must lie in [0, 1]"),
     (["visibility-curve", "--mu-range", "-1:1:3"], "alpha must lie in [0, 1]"),
-    (["visibility-curve", "--mu", "-1"], "mu must be finite and >= 0"),
+    (["visibility-curve", "--mu", "-1"], "alpha must lie in [0, 1]"),
     (["car", "--source", "dis-correlated", "--method", "closed", "--mu", "-1"],
      "alpha must lie in [0, 1]"),
     (["car", "--source", "dis-correlated", "--method", "closed", "--mu-range", "-1:1:3"],
@@ -995,6 +994,24 @@ def test_which_of_a_refused_mu_and_arm_is_named(argv, rule):
     code, out, err = _capture([*argv, "--alpha-s", "2"])
     assert code == 2 and out == "", (code, out)
     assert rule in err, err
+
+
+def test_a_cap_above_sys_maxsize_prints_the_default_caps_rows():
+    # a cap only bounds the walk of the certified pmf, however large it is
+    argv = ["car", "--source", "dis-correlated", "--mu", "0.3"]
+    code, default, _ = _capture(argv)
+    assert code == 0
+    code, out, err = _capture([*argv, "--cap", str(10**23)])
+    assert code == 0, err
+    assert "# cap=100000000000000000000000" in out
+    assert _rows(out) == _rows(default)
+
+
+def test_a_binomial_kernel_past_x_1023_exits_2_naming_the_bound():
+    code, out, err = _capture(["visibility-curve", "--mu", "300", "--tail-eps", "1e-300",
+                               "--cap", "5000"])
+    assert code == 2 and out == "", (code, out)
+    assert "hold up to x=1023 pairs, got x=1143" in err, err
 
 
 _MU = ["--mu", "0.3"]

@@ -106,3 +106,28 @@ def test_each_result_holds_only_what_its_call_computed():
         "McEstimate": ["mean", "std_error", "trials", "seed"],
         "TomographyVector": ["r", "method", "hplus_model"],
     }
+
+
+def test_validate_is_one_call_of_the_harness_beside_its_rules():
+    # `biphoton validate` calls one function of oracle.py, which holds the
+    # grid, the policy, the tolerance and the z rule next to the loop that
+    # applies them; cli.py imports nothing else from .oracle, and no rate
+    trees = {path.name: ast.parse(path.read_text()) for path in _SOURCES}
+    imports = [node for node in ast.walk(trees["cli.py"]) if isinstance(node, ast.ImportFrom)]
+    from_oracle = [alias.name for node in imports if node.level == 1 and node.module == "oracle"
+                   for alias in node.names]
+    assert from_oracle == ["_validate"]
+    assert "coincidence_rate" not in {alias.name for node in imports for alias in node.names}
+
+    def names(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.alias):
+                yield node.name
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+
+    readers = {module for module, tree in trees.items() if any(
+        name.startswith("_VALIDATE") or name in ("_MC_Z_LIMIT", "_mc_z") for name in names(tree))}
+    assert readers == {"oracle.py"}

@@ -277,6 +277,17 @@ def test_the_certified_pmf_is_the_pmf_to_the_truncation_index(kind, hard_cap, ep
     assert "underflows" in outcomes[math.nextafter(top, math.inf)]
 
 
+@pytest.mark.parametrize("kind", list(SourceKind))
+def test_a_cap_above_sys_maxsize_walks_as_the_default_cap(kind):
+    # a cap only bounds the walk: one that islice would refuse certifies the
+    # index and the weights of the default cap
+    src = PairSource(kind, 0.3)
+    huge = TruncationPolicy(hard_cap=sys.maxsize * 10**4)
+    assert truncation_index(src, huge) == truncation_index(src, TruncationPolicy())
+    assert distributions._certified_pmf(src, huge) == distributions._certified_pmf(
+        src, TruncationPolicy())
+
+
 def test_truncation_cap_exceeded():
     src = PairSource(SourceKind.INDIS_ENTANGLED, 10.0)
     with pytest.raises(CapExceeded):

@@ -3,6 +3,7 @@
 import inspect
 import math
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -198,6 +199,75 @@ def test_plus_port_distribution_stops_at_the_hard_cap():
                              HplusModel.INDEPENDENT)
     assert entry.truncation_used > cap
     assert 0.0 < entry.value < 1.0
+
+
+# the kernels that weigh by binomials summing to 2^x: distinguishable pairs
+# in every setting, and the independent + count of the H+ idler
+_BINOMIAL_KERNELS = [
+    (SourceKind.DIS_ENTANGLED, Setting.HH, HplusModel.COHERENT),
+    (SourceKind.DIS_ENTANGLED, Setting.HV, HplusModel.COHERENT),
+    (SourceKind.DIS_ENTANGLED, Setting.HPLUS, HplusModel.COHERENT),
+    (SourceKind.DIS_ENTANGLED, Setting.HPLUS, HplusModel.INDEPENDENT),
+    (SourceKind.INDIS_ENTANGLED, Setting.HPLUS, HplusModel.INDEPENDENT),
+]
+
+
+def _binomial_refusal(x: int) -> str:
+    return re.escape(f"hold up to x=1023 pairs, got x={x}; lower hard_cap or mu, "
+                     f"or raise tail_epsilon")
+
+
+def test_binomial_kernels_refuse_x_above_1023_before_any_store_grows():
+    # 2^x is a float up to x = 1023: beyond it fsum overflowed, and so did
+    # float(C(x, x // 2)) from x = 1030
+    det = DetectorModel(0.1, 1.0007e-4)  # a detector pair no other test uses
+    policy = TruncationPolicy(1e-300, 5000)
+    coincidence_rate(PairSource(SourceKind.DIS_ENTANGLED, 0.3), Setting.HH, det, det)
+    qs, qi, tables = polarization._store(det, det)
+
+    def state():
+        return len(qs), len(qi), {key: len(ks) for key, ks in tables.items()}
+
+    before = state()
+    # kind -> a mu whose certified x_max passes 1023 under the policy, and that x_max
+    past = {SourceKind.DIS_ENTANGLED: (300.0, 1143), SourceKind.INDIS_ENTANGLED: (3.0, 1364)}
+    for kind, setting, model in _BINOMIAL_KERNELS:
+        mu, x_max = past[kind]
+        with pytest.raises(CapExceeded, match=_binomial_refusal(x_max)):
+            coincidence_rate(PairSource(kind, mu), setting, det, det, policy, model)
+    assert state() == before
+    for kind, setting, model in _BINOMIAL_KERNELS:
+        for x in (1024, 1030):
+            with pytest.raises(CapExceeded, match=_binomial_refusal(x)):
+                per_x_coincidence(kind, setting, x, det, det, model)
+    assert state() == before
+
+
+@pytest.mark.parametrize("kind, setting, model", _BINOMIAL_KERNELS)
+def test_binomial_kernels_hold_at_x_1023(kind, setting, model):
+    # at unit efficiency the weights of nearly every pattern reach the sum
+    one = DetectorModel(1.0)
+    value = per_x_coincidence(kind, setting, 1023, one, one, model)
+    assert math.isfinite(value) and 0.0 <= value <= 1.0
+
+
+@pytest.mark.parametrize("kind, setting, mu, value", [
+    (SourceKind.DIS_CORRELATED, Setting.HH, 300.0, 0.9999999999998139),
+    (SourceKind.DIS_CORRELATED, Setting.HV, 300.0, 0.0),
+    (SourceKind.DIS_CORRELATED, Setting.CAR_UNMATCHED, 300.0, 0.999999999999815),
+    (SourceKind.THERMAL_CORRELATED, Setting.HH, 3.0, 0.09848113669769717),
+    (SourceKind.INDIS_ENTANGLED, Setting.HH, 3.0, 0.03907968194890879),
+    (SourceKind.INDIS_ENTANGLED, Setting.HV, 3.0, 0.01701323251417768),
+    (SourceKind.INDIS_ENTANGLED, Setting.SINGLE_S, 3.0, 0.1304347826086956),
+])
+def test_kernels_without_binomials_pass_x_1023(kind, setting, mu, value):
+    # correlated pairs and indistinguishable H/V patterns weigh by no
+    # binomial: their rates past x = 1023 keep their values
+    det = DetectorModel(0.1)
+    entry = coincidence_rate(PairSource(kind, mu), setting, det, det,
+                             TruncationPolicy(1e-300, 5000))
+    assert entry.truncation_used > 1023
+    assert entry.value == value
 
 
 def _generator_coherent_kernel(x, det_s, det_i):
