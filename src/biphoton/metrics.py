@@ -18,6 +18,7 @@ from .polarization import (
     _closed_forms,
     _rate_sweep,
     _require_entangled,
+    _scaled_arms,
 )
 
 __all__ = [
@@ -65,8 +66,8 @@ class MuOptimum(_record("mu value unimodal")):
       4 d_s d_i (mu + 1) - A mu^2 for indistinguishable pairs, so
       mu* = 2 r (r + sqrt(r^2 + A)) / A if A > 0 and the bracket's top if not.
     - ``MAX_CONCURRENCE``: the same mu.  Each closed-form state has
-      R_H+ = (R_HH + R_HV) / 2, so its concurrence is max(0, (3V - 1) / 2),
-      which rises with V (Wootters, PRL 80, 2245, 1998).
+      R_H+ = (R_HH + R_HV) / 2, so its concurrence is max(0, (3V - 1) / 2)
+      (Wootters, PRL 80, 2245, 1998), the value graded, which rises with V.
     - ``MAX_COINCIDENCE_TIMES_VISIBILITY``: the bracket's top; the
       numerator of d(R_HH V)/dmu has no negative coefficient.
     """
@@ -145,22 +146,18 @@ def _car_result(matched: float, unmatched: float) -> CarResult:
 
 def _objective_fn(kind: SourceKind, det_s: DetectorModel, det_i: DetectorModel,
                   objective: Objective):
-    """The objective as a function of a list of mu: one value per mu.  The kind
-    is checked before any mu: once, here, for the visibility objectives, and for
-    ``MAX_CONCURRENCE`` by each list's sweep; every mu of a list is checked
-    before any value."""
-    if objective is Objective.MAX_CONCURRENCE:
-        # late import keeps the module dependency one-way
-        from .tomography import _closed_form_concurrences
-        return lambda mus: _closed_form_concurrences(
-            (kind,), mus, det_s.alpha, det_i.alpha, det_s.dark, det_i.dark).tolist()
-
+    """One value per mu of a list, read from the closed-form row (R_HH, R_HV) (see
+    :class:`MuOptimum`); the kind is checked once, and every mu before any value."""
     _check_member("kind", kind, SourceKind)
     _require_entangled(kind, "closed-form polarization rates")
+    if objective is Objective.MAX_CONCURRENCE:  # a ratio: no bit of a normal row moves
+        det_s, det_i = _scaled_arms(det_s, det_i)
 
     def f(mu: float) -> float:
         r_hh, r_hv = _closed_forms(kind, mu, det_s, det_i)[:2]
         v = _visibility(r_hh, r_hv)
+        if objective is Objective.MAX_CONCURRENCE:
+            return max(0.0, (3 * v - 1) / 2)
         return v if objective is Objective.MAX_VISIBILITY else r_hh * v
 
     return lambda mus: [f(mu) for mu in [_closed_form_mu(kind, m) for m in mus]]
@@ -210,21 +207,16 @@ def optimize_mu(
 ) -> MuOptimum:
     """Maximize an objective over the mean pair number.
 
-    Every input is checked before anything is computed: the objective,
-    ``mu_range`` and ``samples`` (3 to 100,000), then
-    both arms, then the kind; the mus of the scan before any of their values.
-    Every objective reads the closed-form rates:
-    ``MAX_VISIBILITY`` and ``MAX_COINCIDENCE_TIMES_VISIBILITY`` directly,
-    ``MAX_CONCURRENCE`` through the states reconstructed from them.
-    The bracket is sampled on a log grid to test unimodality; for
-    ``MAX_CONCURRENCE`` the samples' rates are formed in one array pass
-    and their states reconstructed and graded in one stacked pass, equal
-    bit for bit to one state at a time.  A unimodal profile returns the
-    explicit optimum of :class:`MuOptimum`, clamped to ``mu_range``: an
-    endpoint with its scan value, an inner mu with one value more.  A
-    non-unimodal profile sets the warning flag and returns the best
-    sample as-is; so does a scan flat to within the scan's noise
-    allowance (1e-12 relative, plus 1e-14 absolute for C and V).
+    Every input is checked before anything is computed: the objective, ``mu_range`` and
+    ``samples`` (3 to 100,000), then both arms, then the kind; the mus of the scan before
+    any of their values.  Every objective is a function of the closed-form row (R_HH,
+    R_HV) at each mu: V, max(0, (3V - 1) / 2) and R_HH V (see :class:`MuOptimum`), so
+    no state is reconstructed.  The bracket is sampled on a log grid to test
+    unimodality.  A unimodal profile returns the explicit optimum of :class:`MuOptimum`,
+    clamped to ``mu_range``: an endpoint with its scan value, an inner mu with one value
+    more.  A non-unimodal profile sets the warning flag and returns the best sample
+    as-is; so does a scan flat to within the scan's noise allowance (1e-12 relative,
+    plus 1e-14 absolute for C and V).
     """
     _check_member("objective", objective, Objective)
     try:
@@ -243,8 +235,8 @@ def optimize_mu(
     ys = scan(grid)
 
     peak = max(range(samples), key=lambda j: ys[j])
-    # C and V lie in [0, 1], so their noise has an absolute floor too: the
-    # accuracy C is computed to (concurrence: 3.7e-15 at worst)
+    # C and V lie in [0, 1], so their noise has an absolute floor too, above
+    # the few roundings of V that C is computed to (within 1e-15 of 50 digits)
     floor = 1e-300 if objective is Objective.MAX_COINCIDENCE_TIMES_VISIBILITY else 1e-14
     tol = lambda v: 1e-12 * abs(v) + floor
     flat = all(ys[peak] - y <= tol(ys[peak]) for y in ys)  # flat to rounding: no optimum

@@ -406,23 +406,26 @@ def _check_binomial_x(kind, setting, hplus_model, x: int) -> None:
 def _pattern_sum(kind: SourceKind, x: int, terms, factor=1):
     """``factor`` times the mean of ``terms[y]`` over the pattern of x pairs.
 
-    y counts the V-polarized pairs: Binomial(x, 1/2) for distinguishable
-    pairs, the uniform collapsed index on 0..x for indistinguishable
-    pairs, and always 0 for correlated kinds, whose pairs are all H.
-    The terms are summed by ``math.fsum``.  ``factor`` multiplies the
-    weighted sum before the normalisation, so a factorized kernel rounds
-    as one product and one division.
+    y counts the V-polarized pairs: Binomial(x, 1/2) for distinguishable pairs and
+    the uniform collapsed index on 0..x for indistinguishable pairs.  The terms are
+    summed by ``math.fsum``.  ``factor`` multiplies the weighted sum before the
+    normalisation, so a factorized kernel rounds as one product and one division.
     """
     if kind is SourceKind.DIS_ENTANGLED:
         terms = map(operator.mul, _float_binomials(x), terms)
         return math.fsum(terms) * factor / (1 << x)
-    if kind is SourceKind.INDIS_ENTANGLED:
-        return math.fsum(terms) * factor / (x + 1)
-    return next(iter(terms)) * factor
+    return math.fsum(terms) * factor / (x + 1)
+
+
+_CORRELATED = (SourceKind.DIS_CORRELATED, SourceKind.THERMAL_CORRELATED)  # cheaper than a property
 
 
 def _kernel(kind: SourceKind, setting: Setting, x: int, qs: list, qi: list, hplus_model):
     """K(x) from the click lists ``qs`` and ``qi``, each at least x+1 long."""
+    if kind in _CORRELATED:  # all pairs are H: each arm sees x photons, but HV blocks the idler's
+        if setting is Setting.SINGLE_S or setting is Setting.SINGLE_I:
+            return (qs if setting is Setting.SINGLE_S else qi)[x]
+        return qs[x] * qi[0 if setting is Setting.HV else x]
     # with y V-polarized pairs the signal H/V polarizer passes x-y photons;
     # grouping the two click factors first keeps the term multiset, and
     # with it the exactly rounded sum, invariant under a detector swap
@@ -665,6 +668,13 @@ def _closed_forms(kind: SourceKind, mu, det_s: DetectorModel, det_i: DetectorMod
         r_hv = mu * mu * alpha_s * alpha_i / 4 + dark
         r_hplus = (3 * mu * mu / 8 + mu / 4) * alpha_s * alpha_i + dark
     return r_hh, r_hv, r_hplus, single_s, single_i
+
+
+def _scaled_arms(*arms: DetectorModel) -> list[DetectorModel]:
+    """Each arm scaled by the power of two that brings max(alpha, dark) into [0.5, 1]: every rate
+    has degree one in each arm, so normal rates scale exactly and tiny arms make none subnormal."""
+    return [DetectorModel(*(math.ldexp(x, max(0, -math.frexp(max(d))[1])) for x in d))
+            for d in arms]
 
 
 _CLOSED_FIELDS = (Setting.HH, Setting.HV, Setting.HPLUS, Setting.SINGLE_S, Setting.SINGLE_I)

@@ -26,6 +26,7 @@ from .polarization import (
     _closed_forms,
     _rate_sweep,
     _require_entangled,
+    _scaled_arms,
 )
 
 __all__ = [
@@ -61,14 +62,6 @@ PROJECTION_STATES: tuple[tuple[str, str], ...] = (
     ("V", "+"), ("V", "L"), ("H", "L"), ("R", "L"),
 )
 
-# 0-based positions taking the parallel (HH) and crossed (HV) rates;
-# every remaining position takes the mixed-basis rate.
-PARALLEL_INDICES: tuple[int, ...] = (0, 2, 9, 15)
-CROSSED_INDICES: tuple[int, ...] = (1, 3)
-# the column of (R_HH, R_HV, R_H+) that each table position takes
-_COLUMN = tuple(0 if j in PARALLEL_INDICES else 1 if j in CROSSED_INDICES else 2
-                for j in range(16))
-
 BASIS_LABELS: tuple[str, ...] = ("HH", "HV", "VH", "VV")
 
 
@@ -79,6 +72,14 @@ def projectors() -> list[np.ndarray]:
         ket = np.kron(_KETS[s], _KETS[i])
         out.append(np.outer(ket, ket.conj()))
     return out
+
+
+# F = 2 <Phi+|Pi_j|Phi+>, the sum of the HH and VV corners of Pi_j, is 1, 0 or 1/2 to
+# rounding: the Bell overlap that names the column of (R_HH, R_HV, R_H+) setting j takes
+_COLUMN = tuple((1.0, 0.0, 0.5).index(round(2 * pi[::3, ::3].sum().real) / 2)
+                for pi in projectors())
+PARALLEL_INDICES: tuple[int, ...] = tuple(j for j, c in enumerate(_COLUMN) if c == 0)
+CROSSED_INDICES: tuple[int, ...] = tuple(j for j, c in enumerate(_COLUMN) if c == 1)
 
 
 class TomographyVector(_record("r method hplus_model")):
@@ -263,7 +264,7 @@ def reconstruct(r) -> DensityMatrix:
     of 16 terms rounds; the result is exactly Hermitian.  The overall
     scale of ``r`` is irrelevant because the result is trace-normalized.
     One state is the one-row case of the stacked reconstruction that
-    ``concurrence-curve`` and ``optimize_mu`` run, bit for bit.
+    ``concurrence-curve`` runs, bit for bit.
     """
     rv = np.array(r.r) if isinstance(r, TomographyVector) else _checked_rates(r)
     dm = DensityMatrix.__new__(DensityMatrix)
@@ -328,25 +329,22 @@ def _wootters(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _closed_form_concurrences(kinds: tuple, mus: list, alpha_s, alpha_i, dark_s=0.0, dark_i=0.0):
-    """C of the closed-form state of each of ``kinds`` at each mu, kinds innermost,
-    each ``concurrence(reconstruct(assemble_r(kind, mu, alpha_s, ...)))`` bit for bit
-    where those rates are 0 or normal.  Every input is checked, with ``assemble_r``'s
-    messages, before anything is computed: both arms, then each kind, then each state's
-    mu.  Each arm's (alpha, dark) is then scaled by the power of two that brings their
-    maximum into [0.5, 1]: every rate has degree one in each arm, so a state's rates
-    scale by a power of two, which the reconstruction's row rescale takes back, and tiny
-    arms leave no rate subnormal, which ``reconstruct(assemble_r(...))`` can refuse.
+    """The ``conc_*`` columns of ``concurrence-curve``: C of the closed-form state of each
+    of ``kinds`` at each mu, kinds innermost, each ``concurrence(reconstruct(assemble_r(
+    kind, mu, alpha_s, ...)))`` bit for bit where those rates are 0 or normal.  Every
+    input is checked, with ``assemble_r``'s messages, before anything is computed: both
+    arms, then each kind, then each state's mu.  The arms are then scaled by
+    :func:`_scaled_arms`, whose power of two the reconstruction's row rescale takes back,
+    so tiny arms leave no rate subnormal, which ``reconstruct(assemble_r(...))`` can refuse.
     The rates are formed in one array pass and the states graded in one more; at mu = 0
     without darks, where every rate is 0, the state is the mu -> 0 limit, of rate ratio
     (1, 0, 1/2), the Bell state's, if both arms can click.
     """
-    arms = DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i)
+    arms = _scaled_arms(DetectorModel(alpha_s, dark_s), DetectorModel(alpha_i, dark_i))
     for kind in kinds:
         _check_member("kind", kind, SourceKind)
         _require_entangled(kind, "tomography")
     mu, step = np.array([_closed_form_mu(kind, m) for m in mus for kind in kinds]), len(kinds)
-    arms = [DetectorModel(*(math.ldexp(x, max(0, -math.frexp(max(d.alpha, d.dark))[1]))
-                            for x in (d.alpha, d.dark))) for d in arms]
     rates = np.empty((3, len(mu)))
     for j, kind in enumerate(kinds):
         rates[:, j::step] = _closed_forms(kind, mu[j::step], *arms)[:3]

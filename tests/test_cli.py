@@ -475,8 +475,8 @@ def test_optimize_mu_command(capsys):
 
 
 def test_optimize_mu_reports_a_flat_profile_as_not_unimodal(capsys):
-    # at alpha_i 1 and dark_i 0 the state is separable: C is 0 up to
-    # rounding over the whole bracket, so no optimum is certified
+    # at alpha_i 1 and dark_i 0 the state is separable: C is 0 over the
+    # whole bracket, so no optimum is certified and the first sample is the peak
     code, out, _ = _run(
         capsys,
         ["optimize-mu", "--source", "indis-entangled", "--objective", "max-concurrence",
@@ -485,9 +485,29 @@ def test_optimize_mu_reports_a_flat_profile_as_not_unimodal(capsys):
     )
     assert code == 0
     _, rows = _rows(out)
-    assert rows[0][0] == "10"
-    assert abs(float(rows[0][1])) <= 1e-14
-    assert rows[0][2] == "false"
+    assert rows[0] == ["1", "0", "false"]
+
+
+@pytest.mark.parametrize(("source", "dets"), [
+    ("indis-entangled", ("0.1", "0.1", "1e-5", "1e-5")),
+    ("dis-entangled", ("0.3", "0.2", "1e-4", "2e-4")),
+])
+def test_optimize_mu_and_the_concurrence_curve_grade_one_state_to_4e_15(capsys, source, dets):
+    # optimize-mu grades C as max(0, (3 V - 1) / 2) of the closed-form rates,
+    # concurrence-curve by Wootters on the reconstructed state: at the optimum
+    # the two agree to the stated accuracy of concurrence
+    flags = [x for pair in zip(("--alpha-s", "--alpha-i", "--dark-s", "--dark-i"), dets)
+             for x in pair]
+    code, out, _ = _run(capsys, ["optimize-mu", "--source", source, "--objective",
+                                 "max-concurrence", "--mu-range", "1e-5:1:65:log", *flags])
+    assert code == 0
+    [(mu, value, unimodal)] = _rows(out)[1]
+    assert unimodal == "true" and 1e-5 < float(mu) < 1
+    code, out, _ = _run(capsys, ["concurrence-curve", "--mu", mu, *flags])
+    assert code == 0
+    header, [row] = _rows(out)
+    curve = float(row[header.index("conc_" + source.split("-")[0])])
+    assert abs(curve - float(value)) <= 4e-15, (curve, value)
 
 
 def test_validate_command(capsys):

@@ -30,15 +30,13 @@ from biphoton import (
     closed_form_rates,
     closed_form_rho,
     coincidence_rate,
-    concurrence,
     optimize_mu,
-    reconstruct,
     single_rate,
     timebin_rate,
     visibility_approx,
     visibility_exact,
 )
-from biphoton import cli, metrics, polarization, tomography
+from biphoton import cli, metrics, polarization
 from biphoton.metrics import _SWEEP_MAX, _mu_grid
 
 ENTANGLED = (SourceKind.DIS_ENTANGLED, SourceKind.INDIS_ENTANGLED)
@@ -380,14 +378,14 @@ def test_optimize_validation():
 
 
 def _objective_at(kind, dets, objective):
-    """The objective at one mu, each state reconstructed and graded alone."""
-    if objective is Objective.MAX_CONCURRENCE:
-        return lambda mu: concurrence(reconstruct(tomography.assemble_r(kind, mu, *dets)))
-
+    """The objective at one mu from the public closed-form rates: V, C as
+    max(0, (3 V - 1) / 2) and R_HH V."""
     def f(mu):
         rep = closed_form_rates(kind, mu, *dets)
         total = rep.r_hh + rep.r_hv
         v = (rep.r_hh - rep.r_hv) / total if total > 0 else 1.0
+        if objective is Objective.MAX_CONCURRENCE:
+            return max(0.0, (3 * v - 1) / 2)
         return v if objective is Objective.MAX_VISIBILITY else rep.r_hh * v
 
     return f
@@ -455,7 +453,7 @@ def _check_search(kind, dets, objective, mu_range, samples) -> MuOptimum:
     assert abs(res.mu - ref) <= 1e-12 * ref, (res.mu, ref)
     assert res.value == f(res.mu)
     best = max(ys + [f(mu) for mu in _mu_grid(*mu_range, 129, True)])
-    # C is graded to 3.7e-15 absolute at worst
+    # C = (3 V - 1) / 2 turns V's relative rounding into an absolute one
     floor = 4e-15 if objective is Objective.MAX_CONCURRENCE else 0.0
     assert res.value >= best - 1e-14 * abs(best) - floor, (res.value, best)
     return res
@@ -468,8 +466,8 @@ def _check_search(kind, dets, objective, mu_range, samples) -> MuOptimum:
     (SourceKind.INDIS_ENTANGLED, (0.1, 0.1, 1e-5, 1e-5), (1e-6, 1e-4), 5, "endpoint"),
 ])
 def test_max_concurrence_search_equals_one_state_at_a_time(kind, dets, mu_range, samples, where):
-    # the scan grades its samples in one stacked pass; its verdict is the
-    # per-point scan's, and the optimum's value is its state graded alone
+    # the scan's verdict is the per-point scan's, and the optimum's value is
+    # its state graded alone
     res = _check_search(kind, dets, Objective.MAX_CONCURRENCE, mu_range, samples)
     assert res.unimodal
     assert (res.mu in mu_range) == (where == "endpoint")
@@ -482,11 +480,10 @@ def test_max_concurrence_search_of_a_bracket_that_is_not_unimodal(monkeypatch):
     fold = lambda mu: 10.0 ** (-3.0 + 2.0 * abs(math.sin(math.log(mu))))
 
     def folded(kind, mu, *arms):
-        mu = np.array([fold(m) for m in mu.tolist()]) if isinstance(mu, np.ndarray) else fold(mu)
-        return real(kind, mu, *arms)
+        return real(kind, fold(mu), *arms)
 
-    # the search's stacked states and the reference's one-state rates
-    for module in (tomography, polarization):
+    # the search's rates and the reference's public closed-form rates
+    for module in (metrics, polarization):
         monkeypatch.setattr(module, "_closed_forms", folded)
     dets = (0.1, 0.1, 1e-5, 1e-5)
     res = optimize_mu(SourceKind.INDIS_ENTANGLED, *dets, Objective.MAX_CONCURRENCE,
@@ -522,6 +519,41 @@ def test_optimize_mu_equals_the_full_search_bit_for_bit(kind, objective, dets, l
     # (C of a separable state, V at alpha 1) returns its peak sample, and a
     # unimodal one the closed forms' optimum
     _check_search(kind, dets, objective, (lo, lo * 10.0 ** decades), samples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(ENTANGLED),
+    mu=_log_uniform(-12.0, 3.0),
+    alphas=st.tuples(*[st.one_of(_log_uniform(-9.0, 0.0), _log_uniform(-300.0, -9.0))] * 2),
+    darks=st.tuples(*[st.one_of(st.just(0.0), _log_uniform(-300.0, -1e-3))] * 2),
+)
+def test_the_concurrence_objective_is_within_1e_15_of_50_digits(kind, mu, alphas, darks):
+    # C = max(0, (R_HH - 2 R_HV) / (R_HH + R_HV)) of the closed-form state
+    # (tests/test_concurrence_form.py), from the same float inputs in 50 digits;
+    # alphas below 1e-9 reach past the box of mu 1e-12 to 1e3 and alpha 1e-9
+    # to 1, to where only the arm scaling keeps the rates normal
+    arms = [DetectorModel(a, d) for a, d in zip(alphas, darks)]
+    got = metrics._objective_fn(kind, *arms, Objective.MAX_CONCURRENCE)([mu])[0]
+    with mp.workdps(50):
+        exact = [SimpleNamespace(alpha=mp.mpf(a), dark=mp.mpf(d)) for a, d in zip(alphas, darks)]
+        r_hh, r_hv = polarization._closed_forms(kind, mp.mpf(mu), *exact)[:2]
+        want = max(0, (r_hh - 2 * r_hv) / (r_hh + r_hv))
+        assert abs(got - want) <= 1e-15, (got, want)
+
+
+def test_the_concurrence_objective_grades_tiny_arms_as_their_normal_twins():
+    # every rate has degree one in each arm, so C scales each arm's (alpha,
+    # dark) by the power of two that brings it into [0.5, 1]: no bit of a
+    # normal row moves, and arms whose rates would underflow grade as well
+    def scan(kind, *arms):
+        dets = [DetectorModel(*(math.ldexp(x, shift) for x in arm)) for arm, shift in arms]
+        return metrics._objective_fn(kind, *dets, Objective.MAX_CONCURRENCE)([1e-3, 0.3, 1.0])
+
+    for kind in ENTANGLED:
+        normal = scan(kind, ((0.3, 1e-4), 0), ((0.2, 0.0), 0))
+        assert 0 < min(normal) and max(normal) < 1
+        assert scan(kind, ((0.3, 1e-4), -1000), ((0.2, 0.0), -60)) == normal
 
 
 @settings(max_examples=60, deadline=None)
@@ -579,12 +611,11 @@ def _record_mus(monkeypatch) -> list:
     real = polarization._closed_forms
 
     def recorded(kind, mu, *arms):
-        mus.extend(mu.tolist() if isinstance(mu, np.ndarray) else [mu])
+        mus.append(mu)
         return real(kind, mu, *arms)
 
-    # the two modules whose objectives read the closed forms
-    for module in (metrics, tomography):
-        monkeypatch.setattr(module, "_closed_forms", recorded)
+    # every objective reads the closed forms through metrics
+    monkeypatch.setattr(metrics, "_closed_forms", recorded)
     return mus
 
 
@@ -639,7 +670,8 @@ def test_no_objective_is_read_outside_a_narrow_bracket(monkeypatch, objective, k
     # V does not depend on mu at alpha_i = 1 and dark_i = 0; the last sample
     # is the peak by one rounding
     ((1e-3, 1.0, 1e-3, 0.0), Objective.MAX_VISIBILITY, (1.0, 52.60644696797855)),
-    # the state is separable: C is 0 up to 2.5e-16 of noise, the most at hi
+    # the state is separable: V is 1/3 to rounding, so C is exactly 0 and
+    # the first sample is the peak
     ((0.01, 1.0, 0.01, 0.0), Objective.MAX_CONCURRENCE, (1.0, 10.0)),
 ])
 def test_a_profile_flat_to_rounding_returns_its_peak_sample_unconfirmed(monkeypatch, dets,
@@ -652,5 +684,5 @@ def test_a_profile_flat_to_rounding_returns_its_peak_sample_unconfirmed(monkeypa
     res = optimize_mu(kind, *dets, objective, mu_range, samples)
     assert res == MuOptimum(grid[peak], ys[peak], False)
     assert not res.unimodal
-    assert res.mu == mu_range[1]
+    assert res.mu == (mu_range[1] if objective is Objective.MAX_VISIBILITY else mu_range[0])
     assert len(mus) == samples

@@ -352,6 +352,40 @@ def test_correlated_kind_kernels():
             per_x_coincidence(kind, Setting.HPLUS, 2, det_s, det_i)
 
 
+class _IndexOnly(list):
+    """A click list that refuses a slice, which would copy x entries for one K(x)."""
+
+    def __getitem__(self, key):
+        assert not isinstance(key, slice), key
+        return list.__getitem__(self, key)
+
+
+def test_correlated_kernels_read_one_click_per_arm():
+    # every correlated pair is H: K(x) is one product of two clicks, or one
+    # click for a single, so a store grows in O(1) per x, not O(x)
+    det_s, det_i = DetectorModel(0.2, 1e-3), DetectorModel(0.4, 2e-3)
+    qs = _IndexOnly(click_prob(det_s, n) for n in range(40))
+    qi = _IndexOnly(click_prob(det_i, n) for n in range(40))
+    for kind in CORRELATED:
+        for x in range(40):
+            kernel = lambda setting: polarization._kernel(kind, setting, x, qs, qi, None)
+            assert kernel(Setting.HH) == qs[x] * qi[x]
+            assert kernel(Setting.HV) == qs[x] * qi[0]
+            assert (kernel(Setting.SINGLE_S), kernel(Setting.SINGLE_I)) == (qs[x], qi[x])
+
+
+def test_a_correlated_rate_with_55_thousand_terms_is_one_fsum_of_its_products():
+    # x_max 55,275: sum_x P(x) q_s(x) q_i(x) bit for bit, where copying x
+    # clicks per K(x) took about 20 s
+    mu, d = 2000.0, DetectorModel(0.1, 2e-6)
+    source = PairSource(SourceKind.THERMAL_CORRELATED, mu)
+    entry = coincidence_rate(source, Setting.HH, d, d, TruncationPolicy(1e-12, 10**6))
+    assert entry.truncation_used == 55_275
+    clicks = [click_prob(d, n) for n in range(entry.truncation_used + 1)]
+    weights = pmf_values(source, entry.truncation_used)
+    assert entry.value == math.fsum(w * (q * q) for w, q in zip(weights, clicks))
+
+
 @pytest.mark.parametrize("kind", list(SourceKind))
 @pytest.mark.parametrize(
     "setting", [s for s in Setting if s not in (Setting.HH, Setting.HV, Setting.HPLUS)]

@@ -63,6 +63,11 @@ _MODES = {
     ("optimize-mu", "--source", "indis-entangled", "--mu-range", "1e-3:1:9:log",
      "--objective", "max-visibility"):
         (False, "d31c507c8c441569250d77ac48df3b51b2adff2ff7b561004f3eb1047f1a419a"),
+    # C as max(0, (3 V - 1) / 2) of the closed-form rates, no state reconstructed;
+    # the digest was recorded from this form, not at a numpy start-up
+    ("optimize-mu", "--source", "indis-entangled", "--mu-range", "1e-3:1:9:log",
+     "--objective", "max-concurrence"):
+        (False, "d8ef49e0d3fdc3c128fe84a61f93ebf604726526b9bdcb2a3b032d3c260f897a"),
     ("density-matrix", "--source", "dis-entangled", "--mu", "0.3"):
         (True, "0a784ae30f800117b218188e43c41dba0583a4677352b843a635852b346ef1f9"),
     ("concurrence-curve", "--mu-range", "0.01:2:20:log", "--dark-s", "1e-4", "--dark-i", "2e-4"):

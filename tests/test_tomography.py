@@ -69,6 +69,26 @@ def test_projector_table_properties():
     assert np.linalg.matrix_rank(np.array([pi.ravel() for pi in pis]), tol=1e-10) == 16
 
 
+# the table's single-photon kets, each up to its norm, 1 or sqrt(2)
+_KET = {"H": (1, 0), "V": (0, 1), "+": (1, 1), "L": (1, 1j), "R": (1, -1j)}
+
+
+def test_each_setting_takes_the_rate_of_its_bell_overlap():
+    # F = 2 |<s i|Phi+>|^2 = |s_H i_H + s_V i_V|^2, exact in these small
+    # integers: 1 takes R_HH, 0 R_HV and 1/2 R_H+, and each projector's
+    # 2 <Phi+|Pi|Phi+> is F to rounding
+    phi = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    for j, ((s, i), pi) in enumerate(zip(PROJECTION_STATES, projectors())):
+        (sh, sv), (ih, iv) = _KET[s], _KET[i]
+        amp = sh * ih + sv * iv
+        norm = (abs(sh) ** 2 + abs(sv) ** 2) * (abs(ih) ** 2 + abs(iv) ** 2)
+        f = (amp * amp.conjugate()).real / norm
+        assert _COLUMN[j] == (1.0, 0.0, 0.5).index(f), (j, s, i)
+        assert abs(2 * (phi @ pi @ phi).real - f) <= 1e-15, (j, s, i)
+    # bench/adapter.py reads both tuples
+    assert (PARALLEL_INDICES, CROSSED_INDICES) == ((0, 2, 9, 15), (1, 3))
+
+
 def test_assemble_r_places_the_three_rates():
     rep = closed_form_rates(SourceKind.DIS_ENTANGLED, 0.2, 0.3, 0.4, 1e-4, 2e-4)
     vec = assemble_r(SourceKind.DIS_ENTANGLED, 0.2, 0.3, 0.4, 1e-4, 2e-4)
